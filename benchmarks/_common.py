@@ -91,14 +91,13 @@ if SMOKE:
     ENGINE_EVENTS = 2_000
     ENGINE_SHARDS = 4
     ENGINE_CHUNK = 500
-    ENGINE_JOBS = [1, 2]
     ENGINE_WORKERS = [1, 2]
     ENGINE_NODES = 40
     PIPELINE_EVENTS = 100_000
     PIPELINE_NODES = 150
     PIPELINE_CHUNK = 25_000
     PIPELINE_MATRIX_EVENTS = 2_000
-    PIPELINE_MATRIX_JOBS = [1, 2]
+    PIPELINE_MATRIX_WORKERS = [1, 2]
     ROTATION_IDS = 600
     ROTATION_WINDOW = 300
     ROTATION_EVENTS = 900
@@ -106,7 +105,6 @@ if SMOKE:
     ROTATION_COVER_WINDOW = 150
     ROTATION_COVER_EVENTS = 600
     ROTATION_COVER_BOUNDARY = 30
-    ROTATION_MATRIX_EVENTS = 2_000
 else:
     #: Densities swept in Figs. 4 and 6.
     FIG4_DENSITIES = [0.01, 0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.50]
@@ -144,16 +142,12 @@ else:
     #: target; expires ride on top, so the stream is longer than this).
     ENGINE_EVENTS = 1_200_000
     #: Logical shards of the scaling run (fixed across worker counts - the
-    #: shard structure is part of the result's identity, jobs is not).
+    #: shard structure is part of the result's identity, workers is not).
     ENGINE_SHARDS = 8
     #: Inserts per chunk (the checkpoint granularity).
     ENGINE_CHUNK = 100_000
-    #: Legacy one-task-per-shard job counts (the old-style mode the
-    #: scaling benchmark keeps one leg of, for cross-mode fingerprint
-    #: identity).
-    ENGINE_JOBS = [1, 2, 4, 8]
     #: Pool sizes swept by the scaling benchmark's ``workers`` legs (one
-    #: stream pass per worker; the mode that actually scales).
+    #: stream pass per worker; the first, 1, is the in-process baseline).
     ENGINE_WORKERS = [1, 2, 4, 8]
     #: Threads/objects per side of the engine-scaling stream.
     ENGINE_NODES = 200
@@ -168,7 +162,7 @@ else:
     #: Events of each run in the fingerprint equality matrix.
     PIPELINE_MATRIX_EVENTS = 4_000
     #: Worker counts crossed into the fingerprint matrix.
-    PIPELINE_MATRIX_JOBS = [1, 4]
+    PIPELINE_MATRIX_WORKERS = [1, 4]
     #: Thread/object ID space of the rotation-heavy churn stream.  Kept
     #: far above the window so most expiries kill their endpoints, which
     #: is what makes every retirement a pure-subset (delta-eligible)
@@ -194,8 +188,6 @@ else:
     ROTATION_COVER_EVENTS = 24_000
     #: Events between epoch boundaries (cover queries) in the cover leg.
     ROTATION_COVER_BOUNDARY = 50
-    #: Inserts per engine run in the rotation fingerprint matrix.
-    ROTATION_MATRIX_EVENTS = 6_000
 
 #: Nodes per side in the density sweeps (the paper uses 50 threads / 50 objects).
 FIG4_NODES = 50
@@ -221,7 +213,7 @@ def bench_environment() -> dict:
     process-wide kernel backend selection, the numpy version (or null
     when the accelerator is absent - the python fallback's numbers are
     not comparable to the numpy path's), the interpreter version, and
-    the CPU count (``--jobs`` speedups are meaningless on one core).
+    the CPU count (``--workers`` speedups are meaningless on one core).
     """
     try:
         import numpy

@@ -6,7 +6,8 @@ configuration - mechanisms growing their clocks *and* a timestamping
 stage actually minting a stamp per event per mechanism - is executed
 three ways over the same stream:
 
-* ``per-event`` - the classic loop: one Python call per event per layer;
+* ``per-event`` - insert runs capped at one event: one Python call per
+  event per layer;
 * ``batched`` + ``python`` backend - runs of consecutive inserts flow
   through ``observe_batch`` / ``advance_batch`` with the slot-delta
   pure-Python kernel loop;
@@ -30,7 +31,7 @@ Assertions, in CI via ``--smoke``:
   required.
 
 A second test crosses ``{per-event, batched} x {python, numpy} x
---jobs {1, N}`` on a small engine run (offline optimum and sliding
+--workers {1, N}`` on a small engine run (offline optimum and sliding
 window included) and asserts one fingerprint for all combinations.
 """
 
@@ -43,7 +44,7 @@ import pytest
 from repro.core.kernel import numpy_available
 from repro.engine import EngineConfig, run_engine
 from repro.engine.results import EngineResult
-from repro.engine.runner import run_shard
+from repro.engine.runner import run_shard_group
 from repro.obs import MetricsRegistry, install
 from repro.obs.exporters import metrics_document
 
@@ -51,7 +52,7 @@ from _common import (
     PIPELINE_CHUNK,
     PIPELINE_EVENTS,
     PIPELINE_MATRIX_EVENTS,
-    PIPELINE_MATRIX_JOBS,
+    PIPELINE_MATRIX_WORKERS,
     PIPELINE_NODES,
     SMOKE,
 )
@@ -89,7 +90,7 @@ VARIANTS = [("per-event", "python"), ("batched", "python")] + (
 
 def _single_shard_result(config: EngineConfig):
     """Run the one-shard config and wrap the partial for fingerprinting."""
-    partial = run_shard(config, 0)
+    partial = run_shard_group(config, (0,))[0]
     return EngineResult(
         scenario=config.scenario,
         num_shards=config.num_shards,
@@ -225,12 +226,12 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
 
 @pytest.mark.benchmark(group="batched-pipeline")
 def test_pipeline_fingerprint_matrix(record_json):
-    """{per-event, batched} x {python, numpy} x --jobs: one fingerprint."""
+    """{per-event, batched} x {python, numpy} x --workers: one fingerprint."""
     backends = ["python"] + (["numpy"] if numpy_available() else [])
     matrix = {}
     for pipeline in ("per-event", "batched"):
         for backend in backends:
-            for jobs in PIPELINE_MATRIX_JOBS:
+            for workers in PIPELINE_MATRIX_WORKERS:
                 config = EngineConfig(
                     scenario="thread-churn",
                     num_threads=40,
@@ -245,17 +246,18 @@ def test_pipeline_fingerprint_matrix(record_json):
                     timestamps=True,
                     pipeline=pipeline,
                     backend=backend,
+                    workers=workers,
                 )
-                result = run_engine(config, jobs=jobs)
-                matrix[(pipeline, backend, jobs)] = result.fingerprint()
+                result = run_engine(config)
+                matrix[(pipeline, backend, workers)] = result.fingerprint()
     assert len(set(matrix.values())) == 1, matrix
     record_json(
         "pipeline_fingerprint_matrix",
         {
             "events": PIPELINE_MATRIX_EVENTS,
             "combinations": [
-                {"pipeline": p, "backend": b, "jobs": j, "fingerprint": fp}
-                for (p, b, j), fp in sorted(matrix.items())
+                {"pipeline": p, "backend": b, "workers": w, "fingerprint": fp}
+                for (p, b, w), fp in sorted(matrix.items())
             ],
             "identical": True,
         },

@@ -3,50 +3,24 @@
 The ROADMAP's scaling item asks for a benchmark that pushes the dynamic
 streaming machinery to millions of events; this is it.  One thread-churn
 configuration (1.2M inserts in the full run, shrunken under ``--smoke``)
-is executed serially (the legacy one-task-per-shard ``jobs=1`` mode,
-which regenerates the stream once per *shard*) and then at increasing
-``workers`` pool sizes (one shard group and one stream pass per
-*worker*); the table reports events/sec per leg plus the speedup over
-serial.  One old-style ``jobs=2`` leg rides along so the cross-mode
-fingerprint identity stays measured, not assumed.
+is executed at increasing ``workers`` pool sizes (one shard group and
+one stream pass per worker); the table reports events/sec per leg plus
+the speedup over ``workers=1``, which runs every shard down ONE pass
+in-process (no spawn at all).  Larger pools trade extra passes for CPU
+parallelism.
 
-Two properties are asserted while the numbers are collected:
-
-* every leg - serial, every ``workers`` value, old-style ``jobs`` -
-  produces a bit-identical merged result (the engine's central
-  determinism contract; the fingerprint is the proof);
-* above :data:`SPEEDUP_ASSERT_FLOOR` inserts per shard, the best
-  ``workers`` leg must clear :data:`MIN_WORKER_SPEEDUP` (2x serial) -
-  and :data:`MIN_WORKER_SPEEDUP_MULTICORE` (3x) when the machine has
-  four or more cores.  This is the real scaling assertion that replaced
-  the old ``spawn_dominated`` skip: the spawn-per-task backend could
-  only ever *lose* to serial on small runs, so the best this benchmark
-  could do was refuse to assert; the pooled engine is expected to win.
-
-Where the speedup comes from
-----------------------------
-Serial pays the fixed per-pass cost (stream generation + routing) once
-per shard - eight passes for the standard eight-shard run.  A ``workers``
-leg pays it once per worker: ``workers=1`` runs all eight shards down
-ONE pass in-process (no spawn at all), and larger pools trade extra
-passes for actual CPU parallelism.  On a single-core machine the whole
-win is pass elimination, so ``workers=1`` is typically the best leg; on
-multi-core machines the pool legs stack parallel speedup on top, which
-is what the 3x multicore bar checks.
-
-Below :data:`SPEEDUP_ASSERT_FLOOR` inserts per shard (the smoke run),
-fixed costs dominate whatever mode runs, so the leg records
-``spawn_dominated: true`` in its JSON (the perf-trajectory collector
-drops such runs from speedup plots) and only the fingerprint assertion
-runs - which is all a smoke pass is for.
+Every leg must produce a bit-identical merged result (the engine's
+central determinism contract; the fingerprint is the proof).  Below
+:data:`SPEEDUP_FLOOR` inserts per shard (the smoke run), fixed costs
+dominate, so the leg records ``spawn_dominated: true`` in its JSON (the
+perf-trajectory collector drops such runs from speedup plots).
 
 The ``metrics`` block of ``BENCH_engine_scaling.json`` comes from one
-extra instrumented pass at the best pool size: per-worker stream
+extra instrumented pass at the best pooled size: per-worker stream
 generation time (``engine.stream_gen_s``), task queue wait
 (``pool.task_wait_s``), spawn latency (``pool.worker_spawn_s``) and the
 final task distribution (``pool.tasks_per_worker``), so the spawn
-amortisation that motivated the pool is visible in the artifact, not
-just in this docstring.
+amortisation is visible in the artifact, not just in this docstring.
 """
 
 from __future__ import annotations
@@ -74,16 +48,7 @@ from _common import (
 #: itself, so the ratio measures overhead, not scaling.  The floor is
 #: deliberately far above the smoke scale (2k/4 shards = 500) and far
 #: below the full scale (1.2M/8 = 150k).
-SPEEDUP_ASSERT_FLOOR = 10_000
-
-#: The scaling bar asserted on the best ``workers`` leg of a
-#: full-scale run: one stream pass per worker must beat the legacy
-#: one-pass-per-shard serial mode by at least this much.
-MIN_WORKER_SPEEDUP = 2.0
-
-#: The stricter bar when real parallelism is available (>= 4 cores):
-#: pass elimination plus concurrent shard groups.
-MIN_WORKER_SPEEDUP_MULTICORE = 3.0
+SPEEDUP_FLOOR = 10_000
 
 CONFIG = EngineConfig(
     scenario="thread-churn",
@@ -97,9 +62,9 @@ CONFIG = EngineConfig(
 )
 
 
-def _timed_leg(label, config, jobs=1):
+def _timed_leg(label, config):
     start = time.perf_counter()
-    result = run_engine(config, jobs=jobs)
+    result = run_engine(config)
     return label, time.perf_counter() - start, result
 
 
@@ -123,18 +88,15 @@ def _instrumented_metrics(workers: int) -> dict:
 @pytest.mark.benchmark(group="engine-scaling")
 def test_engine_scaling_events_per_second(benchmark, record_table, record_json):
     def run_all():
-        runs = [_timed_leg("serial", CONFIG, jobs=1)]
-        for workers in ENGINE_WORKERS:
-            runs.append(
-                _timed_leg(f"workers={workers}", replace(CONFIG, workers=workers))
-            )
-        runs.append(_timed_leg("jobs=2", CONFIG, jobs=2))
-        return runs
+        return [
+            _timed_leg(f"workers={workers}", replace(CONFIG, workers=workers))
+            for workers in ENGINE_WORKERS
+        ]
 
     runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     fingerprints = {result.fingerprint() for _, _, result in runs}
-    assert len(fingerprints) == 1, "scheduling mode changed the merged metrics"
+    assert len(fingerprints) == 1, "the worker count changed the merged metrics"
 
     reference = runs[0][2]
     assert reference.inserts == ENGINE_EVENTS
@@ -149,9 +111,9 @@ def test_engine_scaling_events_per_second(benchmark, record_table, record_json):
         for shard in reference.partial.shard_ids():
             assert reference.partial.fragment(shard, label).samples
 
-    serial_elapsed = runs[0][1]
+    one_worker_elapsed = runs[0][1]
     per_shard_inserts = ENGINE_EVENTS // ENGINE_SHARDS
-    spawn_dominated = per_shard_inserts < SPEEDUP_ASSERT_FLOOR
+    spawn_dominated = per_shard_inserts < SPEEDUP_FLOOR
     cpu_count = os.cpu_count() or 1
     lines = [
         f"scenario: thread-churn  inserts: {ENGINE_EVENTS:,}  "
@@ -168,11 +130,11 @@ def test_engine_scaling_events_per_second(benchmark, record_table, record_json):
         rate = total_events / elapsed if elapsed else float("inf")
         lines.append(
             f"{label:>10}  {elapsed:>8.2f}  {rate:>10,.0f}  "
-            f"{serial_elapsed / elapsed if elapsed else float('inf'):>6.2f}x"
+            f"{one_worker_elapsed / elapsed if elapsed else float('inf'):>6.2f}x"
         )
     record_table("engine_scaling", "\n".join(lines))
     speedups = {
-        label: (serial_elapsed / elapsed if elapsed else None)
+        label: (one_worker_elapsed / elapsed if elapsed else None)
         for label, elapsed, _ in runs
     }
     worker_speedups = {
@@ -203,22 +165,8 @@ def test_engine_scaling_events_per_second(benchmark, record_table, record_json):
                 label: (total_events / elapsed if elapsed else None)
                 for label, elapsed, _ in runs
             },
-            "speedup_vs_serial": speedups,
+            "speedup_vs_one_worker": speedups,
             "fingerprint": reference.fingerprint(),
         },
         metrics=metrics,
     )
-    if not spawn_dominated:
-        best = worker_speedups[best_workers]
-        floor = (
-            MIN_WORKER_SPEEDUP_MULTICORE
-            if cpu_count >= 4
-            else MIN_WORKER_SPEEDUP
-        )
-        assert best >= floor, (
-            f"best workers leg (workers={best_workers}) reached only "
-            f"{best:.2f}x serial on a run large enough "
-            f"({per_shard_inserts:,} inserts/shard) for speedups to be "
-            f"real; the pooled one-pass-per-worker engine must clear "
-            f"{floor}x on a {cpu_count}-core machine"
-        )

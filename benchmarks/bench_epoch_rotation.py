@@ -1,6 +1,6 @@
 """Extra experiment E10: incremental epoch rotation vs the replay baseline.
 
-ROADMAP item 5's boundary cost, measured head-to-head.  Three legs:
+ROADMAP item 5's boundary cost, measured head-to-head.  Two legs:
 
 * **rotation latency** - one rotation-heavy churn stream (ID space far
   above the sliding window, so nearly every expiry retires its dead
@@ -18,11 +18,10 @@ ROADMAP item 5's boundary cost, measured head-to-head.  Three legs:
   repaired boundary *median* at least :data:`COVER_P50_BAR` times
   lower (the tail percentiles are recorded as data - a few hundred
   boundary samples make the p99 a noisy near-max).
-* **fingerprint matrix** - rotation strategy is execution-only:
-  ``{delta, replay} x {python, numpy} x {serial, --jobs, --workers}``
-  engine runs, plus an interrupt/resume cycle that checkpoints under
-  one strategy and resumes under the other, must all produce one
-  SHA-256 fingerprint.
+
+The strategy is a per-clock parameter (``LifecycleClockDriver(rotation=)``):
+the engine's timestamping kernels are append-only, so no engine run
+ever rotates and no engine knob selects a strategy.
 
 The timed legs install a metrics registry on purpose - the rotation
 histogram *is* the measurement - but both strategies run under
@@ -46,13 +45,10 @@ from __future__ import annotations
 import gc
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
 from repro.computation.streams import as_stream_event, sliding_window
-from repro.core.kernel import numpy_available
-from repro.engine import EngineConfig, EngineInterrupted, run_engine
 from repro.graph.incremental import DynamicMatching
 from repro.graph.vertex_cover import validate_vertex_cover
 from repro.obs.exporters import metrics_document
@@ -66,7 +62,6 @@ from _common import (
     ROTATION_COVER_WINDOW,
     ROTATION_EVENTS,
     ROTATION_IDS,
-    ROTATION_MATRIX_EVENTS,
     ROTATION_WINDOW,
     SMOKE,
 )
@@ -371,70 +366,3 @@ def test_cover_repair_vs_from_scratch(benchmark, record_table, record_json):
             f"must clear {COVER_P50_BAR}x"
         )
 
-
-MATRIX_CONFIG = EngineConfig(
-    scenario="thread-churn",
-    num_threads=40,
-    num_objects=40,
-    density=0.15,
-    num_events=ROTATION_MATRIX_EVENTS,
-    seed=10_502,
-    num_shards=4,
-    chunk_size=max(1, ROTATION_MATRIX_EVENTS // 8),
-    mechanisms=("naive", "popularity"),
-    include_offline=True,
-    timestamps=True,
-)
-
-
-@pytest.mark.benchmark(group="epoch-rotation")
-def test_rotation_fingerprint_matrix(record_json, tmp_path):
-    """{delta, replay} x {python, numpy} x scheduling: one fingerprint.
-
-    Also rehearses recovery across strategies: a checkpointed run is
-    interrupted under ``replay`` and resumed under ``delta`` (and the
-    other way round) - rotation strategy is deliberately absent from the
-    config signature, so checkpoints must cross it freely.
-    """
-    backends = ["python"] + (["numpy"] if numpy_available() else [])
-    matrix = {}
-    for rotation in ("delta", "replay"):
-        for backend in backends:
-            config = replace(MATRIX_CONFIG, rotation=rotation, backend=backend)
-            matrix[(rotation, backend, "serial")] = run_engine(
-                config
-            ).fingerprint()
-            matrix[(rotation, backend, "jobs=2")] = run_engine(
-                config, jobs=2
-            ).fingerprint()
-            matrix[(rotation, backend, "workers=2")] = run_engine(
-                replace(config, workers=2)
-            ).fingerprint()
-    for interrupt_under, resume_under in (
-        ("replay", "delta"),
-        ("delta", "replay"),
-    ):
-        checkpoint_dir = str(tmp_path / f"ckpt-{interrupt_under}")
-        checkpointed = replace(
-            MATRIX_CONFIG,
-            rotation=interrupt_under,
-            checkpoint_dir=checkpoint_dir,
-        )
-        with pytest.raises(EngineInterrupted):
-            run_engine(replace(checkpointed, max_chunks_per_shard=1))
-        resumed = run_engine(replace(checkpointed, rotation=resume_under))
-        matrix[(interrupt_under, "python", f"resume-{resume_under}")] = (
-            resumed.fingerprint()
-        )
-    fingerprints = set(matrix.values())
-    assert len(fingerprints) == 1, matrix
-    (fingerprint,) = fingerprints
-    record_json(
-        "epoch_rotation_fingerprints",
-        {
-            "inserts": ROTATION_MATRIX_EVENTS,
-            "legs": sorted("/".join(key) for key in matrix),
-            "backends": backends,
-            "fingerprint": fingerprint,
-        },
-    )

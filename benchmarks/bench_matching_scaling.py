@@ -25,7 +25,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.graph import (
-    IncrementalMatching,
+    DynamicMatching,
     augmenting_path_matching,
     chain_bipartite,
     hopcroft_karp_matching,
@@ -104,7 +104,7 @@ def test_incremental_trajectory_scaling(benchmark, graphs, size):
     random.Random(size).shuffle(edges)
 
     def replay():
-        return IncrementalMatching(edges)
+        return DynamicMatching(edges)
 
     engine = benchmark(replay)
     assert engine.size == len(hopcroft_karp_matching(graph))

@@ -125,7 +125,7 @@ def main() -> None:
     # Scale-out: the same monitoring question answered by the sharded
     # execution engine.  Each shard owns a thread-affine sub-stream and
     # its own mechanisms + windowed optimum; worker count never changes
-    # the merged numbers (the fingerprint is the proof - try jobs=4).
+    # the merged numbers (the fingerprint is the proof - try workers=4).
     # ------------------------------------------------------------------
     config = EngineConfig(
         scenario="hot-object-drift",
@@ -138,13 +138,13 @@ def main() -> None:
         chunk_size=200,
         window=window,
     )
-    sharded = run_engine(config, jobs=1)
+    sharded = run_engine(config)
     print(f"\nSharded engine ({config.num_shards} shards, window {window}):")
     for label in ("naive", "popularity", OFFLINE_LABEL):
         finals = sharded.final_sizes(label)
         per_shard = ", ".join(f"s{s}={size}" for s, size in sorted(finals.items()))
         print(f"  {label:14s} final per shard: {per_shard}")
-    print(f"  fingerprint (identical for any --jobs): "
+    print(f"  fingerprint (identical for any --workers): "
           f"{sharded.fingerprint()[:16]}...")
 
 

@@ -115,7 +115,7 @@ class MergeableStats:
     Determinism contract: merging is exact for ``count``/``minimum``/
     ``maximum`` and floating-point for ``mean``/``m2``, so two runs that
     merge the *same* partials in the *same* order agree bit-for-bit
-    (this is what makes ``--jobs 1`` and ``--jobs N`` engine runs
+    (this is what makes ``--workers 1`` and ``--workers N`` engine runs
     identical - the merge tree is fixed by shard and chunk structure, not
     by worker scheduling).  Different chunkings of the same sample stream
     agree only up to float rounding, as with any non-associative float
@@ -334,7 +334,7 @@ class QuantileSketch:
 
         Two sketches built from the same inserts through the same
         chunk/merge structure compare equal - the property the engine's
-        ``--jobs N == --jobs 1`` partial-result assertion relies on.
+        ``--workers N == --workers 1`` partial-result assertion relies on.
         """
         if not isinstance(other, QuantileSketch):
             return NotImplemented

@@ -34,8 +34,8 @@ for window-aware mechanisms and grows monotonically for append-only
 ones.
 
 Parallelism and seeding: each (scenario, density, size, trial) stream is
-an independent task, dispatched through the sharded execution engine's
-:func:`~repro.engine.executor.execute_tasks` backend when ``jobs > 1``.
+an independent task, mapped over the execution engine's
+:class:`~repro.engine.executor.WorkerPool` of ``jobs`` workers.
 Every task derives its stream seed and its per-mechanism seeds from the
 sweep's one ``base_seed`` via :func:`repro.seeds.derive_seed` paths, and
 samples are pooled in fixed grid order, so the sweep's output is
@@ -59,16 +59,8 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.report import format_table
 from repro.computation.registry import REGISTRY, STREAM, Scenario
-from repro.computation.streams import as_stream_event, sliding_window
-from repro.core.kernel import (
-    default_backend_override,
-    resolve_backend,
-    set_default_backend,
-)
 from repro.exceptions import ExperimentError, ScenarioError
-from repro.obs.registry import active as _metrics_active
 from repro.obs.registry import span as _metrics_span
-from repro.online.adaptive import LifecycleClockDriver
 from repro.online.simulator import (
     OFFLINE_LABEL,
     compare_mechanisms_on_stream,
@@ -132,8 +124,6 @@ class _TrialTask:
     num_events: int
     base_seed: int
     epoch: Optional[int] = None
-    batch_size: Optional[int] = None
-    backend: Optional[str] = None
 
 
 #: Per-label outcome of one trial: burn-in ratios, steady ratios, steady
@@ -156,30 +146,6 @@ def _trial_samples(
         if mechanisms is not None
         else {label: EXTENDED_MECHANISMS[label] for label in task.labels}
     )
-    if task.backend is not None:
-        # Pin the kernel backend for the duration of the trial.  A ratio
-        # is a size quotient, so the comparison leg alone would leave the
-        # pinned backend idle; the dense-stamp leg below mints a real
-        # timestamp per insert through a LifecycleClockDriver so the
-        # selection does measurable timestamping work (kernel batching,
-        # extension, epoch rotation).  Verdict bit-identity across
-        # backends means the pin can never change a sweep number.  The
-        # prior override is restored afterwards, so in-process (jobs=1)
-        # sweeps do not leak the selection into the caller's process.
-        previous = default_backend_override()
-        set_default_backend(task.backend)
-        try:
-            samples = _trial_samples_inner(task, chosen)
-            _dense_stamp_leg(task, chosen)
-            return samples
-        finally:
-            set_default_backend(previous)
-    return _trial_samples_inner(task, chosen)
-
-
-def _trial_samples_inner(
-    task: _TrialTask, chosen: Mapping[str, MechanismFactory]
-) -> _TrialSamples:
     scenario = REGISTRY.get(task.scenario, kind=STREAM)
     trial_root = derive_seed(
         task.base_seed, task.scenario, task.density, task.size, task.trial
@@ -200,7 +166,6 @@ def _trial_samples_inner(
         include_offline=True,
         window=None if scenario.expires else task.window,
         epoch=task.epoch,
-        batch_size=task.batch_size,
     )
     offline_sizes = results[OFFLINE_LABEL].size_trajectory
     samples: _TrialSamples = {}
@@ -218,57 +183,6 @@ def _trial_samples_inner(
         [float(s) for s in offline_sizes[-task.tail :]],
     )
     return samples
-
-
-def _dense_stamp_leg(
-    task: _TrialTask, chosen: Mapping[str, MechanismFactory]
-) -> None:
-    """Mint one dense timestamp per insert through the pinned backend.
-
-    Runs only when the trial pins a backend: the trial's stream is
-    regenerated (same seed, same events, same imposed window) and driven
-    through a :class:`~repro.online.adaptive.LifecycleClockDriver` built
-    on the first selected mechanism, so every insert mints a timestamp,
-    every appended component extends the kernel and every retirement or
-    epoch boundary rotates it - the timestamping workload ``--backend``
-    exists to exercise.  The leg writes nothing into the trial's samples
-    (sweep numbers stay bit-identical with and without it); its
-    footprint is wall-clock plus the ``sweep.stamps`` counter and the
-    kernel / rotation telemetry the driver already emits.
-    """
-    scenario = REGISTRY.get(task.scenario, kind=STREAM)
-    trial_root = derive_seed(
-        task.base_seed, task.scenario, task.density, task.size, task.trial
-    )
-    events = scenario.build(
-        task.size,
-        task.size,
-        task.density,
-        task.num_events,
-        seed=derive_seed(trial_root, "stream"),
-    )
-    if not scenario.expires:
-        events = sliding_window(events, task.window)
-    label = task.labels[0]
-    factory = seed_mechanism_factories(
-        {label: chosen[label]}, derive_seed(trial_root, "stamps")
-    )[label]
-    driver = LifecycleClockDriver(factory())
-    inserts = 0
-    for item in events:
-        event = as_stream_event(item)
-        if event.is_epoch:
-            driver.end_epoch()
-        elif event.is_insert:
-            inserts += 1
-            driver.observe(event.thread, event.obj)
-            if task.epoch is not None and inserts % task.epoch == 0:
-                driver.end_epoch()
-        else:
-            driver.expire(event.thread, event.obj)
-    registry = _metrics_active()
-    if registry is not None:
-        registry.add("sweep.stamps", inserts)
 
 
 def _run_trial_task(task: _TrialTask) -> _TrialSamples:
@@ -290,8 +204,6 @@ def ratio_sweep(
     jobs: int = 1,
     epoch: Optional[int] = None,
     labels: Optional[Sequence[str]] = None,
-    batch_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> RatioSweepResult:
     """Sweep burn-in / steady-state competitive ratios over a stream grid.
 
@@ -333,20 +245,6 @@ def ratio_sweep(
         Deliver an epoch tick to every mechanism after this many inserts
         (on top of any markers the stream emits).  ``None`` leaves only
         the stream's own markers.
-    batch_size:
-        Consume each trial's stream through the chunked pipeline
-        (``observe_batch`` on runs of up to this many inserts) instead of
-        per-event calls.  Bit-identical results; wall-clock only.
-    backend:
-        Kernel backend name pinned in every worker for the duration of
-        its trials (``python`` / ``numpy``; ``None`` keeps the process
-        default).  Validated up front, so a ``numpy`` request without
-        numpy fails here rather than inside a worker.  Pinning also
-        enables the dense-stamp leg: each trial re-drives its stream
-        through a :class:`~repro.online.adaptive.LifecycleClockDriver`
-        minting a timestamp per insert, so the selected backend does
-        real timestamping work instead of idling behind a size quotient
-        (sweep numbers are bit-identical either way).
     """
     if mechanisms is not None and labels is not None:
         raise ExperimentError("pass either mechanisms or labels, not both")
@@ -370,13 +268,8 @@ def ratio_sweep(
         raise ExperimentError("burn_in and tail must be >= 1")
     if epoch is not None and epoch < 1:
         raise ExperimentError("epoch must be >= 1")
-    if batch_size is not None and batch_size < 1:
-        raise ExperimentError("batch_size must be >= 1")
-    if backend is not None:
-        try:
-            resolve_backend(backend)
-        except Exception as error:
-            raise ExperimentError(str(error)) from None
+    if jobs < 1:
+        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if not densities or not sizes:
         raise ExperimentError("densities and sizes must not be empty")
     if jobs > 1 and mechanisms is not None:
@@ -423,8 +316,6 @@ def ratio_sweep(
             num_events=events_per_trial,
             base_seed=base_seed,
             epoch=epoch,
-            batch_size=batch_size,
-            backend=backend,
         )
         for scenario, density, size in grid
         for trial in range(trials)
@@ -437,10 +328,10 @@ def ratio_sweep(
             outcomes = [_trial_samples(task, chosen_mechanisms) for task in tasks]
         else:
             # Deferred import: analysis is a lower layer than the engine;
-            # only this execution path reaches up to its executor backend.
-            from repro.engine.executor import execute_tasks
+            # only this execution path reaches up to its worker pool.
+            from repro.engine.executor import WorkerPool
 
-            outcomes = execute_tasks(_run_trial_task, tasks, jobs=jobs)
+            outcomes = WorkerPool(jobs).map(_run_trial_task, tasks)
 
     cells: List[RatioCell] = []
     clock_labels = chosen_labels + (OFFLINE_LABEL,)

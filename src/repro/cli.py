@@ -14,10 +14,8 @@ python -m repro sweep ratio --window 200     # burn-in vs steady-state ratios
 python -m repro sweep ratio --jobs 4         # same numbers, four workers
 python -m repro sweep ratio --epoch 200 \
     --mechanisms popularity,adaptive-popularity   # adaptive vs append-only
-python -m repro engine run --scenario thread-churn --jobs 4 \
-    --events 1000000 --checkpoint-dir ckpt   # sharded, resumable runs
 python -m repro engine run --scenario thread-churn --workers 2 \
-    --events 1000000                         # pooled: one stream pass/worker
+    --events 1000000 --checkpoint-dir ckpt   # sharded, pooled, resumable
 python -m repro engine run --scenario thread-churn --epoch 5000 \
     --mechanisms popularity,adaptive-popularity   # lifecycle-aware shards
 python -m repro engine run --scenario thread-churn --metrics metrics.json \
@@ -53,9 +51,7 @@ from repro.computation import GRAPH, HappenedBefore, REGISTRY, STREAM, TRACE
 from repro.computation.serialization import dump_computation, load_computation
 from repro.computation.workloads import paper_example_trace
 from repro.core.kernel import NUMPY_BACKEND, PYTHON_BACKEND
-from repro.core.timestamping import ROTATION_STRATEGIES
 from repro.engine import EngineConfig, run_engine
-from repro.engine.runner import PIPELINES as ENGINE_PIPELINES
 from repro.engine.sharding import STRATEGIES as ENGINE_STRATEGIES
 
 #: Kernel backend choices offered by the CLI.  Both names are always
@@ -173,21 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's three",
     )
     sweep.add_argument(
-        "--batch", type=int, default=None, dest="batch_size", metavar="N",
-        help="consume each ratio-sweep trial through the chunked pipeline "
-        "(observe_batch on runs of up to N inserts); results are identical "
-        "to the per-event default",
-    )
-    sweep.add_argument(
-        "--backend", choices=list(KERNEL_BACKENDS), default=None,
-        help="kernel backend pinned (and restored after) in every "
-        "ratio-sweep worker; validated up front.  Pinning also adds a "
-        "dense-stamp leg per trial - the stream is re-driven through a "
-        "LifecycleClockDriver minting a timestamp per insert - so the "
-        "selected backend does real timestamping work (numpy stays "
-        "optional and gated; sweep numbers are identical for every choice)",
-    )
-    sweep.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="write the ratio sweep's telemetry (spans, counters) as a "
         "metrics JSON document; telemetry never changes a sweep number",
@@ -199,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "The sharded execution engine partitions a stream scenario into\n"
             "thread-affine shards, runs mechanisms + the dynamic offline\n"
-            "optimum per shard (serially or on a process pool), and merges\n"
+            "optimum per shard (in-process or on a worker pool), and merges\n"
             "partial metrics deterministically: for a fixed configuration the\n"
             "printed result - including its fingerprint - is bit-identical\n"
-            "across --jobs values and interrupt/resume cycles.\n\n"
+            "across --workers values and interrupt/resume cycles.\n\n"
             "Registered stream scenarios:\n" + REGISTRY.describe(STREAM)
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -215,20 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=REGISTRY.names(STREAM), required=True
     )
     engine_run.add_argument(
-        "--jobs", type=int, default=1,
-        help="one-task-per-shard worker processes (never changes the "
-        "numbers, only the wall-clock); see --workers for the pooled mode",
-    )
-    engine_run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool size: shards are dealt into this many contiguous "
-        "groups and each pool worker generates the stream ONCE for all "
-        "its shards (mutually exclusive with --jobs > 1; like --jobs it "
-        "never changes the numbers)",
+        "--workers", type=int, default=1,
+        help="worker processes: shards are dealt into this many contiguous "
+        "groups and each worker generates the stream ONCE for all its "
+        "shards (1 runs in-process; never changes the numbers, only the "
+        "wall-clock)",
     )
     engine_run.add_argument(
         "--shards", type=int, default=8,
-        help="logical shards; part of the run's identity, unlike --jobs",
+        help="logical shards; part of the run's identity, unlike --workers",
     )
     engine_run.add_argument(
         "--events", type=int, default=20_000, help="insert events in the base stream"
@@ -281,23 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the dynamic offline optimum (mechanisms only)",
     )
     engine_run.add_argument(
-        "--pipeline", choices=list(ENGINE_PIPELINES), default="batched",
-        help="event execution pipeline: chunked observe_batch runs "
-        "(default) or the classic per-event loop; the fingerprint is "
-        "identical for both",
-    )
-    engine_run.add_argument(
         "--backend", choices=list(KERNEL_BACKENDS), default=None,
         help="kernel backend for the timestamping stage (numpy is gated "
         "on being importable; stamps are bit-identical across backends)",
-    )
-    engine_run.add_argument(
-        "--rotation", choices=list(ROTATION_STRATEGIES), default=None,
-        help="epoch-rotation strategy pinned inside every shard task "
-        "(delta = project live stamps on pure retirements, replay = "
-        "re-stamp the window; default: the process default, normally "
-        "delta).  Execution-only - fingerprints are bit-identical across "
-        "strategies",
     )
     engine_run.add_argument(
         "--timestamps", action="store_true",
@@ -445,11 +407,9 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         checkpoint_dir=args.checkpoint_dir,
         trajectory_stride=args.stride,
-        pipeline=args.pipeline,
         backend=args.backend,
         timestamps=args.timestamps,
         workers=args.workers,
-        rotation=args.rotation,
     )
     # One timing mechanism for the whole CLI: a telemetry registry is
     # always installed around the run (its disabled/enabled state never
@@ -458,21 +418,18 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     # ad-hoc perf_counter pair.
     registry = MetricsRegistry(origin="engine")
     previous = obs_install(registry)
-    schedule = (
-        f"workers={args.workers}" if args.workers is not None
-        else f"jobs={args.jobs}"
-    )
+    schedule = f"workers={args.workers}"
     try:
         with registry.span(
-            "cli.engine_run", jobs=args.jobs, scenario=args.scenario
+            "cli.engine_run", workers=args.workers, scenario=args.scenario
         ) as timer:
-            result = run_engine(config, jobs=args.jobs)
+            result = run_engine(config)
     finally:
         obs_install(previous)
     elapsed = timer.duration
     # The report is a pure function of the configuration (the bit-identity
     # contract); wall-clock facts go to stderr so stdout stays comparable
-    # across --jobs values.
+    # across --workers values.
     print(result.format())
     if args.skew_warn > 0:
         skew = result.shard_skew()
@@ -608,8 +565,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     jobs=args.jobs,
                     epoch=args.epoch,
                     labels=labels,
-                    batch_size=args.batch_size,
-                    backend=args.backend,
                 )
         finally:
             obs_install(previous)

@@ -171,6 +171,13 @@ def with_epochs(events: Iterable[EventLike], every: int) -> Iterator[StreamEvent
                 yield epoch_marker()
 
 
+#: Upper bound on one insert run handed to ``observe_batch`` /
+#: ``advance_batch`` by the simulator and the engine (bounds working
+#: memory; flushing early never changes results, so it is not part of a
+#: run's identity).
+MAX_BATCH_EVENTS = 4096
+
+
 def iter_event_batches(
     events: Iterable[EventLike], max_batch: int = 1024
 ) -> Iterator[Union[List[StreamEvent], StreamEvent]]:

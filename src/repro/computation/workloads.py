@@ -37,7 +37,7 @@ from repro.computation.event import Operation
 from repro.computation.registry import TRACE, register_scenario
 from repro.computation.trace import Computation, ComputationBuilder
 from repro.exceptions import ComputationError
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph, vertex_sort_key
 from repro.graph.generators import SeedLike, object_names, thread_names, _rng
 
 
@@ -56,13 +56,19 @@ def trace_from_graph(
 
     The returned computation's :meth:`~repro.computation.trace.Computation.bipartite_graph`
     equals ``graph`` up to isolated vertices (vertices with no incident
-    edge cannot appear in any operation).
+    edge cannot appear in any operation).  Edges are expanded in canonical
+    :func:`~repro.graph.bipartite.vertex_sort_key` order (``graph.edges()``
+    walks adjacency sets, whose order changes with ``PYTHONHASHSEED``), so
+    a seeded trace is the same in every process.
     """
     if operations_per_edge < 1:
         raise ComputationError("operations_per_edge must be >= 1")
     rng = _rng(seed)
     pairs: List[Tuple[object, object]] = []
-    for edge in graph.edges():
+    edges = sorted(
+        graph.edges(), key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1]))
+    )
+    for edge in edges:
         pairs.extend([edge] * operations_per_edge)
     if shuffle:
         rng.shuffle(pairs)

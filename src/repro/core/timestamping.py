@@ -27,7 +27,6 @@ timestamps (that is what Theorem 2 promises is possible).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -358,62 +357,16 @@ def verify_retimestamping(
                 )
 
 
-# -- rotation strategy selection --------------------------------------------
+# -- rotation strategies ----------------------------------------------------
 #: Rotation strategy names (see :meth:`EpochClock.rotate`).
 DELTA_ROTATION = "delta"
 REPLAY_ROTATION = "replay"
 
-#: Strategies :class:`EpochClock` accepts.  Both are always available
-#: (unlike kernel backends, neither needs an optional dependency): the
-#: choice only moves work between the rotation boundary and nothing -
-#: causal verdicts, tokens, retired counts and engine fingerprints are
-#: identical by contract, and the property tests assert it.
+#: Strategies :class:`EpochClock` accepts.  The choice only moves work
+#: at the rotation boundary - causal verdicts, tokens and retired counts
+#: are identical by contract, and the property tests assert it.  Replay
+#: is the reference the delta path is tested against.
 ROTATION_STRATEGIES = (DELTA_ROTATION, REPLAY_ROTATION)
-
-_DEFAULT_ROTATION: Optional[str] = None
-
-
-def resolve_rotation(name: str) -> str:
-    """Validate a rotation strategy name; returns it unchanged."""
-    if name not in ROTATION_STRATEGIES:
-        raise ClockError(
-            f"unknown rotation strategy {name!r}; available strategies: "
-            f"{', '.join(ROTATION_STRATEGIES)}"
-        )
-    return name
-
-
-def default_rotation_name() -> str:
-    """The strategy a rotation-less :class:`EpochClock` uses right now.
-
-    Resolution order mirrors the kernel-backend default:
-    :func:`set_default_rotation`, then the ``REPRO_ROTATION_STRATEGY``
-    environment variable, then ``"delta"``.
-    """
-    if _DEFAULT_ROTATION is not None:
-        return _DEFAULT_ROTATION
-    env = os.environ.get("REPRO_ROTATION_STRATEGY", "").strip()
-    if env:
-        return resolve_rotation(env)
-    return DELTA_ROTATION
-
-
-def default_rotation_override() -> Optional[str]:
-    """The :func:`set_default_rotation` override currently installed.
-
-    ``None`` when unset.  Callers that pin the strategy for a scoped run
-    (the engine's shard loop, benchmark legs) save this, install their
-    own, and restore in a ``finally`` - restoring the *override* rather
-    than the resolved name keeps a surrounding environment-variable
-    default live after the scope ends.
-    """
-    return _DEFAULT_ROTATION
-
-
-def set_default_rotation(name: Optional[str]) -> None:
-    """Install (or with ``None`` clear) the process-default strategy."""
-    global _DEFAULT_ROTATION
-    _DEFAULT_ROTATION = None if name is None else resolve_rotation(name)
 
 
 class EpochClock:
@@ -437,10 +390,8 @@ class EpochClock:
     rotation replays and runs :func:`verify_retimestamping` before
     committing.
 
-    ``rotation`` selects the strategy per clock (``"delta"`` /
-    ``"replay"``); ``None`` resolves :func:`default_rotation_name` at
-    each rotation, so :func:`set_default_rotation` /
-    ``REPRO_ROTATION_STRATEGY`` steer rotation-less clocks process-wide.
+    ``rotation`` selects the strategy per clock (``"delta"``, the
+    default, or ``"replay"``).
     """
 
     def __init__(
@@ -449,7 +400,7 @@ class EpochClock:
         strict: bool = True,
         check_invariant: bool = False,
         backend: Optional[object] = None,
-        rotation: Optional[str] = None,
+        rotation: str = DELTA_ROTATION,
     ) -> None:
         self._kernel = ClockKernel(
             components if components is not None else ClockComponents(),
@@ -457,9 +408,12 @@ class EpochClock:
             backend=backend,
         )
         self._check_invariant = check_invariant
-        self._rotation = (
-            resolve_rotation(rotation) if rotation is not None else None
-        )
+        if rotation not in ROTATION_STRATEGIES:
+            raise ClockError(
+                f"unknown rotation strategy {rotation!r}; available "
+                f"strategies: {', '.join(ROTATION_STRATEGIES)}"
+            )
+        self._rotation = rotation
         # token -> (thread, obj); dicts preserve insertion (= stream) order
         # under deletion, which is what rotation's replay relies on.
         self._live_pairs: Dict[int, Tuple[Vertex, Vertex]] = {}
@@ -586,7 +540,7 @@ class EpochClock:
     def rotate(self, new_components: ClockComponents) -> int:
         """Enter a new epoch: retire/rebuild components, re-stamp the window.
 
-        Two strategies (see the class docstring for how one is chosen):
+        Two strategies, chosen per clock by its ``rotation`` argument:
 
         * ``"replay"`` - the kernel discards all clock state and the
           live events are replayed in stream order, which both
@@ -627,13 +581,8 @@ class EpochClock:
         driving it as buggy.
         """
         old = self._kernel.components
-        strategy = (
-            self._rotation
-            if self._rotation is not None
-            else default_rotation_name()
-        )
         use_delta = (
-            strategy == DELTA_ROTATION
+            self._rotation == DELTA_ROTATION
             and not self._check_invariant
             and new_components.thread_components <= old.thread_components
             and new_components.object_components <= old.object_components

@@ -2,28 +2,25 @@
 
 The engine scales the streaming evaluation past what one process and one
 pass can hold: a :class:`~repro.engine.sharding.StreamSharder` partitions
-any registered stream scenario into thread-affine shards, a
-:class:`~repro.engine.executor.WorkerPool` (behind
-:class:`~repro.engine.executor.ShardExecutor`) runs the shard tasks
-serially or on a persistent spawn pool, each shard's metrics travel as
-mergeable :class:`~repro.engine.results.PartialResult` objects, and
-chunk-boundary checkpoints (:mod:`repro.engine.checkpoint`) make
-interrupted runs resumable.  Two scheduling modes share that machinery:
-the original one-task-per-shard ``jobs`` mode, and the worker-pooled
-``workers`` mode, where :func:`~repro.engine.sharding.plan_shard_groups`
-deals the shards into contiguous :class:`~repro.engine.sharding.ShardGroup`\\ s
+any registered stream scenario into thread-affine shards,
+:func:`~repro.engine.sharding.plan_shard_groups` deals the shards into
+``workers`` contiguous :class:`~repro.engine.sharding.ShardGroup`\\ s,
 and :func:`~repro.engine.runner.run_shard_group` drives each group
-through ONE stream pass.  ``python -m repro engine run`` is the CLI
+through ONE stream pass - in-process, or on a persistent spawn
+:class:`~repro.engine.executor.WorkerPool`.  Each shard's metrics travel
+as mergeable :class:`~repro.engine.results.PartialResult` objects, and
+chunk-boundary checkpoints (:mod:`repro.engine.checkpoint`) make
+interrupted runs resumable.  ``python -m repro engine run`` is the CLI
 surface; :func:`~repro.engine.runner.run_engine` is the library one.
 
 The load-bearing guarantee, asserted by the test suite: a run's merged
 result is a pure function of its :class:`~repro.engine.runner.EngineConfig`
-- bit-identical across ``jobs`` counts, ``workers`` counts, backends,
-and interrupt/resume cycles.
+- bit-identical across ``workers`` counts, pipelines, backends, and
+interrupt/resume cycles.
 """
 
 from repro.engine.checkpoint import EngineCheckpointManager, ShardCheckpoint
-from repro.engine.executor import ShardExecutor, WorkerPool, execute_tasks
+from repro.engine.executor import WorkerPool
 from repro.engine.results import (
     OFFLINE_LABEL,
     EngineResult,
@@ -35,10 +32,8 @@ from repro.engine.runner import (
     EngineConfig,
     EngineInterrupted,
     run_engine,
-    run_shard,
     run_shard_group,
     run_shard_group_task,
-    run_shard_task,
 )
 from repro.engine.sharding import (
     HASH,
@@ -62,17 +57,13 @@ __all__ = [
     "STRATEGIES",
     "SeriesFragment",
     "ShardCheckpoint",
-    "ShardExecutor",
     "ShardGroup",
     "StreamSharder",
     "WorkerPool",
-    "execute_tasks",
     "merge_partials",
     "plan_shard_groups",
     "run_engine",
-    "run_shard",
     "run_shard_group",
     "run_shard_group_task",
-    "run_shard_task",
     "stable_vertex_hash",
 ]

@@ -1,30 +1,24 @@
-"""Task execution backends: serial in-process, or a persistent worker pool.
+"""Task execution: :class:`WorkerPool`, in-process or a persistent spawn pool.
 
-The engine's unit of physical parallelism is a *task* - one shard (or
-shard group) of an engine run, or one cell-trial of a ratio sweep.
-Tasks are pure functions of their (picklable) arguments, so the only
-thing a backend may influence is wall-clock time: results are returned
-in task order no matter which worker finished first, and every consumer
-folds them in that order.  That discipline - deterministic task
-decomposition plus order-preserving collection - is what makes
-``--jobs N`` (and ``--workers N``) bit-identical to serial.
+The unit of physical parallelism is a *task* - one shard group of an
+engine run, or one cell-trial of a ratio sweep.  Tasks are pure
+functions of their (picklable) arguments, so the only thing the pool
+may influence is wall-clock time: results are returned in task order no
+matter which worker finished first, and every consumer folds them in
+that order.  That discipline - deterministic task decomposition plus
+order-preserving collection - is what makes ``--workers N`` (and the
+ratio sweep's ``--jobs N``) bit-identical to one worker.
 
-Two backends:
-
-* **serial** (``jobs <= 1``): a plain in-process loop.  This is also the
-  backend the test suite exercises most, because it produces *the same
-  partial-result structure* as the pool (same chunks, same merge order) -
-  the parallel path differs only in where the work ran;
-* **pooled** (``jobs > 1``): :class:`WorkerPool`, a persistent pool of
-  ``spawn`` processes.  Workers are created **once** per :meth:`map`
-  call and then fed tasks over a queue until a sentinel retires them, so
-  the interpreter spawn + package re-import cost is paid per *worker*,
-  not per *task* - the amortisation that the old spawn-per-task
-  ``concurrent.futures`` backend lacked, and the reason ``--jobs 2`` on
-  a many-shard run used to measure *slower* than serial.  ``spawn`` is
-  still chosen over ``fork`` deliberately: workers re-import the package
-  from a clean interpreter (no inherited mutable module state to diverge
-  on) and behave identically on Linux/macOS/Windows.
+:meth:`WorkerPool.map` runs in-process when the pool has one worker or
+the task list has one task, producing *the same result structure* as
+the pool - the parallel path differs only in where the work ran.
+Otherwise it starts ``spawn`` processes **once** per call and feeds
+them tasks over a queue until a sentinel retires them, so the
+interpreter spawn + package re-import cost is paid per *worker*, not
+per *task*.  ``spawn`` is chosen over ``fork`` deliberately: workers
+re-import the package from a clean interpreter (no inherited mutable
+module state to diverge on) and behave identically on
+Linux/macOS/Windows.
 
 The pool's telemetry (active-registry runs only) makes the amortisation
 measurable: ``pool.worker_spawn_s`` observes each worker's spawn-to-ready
@@ -273,47 +267,3 @@ class WorkerPool:
                 process.terminate()
                 process.join(timeout=JOIN_TIMEOUT_S)
 
-
-def execute_tasks(
-    fn: Callable[[Task], Result],
-    tasks: Sequence[Task],
-    jobs: int = 1,
-) -> List[Result]:
-    """Run ``fn`` over ``tasks``, returning results in task order.
-
-    ``jobs <= 1`` runs serially in-process; ``jobs > 1`` rides a
-    :class:`WorkerPool` of at most ``min(jobs, len(tasks))`` workers.
-    Either way the result list index ``i`` corresponds to ``tasks[i]``,
-    so downstream merges are independent of scheduling.
-    """
-    if jobs < 0:
-        raise EngineError(f"jobs must be >= 0, got {jobs}")
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    return WorkerPool(jobs).map(fn, tasks)
-
-
-class ShardExecutor:
-    """A reusable backend selection: ``jobs`` workers over shard tasks.
-
-    Thin by design - the determinism story lives in the task
-    decomposition and the order-preserving :func:`execute_tasks`, not
-    here - but it gives the runner and the ratio sweep one shared knob
-    and one place to validate it.
-    """
-
-    def __init__(self, jobs: int = 1) -> None:
-        if jobs < 0:
-            raise EngineError(f"jobs must be >= 0, got {jobs}")
-        self.jobs = jobs
-
-    @property
-    def is_serial(self) -> bool:
-        return self.jobs <= 1
-
-    def map(
-        self, fn: Callable[[Task], Result], tasks: Sequence[Task]
-    ) -> List[Result]:
-        """Execute ``tasks`` on this backend; results in task order."""
-        return execute_tasks(fn, tasks, jobs=self.jobs)

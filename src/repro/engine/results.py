@@ -23,7 +23,7 @@ have produced.  Everything here is built around that requirement:
 * :class:`EngineResult` - the fully merged run: convenience accessors,
   a deterministic text rendering, and a :meth:`EngineResult.fingerprint`
   (SHA-256 over a canonical serialisation) that the CLI prints and the
-  tests compare to assert ``--jobs 1`` / ``--jobs N`` bit-identity.
+  tests compare to assert ``--workers 1`` / ``--workers N`` bit-identity.
 
 Trajectory samples are taken at shard-local insert indices ``i`` with
 ``i % stride == 0``.  Sampling is keyed to the *global* shard index, not
@@ -258,7 +258,7 @@ class EngineResult:
 
         Folded in shard-id order (the fixed merge tree), so the result -
         and the percentiles derived from it - is identical across
-        ``--jobs`` values.  ``None`` when no shard recorded ratios for
+        ``--workers`` values.  ``None`` when no shard recorded ratios for
         the label (the offline series, or optimum-less runs).
         """
         pooled: Optional[QuantileSketch] = None

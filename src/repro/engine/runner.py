@@ -21,38 +21,39 @@ single pass along two axes:
   an interrupted run resumes from the last completed chunk instead of
   replaying hours of matching work.
 
-Workers never receive events over IPC.  Each worker regenerates the base
+Workers never receive events over IPC.  Each task regenerates the base
 stream from the run's root seed (generation is a cheap pure function of
-the seed; the matching and mechanism work dominates) and filters it down
-to its own shards, which makes tasks pure functions of ``(config,
-shard ids)`` - the property the executor needs for
-scheduling-independent results.
+the seed; the matching and mechanism work dominates) and routes it to
+the shards it owns, which makes tasks pure functions of ``(config,
+shard ids)``.
 
-Two scheduling modes share the per-shard machinery:
+One consumer loop and one schedule:
 
-* **per-shard tasks** (``jobs``, the original mode): one task per shard,
-  so ``num_shards`` tasks each regenerate and re-route the full stream.
-  Fine when shards are few and fat; ruinous when ``shards >> jobs``,
-  because the fixed per-pass cost (generation + routing) is paid once
-  per *shard*;
-* **shard-group tasks** (``workers``): :func:`plan_shard_groups` deals
-  the shards into ``workers`` contiguous groups, each group becomes one
-  task owned by one pool worker, and :func:`run_shard_group` generates
-  the stream **once** and routes events to every owned shard in a
-  single pass (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`).
-  The fixed per-pass cost is paid once per *worker* - the difference
-  between ``--jobs 2`` measuring 0.1x serial and ``--workers 2``
-  actually scaling.
+* **one loop** - :func:`run_shard_group` consumes each owned shard's
+  sub-stream as whole insert runs plus boundary events
+  (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`).
+  Every insert run goes through ``_ShardRun.flush_inserts`` -
+  ``observe_batch`` on the mechanisms, ``advance_batch`` on the
+  timestamping kernels.  A run's length is capped by
+  ``_ShardRun.run_cap``: chunk and epoch boundaries, the room left in an
+  imposed window (one insert at a time once it is full), and one insert
+  under ``pipeline="per-event"``, which also stamps one insert at a
+  time.  Per-event execution is a run length, not a second loop;
+* **one schedule** - :func:`plan_shard_groups` deals the shards into
+  ``workers`` contiguous groups, and :func:`run_engine` maps
+  :func:`run_shard_group_task` over them on a
+  :class:`~repro.engine.executor.WorkerPool` (in-process for one group),
+  so the stream is generated and routed once per group, never once per
+  shard.
 
 Determinism contract (the one the acceptance tests assert): for a fixed
 ``EngineConfig``, the merged :class:`~repro.engine.results.EngineResult`
-is bit-identical across ``jobs`` values, ``workers`` values (including
-``None``), executor backends, and interrupt/resume cycles - checkpoints
-written under one scheduling mode resume under any other.  Every source
-of variation is keyed by :func:`repro.seeds.derive_seed` paths (stream,
-per-shard per-mechanism seeds), and every float accumulation follows one
-fixed merge tree (chunks in order within a shard, shards in id order at
-the end).
+is bit-identical across ``workers`` values, pipelines, kernel backends,
+and interrupt/resume cycles - checkpoints written at one worker count
+resume at any other.  Every source of variation is keyed by
+:func:`repro.seeds.derive_seed` paths (stream, per-shard per-mechanism
+seeds), and every float accumulation follows one fixed merge tree
+(chunks in order within a shard, shards in id order at the end).
 """
 
 from __future__ import annotations
@@ -65,16 +66,11 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tu
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.analysis.metrics import QuantileSketch, RunningStats
 from repro.computation.registry import REGISTRY, STREAM
-from repro.computation.streams import EPOCH
+from repro.computation.streams import EPOCH, MAX_BATCH_EVENTS
 from repro.core.components import ClockComponents
 from repro.core.kernel import ClockKernel, resolve_backend
-from repro.core.timestamping import (
-    default_rotation_override,
-    resolve_rotation,
-    set_default_rotation,
-)
 from repro.engine.checkpoint import EngineCheckpointManager, ShardCheckpoint
-from repro.engine.executor import ShardExecutor
+from repro.engine.executor import WorkerPool
 from repro.engine.results import (
     OFFLINE_LABEL,
     EngineResult,
@@ -91,16 +87,12 @@ from repro.online.base import THREAD, OnlineMechanism
 from repro.online.simulator import seed_mechanism_factories
 from repro.seeds import derive_seed
 
-#: Execution pipelines: how events flow through the consumers.  Never part
-#: of a run's identity - the merged result is bit-identical across them.
+#: Execution pipelines: the longest insert run the consumers take at
+#: once (``per-event`` caps runs at one insert).  Never part of a run's
+#: identity - the merged result is bit-identical across them.
 BATCHED = "batched"
 PER_EVENT = "per-event"
 PIPELINES = (BATCHED, PER_EVENT)
-
-#: Upper bound on one insert run handed to ``observe_batch`` /
-#: ``advance_batch`` (bounds working memory; flushing early never changes
-#: results, so this is not part of a run's identity either).
-MAX_BATCH_EVENTS = 4096
 
 
 #: EngineConfig fields *deliberately* absent from :meth:`EngineConfig.signature`.
@@ -114,13 +106,9 @@ NON_SIGNATURE_FIELDS = (
     "backend",               # bit-identical across kernel backends by contract
     "trajectory_stride",     # identity enters via the resolved "stride" key
     "workers",               # physical shard-group scheduling only: the merged
-                             # result is bit-identical across worker counts and
-                             # to the per-shard jobs mode, so checkpoints cross
-                             # worker counts freely (asserted by the tests)
-    "rotation",              # execution-only: delta and replay rotation are
-                             # verdict- and digest-identical by construction,
-                             # and the engine's own timestamping kernels are
-                             # append-only so rotation never fires in-shard
+                             # result is bit-identical across worker counts,
+                             # so checkpoints cross worker counts freely
+                             # (asserted by the tests)
 )
 
 
@@ -147,15 +135,15 @@ class EngineConfig:
     many of the shard's inserts (on top of any markers the scenario
     emits); it is part of the run's identity - window-aware mechanisms
     restructure their clocks at boundaries - so it lives in the
-    signature, unlike ``--jobs``.
+    signature, unlike ``workers``.
 
     Three fields shape the hot path without (``pipeline``, ``backend``)
     or with (``timestamps``) shaping the numbers:
 
     * ``pipeline`` - ``"batched"`` (default) consumes each shard's
       inserts in runs cut at lifecycle ticks and chunk/epoch boundaries,
-      feeding ``observe_batch`` / ``advance_batch``; ``"per-event"`` is
-      the classic one-call-per-event loop.  Bit-identical results; the
+      feeding ``observe_batch`` / ``advance_batch``; ``"per-event"``
+      caps every run at one insert.  Bit-identical results; the
       fingerprint proves it.
     * ``backend`` - the kernel backend (``python`` / ``numpy``) for the
       timestamping stage; ``None`` resolves the process default.  The
@@ -171,24 +159,12 @@ class EngineConfig:
       per-shard rotation/replay story, which stays with
       :class:`~repro.online.adaptive.LifecycleClockDriver`.
 
-    ``workers`` selects the shard-group scheduling mode: ``None`` (the
-    default) keeps one task per shard driven by ``run_engine``'s
-    ``jobs`` argument; an integer deals the shards into that many
-    contiguous groups (:func:`plan_shard_groups`), runs each group as
-    one pool-worker task that generates the stream once for all its
-    shards, and forbids ``jobs > 1`` (the pool is sized by ``workers``).
-    Like ``jobs`` it is wall-clock only - the merged result, and every
-    checkpoint, is bit-identical across ``workers`` values.
-
-    ``rotation`` pins the process-default epoch-rotation strategy
-    (``"delta"`` / ``"replay"``, see
-    :func:`repro.core.timestamping.set_default_rotation`) inside every
-    shard task, restoring the prior default afterwards.  Execution-only:
-    the two strategies are verdict- and digest-identical by
-    construction, and the engine's own timestamping kernels are
-    append-only, so this knob exists to let benchmarks and operators
-    force the replay baseline through one flag rather than the
-    environment.
+    ``workers`` deals the shards into that many contiguous groups
+    (:func:`plan_shard_groups`) and runs each group as one task that
+    generates the stream once for all its shards - in-process for one
+    group, on a spawn pool otherwise.  It is wall-clock only: the merged
+    result, and every checkpoint, is bit-identical across ``workers``
+    values.
     """
 
     scenario: str
@@ -210,8 +186,7 @@ class EngineConfig:
     pipeline: str = BATCHED
     backend: Optional[str] = None
     timestamps: bool = False
-    workers: Optional[int] = None
-    rotation: Optional[str] = None
+    workers: int = 1
 
     def validate(self) -> None:
         try:
@@ -280,13 +255,8 @@ class EngineConfig:
                         f"would require per-shard epoch rotation (use "
                         f"LifecycleClockDriver for that)"
                     )
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise EngineError(f"workers must be >= 1, got {self.workers}")
-        if self.rotation is not None:
-            try:
-                resolve_rotation(self.rotation)
-            except ClockError as error:
-                raise EngineError(str(error)) from None
 
     @property
     def stride(self) -> int:
@@ -491,14 +461,12 @@ def _timed_stream(stream: Iterable, reg) -> Iterator:
 class _ShardRun:
     """One shard's live execution state and transitions.
 
-    The per-shard half of the engine driver, shared verbatim by the
-    single-shard task path (:func:`run_shard`) and the group-owned
-    worker path (:func:`run_shard_group`): consumer state (loaded from a
-    checkpoint or fresh), the chunk clock, the batched timestamping
+    The per-shard half of :func:`run_shard_group`: consumer state (loaded
+    from a checkpoint or fresh), the chunk clock, the timestamping
     accumulation, and the chunk-boundary checkpoint/telemetry plumbing.
-    Because both paths drive shards through these same methods in the
-    same per-shard event order, a shard's partial - and its checkpoint
-    bytes - cannot depend on which scheduling mode ran it.
+    Every shard is driven through these same methods in the same
+    per-shard event order whichever group owns it, so a shard's partial -
+    and its checkpoint bytes - cannot depend on the worker count.
     """
 
     def __init__(self, config: EngineConfig, shard_id: int, scenario,
@@ -539,17 +507,16 @@ class _ShardRun:
             config.mechanisms, self.inserts_done, config.stride,
             config.include_offline,
         )
-        # Own-shard load telemetry on the per-event path (split_runs_group
-        # counts it sharder-side on the batched path).
-        self.shard_events = 0
-        # The timestamping stage's own, longer accumulation (batched
-        # pipeline): the per-label kernels consume *inserts only*
-        # (append-only clocks ignore expiry), so their runs are cut by
-        # chunk boundaries and the memory cap - not by the lifecycle
-        # ticks that cut mechanism runs.  This is what amortises the
-        # backends' working-state setup over thousands of events even on
-        # churn-heavy streams.
+        # The timestamping stage's own, longer accumulation: the
+        # per-label kernels consume *inserts only* (append-only clocks
+        # ignore expiry), so their runs are cut by chunk boundaries and
+        # the memory cap - not by the lifecycle ticks that cut mechanism
+        # runs.  This is what amortises the backends' working-state
+        # setup over thousands of events even on churn-heavy streams.
+        # The per-event pipeline stamps one insert at a time, like every
+        # other consumer.
         self.kernel_pending: List[Tuple[object, object]] = []
+        self.kernel_run = 1 if config.pipeline == PER_EVENT else MAX_BATCH_EVENTS
         self.kernel_start = self.inserts_done
         self.decision_cursor: Dict[str, int] = (
             {
@@ -635,81 +602,36 @@ class _ShardRun:
             self.engine.remove_edge(thread, obj)
         chunk.expires += 1
 
-    # -- per-event pipeline ---------------------------------------------
-    def observe_insert(self, thread, obj) -> None:
-        """One insert through every consumer (the classic per-event body)."""
-        config = self.config
-        chunk = self.chunk
-        if self.live_window is not None:
-            if config.window is not None and len(self.live_window) == config.window:
-                old_thread, old_obj = self.live_window.popleft()
-                self.deliver_expire(old_thread, old_obj)
-            self.live_window.append((thread, obj))
-        offline_size = 0
-        if self.engine is not None:
-            self.engine.add_edge(thread, obj)
-            offline_size = self.engine.size
-        sample_point = self.inserts_done % config.stride == 0
-        clocks = self.clocks
-        stamp_folds = self.stamp_folds
-        for label, mechanism in self.mechanisms.items():
-            if clocks is None:
-                mechanism.observe(thread, obj)
-            else:
-                decisions_before = mechanism.decision_count
-                mechanism.observe(thread, obj)
-                kernel = clocks[label]
-                if mechanism.decision_count != decisions_before:
-                    _extend_clock(
-                        kernel,
-                        mechanism.decisions_since(decisions_before)[0],
-                    )
-                stamp = kernel.observe(thread, obj)
-                stamp_folds[label] = kernel.fold_event(
-                    stamp_folds[label], stamp, thread, obj
-                )
-            size = mechanism.clock_size
-            chunk.final[label] = size
-            chunk.retired[label] = mechanism.retired_total
-            if sample_point:
-                chunk.samples[label].append(size)
-            if offline_size:
-                chunk.ratios[label].update(size / offline_size)
-                chunk.sketches[label].update(size / offline_size)
-        if self.engine is not None:
-            chunk.final[OFFLINE_LABEL] = offline_size
-            if sample_point:
-                chunk.samples[OFFLINE_LABEL].append(offline_size)
-        self.inserts_done += 1
-        chunk.inserts += 1
-        if (
-            config.epoch_every is not None
-            and self.inserts_done % config.epoch_every == 0
-        ):
-            self.deliver_epoch()
-        if chunk.inserts == config.chunk_size:
-            self.complete_chunk()
-            self.interrupt_if_due()
-
-    # -- batched pipeline -----------------------------------------------
+    # -- insert runs ----------------------------------------------------
     def run_cap(self) -> int:
-        """Largest run that cannot overshoot a chunk/epoch boundary."""
+        """Largest insert run :meth:`flush_inserts` may take next.
+
+        A run never overshoots a chunk or epoch boundary.  An imposed
+        window caps it at the room left in ``live_window``, or at one
+        insert once the window is full (each insert then expires the
+        oldest pair first).  The per-event pipeline caps every run at
+        one insert.
+        """
         config = self.config
-        cap = config.chunk_size - self.chunk.inserts
+        if config.pipeline == PER_EVENT:
+            return 1
+        cap = min(config.chunk_size - self.chunk.inserts, MAX_BATCH_EVENTS)
         if config.epoch_every is not None:
             cap = min(
                 cap,
                 config.epoch_every - self.inserts_done % config.epoch_every,
             )
-        return min(cap, MAX_BATCH_EVENTS)
+        if self.live_window is not None:
+            cap = min(cap, max(1, config.window - len(self.live_window)))
+        return cap
 
     def flush_stamps(self) -> None:
         """Advance every label's kernel over the accumulated inserts.
 
         Sub-runs are cut exactly where the mechanism's decision log
         says a component was added, each addition extending the
-        kernel *before* its triggering event is stamped - the same
-        order the per-event loop produces, hence the same digest.
+        kernel *before* its triggering event is stamped, hence the same
+        digest as stamping one event at a time.
         """
         kernel_pending = self.kernel_pending
         if not kernel_pending:
@@ -742,7 +664,18 @@ class _ShardRun:
         kernel_pending.clear()
 
     def flush_inserts(self, run: List[Tuple[object, object]]) -> None:
-        """One whole insert run through every consumer (the batched body)."""
+        """One whole insert run through every consumer.
+
+        Under an imposed window, :meth:`run_cap` makes a run that meets a
+        full window one insert long; that insert first expires the
+        oldest live pair, as a sliding window delivers it.
+        """
+        live_window = self.live_window
+        if live_window is not None:
+            if len(live_window) == self.config.window:
+                old_thread, old_obj = live_window.popleft()
+                self.deliver_expire(old_thread, old_obj)
+            live_window.extend(run)
         chunk = self.chunk
         count = len(run)
         reg = self.reg
@@ -781,7 +714,7 @@ class _ShardRun:
                 offline_samples.append(offline_sizes[offset])
         if self.clocks is not None:
             self.kernel_pending.extend(run)
-            if len(self.kernel_pending) >= MAX_BATCH_EVENTS:
+            if len(self.kernel_pending) >= self.kernel_run:
                 self.flush_stamps()
         self.inserts_done += count
         chunk.inserts += count
@@ -796,10 +729,6 @@ class _ShardRun:
             self.complete_chunk()
         reg = self.reg
         if reg is not None:
-            if self.shard_events:
-                reg.add(
-                    f"sharder.shard[{self.shard_id}].events", self.shard_events
-                )
             shard_id = self.shard_id
             reg.gauge(f"engine.shard[{shard_id}].inserts", self.partial.inserts)
             reg.gauge(f"engine.shard[{shard_id}].expires", self.partial.expires)
@@ -811,40 +740,16 @@ class _ShardRun:
 def run_shard_group(
     config: EngineConfig, shard_ids: Sequence[int]
 ) -> Dict[int, PartialResult]:
-    """Pin ``config.rotation`` (if set) around :func:`_run_shard_group`.
-
-    The strategy is installed as the process default for the duration of
-    the task and the previous *override* (not the resolved name) is
-    restored in a ``finally``, so a surrounding environment-variable
-    default survives the scope - the same discipline the ratio sweep
-    applies to kernel backends.  Runs in the pool worker process when
-    the engine is worker-pooled, which is exactly where the pin must
-    live.
-    """
-    if config.rotation is None:
-        return _run_shard_group(config, shard_ids)
-    saved = default_rotation_override()
-    set_default_rotation(config.rotation)
-    try:
-        return _run_shard_group(config, shard_ids)
-    finally:
-        set_default_rotation(saved)
-
-
-def _run_shard_group(
-    config: EngineConfig, shard_ids: Sequence[int]
-) -> Dict[int, PartialResult]:
     """Run a contiguous group of shards to completion in ONE stream pass.
 
-    The worker-pooled engine's task body: the base stream is regenerated
-    *once* and every event routed to the owning shard's consumers in a
-    single pass, so a worker that owns four shards pays the fixed
-    per-pass cost (generation + routing) once instead of four times.
-    Each owned shard's consumer state, chunk clock and checkpoints
-    evolve exactly as a dedicated :func:`run_shard` pass would evolve
-    them - per-shard resume skips included - which is what makes
-    checkpoints (and the merged fingerprint) interchangeable across
-    ``workers`` counts and with the per-shard ``jobs`` mode.
+    The engine's task body: the base stream is regenerated *once* and
+    every event routed to the owning shard's consumers in a single pass,
+    so a worker that owns four shards pays the fixed per-pass cost
+    (generation + routing) once instead of four times.  Each owned
+    shard's consumer state, chunk clock and checkpoints evolve exactly
+    as they would in a group of its own - per-shard resume skips
+    included - which is what makes checkpoints (and the merged
+    fingerprint) interchangeable across ``workers`` counts.
 
     Returns the per-shard partials keyed by shard id.  Raises
     :class:`EngineInterrupted` when any owned shard hits the
@@ -893,94 +798,41 @@ def _run_shard_group(
     if reg is not None:
         stream = _timed_stream(stream, reg)
     sharder = StreamSharder(config.num_shards, config.strategy)
-
-    if config.pipeline == PER_EVENT or any(
-        run.live_window is not None for run in runs.values()
+    # Runs of consecutive inserts, cut at lifecycle ticks and at each
+    # shard's run_cap() (chunk / epoch boundaries, the imposed window, the
+    # per-event pipeline), arrive whole and already routed to their
+    # owning shard from split_runs_group.  Boundary checks run after
+    # *every* flushed run, but only a cap-sized run can land on a
+    # chunk/epoch boundary: the sharder re-evaluates run_cap() at each
+    # run's first insert, so a run cut short by a lifecycle event (or end
+    # of stream) always stops strictly before one.
+    caps = {shard_id: runs[shard_id].run_cap for shard_id in owned}
+    skips = {shard_id: runs[shard_id].raw_consumed for shard_id in owned}
+    for shard, consumed, item in sharder.split_runs_group(
+        stream, owned, caps, skips
     ):
-        # ------------------------------------------------------------------
-        # The classic loop: one consumer call per event.  An *imposed*
-        # sliding window also lands here regardless of config.pipeline:
-        # once the window fills, every insert is preceded by an expire
-        # tick, so insert runs degenerate to single events and the
-        # batched loop would only add flush bookkeeping per event.
-        # (Scenario-emitted expiry - churn bursts - batches fine and
-        # stays on the batched path.)  Results are identical either way.
-        # ------------------------------------------------------------------
-        # Per-shard fast-forward: each shard skips the prefix its own
-        # checkpoint already covers (the sharder's assignment table
-        # replays regardless, because split() routes every event).
-        skips = {shard_id: runs[shard_id].raw_consumed for shard_id in owned}
-        consumed = 0
-        for shard, event in sharder.split(stream):
-            consumed += 1
-            shard_run = runs.get(shard)
-            if shard_run is None:
-                continue
-            if consumed <= skips[shard]:
-                continue
-            shard_run.raw_consumed = consumed
-            if reg is not None:
-                shard_run.shard_events += 1
-            if event.is_epoch:
+        shard_run = runs[shard]
+        shard_run.raw_consumed = consumed
+        if item is None:
+            continue
+        if type(item) is list:
+            shard_run.flush_inserts(item)
+            if (
+                config.epoch_every is not None
+                and shard_run.inserts_done % config.epoch_every == 0
+            ):
                 shard_run.deliver_epoch()
-                continue
-            if event.is_expire:
-                shard_run.deliver_expire(event.thread, event.obj)
-                continue
-            shard_run.observe_insert(event.thread, event.obj)
-        for shard_id in owned:
-            if consumed < skips[shard_id]:
-                raise EngineError(
-                    f"stream exhausted while fast-forwarding shard "
-                    f"{shard_id} to event {skips[shard_id]}; the checkpoint "
-                    f"does not match this stream"
-                )
-            runs[shard_id].raw_consumed = consumed
-    else:
-        # ------------------------------------------------------------------
-        # The batched pipeline: runs of consecutive inserts, cut at
-        # lifecycle ticks and chunk / epoch boundaries, flow through
-        # observe_batch (mechanisms) and advance_batch (kernels) so the
-        # per-event Python dispatch is paid once per run, not per event.
-        # The runs arrive whole - and already routed to their owning
-        # shard - from StreamSharder.split_runs_group, so this driver
-        # resumes once per run / boundary event instead of once per
-        # tagged event.  Identical interleaving per shard, identical
-        # numbers - the fingerprint equality with the per-event loop and
-        # with every other scheduling mode is asserted in CI.
-        # ------------------------------------------------------------------
-        caps = {shard_id: runs[shard_id].run_cap for shard_id in owned}
-        skips = {shard_id: runs[shard_id].raw_consumed for shard_id in owned}
-        # Boundary checks run after *every* flushed run, but only a
-        # cap-sized run can actually land on a chunk/epoch boundary: the
-        # sharder re-evaluates run_cap() at each run's first insert, so
-        # a run cut short by a lifecycle event (or end of stream) always
-        # stops strictly before one.
-        for shard, consumed, item in sharder.split_runs_group(
-            stream, owned, caps, skips
-        ):
-            shard_run = runs[shard]
-            shard_run.raw_consumed = consumed
-            if item is None:
-                continue
-            if type(item) is list:
-                shard_run.flush_inserts(item)
-                if (
-                    config.epoch_every is not None
-                    and shard_run.inserts_done % config.epoch_every == 0
-                ):
-                    shard_run.deliver_epoch()
-                if shard_run.chunk.inserts == config.chunk_size:
-                    # The chunk's frozen digest must be current, so the
-                    # kernels catch up right before the boundary.
-                    shard_run.flush_stamps()
-                    shard_run.complete_chunk()
-                    shard_run.interrupt_if_due()
-                continue
-            if item.kind == EPOCH:
-                shard_run.deliver_epoch()
-            else:
-                shard_run.deliver_expire(item.thread, item.obj)
+            if shard_run.chunk.inserts == config.chunk_size:
+                # The chunk's frozen digest must be current, so the
+                # kernels catch up right before the boundary.
+                shard_run.flush_stamps()
+                shard_run.complete_chunk()
+                shard_run.interrupt_if_due()
+            continue
+        if item.kind == EPOCH:
+            shard_run.deliver_epoch()
+        else:
+            shard_run.deliver_expire(item.thread, item.obj)
 
     partials = {shard_id: runs[shard_id].finish() for shard_id in owned}
     if reg is not None:
@@ -1004,23 +856,6 @@ def _run_shard_group(
     return partials
 
 
-def run_shard(config: EngineConfig, shard_id: int) -> PartialResult:
-    """Run one shard to completion (or to the interrupt hook).
-
-    Regenerates the base stream from the root seed, filters it to this
-    shard, and advances the shard's mechanisms and dynamic optimum in
-    chunks, checkpointing at every chunk boundary when configured.  The
-    single-shard projection of :func:`run_shard_group`.
-    """
-    return run_shard_group(config, (shard_id,))[shard_id]
-
-
-def run_shard_task(task: Tuple[EngineConfig, int]) -> PartialResult:
-    """Module-level task entry point (picklable for the process pool)."""
-    config, shard_id = task
-    return run_shard(config, shard_id)
-
-
 def run_shard_group_task(
     task: Tuple[EngineConfig, Tuple[int, ...]],
 ) -> Dict[int, PartialResult]:
@@ -1029,88 +864,54 @@ def run_shard_group_task(
     return run_shard_group(config, shard_ids)
 
 
-def run_engine(config: EngineConfig, jobs: int = 1) -> EngineResult:
-    """Run every shard of ``config`` and merge, on one of two schedules.
+def run_engine(config: EngineConfig) -> EngineResult:
+    """Run every shard of ``config`` and merge.
 
-    ``config.workers`` set: the shards are dealt into that many
-    contiguous :class:`~repro.engine.sharding.ShardGroup`\\ s and each
-    group runs as one task - on a persistent worker pool when the plan
-    has more than one group, in-process otherwise - with the stream
-    generated once per worker.  ``config.workers`` unset: the original
-    one-task-per-shard decomposition driven by ``jobs``.
-
-    Either way the merge folds shard partials in shard-id order - the
-    fixed merge tree that keeps results independent of scheduling.  With
-    a checkpoint directory configured, completed shards short-circuit
-    through their checkpoints, so re-invoking after an interruption (or
-    an :class:`EngineInterrupted`) finishes the remaining work only -
-    and the resuming invocation may use any ``workers``/``jobs``
-    combination, not the interrupted one's.
+    The shards are dealt into ``config.workers`` contiguous
+    :class:`~repro.engine.sharding.ShardGroup`\\ s and each group runs as
+    one :func:`run_shard_group` task - on a persistent worker pool when
+    the plan has more than one group, in-process otherwise - so the
+    stream is generated once per group.  The merge folds shard partials
+    in shard-id order, the fixed merge tree that keeps results
+    independent of the worker count.  With a checkpoint directory
+    configured, completed shards short-circuit through their
+    checkpoints, so re-invoking after an :class:`EngineInterrupted`
+    finishes the remaining work only - under any ``workers`` value, not
+    only the interrupted one's.
     """
     config.validate()
     if config.checkpoint_dir:
         # Fail fast in the parent on a manifest mismatch, before any
         # worker is spawned.
         EngineCheckpointManager(config.checkpoint_dir, config.signature())
+    groups = plan_shard_groups(config.num_shards, config.workers)
+    pool = WorkerPool(len(groups))
+    tasks = [(config, group.shard_ids) for group in groups]
     registry = _metrics_active()
-    if config.workers is not None:
-        if jobs > 1:
-            raise EngineError(
-                f"config.workers={config.workers} owns the worker pool; "
-                f"leave jobs at 1 (got {jobs}) - the two are alternative "
-                f"scheduling modes"
-            )
-        groups = plan_shard_groups(config.num_shards, config.workers)
-        executor = ShardExecutor(len(groups) if config.workers > 1 else 1)
-        group_tasks = [(config, group.shard_ids) for group in groups]
-        if registry is None:
-            grouped = executor.map(run_shard_group_task, group_tasks)
-        else:
-            # Deferred import: the telemetry bridge imports this module back.
-            from repro.engine.telemetry import (
-                absorb_snapshots,
-                run_shard_group_task_with_metrics,
-            )
-
-            registry.gauge("engine.workers", len(groups))
-            registry.gauge("engine.num_shards", config.num_shards)
-            with registry.span(
-                "engine.map", workers=len(groups), shards=config.num_shards
-            ):
-                outcomes = executor.map(
-                    run_shard_group_task_with_metrics, group_tasks
-                )
-            grouped = [partials for partials, _snapshot in outcomes]
-            # Group-id order == shard-id order (groups are contiguous and
-            # ascending), mirroring the result merge tree.
-            absorb_snapshots(
-                registry, [snapshot for _partials, snapshot in outcomes]
-            )
-        partials = [
-            grouped[index][shard_id]
-            for index, group in enumerate(groups)
-            for shard_id in group.shard_ids
-        ]
+    if registry is None:
+        grouped = pool.map(run_shard_group_task, tasks)
     else:
-        executor = ShardExecutor(jobs)
-        tasks = [(config, shard_id) for shard_id in range(config.num_shards)]
-        if registry is None:
-            partials = executor.map(run_shard_task, tasks)
-        else:
-            # Deferred import: the telemetry bridge imports this module back.
-            from repro.engine.telemetry import (
-                absorb_snapshots,
-                run_shard_task_with_metrics,
-            )
+        # Deferred import: the telemetry bridge imports this module back.
+        from repro.engine.telemetry import (
+            absorb_snapshots,
+            run_shard_group_task_with_metrics,
+        )
 
-            registry.gauge("engine.jobs", jobs)
-            registry.gauge("engine.num_shards", config.num_shards)
-            with registry.span("engine.map", jobs=jobs, shards=config.num_shards):
-                outcomes = executor.map(run_shard_task_with_metrics, tasks)
-            partials = [partial for partial, _snapshot in outcomes]
-            # Shard-id order, the same fixed tree the result merge uses, so
-            # the combined telemetry is independent of worker scheduling.
-            absorb_snapshots(registry, [snapshot for _partial, snapshot in outcomes])
+        registry.gauge("engine.workers", len(groups))
+        registry.gauge("engine.num_shards", config.num_shards)
+        with registry.span(
+            "engine.map", workers=len(groups), shards=config.num_shards
+        ):
+            outcomes = pool.map(run_shard_group_task_with_metrics, tasks)
+        grouped = [partials for partials, _snapshot in outcomes]
+        # Group-id order == shard-id order (groups are contiguous and
+        # ascending), mirroring the result merge tree.
+        absorb_snapshots(registry, [snapshot for _partials, snapshot in outcomes])
+    partials = [
+        grouped[index][shard_id]
+        for index, group in enumerate(groups)
+        for shard_id in group.shard_ids
+    ]
     with _metrics_span("engine.merge"):
         merged = merge_partials(partials)
     return EngineResult(

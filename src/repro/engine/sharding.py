@@ -73,12 +73,10 @@ STRATEGIES = (HASH, ROUND_ROBIN)
 class ShardGroup:
     """A contiguous block of shard ids owned by one worker.
 
-    The worker-pooled engine's scheduling unit: a worker that owns a
-    group generates the base stream *once* and routes events to every
-    owned shard in a single pass (see
-    :meth:`StreamSharder.split_runs_group`), instead of paying one full
-    stream regeneration per shard the way per-shard tasks do.  Groups
-    are purely physical - which shards share a pass never changes any
+    The engine's scheduling unit: a worker that owns a group generates
+    the base stream *once* and routes events to every owned shard in a
+    single pass (see :meth:`StreamSharder.split_runs_group`).  Groups are
+    purely physical - which shards share a pass never changes any
     shard's event sequence, so the merged result is bit-identical across
     group plans.
     """
@@ -209,12 +207,11 @@ class StreamSharder:
     ) -> Iterator[Tuple[int, Union[List[Tuple[Vertex, Vertex]], StreamEvent, None]]]:
         """One shard's sub-stream as whole insert runs plus boundary events.
 
-        The batched pipeline's replacement for ``split()`` + a per-event
-        consumer loop: the routing, filtering and run accumulation all
-        happen inside this generator's single loop, so the driver
-        resumes once per *run* instead of paying a ``next()`` dispatch
-        and a tuple unpack per tagged event.  Yields ``(consumed,
-        item)`` where ``item`` is one of:
+        The routing, filtering and run accumulation all happen inside
+        this generator's single loop, so a consumer resumes once per
+        *run* instead of paying a ``next()`` dispatch and a tuple unpack
+        per tagged event.  Yields ``(consumed, item)`` where ``item`` is
+        one of:
 
         * a non-empty ``list`` of ``(thread, object)`` pairs - a run of
           consecutive inserts owned by ``shard_id``, cut at lifecycle
@@ -228,8 +225,8 @@ class StreamSharder:
 
         ``consumed`` counts *tagged* events exactly as a ``split()``
         loop would have (epoch markers are broadcast, one count per
-        shard), which keeps checkpoints interchangeable between the
-        per-event and batched pipelines.  A run flushed because its cap
+        shard), which keeps checkpoints interchangeable whatever run
+        lengths the consumer chose.  A run flushed because its cap
         was reached reports the count through its own last insert; runs
         flushed by a boundary event report the count *before* that
         event, whose own yield then accounts for it.
@@ -240,10 +237,8 @@ class StreamSharder:
         :class:`~repro.exceptions.EngineError` when the stream is
         shorter than ``skip`` (the checkpoint does not match).
 
-        Implemented as the single-shard projection of
-        :meth:`split_runs_group`, so the per-shard and group-owned
-        drivers can never drift apart on consumed-count or skip
-        semantics.
+        The single-shard projection of :meth:`split_runs_group`, kept
+        as the reference the group pass is tested against.
         """
         for _, consumed, item in self.split_runs_group(
             events, (shard_id,), {shard_id: cap}, {shard_id: skip}
@@ -261,11 +256,10 @@ class StreamSharder:
     ]:
         """Several owned shards' sub-streams, routed in ONE pass.
 
-        The worker-pooled engine's replacement for one ``split_runs``
-        pass per shard: a worker that owns ``shard_ids`` consumes the
-        base stream once, and every event is routed to (at most) one
-        owned shard's accumulation - so stream generation and routing
-        are paid once per *worker*, not once per shard.  Yields
+        The engine's one routing pass: a worker that owns ``shard_ids``
+        consumes the base stream once, and every event is routed to (at
+        most) one owned shard's accumulation - so stream generation and
+        routing are paid once per *worker*, not once per shard.  Yields
         ``(shard_id, consumed, item)`` triples where ``item`` has
         exactly the :meth:`split_runs` meaning (a run of that shard's
         consecutive inserts cut at lifecycle events and at
@@ -275,9 +269,8 @@ class StreamSharder:
         Per-shard semantics are *identical* to a dedicated
         ``split_runs`` pass - same run boundaries, same ``consumed``
         values, same skip arithmetic - which is what keeps checkpoints
-        interchangeable between per-shard tasks and group-owned workers
-        (a run checkpointed at one ``workers`` count resumes at any
-        other).  In particular:
+        interchangeable across group plans (a run checkpointed at one
+        ``workers`` count resumes at any other).  In particular:
 
         * ``consumed`` counts tagged events of the *whole* stream (an
           insert owned by a sibling shard still advances every shard's

@@ -5,23 +5,23 @@ Engine workers are spawned processes: the parent's installed
 and nothing about worker scheduling may leak into the merged telemetry
 (the same discipline the result merge follows).  The bridge:
 
-* :func:`run_shard_task_with_metrics` wraps the normal shard task.  It
-  installs a fresh per-shard registry (origin ``shard-N``), runs the
-  shard, restores whatever was installed before, and returns the
-  partial *plus* a picklable snapshot of everything the shard observed.
-  Because the wrapper runs identically in-process (``--jobs 1``) and in
-  a worker, the merged telemetry's structure is independent of the
-  worker count - only the latencies themselves differ.
+* :func:`run_shard_group_task_with_metrics` wraps the shard-group task.
+  It installs a fresh registry per group, runs the group, restores
+  whatever was installed before, and returns the partials *plus* a
+  picklable snapshot of everything the group observed.  Because the
+  wrapper runs identically in-process (one worker) and in a pool
+  worker, the merged counters are independent of the worker count -
+  only the latencies themselves differ.
 * :func:`absorb_snapshots` folds the snapshots into the parent registry
   in the order given; :func:`~repro.engine.runner.run_engine` passes
-  them in shard-id order, mirroring the result merge tree.
+  them in group (hence shard-id) order, mirroring the result merge tree.
 
 This module is the engine's one sanctioned reader of telemetry state:
 lint rule C206 forbids snapshot/merge calls in result-path modules and
 exempts exactly this file (see ``TELEMETRY_BRIDGE_MODULES`` in
 :mod:`repro.lint.contracts`).  The exemption is safe because nothing
 here feeds a value derived from telemetry back into the shard run - the
-snapshot is taken after ``run_shard`` returns and travels strictly
+snapshot is taken after ``run_shard_group`` returns and travels strictly
 outward.
 """
 
@@ -30,35 +30,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 from repro.engine.results import PartialResult
-from repro.engine.runner import EngineConfig, run_shard, run_shard_group
+from repro.engine.runner import EngineConfig, run_shard_group
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot, install
 
 __all__ = [
     "absorb_snapshots",
     "run_shard_group_task_with_metrics",
-    "run_shard_task_with_metrics",
 ]
-
-
-def run_shard_task_with_metrics(
-    task: Tuple[EngineConfig, int],
-) -> Tuple[PartialResult, MetricsSnapshot]:
-    """Run one shard under a fresh per-shard registry; return both outputs.
-
-    Module-level and picklable, like
-    :func:`~repro.engine.runner.run_shard_task`, so the process pool can
-    ship it by name.  The previous registry (the parent's, on the
-    in-process path; ``None`` in a spawned worker) is restored in a
-    ``finally`` so an interrupt cannot leave shard telemetry installed.
-    """
-    config, shard_id = task
-    registry = MetricsRegistry(origin=f"shard-{shard_id}")
-    previous = install(registry)
-    try:
-        partial = run_shard(config, shard_id)
-    finally:
-        install(previous)
-    return partial, registry.snapshot()
 
 
 def run_shard_group_task_with_metrics(
@@ -66,10 +44,12 @@ def run_shard_group_task_with_metrics(
 ) -> Tuple[Dict[int, PartialResult], MetricsSnapshot]:
     """Run one shard group under a fresh registry; return both outputs.
 
-    The worker-pool analogue of :func:`run_shard_task_with_metrics`: one
+    Module-level and picklable, so the pool can ship it by name.  One
     registry per *group task* (origin ``shards-A-B``, or ``shard-A`` for
-    a one-shard group, matching the per-shard wrapper), because the
-    group - not the shard - is the unit a pool worker executes.  All
+    a one-shard group), because the group - not the shard - is the unit
+    a worker executes.  The previous registry (the parent's, in-process;
+    ``None`` in a spawned worker) is restored in a ``finally`` so an
+    interrupt cannot leave group telemetry installed.  All
     per-shard series (``engine.shard[i].*`` gauges, per-shard chunk
     spans) still land inside it keyed by shard id, so absorbing group
     snapshots in group order yields shard telemetry in shard-id order -

@@ -11,9 +11,7 @@ This subpackage contains everything combinatorial the paper relies on:
   augmenting-path searches per mutation), powering the per-event
   offline-optimum trajectory of the online evaluation and the
   sliding-window monitoring regime
-  (:func:`~repro.graph.incremental.sliding_window_optimum_trajectory`);
-  :class:`~repro.graph.incremental.IncrementalMatching` is its
-  append-only view.
+  (:func:`~repro.graph.incremental.sliding_window_optimum_trajectory`).
 * :func:`~repro.graph.vertex_cover.konig_vertex_cover` - Algorithm 1, the
   König-Egerváry construction of a minimum vertex cover from a maximum
   matching.
@@ -47,7 +45,6 @@ from repro.graph.generators import (
 )
 from repro.graph.incremental import (
     DynamicMatching,
-    IncrementalMatching,
     incremental_optimum_trajectory,
     sliding_window_optimum_trajectory,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "BipartiteGraph",
     "DynamicMatching",
     "GraphSpec",
-    "IncrementalMatching",
     "Matching",
     "alternating_reachable",
     "augmenting_path_matching",

@@ -55,9 +55,9 @@ Theorem 3 of the paper); the cover's concrete vertex set is derived from
 structural change, so an epoch boundary that queries the cover after a
 quiet interval pays ``O(V)`` assembly, not an ``O(V + E)`` sweep.
 
-:class:`IncrementalMatching` survives as the append-only subclass, and
-:func:`sliding_window_optimum_trajectory` packages the windowed regime
-for the online simulator and the ratio sweeps.
+:func:`incremental_optimum_trajectory` packages the append-only regime
+and :func:`sliding_window_optimum_trajectory` the windowed one, for the
+online simulator and the ratio sweeps.
 """
 
 from __future__ import annotations
@@ -477,25 +477,14 @@ class DynamicMatching:
         return self._augment_from_thread(thread)
 
 
-class IncrementalMatching(DynamicMatching):
-    """The append-only view of :class:`DynamicMatching`.
-
-    Kept as a named class because the insert-only regime is the paper's
-    own Section V setting and several callers (the offline trajectory
-    helpers, the order-sensitivity analysis) want the name to say what
-    they rely on: the optimum trajectory of an append-only engine is
-    monotone.  The behaviour is exactly the parent's.
-    """
-
-
 def incremental_optimum_trajectory(pairs: Iterable[Edge]) -> Tuple[int, ...]:
     """Maximum-matching size after each pair of ``pairs`` is revealed.
 
-    Convenience wrapper over :class:`IncrementalMatching` for callers that
+    Convenience wrapper over :class:`DynamicMatching` for callers that
     only want the append-only trajectory (the online simulator and the
-    competitive-ratio analysis).
+    competitive-ratio analysis); with no deletions it is monotone.
     """
-    return IncrementalMatching(pairs).optimal_size_trajectory()
+    return DynamicMatching(pairs).optimal_size_trajectory()
 
 
 def sliding_window_optimum_trajectory(

@@ -162,7 +162,7 @@ def augment_from_unmatched_thread(
     Python's recursion limit at around a thousand threads.
 
     Shared by :func:`augmenting_path_matching` and the incremental engine
-    (:class:`~repro.graph.incremental.IncrementalMatching`), which anchor
+    (:class:`~repro.graph.incremental.DynamicMatching`), which anchor
     the same search differently.
     """
     visited: Set[Vertex] = set()

@@ -6,7 +6,7 @@ filesystem/scheduler ordering - exactly the inputs the engine's SHA-256
 fingerprint contract promises to be independent of.  The rules are the
 static mirror of the dynamic guarantees:
 
-* the fingerprint test proves ``--jobs N`` equals ``--jobs 1`` for runs
+* the fingerprint test proves ``--workers N`` equals ``--workers 1`` for runs
   that happened; these rules reject the *code shapes* that would break it;
 * :func:`repro.seeds.stable_hash` exists because builtin ``hash()`` is
   randomised; ``D102`` points offenders at it;
@@ -336,7 +336,7 @@ class UnorderedPoolRule(Rule):
     ``Pool.imap_unordered`` and ``concurrent.futures.as_completed`` yield
     results in whatever order workers finish - a function of machine
     load, not of the computation.  Merging results in that order breaks
-    the ``--jobs N == --jobs 1`` fingerprint contract.
+    the ``--workers N == --workers 1`` fingerprint contract.
 
     Fix: collect in submission order (``Pool.imap``, ``executor.map``,
     or index the futures and merge by index), the way

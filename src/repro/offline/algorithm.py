@@ -140,7 +140,7 @@ def offline_optimum_trajectory(pairs: Iterable[Edge]) -> Tuple[int, ...]:
 
     ``result[i]`` is the optimal mixed clock size (minimum vertex cover =
     maximum matching, Theorem 3) of the graph formed by ``pairs[:i + 1]``.
-    Computed with :class:`~repro.graph.incremental.IncrementalMatching`
+    Computed with :class:`~repro.graph.incremental.DynamicMatching`
     in one pass, instead of one from-scratch Hopcroft-Karp per prefix;
     this is what lets the online evaluation plot a *true* optimum
     trajectory rather than a constant final-value line.

@@ -52,7 +52,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.timestamping import EpochClock
+from repro.core.timestamping import DELTA_ROTATION, EpochClock
 from repro.exceptions import OnlineMechanismError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.incremental import DynamicMatching
@@ -493,7 +493,7 @@ class LifecycleClockDriver:
         self,
         mechanism: OnlineMechanism,
         check_invariant: bool = False,
-        rotation: Optional[str] = None,
+        rotation: str = DELTA_ROTATION,
     ) -> None:
         if mechanism.events_seen:
             raise OnlineMechanismError(

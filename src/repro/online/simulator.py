@@ -5,7 +5,11 @@ mechanisms "as we reveal the edge of the graph one by one".  This module
 generalises that driver to the streaming model: the unit of input is a
 lazy stream of :class:`~repro.computation.streams.StreamEvent` (inserts
 *and* expires), consumed exactly once, with every mechanism and the
-dynamic offline optimum advancing in lock-step per event.  Nothing
+dynamic offline optimum advancing in lock-step.  Inserts between two
+lifecycle ticks reach the mechanisms as one run through
+:meth:`~repro.online.base.OnlineMechanism.observe_batch` - the same
+insert-run consumption the sharded engine uses - which records exactly
+the samples one call per event would.  Nothing
 proportional to the stream length is materialised beyond the recorded
 trajectories themselves, so unbounded monitoring streams and windowed
 workloads run in one pass.
@@ -47,8 +51,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.computation.streams import (
     EPOCH,
+    MAX_BATCH_EVENTS,
     EventLike,
-    as_stream_event,
     iter_event_batches,
     sliding_window,
 )
@@ -203,14 +207,16 @@ def compare_mechanisms_on_stream(
     include_offline: bool = True,
     window: Optional[int] = None,
     epoch: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> Dict[str, OnlineRunResult]:
     """Run several mechanisms and the dynamic optimum over one event stream.
 
-    The stream is consumed exactly once, one event at a time; bare
-    ``(thread, object)`` pairs are accepted and treated as inserts.  On
-    each insert every mechanism observes the pair and every consumer
-    records one trajectory sample; on each expire every mechanism's
+    The stream is consumed exactly once; bare ``(thread, object)`` pairs
+    are accepted and treated as inserts.  Runs of consecutive inserts
+    (cut at lifecycle ticks, counter-epoch boundaries and
+    :data:`~repro.computation.streams.MAX_BATCH_EVENTS`) go through each
+    mechanism's :meth:`~repro.online.base.OnlineMechanism.observe_batch`,
+    and every consumer records one trajectory sample per insert; on each
+    expire every mechanism's
     :meth:`~repro.online.base.OnlineMechanism.expire` fires (the no-op
     shim for append-only mechanisms) and the
     :class:`~repro.graph.incremental.DynamicMatching` engine retracts the
@@ -225,18 +231,9 @@ def compare_mechanisms_on_stream(
     ``"offline"`` entry when ``include_offline`` is true whose trajectory
     is the per-insert minimum-vertex-cover size of the *live* (windowed /
     non-expired) graph.
-
-    ``batch_size`` switches the consumption loop to the chunked pipeline:
-    runs of consecutive inserts (cut at lifecycle ticks, counter-epoch
-    boundaries and ``batch_size``) are fed through each mechanism's
-    :meth:`~repro.online.base.OnlineMechanism.observe_batch`.  The
-    results are bit-identical to the per-event loop (``None``, the
-    default) - batching only changes the wall-clock.
     """
     if epoch is not None and epoch < 1:
         raise ComputationError(f"epoch must be >= 1, got {epoch}")
-    if batch_size is not None and batch_size < 1:
-        raise ComputationError(f"batch_size must be >= 1, got {batch_size}")
     if window is not None:
         events = sliding_window(events, window)
     mechanisms = {label: factory() for label, factory in factories.items()}
@@ -256,28 +253,26 @@ def compare_mechanisms_on_stream(
         for mechanism in mechanisms.values():
             mechanism.end_epoch()
 
-    if batch_size is not None:
+    def feed(segment: List[Tuple[Vertex, Vertex]]) -> None:
+        nonlocal inserts
+        for label, mechanism in mechanisms.items():
+            trajectories[label].extend(mechanism.observe_batch(segment))
+        if engine is not None:
+            add_edge = engine.add_edge
+            append = offline_sizes.append
+            for thread, obj in segment:
+                add_edge(thread, obj)
+                append(engine.size)
+        inserts += len(segment)
 
-        def feed(segment: List[Tuple[Vertex, Vertex]]) -> None:
-            nonlocal inserts
-            for label, mechanism in mechanisms.items():
-                trajectories[label].extend(mechanism.observe_batch(segment))
-            if engine is not None:
-                add_edge = engine.add_edge
-                append = offline_sizes.append
-                for thread, obj in segment:
-                    add_edge(thread, obj)
-                    append(engine.size)
-            inserts += len(segment)
-
-        def process_run(run: List[Tuple[Vertex, Vertex]]) -> None:
+    for item in iter_event_batches(events, MAX_BATCH_EVENTS):
+        if isinstance(item, list):
+            run = [(event.thread, event.obj) for event in item]
             if epoch is None:
-                # No counter epochs: the whole run is one segment, no
-                # sub-split arithmetic on the hot path.
                 feed(run)
-                return
-            # Sub-split at counter-epoch boundaries, so epoch ticks land
-            # exactly where the per-event loop would deliver them.
+                continue
+            # Sub-split at counter-epoch boundaries, so each tick lands
+            # right after the insert that completes the epoch.
             start = 0
             while start < len(run):
                 segment = run[start:start + epoch - inserts % epoch]
@@ -285,39 +280,14 @@ def compare_mechanisms_on_stream(
                 start += len(segment)
                 if inserts % epoch == 0:
                     deliver_epoch()
-
-        for item in iter_event_batches(events, batch_size):
-            if isinstance(item, list):
-                process_run([(event.thread, event.obj) for event in item])
-            elif item.kind == EPOCH:
-                deliver_epoch()
-            else:
-                expires += 1
-                for mechanism in mechanisms.values():
-                    mechanism.expire(item.thread, item.obj)
-                if engine is not None:
-                    engine.remove_edge(item.thread, item.obj)
-    else:
-        for item in events:
-            event = as_stream_event(item)
-            if event.is_epoch:
-                deliver_epoch()
-            elif event.is_insert:
-                inserts += 1
-                for label, mechanism in mechanisms.items():
-                    mechanism.observe(event.thread, event.obj)
-                    trajectories[label].append(mechanism.clock_size)
-                if engine is not None:
-                    engine.add_edge(event.thread, event.obj)
-                    offline_sizes.append(engine.size)
-                if epoch is not None and inserts % epoch == 0:
-                    deliver_epoch()
-            else:
-                expires += 1
-                for mechanism in mechanisms.values():
-                    mechanism.expire(event.thread, event.obj)
-                if engine is not None:
-                    engine.remove_edge(event.thread, event.obj)
+        elif item.kind == EPOCH:
+            deliver_epoch()
+        else:
+            expires += 1
+            for mechanism in mechanisms.values():
+                mechanism.expire(item.thread, item.obj)
+            if engine is not None:
+                engine.remove_edge(item.thread, item.obj)
     results: Dict[str, OnlineRunResult] = {}
     for label, mechanism in mechanisms.items():
         results[label] = OnlineRunResult(

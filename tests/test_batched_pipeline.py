@@ -12,9 +12,11 @@ Three layers of the chunked execution path are pinned down here:
   random chunkings and mid-stream component extensions; the numpy
   backend is *gated*: without numpy it is unselectable with a clean
   error and everything else keeps working;
-* **engine** - the run_shard pipelines ({per-event, batched} x
-  {python, numpy} x jobs) produce one fingerprint, including the stamp
-  digests, through interrupt/resume mid-run and checkpointed restarts.
+* **engine** - the pipelines (runs capped at one insert, or batched)
+  x {python, numpy} produce one fingerprint, including the stamp
+  digests, through interrupt/resume mid-run and checkpointed restarts -
+  also when an imposed window's run caps interleave with chunk and
+  epoch boundaries and a run resumes under the other pipeline.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import tempfile
 import time
 
 import pytest
@@ -42,7 +45,7 @@ from repro.core.kernel import (
     set_default_backend,
 )
 from repro.engine import EngineCheckpointManager, EngineConfig, run_engine
-from repro.engine.runner import EngineInterrupted
+from repro.engine.runner import BATCHED, PER_EVENT, EngineInterrupted
 from repro.exceptions import ClockError, ComputationError, EngineError
 from repro.online.adaptive import WindowedPopularityMechanism
 
@@ -579,6 +582,48 @@ class TestEnginePipelines:
         batched = run_engine(EngineConfig(pipeline="batched", **base))
         assert batched.fingerprint() == per_event.fingerprint()
 
+    @given(
+        scenario=st.sampled_from(["hot-object-drift", "phase-change"]),
+        window=st.integers(1, 120),
+        chunk_size=st.integers(5, 80),
+        epoch_every=st.one_of(st.none(), st.integers(3, 70)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_window_run_resumes_across_pipelines(
+        self, scenario, window, chunk_size, epoch_every, seed
+    ):
+        # An imposed window caps insert runs at the room left in it, so
+        # window, chunk and epoch boundaries interleave arbitrarily.  A
+        # run interrupted mid-window under one pipeline and resumed under
+        # the other must land on the uninterrupted fingerprint.  (400
+        # inserts over 2 shards: some shard always completes a chunk.)
+        config = EngineConfig(
+            scenario=scenario,
+            num_threads=12,
+            num_objects=12,
+            density=0.2,
+            num_events=400,
+            seed=seed,
+            num_shards=2,
+            chunk_size=chunk_size,
+            window=window,
+            epoch_every=epoch_every,
+            mechanisms=("naive", "adaptive-popularity", "epoch-hybrid"),
+        )
+        reference = run_engine(config).fingerprint()
+        for first, then in ((PER_EVENT, BATCHED), (BATCHED, PER_EVENT)):
+            with tempfile.TemporaryDirectory() as directory:
+                checkpointed = dataclasses.replace(config, checkpoint_dir=directory)
+                with pytest.raises(EngineInterrupted):
+                    run_engine(
+                        dataclasses.replace(
+                            checkpointed, pipeline=first, max_chunks_per_shard=1
+                        )
+                    )
+                resumed = run_engine(dataclasses.replace(checkpointed, pipeline=then))
+            assert resumed.fingerprint() == reference, (first, then)
+
     def test_interrupt_resume_mid_chunk_batched(self, tmp_path):
         reference = run_engine(EngineConfig(**MATRIX_CONFIG))
         config = EngineConfig(
@@ -750,30 +795,27 @@ class TestMaxAgePrune:
 # ---------------------------------------------------------------------------
 class TestCli:
     def test_engine_run_pipeline_backend_timestamps(self, capsys):
+        # The CLI's batched run prints the fingerprint of the per-event
+        # python-backend run of the same configuration.
         code = main(
             [
                 "engine", "run", "--scenario", "thread-churn",
                 "--events", "400", "--nodes", "15", "--shards", "2",
                 "--chunk-size", "100", "--mechanisms", "naive",
-                "--pipeline", "per-event", "--backend", "python",
                 "--timestamps",
-            ]
-        )
-        out_per_event = capsys.readouterr().out
-        assert code == 0
-        code = main(
-            [
-                "engine", "run", "--scenario", "thread-churn",
-                "--events", "400", "--nodes", "15", "--shards", "2",
-                "--chunk-size", "100", "--mechanisms", "naive",
-                "--pipeline", "batched", "--timestamps",
             ]
         )
         out_batched = capsys.readouterr().out
         assert code == 0
-        fp_a = [l for l in out_per_event.splitlines() if "fingerprint" in l]
-        fp_b = [l for l in out_batched.splitlines() if "fingerprint" in l]
-        assert fp_a == fp_b
+        per_event = run_engine(
+            EngineConfig(
+                scenario="thread-churn", num_threads=15, num_objects=15,
+                num_events=400, num_shards=2, chunk_size=100,
+                mechanisms=("naive",), timestamps=True,
+                pipeline="per-event", backend="python",
+            )
+        )
+        assert f"fingerprint: {per_event.fingerprint()}" in out_batched
 
     def test_engine_run_rejects_numpy_without_numpy(self, capsys, monkeypatch):
         monkeypatch.setattr(kernel_module, "_np", None)
@@ -787,16 +829,19 @@ class TestCli:
         assert "numpy is not importable" in capsys.readouterr().err
 
     def test_sweep_ratio_backend(self, capsys):
-        code = main(
-            [
-                "sweep", "ratio", "--scenario", "thread-churn",
-                "--trials", "1", "--nodes", "10", "--density", "0.2",
-                "--events", "150", "--burn-in", "30", "--tail", "30",
-                "--backend", "python",
-            ]
-        )
-        assert code == 0
-        assert "ratio-sweep-thread-churn" in capsys.readouterr().out
+        # A ratio is a size quotient: the sweep mints no stamps, so it
+        # has no kernel backend to pin and rejects the flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "sweep", "ratio", "--scenario", "thread-churn",
+                    "--trials", "1", "--nodes", "10", "--density", "0.2",
+                    "--events", "150", "--burn-in", "30", "--tail", "30",
+                    "--backend", "python",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_engine_clean_max_age(self, tmp_path, capsys):
         config = EngineConfig(

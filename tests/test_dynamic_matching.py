@@ -17,7 +17,6 @@ from repro.exceptions import GraphError
 from repro.graph import (
     BipartiteGraph,
     DynamicMatching,
-    IncrementalMatching,
     chain_bipartite,
     hopcroft_karp_matching,
     is_maximum_matching,
@@ -256,12 +255,3 @@ def test_sliding_window_optimum_can_shrink():
     events = [("T0", "O0"), ("T1", "O1"), ("T2", "O2")]
     assert sliding_window_optimum_trajectory(events, window=1) == (1, 1, 1)
     assert sliding_window_optimum_trajectory(events, window=3) == (1, 2, 3)
-
-
-# ---------------------------------------------------------------------------
-# Backward compatibility
-# ---------------------------------------------------------------------------
-def test_incremental_matching_is_the_append_only_view():
-    assert issubclass(IncrementalMatching, DynamicMatching)
-    engine = IncrementalMatching([("T0", "O0"), ("T1", "O0")])
-    assert engine.optimal_size_trajectory() == (1, 1)

@@ -3,7 +3,7 @@
 The engine's whole value is one guarantee: a run's merged metrics are a
 pure function of its configuration - independent of worker count,
 backend, and interrupt/resume history.  Most tests here attack that
-guarantee from a different angle (executor parallelism, checkpoint
+guarantee from a different angle (worker-pool parallelism, checkpoint
 cycles, per-shard reference reconstruction); the rest cover the
 subsystem's parts (sharder, mergeable partials, seed derivation) in
 isolation.
@@ -26,12 +26,11 @@ from repro.engine import (
     PartialResult,
     ROUND_ROBIN,
     SeriesFragment,
-    ShardExecutor,
     StreamSharder,
-    execute_tasks,
+    WorkerPool,
     merge_partials,
     run_engine,
-    run_shard,
+    run_shard_group,
     stable_vertex_hash,
 )
 from repro.engine.checkpoint import EngineCheckpointManager
@@ -225,16 +224,16 @@ class TestPartialResults:
 # ---------------------------------------------------------------------------
 class TestExecutor:
     def test_serial_preserves_task_order(self):
-        assert execute_tasks(lambda x: x * x, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert WorkerPool(1).map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(EngineError):
-            ShardExecutor(-1)
+            WorkerPool(-1)
         with pytest.raises(EngineError):
-            execute_tasks(lambda x: x, [1], jobs=-2)
+            run_engine(dataclasses.replace(BASE_CONFIG, workers=-2))
 
     def test_parallel_preserves_task_order(self):
-        assert execute_tasks(splitmix64, list(range(6)), jobs=2) == [
+        assert WorkerPool(2).map(splitmix64, list(range(6))) == [
             splitmix64(i) for i in range(6)
         ]
 
@@ -257,8 +256,8 @@ BASE_CONFIG = EngineConfig(
 
 class TestEngineDeterminism:
     def test_parallel_jobs_match_serial_bit_for_bit(self):
-        serial = run_engine(BASE_CONFIG, jobs=1)
-        parallel = run_engine(BASE_CONFIG, jobs=3)
+        serial = run_engine(BASE_CONFIG)
+        parallel = run_engine(dataclasses.replace(BASE_CONFIG, workers=3))
         assert serial.fingerprint() == parallel.fingerprint()
         assert serial.partial == parallel.partial
 
@@ -279,8 +278,8 @@ class TestEngineDeterminism:
     def test_round_robin_strategy_is_deterministic_too(self):
         config = dataclasses.replace(BASE_CONFIG, strategy=ROUND_ROBIN)
         assert (
-            run_engine(config, jobs=1).fingerprint()
-            == run_engine(config, jobs=2).fingerprint()
+            run_engine(config).fingerprint()
+            == run_engine(dataclasses.replace(config, workers=2)).fingerprint()
         )
 
     def test_windowed_insert_only_scenario_runs(self):
@@ -291,7 +290,10 @@ class TestEngineDeterminism:
         assert result.inserts == config.num_events
         # The window expires one insert per insert once full, per shard.
         assert result.expires > 0
-        assert run_engine(config, jobs=2).fingerprint() == result.fingerprint()
+        assert (
+            run_engine(dataclasses.replace(config, workers=2)).fingerprint()
+            == result.fingerprint()
+        )
 
     def test_offline_series_is_a_lower_bound_per_shard(self):
         result = run_engine(BASE_CONFIG)
@@ -332,7 +334,7 @@ class TestEngineValidation:
 
     def test_shard_id_bounds(self):
         with pytest.raises(EngineError):
-            run_shard(BASE_CONFIG, BASE_CONFIG.num_shards)
+            run_shard_group(BASE_CONFIG, (BASE_CONFIG.num_shards,))
 
 
 class TestCheckpointResume:
@@ -355,7 +357,8 @@ class TestCheckpointResume:
         config = self._checkpointed(tmp_path)
         with pytest.raises(EngineInterrupted):
             run_engine(dataclasses.replace(config, max_chunks_per_shard=1))
-        assert run_engine(config, jobs=2).fingerprint() == reference.fingerprint()
+        resumed = run_engine(dataclasses.replace(config, workers=2))
+        assert resumed.fingerprint() == reference.fingerprint()
 
     def test_completed_run_reloads_from_checkpoints(self, tmp_path):
         config = self._checkpointed(tmp_path)
@@ -388,9 +391,9 @@ class TestEngineCli:
             "--nodes", "12", "--shards", "3", "--chunk-size", "100"]
 
     def test_engine_run_prints_deterministic_report(self, capsys):
-        assert main(self.ARGS + ["--jobs", "1"]) == 0
+        assert main(self.ARGS + ["--workers", "1"]) == 0
         first = capsys.readouterr().out
-        assert main(self.ARGS + ["--jobs", "2"]) == 0
+        assert main(self.ARGS + ["--workers", "2"]) == 0
         second = capsys.readouterr().out
         assert first == second
         assert "fingerprint:" in first

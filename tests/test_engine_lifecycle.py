@@ -1,7 +1,7 @@
 """The sharded engine with the mechanism lifecycle switched on.
 
 Asserts that the engine's headline determinism contract survives the
-lifecycle extension (``--jobs N`` bit-identity with adaptive mechanisms,
+lifecycle extension (``--workers N`` bit-identity with adaptive mechanisms,
 epoch ticks and checkpoints), that the new per-shard retirement / epoch
 counters merge correctly into :class:`~repro.engine.results.PartialResult`,
 that the mergeable quantile sketch restores cross-shard percentiles, and
@@ -35,26 +35,26 @@ ADAPTIVE_CONFIG = EngineConfig(
 
 class TestAdaptiveEngineDeterminism:
     def test_parallel_jobs_bit_identical_with_adaptive_mechanisms(self):
-        serial = run_engine(ADAPTIVE_CONFIG, jobs=1)
-        parallel = run_engine(ADAPTIVE_CONFIG, jobs=2)
+        serial = run_engine(ADAPTIVE_CONFIG)
+        parallel = run_engine(dataclasses.replace(ADAPTIVE_CONFIG, workers=2))
         assert serial.fingerprint() == parallel.fingerprint()
         assert serial.partial == parallel.partial
 
     def test_interrupt_resume_with_lifecycle_state(self, tmp_path):
         """Adaptive mechanism state (live counts, DynamicMatching) pickles
         through checkpoints and resumes to the uninterrupted fingerprint."""
-        baseline = run_engine(ADAPTIVE_CONFIG, jobs=1)
+        baseline = run_engine(ADAPTIVE_CONFIG)
         checkpointed = dataclasses.replace(
             ADAPTIVE_CONFIG,
             checkpoint_dir=str(tmp_path / "ck"),
             max_chunks_per_shard=1,
         )
         with pytest.raises(EngineInterrupted):
-            run_engine(checkpointed, jobs=1)
+            run_engine(checkpointed)
         resumed = dataclasses.replace(
             ADAPTIVE_CONFIG, checkpoint_dir=str(tmp_path / "ck")
         )
-        assert run_engine(resumed, jobs=1).fingerprint() == baseline.fingerprint()
+        assert run_engine(resumed).fingerprint() == baseline.fingerprint()
 
     def test_epoch_every_is_part_of_the_signature(self):
         without = dataclasses.replace(ADAPTIVE_CONFIG, epoch_every=None)
@@ -72,7 +72,7 @@ class TestAdaptiveEngineDeterminism:
 class TestLifecycleCounters:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_engine(ADAPTIVE_CONFIG, jobs=1)
+        return run_engine(ADAPTIVE_CONFIG)
 
     def test_epoch_boundaries_are_counted(self, result):
         # Each shard ticks every 150 of its own inserts; 2400 inserts over
@@ -103,7 +103,7 @@ class TestLifecycleCounters:
 class TestCrossShardPercentiles:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_engine(ADAPTIVE_CONFIG, jobs=1)
+        return run_engine(ADAPTIVE_CONFIG)
 
     def test_sketch_counts_match_moment_counts(self, result):
         for label in ("popularity", "adaptive-popularity", "epoch-hybrid"):
@@ -138,8 +138,8 @@ class TestCrossShardPercentiles:
             epoch_every=100,
             mechanisms=("popularity", "adaptive-popularity"),
         )
-        serial = run_engine(config, jobs=1)
-        parallel = run_engine(config, jobs=2)
+        serial = run_engine(config)
+        parallel = run_engine(dataclasses.replace(config, workers=2))
         assert serial.fingerprint() == parallel.fingerprint()
         assert serial.retired_components("adaptive-popularity") > 0
 
@@ -156,10 +156,11 @@ class TestCrossShardPercentiles:
             chunk_size=400,
             mechanisms=("popularity", "epoch-hybrid"),
         )
-        result = run_engine(config, jobs=1)
+        result = run_engine(config)
         # 3 interior phase boundaries (default 4 phases) x 3 shards.
         assert result.epochs == 9
-        assert run_engine(config, jobs=2).fingerprint() == result.fingerprint()
+        pooled = run_engine(dataclasses.replace(config, workers=2))
+        assert pooled.fingerprint() == result.fingerprint()
 
     def test_insert_less_shards_still_count_broadcast_epochs(self):
         """A shard that receives only markers must still tick its epochs.
@@ -180,9 +181,10 @@ class TestCrossShardPercentiles:
             chunk_size=100,
             mechanisms=("popularity", "epoch-hybrid"),
         )
-        result = run_engine(config, jobs=1)
+        result = run_engine(config)
         assert result.epochs == 3 * 6
-        assert run_engine(config, jobs=3).fingerprint() == result.fingerprint()
+        pooled = run_engine(dataclasses.replace(config, workers=3))
+        assert pooled.fingerprint() == result.fingerprint()
 
     def test_engine_finals_match_per_shard_one_pass_with_adaptive(self):
         """Per-shard engine finals == the serial one-pass driver's finals.
@@ -193,7 +195,7 @@ class TestCrossShardPercentiles:
         retire components (the count-0 lifecycle-fragment path).
         """
         from repro.computation import REGISTRY, STREAM
-        from repro.engine.runner import run_shard
+        from repro.engine.runner import run_shard_group
         from repro.engine.sharding import StreamSharder
         from repro.online import compare_mechanisms_on_stream, seed_mechanism_factories
         from repro.analysis.experiments import EXTENDED_MECHANISMS
@@ -202,7 +204,7 @@ class TestCrossShardPercentiles:
         config = ADAPTIVE_CONFIG
         scenario = REGISTRY.get(config.scenario, kind=STREAM)
         for shard_id in range(config.num_shards):
-            partial = run_shard(config, shard_id)
+            partial = run_shard_group(config, (shard_id,))[shard_id]
             stream = scenario.build(
                 config.num_threads,
                 config.num_objects,

@@ -1,8 +1,9 @@
 """Tests for the worker-pooled engine: shard groups, the pool, identity.
 
-The worker-pooled mode rearranges *where* shards run - contiguous shard
-groups, one stream pass per pool worker - without being allowed to touch
-*what* they compute.  These tests attack that boundary from every layer:
+The engine's one schedule rearranges *where* shards run - contiguous
+shard groups, one stream pass per worker - without being allowed to
+touch *what* they compute.  These tests attack that boundary from every
+layer:
 
 * :func:`plan_shard_groups` / :class:`ShardGroup` - the deterministic
   balanced partition whose flattening must recover shard-id order;
@@ -14,11 +15,11 @@ groups, one stream pass per pool worker - without being allowed to touch
   preserved across the process boundary), dead-worker detection;
 * ``run_engine(workers=w)`` - the hypothesis property that every
   registered stream scenario, on every available kernel backend, merges
-  to a fingerprint bit-identical to serial for any pool size, plus
+  to a fingerprint bit-identical to one worker for any pool size, plus
   interrupt/resume cycles that *cross* worker counts (checkpoint written
-  at ``workers=4``, resumed at ``workers=1``, and jobs-mode crossings);
+  at ``workers=4``, resumed at ``workers=1``, and the reverse);
 * the CLI ``--workers`` surface and the telemetry invariants (counters
-  identical across scheduling modes; pool gauges present).
+  identical across worker counts; pool gauges present).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.engine import (
     WorkerPool,
     plan_shard_groups,
     run_engine,
-    run_shard,
     run_shard_group,
 )
 from repro.engine.results import merge_partials
@@ -330,7 +330,7 @@ _serial_fingerprints = {}
 def _serial_fingerprint(config):
     key = (config.scenario, config.backend, config.seed)
     if key not in _serial_fingerprints:
-        _serial_fingerprints[key] = run_engine(config, jobs=1).fingerprint()
+        _serial_fingerprints[key] = run_engine(config).fingerprint()
     return _serial_fingerprints[key]
 
 
@@ -360,15 +360,15 @@ class TestWorkersFingerprintIdentity:
 
     def test_group_partials_equal_per_shard_partials(self):
         # One level down from the fingerprint: the group task's per-shard
-        # partials are the same objects run_shard would have produced.
+        # partials are the same objects a one-shard group produces.
         config = _config("thread-churn", None, 77)
         grouped = run_shard_group(config, (0, 1, 2))
         for shard_id in range(3):
-            assert grouped[shard_id] == run_shard(config, shard_id)
+            assert grouped[shard_id] == run_shard_group(config, (shard_id,))[shard_id]
         merged = merge_partials(
             [grouped[shard_id] for shard_id in range(3)]
         )
-        assert merged == run_engine(config, jobs=1).partial
+        assert merged == run_engine(config).partial
 
     def test_workers_above_shards_clamp_in_run_engine(self):
         config = _config("thread-churn", None, 5)
@@ -376,11 +376,6 @@ class TestWorkersFingerprintIdentity:
             run_engine(replace(config, workers=9)).fingerprint()
             == _serial_fingerprint(config)
         )
-
-    def test_workers_and_jobs_are_mutually_exclusive(self):
-        config = _config("thread-churn", None, 5, workers=2)
-        with pytest.raises(EngineError, match="workers"):
-            run_engine(config, jobs=2)
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(EngineError, match="workers"):
@@ -404,7 +399,7 @@ class TestResumeAcrossWorkerCounts:
     )
 
     def _reference(self):
-        return run_engine(self.BASE, jobs=1).fingerprint()
+        return run_engine(self.BASE).fingerprint()
 
     def test_checkpoint_at_workers_4_resumes_at_workers_1(self, tmp_path):
         interrupted = replace(
@@ -443,17 +438,20 @@ class TestResumeAcrossWorkerCounts:
         assert resumed.fingerprint() == self._reference()
 
     def test_jobs_checkpoint_resumes_under_workers(self, tmp_path):
+        # A checkpoint written in-process (one worker) resumes on a pool.
         interrupted = replace(
             self.BASE, checkpoint_dir=str(tmp_path), max_chunks_per_shard=1
         )
         with pytest.raises(EngineInterrupted):
-            run_engine(interrupted, jobs=1)
+            run_engine(interrupted)
         resumed = run_engine(
             replace(self.BASE, checkpoint_dir=str(tmp_path), workers=2)
         )
         assert resumed.fingerprint() == self._reference()
 
     def test_workers_checkpoint_resumes_under_jobs(self, tmp_path):
+        # A checkpoint written on a pool resumes in-process, with every
+        # shard resumed by a one-shard group of its own.
         interrupted = replace(
             self.BASE,
             checkpoint_dir=str(tmp_path),
@@ -462,10 +460,13 @@ class TestResumeAcrossWorkerCounts:
         )
         with pytest.raises(EngineInterrupted):
             run_engine(interrupted)
-        resumed = run_engine(
-            replace(self.BASE, checkpoint_dir=str(tmp_path)), jobs=1
-        )
-        assert resumed.fingerprint() == self._reference()
+        config = replace(self.BASE, checkpoint_dir=str(tmp_path))
+        partials = [
+            run_shard_group(config, (shard_id,))[shard_id]
+            for shard_id in range(config.num_shards)
+        ]
+        assert merge_partials(partials) == run_engine(self.BASE).partial
+        assert run_engine(config).fingerprint() == self._reference()
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +488,11 @@ class TestWorkersCli:
         assert "workers=2" in captured.err
 
     def test_workers_with_jobs_fails_cleanly(self, capsys):
-        code = main(self.ARGS + ["--workers", "2", "--jobs", "2"])
-        assert code != 0
+        # --workers is the one scheduling knob; the old --jobs is gone.
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--workers", "2", "--jobs", "2"])
+        assert exit_info.value.code != 0
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestWorkersTelemetry:
@@ -503,28 +507,32 @@ class TestWorkersTelemetry:
         chunk_size=100,
     )
 
-    def _registry_for(self, **run_kwargs):
+    def _registry_for(self, workers, pipeline="batched"):
         registry = enable(MetricsRegistry(origin="engine"))
         try:
-            if "workers" in run_kwargs:
-                run_engine(
-                    replace(self.CONFIG, workers=run_kwargs["workers"])
-                )
-            else:
-                run_engine(self.CONFIG, jobs=run_kwargs.get("jobs", 1))
+            run_engine(replace(self.CONFIG, workers=workers, pipeline=pipeline))
         finally:
             disable()
         return registry
 
     def test_counters_identical_across_scheduling_modes(self):
-        # Counters describe the logical run, never the physical schedule
-        # - the same invariant the jobs modes honour, extended to pools.
-        serial = self._registry_for(jobs=1).counters()
-        assert self._registry_for(workers=1).counters() == serial
-        assert self._registry_for(workers=2).counters() == serial
+        # Counters describe the logical run, never the physical schedule:
+        # identical across worker counts, and the per-event pipeline
+        # routes the same events to the same shards.
+        serial = self._registry_for(1).counters()
+        assert self._registry_for(2).counters() == serial
+        assert self._registry_for(4).counters() == serial
+        per_event = self._registry_for(1, pipeline="per-event").counters()
+        assert {
+            name: value for name, value in per_event.items()
+            if name.startswith("sharder.")
+        } == {
+            name: value for name, value in serial.items()
+            if name.startswith("sharder.")
+        }
 
     def test_pool_and_shard_telemetry_present(self):
-        registry = self._registry_for(workers=2)
+        registry = self._registry_for(2)
         gauges = registry.gauges()
         assert gauges["pool.workers"] == 2
         assert gauges["engine.workers"] == 2

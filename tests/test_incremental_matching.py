@@ -3,7 +3,7 @@
 Two independent cross-checks of the new hot paths against the slow,
 trusted implementations:
 
-* :class:`~repro.graph.incremental.IncrementalMatching` must agree with a
+* :class:`~repro.graph.incremental.DynamicMatching` must agree with a
   from-scratch maximum matching on *every prefix* of every reveal order -
   the property that makes the offline-optimum trajectory exact;
 * the array-backed :class:`~repro.core.kernel.ClockKernel` must produce
@@ -22,7 +22,7 @@ from repro.computation import Computation
 from repro.core import ClockComponents, Timestamp, VectorClockProtocol
 from repro.graph import (
     BipartiteGraph,
-    IncrementalMatching,
+    DynamicMatching,
     chain_bipartite,
     hopcroft_karp_matching,
     incremental_optimum_trajectory,
@@ -58,12 +58,12 @@ pair_sequences = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# IncrementalMatching vs from-scratch matching
+# Append-only DynamicMatching vs from-scratch matching
 # ---------------------------------------------------------------------------
 @SETTINGS
 @given(edge_sequences)
 def test_incremental_size_matches_from_scratch_at_every_prefix(edges):
-    engine = IncrementalMatching()
+    engine = DynamicMatching()
     prefix = BipartiteGraph()
     for thread, obj in edges:
         engine.add_edge(thread, obj)
@@ -78,7 +78,7 @@ def test_incremental_size_matches_from_scratch_at_every_prefix(edges):
 @SETTINGS
 @given(edge_sequences)
 def test_incremental_matching_is_valid_and_maximum(edges):
-    engine = IncrementalMatching(edges)
+    engine = DynamicMatching(edges)
     matching = engine.matching()
     validate_matching(engine.graph, matching)
     assert is_maximum_matching(engine.graph, matching)
@@ -111,7 +111,7 @@ def test_incremental_handles_long_chains_iteratively():
     graph = chain_bipartite(4_000)
     edges = list(graph.edges())
     random.Random(5).shuffle(edges)
-    engine = IncrementalMatching(edges)
+    engine = DynamicMatching(edges)
     assert engine.size == 2_000
     assert engine.size == optimal_clock_size(graph)
 

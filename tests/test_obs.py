@@ -2,7 +2,7 @@
 
 The load-bearing property is the last test class: fingerprints must be
 *bit-identical* with and without an installed registry, across every
-pipeline/backend/jobs combination - telemetry is observed, never
+pipeline/backend/workers combination - telemetry is observed, never
 observed-from.  Everything else (counter arithmetic, snapshot merging,
 the three export formats) supports that contract's operator surface.
 """
@@ -60,9 +60,9 @@ class TestRegistry:
 
     def test_gauges_last_write_wins(self):
         registry = MetricsRegistry()
-        registry.gauge("engine.jobs", 2)
-        registry.gauge("engine.jobs", 4)
-        assert registry.gauge_value("engine.jobs") == 4.0
+        registry.gauge("engine.workers", 2)
+        registry.gauge("engine.workers", 4)
+        assert registry.gauge_value("engine.workers") == 4.0
         assert registry.gauge_value("missing", -1.0) == -1.0
 
     def test_histogram_percentiles(self):
@@ -243,10 +243,10 @@ def populated_registry():
     registry.add("kernel.array_cache.misses", 10)
     registry.add("kernel.batch.array_events", 80)
     registry.add("kernel.batch.python_events", 20)
-    registry.gauge("engine.jobs", 2)
+    registry.gauge("engine.workers", 2)
     for value in range(1, 11):
         registry.observe("engine.chunk_s", value / 10.0)
-    with registry.span("engine.map", jobs=2):
+    with registry.span("engine.map", workers=2):
         pass
     worker = MetricsRegistry(origin="shard-0")
     with worker.span("engine.chunk", shard=0):
@@ -341,13 +341,15 @@ BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
 class TestFingerprintIdentity:
     @pytest.mark.parametrize("pipeline", ["per-event", "batched"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_metrics_on_off_identical(self, pipeline, backend, jobs):
-        config = dataclasses.replace(BASE_CONFIG, pipeline=pipeline, backend=backend)
-        baseline = run_engine(config, jobs=jobs)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_metrics_on_off_identical(self, pipeline, backend, workers):
+        config = dataclasses.replace(
+            BASE_CONFIG, pipeline=pipeline, backend=backend, workers=workers
+        )
+        baseline = run_engine(config)
         registry = enable(MetricsRegistry(origin="engine"))
         try:
-            instrumented = run_engine(config, jobs=jobs)
+            instrumented = run_engine(config)
         finally:
             disable()
         assert instrumented.fingerprint() == baseline.fingerprint()
@@ -357,21 +359,21 @@ class TestFingerprintIdentity:
 
     def test_telemetry_is_jobs_independent(self):
         # Counters describe the logical run, not the physical schedule:
-        # serial and parallel executions observe identical counts.
-        def counters_for(jobs):
+        # in-process and pooled executions observe identical counts.
+        def counters_for(workers):
             registry = enable(MetricsRegistry(origin="engine"))
             try:
-                run_engine(BASE_CONFIG, jobs=jobs)
+                run_engine(dataclasses.replace(BASE_CONFIG, workers=workers))
             finally:
                 disable()
             return registry.counters()
 
-        assert counters_for(1) == counters_for(2)
+        assert counters_for(1) == counters_for(2) == counters_for(3)
 
     def test_per_shard_event_counters_cover_the_stream(self):
         registry = enable(MetricsRegistry(origin="engine"))
         try:
-            result = run_engine(BASE_CONFIG, jobs=1)
+            result = run_engine(BASE_CONFIG)
         finally:
             disable()
         shard_events = sum(

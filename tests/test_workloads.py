@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.computation import (
@@ -41,6 +46,28 @@ class TestTraceFromGraph:
         graph = uniform_bipartite(4, 4, 0.5, seed=3)
         trace = trace_from_graph(graph, shuffle=False)
         assert trace.num_events == graph.num_edges
+
+    def test_seeded_trace_ignores_hash_seed(self):
+        # Set iteration order follows PYTHONHASHSEED; the seeded trace
+        # must not, so two interpreters with different hash seeds agree.
+        script = (
+            "from repro.computation import trace_from_graph\n"
+            "from repro.graph import uniform_bipartite\n"
+            "graph = uniform_bipartite(12, 12, 0.3, seed=4)\n"
+            "print(trace_from_graph(graph, operations_per_edge=2, seed=7).to_pairs())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestRandomTrace:
