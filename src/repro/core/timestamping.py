@@ -565,8 +565,9 @@ class EpochClock:
         events: the gate guarantees each live event keeps the component
         whose slot its stamping incremented (its mint-time *marker*),
         marker values are untouched by projection and monotone under
-        future merges, and the dropped clocks of non-live endpoints
-        influence nothing a replay would have kept.  Projected stamp
+        future merges, and the dropped clocks (endpoints with no live
+        event that own no surviving component) hold only history older
+        than every live event.  Projected stamp
         *values* are however not the replayed values (replay
         renormalises to the live window; projection keeps pre-rotation
         magnitudes), so the strategies are verdict- and token-identical
@@ -599,10 +600,13 @@ class EpochClock:
         registry = _metrics_active()
         if use_delta:
             tokens = list(self._live_pairs)
+            # A surviving component keeps its clock even with no live
+            # event: its slot keeps its pre-rotation magnitude in other
+            # live clocks, so restarting it from zero would reissue values.
             projected = self._kernel.rotate_epoch_delta(
                 new_components,
-                live_threads,
-                live_objects,
+                live_threads | new_components.thread_components,
+                live_objects | new_components.object_components,
                 [self._live_stamps[token] for token in tokens],
             )
             self._live_stamps = dict(zip(tokens, projected))

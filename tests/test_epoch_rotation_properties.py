@@ -1,6 +1,6 @@
 """Property tests for PR 10's incremental epoch-rotation paths.
 
-Three families of randomized evidence back the delta-rotation and
+Four families of randomized evidence back the delta-rotation and
 cover-repair fast paths:
 
 * **delta == replay** - on arbitrary churn streams the ``"delta"``
@@ -14,6 +14,10 @@ cover-repair fast paths:
   (while live stamps still hold unmaterialised projection chains) and
   resuming from the pickle changes nothing: the resumed run issues the
   same tokens and verdicts as the uninterrupted replay baseline.
+* **array-minted stamps** - a numpy clock stamping whole batches keeps
+  tokens and live-pair verdicts equal to the invariant-checking python
+  oracle through extensions, partial pure retirements and a pickle
+  round-trip.
 * **repaired covers == from-scratch covers** - under random interleaved
   add/remove churn (duplicate edges and multiplicity deletion included),
   the persistent :class:`DynamicMatching`'s incrementally repaired
@@ -28,15 +32,19 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.components import ClockComponents
 from repro.core.kernel import (
+    NumpyKernelBackend,
     default_backend_override,
     numpy_available,
     set_default_backend,
 )
+from repro.core.timestamping import EpochClock
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.incremental import DynamicMatching
 from repro.graph.matching import maximum_matching
 from repro.graph.vertex_cover import konig_vertex_cover, validate_vertex_cover
+from repro.obs.registry import MetricsRegistry, install as obs_install
 from repro.online.adaptive import LifecycleClockDriver, WindowedPopularityMechanism
 
 requires_numpy = pytest.mark.skipif(
@@ -138,6 +146,122 @@ def test_delta_rotation_survives_interrupt_resume(pairs, window, data):
     )
     reference = drive(pairs, window, "replay")
     assert drive(pairs, window, "delta", pickle_at=pickle_at) == reference
+
+
+#: Clock operations over array-minted stamps: batches long enough for
+#: the numpy backend's array loop, single-component extensions, pure
+#: retirements (the mask picks which dead components go) and a pickle
+#: round-trip of the numpy clock.  The ID space is wide against the
+#: window, so most batches leave dead components to retire.
+WIDE_THREADS = [f"T{i}" for i in range(16)]
+WIDE_OBJECTS = [f"O{i}" for i in range(16)]
+batch_pairs = st.lists(
+    st.tuples(st.sampled_from(WIDE_THREADS), st.sampled_from(WIDE_OBJECTS)),
+    min_size=16,
+    max_size=32,
+)
+clock_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), batch_pairs),
+        st.tuples(st.just("extend"), st.sampled_from(WIDE_THREADS + WIDE_OBJECTS)),
+        st.tuples(st.just("rotate"), st.integers(min_value=1, max_value=255)),
+        st.tuples(st.just("pickle"), st.none()),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _pure_retirement(components, live, mask):
+    """``components`` minus the dead ones ``mask`` selects (or ``None``)."""
+    endpoints = {vertex for pair in live for vertex in pair}
+    dead = [c for c in components.ordered if c not in endpoints]
+    retire = {c for i, c in enumerate(dead) if mask >> (i % 8) & 1}
+    if not retire:
+        return None
+    return ClockComponents(
+        [c for c in components.ordered
+         if c in components.thread_components and c not in retire],
+        [c for c in components.ordered
+         if c in components.object_components and c not in retire],
+    )
+
+
+@requires_numpy
+@SETTINGS
+@given(clock_ops, st.integers(min_value=2, max_value=12))
+def test_numpy_batches_survive_extend_rotate_and_pickle(ops, window):
+    """Array-minted stamps through extension, delta rotation and pickling.
+
+    A numpy ``EpochClock`` stamps whole batches (resident-array stamps),
+    then extends, rotates by pure retirement and round-trips through
+    ``pickle`` over those stamps.  Tokens and every live-pair verdict
+    must equal a ``check_invariant=True`` python clock (replay plus the
+    re-timestamping proof) fed the same operations.
+    """
+    registry = MetricsRegistry(origin="test-numpy-lifecycle")
+    previous = obs_install(registry)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            # Small clocks would otherwise take the python fallback loop.
+            patch.setattr(NumpyKernelBackend, "MIN_ARRAY_DIM_MINT", 0)
+            fast = EpochClock(backend="numpy")
+            oracle = EpochClock(check_invariant=True, backend="python")
+            live = []
+            for op, arg in ops:
+                if op == "batch":
+                    covered = fast.components
+                    missing = tuple(dict.fromkeys(
+                        thread for thread, obj in arg
+                        if not covered.covers_pair(thread, obj)
+                    ))
+                    for clock in (fast, oracle):
+                        clock.extend(thread_components=missing)
+                    tokens = fast.observe_batch(arg)
+                    assert oracle.observe_batch(arg) == tokens
+                    live.extend(arg)
+                    while len(live) > window:
+                        pair = live.pop(0)
+                        assert fast.expire(*pair) == oracle.expire(*pair)
+                elif op == "extend":
+                    side = "thread_components" if arg in WIDE_THREADS else "object_components"
+                    for clock in (fast, oracle):
+                        clock.extend(**{side: (arg,)})
+                elif op == "rotate":
+                    new = _pure_retirement(fast.components, live, arg)
+                    if new is not None:
+                        assert fast.rotate(new) == oracle.rotate(new)
+                else:
+                    fast = pickle.loads(pickle.dumps(fast))
+                alive = fast.live_tokens()
+                assert alive == oracle.live_tokens()
+                pairs = [
+                    (a, b) for i, a in enumerate(alive) for b in alive[i + 1:]
+                ]
+                assert [fast.relation(a, b) for a, b in pairs] == [
+                    oracle.relation(a, b) for a, b in pairs
+                ]
+    finally:
+        obs_install(previous)
+    if any(op == "batch" for op, _ in ops):
+        assert dict(registry.counters()).get("kernel.batch.array_batches", 0) > 0
+
+
+def test_delta_rotation_keeps_clock_of_dead_surviving_component():
+    """A component with no live event keeps counting across a rotation.
+
+    T1 survives the rotation but none of its events is live.  Its slot
+    still holds T1's pre-rotation count inside O0's clock, so T1's next
+    event must continue from that count, not restart at one (which made
+    it look older than the live event on O0).
+    """
+    clock = EpochClock(ClockComponents(["T0", "T1", "T2"]))
+    clock.observe("T1", "O0")
+    seen = clock.observe("T0", "O0")
+    clock.expire("T1", "O0")
+    clock.rotate(ClockComponents(["T0", "T1"]))
+    fresh = clock.observe("T1", "O1")
+    assert clock.relation(seen, fresh) == "concurrent"
 
 
 matching_ops = st.lists(
