@@ -29,10 +29,12 @@ identical instrumentation, so the head-to-head stays fair, and the
 cyclic GC is disabled around each measured stream (standard latency
 isolation; both arms get the same treatment).
 
-Full-scale footprint: the delta arm keeps lazy projection/extension
-wrappers alive for the whole window (reclaimed on read or expiry), so
-the rotation leg peaks around ~2 GB RSS at the full 32k-ID/4k-window
-scale; the smoke run is a few hundred kilobytes.  Under ``--smoke``
+Full-scale footprint: the delta arm keeps one lazy projection link
+per rotation survived unread alive for the whole window (reclaimed on
+read or expiry; extensions add none), so the rotation leg peaks around
+~2 GB RSS at the full 32k-ID/4k-window scale (at half scale, 16k IDs
+and a 2k window, the delta arm alone peaks at ~590 MB); the smoke run
+is a few hundred kilobytes.  Under ``--smoke``
 the perf bars are skipped (the scales are too small for stable tail
 percentiles - the precedent bench_engine_scaling set) and the leg
 instead asserts the structural facts: every rotation took the expected

@@ -36,6 +36,21 @@ event - :meth:`ClockKernel.rotate_epoch_delta` replaces the replay with
 an ``O(live)`` slot *projection* of the surviving clock vectors;
 ``EpochClock.rotate`` owns the applicability gate and the fallback.
 
+Lazy stamps
+-----------
+Both layout changes are deferred to the first read through one
+:class:`Timestamp` subclass, :class:`_LazyStamp`.  Its source is a
+plain stamp, another lazy stamp, or a numpy resident array; reading
+``_values`` first *lifts* the source from its own layout into the
+link's by counts alone (zero pads after the thread block and at the
+end - exact because, within an epoch, components are only ever
+appended), then applies the link's slot gather if it has one (a
+rotation's projection, compiled once per rotation and shared by every
+stamp it wraps).  Extension wraps each distinct stored stamp in a
+gather-less link; rotation wraps it in a gather link; the numpy backend
+mints gather-less links over its arrays; ``EpochClock`` lifts stale
+ledger stamps the same way.
+
 Backends
 --------
 Per-event :meth:`ClockKernel.observe` pays Python-interpreter overhead
@@ -58,7 +73,7 @@ supplied by a pluggable :class:`KernelBackend`:
   :class:`_ArrayCache` hung off the kernel, so the merge is a single C
   call (``np.maximum``) and a touched entity is converted from tuple
   form at most once per epoch, not once per batch; minted stamps are
-  lazy :class:`_ArrayStamp` handles that materialise an exact
+  lazy stamps over the resident arrays that materialise an exact
   Python-int tuple only on first ``_values`` access, so digest-only
   drivers (the engine's ``timestamps`` mode, the ``advance_batch``
   fold paths, which read their slot values straight off the resident
@@ -117,15 +132,19 @@ NUMPY_BACKEND = "numpy"
 CACHE_SAFE_METHODS = (
     # Component growth is pure append (ClockComponents.extended keeps old
     # threads a prefix of the thread block and old objects a prefix of the
-    # object block), so cached arrays stay valid under the deferred
-    # pad-on-read transform _ArrayCache.sync applies at the next batch;
-    # nothing to invalidate.  The non-append defensive path invalidates
-    # inside _rebase_stamps.
+    # object block): stored stamps only gain gather-less lazy links, whose
+    # values are unchanged, and _ArrayCache.sync drops the arrays of the
+    # old layout at the next batch; nothing to invalidate here.
     "extend_components",
     # Rebinds the slot maps / zero stamp to a component set; it mutates no
     # clock values itself, and every mutating caller (rotate_epoch,
-    # extend_components via _rebase_stamps) owns its cache decision.
+    # rotate_epoch_delta, extend_components) owns its cache decision.
     "_bind_components",
+    # Wraps stored stamps in lazy links that stand for the same clocks in
+    # another layout; the caller owns the cache decision, as for
+    # _bind_components (extend_components: pure append, see above;
+    # rotate_epoch_delta: invalidates).
+    "_relayout_stamps",
 )
 
 #: 64-bit mixing constants of the stamp-digest fold (FNV prime / Knuth).
@@ -169,122 +188,115 @@ def _values_gather(indices: Sequence[int]):
     return itemgetter(*indices)
 
 
-class _ProjectedStamp(Timestamp):
-    """A lazily materialised re-layout of another stamp.
+class _LazyStamp(Timestamp):
+    """A :class:`Timestamp` whose value tuple is built on first read.
 
-    Epoch rotation's slot projection and component extension's zero-pad
-    share this one wrapper: ``_relayout`` maps the *source* stamp's
-    value tuple into this stamp's component layout and runs on first
-    ``_values`` access only, so a stamp that expires before anyone
-    compares or folds it never pays the gather at all - the mechanism
-    that turns an ``O(live · k)`` rotation spike into ``O(live)``
-    wrapper allocations plus read-amortised slot work.
+    One link of a relayout chain.  ``_source`` holds the values the link
+    stands for, in the source's own layout: a plain stamp, another lazy
+    stamp, or a numpy resident array (minted by the numpy backend).
+    ``_born`` is the thread-block length of that source layout (an
+    array's size is its length).  ``_gather`` is ``None`` or a
+    rotation's shared ``(gather, size, threads)``: the compiled
+    :func:`_values_gather` from the pre-rotation layout of ``size``
+    slots and ``threads`` thread slots into this link's layout.
 
-    ``_relayout`` is ``(gather, absent, threads)``: the compiled
-    :func:`_values_gather` into the wrap-time basis, that basis's size
-    (doubling as the absent-reads-zero sentinel - application appends
-    one ``0`` so sentinel indices land on it, which is
-    :func:`rebase_timestamp`'s rule without per-slot dict probes), and
-    its thread-block length.  The source may sit in any *append
-    ancestor* of that basis - the only stale shape lazy extension
-    produces inside an epoch - and materialisation lifts it by counts
-    alone (two zero pads at the block boundaries), so one relayout per
-    rotation serves every live stamp regardless of when each was last
-    touched.
+    Reading ``_values`` first lifts the source into the link's target
+    layout (the pre-rotation one for a gather link, the link's own
+    otherwise) by counts alone - zero pads after the source's thread
+    block and at its end, exact because a source always sits in an
+    append ancestor of that layout - then gathers.  The walk over
+    unmaterialised links is iterative (a stamp that survived a thousand
+    rotations unread must not hit the recursion limit), writes each
+    link's ``_values`` back and releases its source and gather.
 
-    Re-wrapping an unmaterialised wrapper *chains*: the new wrapper's
-    source is the old wrapper, and materialisation walks the chain
-    iteratively, newest-in, oldest-out.  A chain link costs nothing
-    until somebody reads the stamp, and most ledger stamps are never
-    read - they expire out of the window - so the gathers a rotation
-    defers are mostly never paid at all, not merely paid later.
-    The chain's memory is proportional to steps survived unread (a
-    constant-size link per rotation or extension), reclaimed wholesale
-    when the stamp expires or materialises.  Bounding it tighter was
-    tried and rejected: any depth cap must resolve the capped links
-    (composing index maps costs the same ``O(k)`` per link as gathering
-    values), and collapse cohorts are too small to amortise it, so a
-    cap just smears the eager-rotation bill the chain exists to avoid.
-    Like :class:`_ArrayStamp`, the wrapper *is* a :class:`Timestamp`
-    (same comparisons, same accessors) and pickles as the plain
-    materialised stamp it stands for.
+    A chain costs one constant-size link per rotation survived unread
+    and nothing until somebody reads the stamp; most ledger stamps
+    expire unread, so most deferred gathers are never paid at all.
+    Extensions add no depth: a link over an unmaterialised gather-less
+    link points at that link's source instead (see :meth:`_relayout`).
+    Bounding rotation depth was tried and rejected: a depth cap must
+    resolve the capped links (composing index maps costs the same
+    ``O(k)`` per link as gathering values), which smears the
+    eager-rotation bill the chain exists to avoid.  A lazy stamp
+    pickles (and deep-copies) as the plain stamp it stands for, so
+    checkpoints load without numpy.
     """
 
-    __slots__ = ("_source", "_relayout")
+    __slots__ = ("_source", "_born", "_gather")
 
     @classmethod
     def _make(
-        cls, components: ClockComponents, source: Timestamp, relayout: tuple
-    ) -> "_ProjectedStamp":
+        cls,
+        components: ClockComponents,
+        source: object,
+        born: int,
+        gather: Optional[tuple] = None,
+    ) -> "_LazyStamp":
         stamp = object.__new__(cls)
         stamp._components = components
         stamp._source = source
-        stamp._relayout = relayout
+        stamp._born = born
+        stamp._gather = gather
         return stamp
+
+    @classmethod
+    def _relayout(
+        cls,
+        components: ClockComponents,
+        stamp: Timestamp,
+        gather: Optional[tuple] = None,
+    ) -> "_LazyStamp":
+        """``stamp`` re-expressed over ``components`` (through ``gather``)."""
+        if (
+            type(stamp) is cls
+            and stamp._gather is None
+            and stamp._source is not None
+        ):
+            # An unmaterialised pad is a count lift too: skip it.
+            return cls._make(components, stamp._source, stamp._born, gather)
+        return cls._make(
+            components, stamp, len(stamp._components.thread_components), gather
+        )
 
     def __getattr__(self, name: str):
         # Only the _values slot is lazy; anything else genuinely absent.
         if name != "_values":
             raise AttributeError(name)
-        # Collect the unmaterialised chain iteratively: attribute-driven
-        # recursion would hit the interpreter's recursion limit on a
-        # stamp that survived a thousand rotations unread.
         pending = [self]
         source = self._source
-        while type(source) is _ProjectedStamp and source._source is not None:
+        while type(source) is _LazyStamp and source._source is not None:
             pending.append(source)
             source = source._source
         registry = _metrics_active()
         if registry is not None:
             registry.add("kernel.lazy_stamps.materialised", len(pending))
-        values = source._values
-        for node in reversed(pending):
-            gather, absent, threads = node._relayout
-            if len(values) != absent:
-                # The source sits in a strict append ancestor of the
-                # wrap-time basis: lift it by inserting zero pads after
-                # its thread block and at its end.  Count-based - the
-                # within-epoch invariant (rotation re-wraps every live
-                # stamp, extension only appends) guarantees the shape.
-                block = len(node._source._components.thread_components)
+        if isinstance(source, Timestamp):
+            values = source._values
+        else:
+            values = tuple(source.tolist())
+        for link in reversed(pending):
+            if link._gather is None:
+                gather = None
+                threads = len(link._components.thread_components)
+                size = link._components.size
+            else:
+                gather, size, threads = link._gather
+            if len(values) != size:
+                born = link._born
                 values = (
-                    values[:block]
-                    + (0,) * (threads - block)
-                    + values[block:]
-                    + (0,) * (absent - threads - (len(values) - block))
+                    values[:born]
+                    + (0,) * (threads - born)
+                    + values[born:]
+                    + (0,) * (size - threads - (len(values) - born))
                 )
-            values = gather(values + (0,))
-            node._values = values
-            # Release the chain link: a materialised wrapper no longer
-            # pins its source (or the rotation's shared relayout).
-            node._source = None
-            node._relayout = None
+            if gather is not None:
+                values = gather(values)
+            link._values = values
+            link._source = link._gather = None
         return values
 
     def __reduce__(self):
-        # Checkpoints and cross-process transfers serialise the plain
-        # materialised stamp, never the lazy structure.
         return (Timestamp._from_trusted, (self._components, self._values))
-
-
-def rebase_timestamp(
-    stamp: Timestamp, new_components: ClockComponents
-) -> Timestamp:
-    """Re-express ``stamp`` over ``new_components`` by component identity.
-
-    Components present in both sets keep their values (whatever their
-    slot index becomes); components only in the new set read zero - the
-    value they would have carried had they existed when the stamp was
-    minted.  The single rebasing rule shared by the kernel's component
-    extension and :class:`~repro.core.timestamping.EpochClock`'s live
-    ledger, so the two can never drift apart.
-    """
-    old_index = stamp.components._index
-    values = tuple(
-        stamp._values[old_index[c]] if c in old_index else 0
-        for c in new_components.ordered
-    )
-    return Timestamp._from_trusted(new_components, values)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +526,7 @@ def _write_back_lists(components, thread_work, object_work,
     object ended the batch on the same vector (they were endpoints of
     the same last event), they get the same Timestamp instance, which is
     what the ``object_stamp is thread_stamp`` per-event fast path and
-    the rebase cache key on.  Working vectors stay referenced by the
+    the relayout cache key on.  Working vectors stay referenced by the
     work dicts until this completes, so ``id`` keys cannot be recycled.
     """
     minted: Dict[int, Timestamp] = {}
@@ -551,8 +563,8 @@ class _ArrayCache:
     batch's :meth:`sync` notices the layout drift - two integer
     compares on the hot path - and simply forgets the stale arrays.
     Entities actually touched afterwards are rebuilt lazily, one pad
-    each, straight from their :class:`_ArrayStamp` handle's resident
-    array (see :func:`_handle_array`); entities never touched again
+    each, straight from the resident array their lazy stamp is still
+    rooted at (see :func:`_stamp_array`); entities never touched again
     cost nothing, which is what makes warm-up growth (an extension
     every few events while the cover assembles) near-free.  Because
     :meth:`ClockComponents.extended` is pure append (old threads stay a
@@ -579,8 +591,8 @@ class _ArrayCache:
     def sync(self, components: ClockComponents) -> None:
         """Reconcile the cache with ``components``' layout if it grew.
 
-        Stale arrays are dropped, not padded: the stamp handles keep the
-        resident vectors alive, and :func:`_handle_array` rebuilds a
+        Stale arrays are dropped, not padded: the lazy stamps keep the
+        resident vectors alive, and :func:`_stamp_array` rebuilds a
         touched entity's entry with one lazy pad on its next read.  Two
         integer compares when nothing changed - the hot-path cost.
         """
@@ -624,90 +636,28 @@ class _ArrayCache:
                 registry.add("kernel.array_cache.evictions", evicted)
 
 
-class _ArrayStamp(Timestamp):
-    """A lazily materialised :class:`Timestamp` over a resident array.
-
-    The numpy write-back stores these handles in the kernel's stamp
-    dicts (and returns them from ``timestamp_batch``) instead of eagerly
-    converting every touched vector back to a Python tuple.  The handle
-    *is* a ``Timestamp`` - same comparisons, same accessors - but its
-    ``_values`` tuple is built on first attribute access, so digest-only
-    drivers that never look at a stamp's values never pay ``tolist()``
-    or tuple construction.
-
-    The wrapped array is never mutated (the inner loop always derives a
-    fresh array before incrementing), so materialisation is stable.  A
-    handle can outlive component growth: ``_born_threads`` plus the
-    array's length record the append-only layout it was minted under,
-    and materialisation zero-pads into the handle's component set - the
-    same identity-preserving transform ``rebase_timestamp`` implements
-    slot by slot.  Handles pickle (and deepcopy) as plain eagerly
-    materialised ``Timestamp`` objects, so checkpoints stay loadable on
-    numpy-less hosts.
-    """
-
-    __slots__ = ("_array", "_born_threads")
-
-    @classmethod
-    def _make(
-        cls, components: ClockComponents, array: object, born_threads: int
-    ) -> "_ArrayStamp":
-        stamp = object.__new__(cls)
-        stamp._components = components
-        stamp._array = array
-        stamp._born_threads = born_threads
-        return stamp
-
-    def __getattr__(self, name: str):
-        # Only the _values slot is lazy; anything else genuinely absent.
-        if name != "_values":
-            raise AttributeError(name)
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.lazy_stamps.materialised")
-        components = self._components
-        raw = self._array.tolist()
-        born_threads = self._born_threads
-        threads = len(components.thread_components)
-        size = components.size
-        if threads == born_threads and size == len(raw):
-            values = tuple(raw)
-        else:
-            values = (
-                tuple(raw[:born_threads])
-                + (0,) * (threads - born_threads)
-                + tuple(raw[born_threads:])
-                + (0,) * (size - threads - (len(raw) - born_threads))
-            )
-        self._values = values
-        return values
-
-    def __reduce__(self):
-        # Checkpoints must stay loadable on numpy-less hosts, so a handle
-        # serialises as the plain materialised Timestamp it stands for.
-        return (Timestamp._from_trusted, (self._components, self._values))
-
-
-def _handle_array(stamp: "_ArrayStamp", threads: int, size: int):
+def _stamp_array(stamp: Timestamp, threads: int, size: int):
     """A ``(threads, size)``-layout ``int64`` array of ``stamp``'s values.
 
-    The array-path fast lane of a cache miss: instead of materialising
-    the handle's tuple and re-converting, the resident array is reused
-    directly when the layout matches, or zero-padded with two slice
-    copies when components were appended since the handle was minted.
-    Never mutates (or returns a view of a region that will be mutated
-    of) the handle's array - callers treat working arrays as frozen.
+    The array-path fast lane of a cache miss: a gather-less lazy stamp
+    still rooted at a resident array reuses that array directly when
+    the layout matches, or zero-pads it with two slice copies when
+    components were appended since it was minted.  Anything else
+    converts the stamp's value tuple.  Never mutates (or returns a view
+    of a region that will be mutated of) the source array - callers
+    treat working arrays as frozen.
     """
-    values = stamp._array
-    born_threads = stamp._born_threads
-    if born_threads == threads and len(values) == size:
-        return values
-    wide = _np.zeros(size, dtype=_np.int64)
-    wide[:born_threads] = values[:born_threads]
-    wide[threads:threads + (len(values) - born_threads)] = (
-        values[born_threads:]
-    )
-    return wide
+    if type(stamp) is _LazyStamp and stamp._gather is None:
+        values = stamp._source
+        if isinstance(values, _np.ndarray):
+            born = stamp._born
+            if born == threads and len(values) == size:
+                return values
+            wide = _np.zeros(size, dtype=_np.int64)
+            wide[:born] = values[:born]
+            wide[threads:threads + (len(values) - born)] = values[born:]
+            return wide
+    return _np.array(stamp._values, dtype=_np.int64)
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -717,10 +667,10 @@ class NumpyKernelBackend(KernelBackend):
     kernel's :class:`_ArrayCache` (one conversion per touched entity per
     *epoch*, not per batch) and the element-wise maximum is a single
     ``np.maximum`` call.  Values re-enter the immutable
-    :class:`Timestamp` world through lazy :class:`_ArrayStamp` handles,
-    whose first-use materialisation restores exact Python ints - verdict
-    bit-identity with the python backend is asserted by the property
-    tests.
+    :class:`Timestamp` world as :class:`_LazyStamp` links over the
+    arrays, whose first-use materialisation restores exact Python ints -
+    verdict bit-identity with the python backend is asserted by the
+    property tests.
     """
 
     name = NUMPY_BACKEND
@@ -742,7 +692,7 @@ class NumpyKernelBackend(KernelBackend):
     #: the Python element-wise loop it replaces, so small clocks take
     #: the Python loop too.  The two modes used to differ by ~3x because
     #: minting converted every stamp back to a Python tuple; lazy
-    #: ``_ArrayStamp`` handles removed that per-event cost, so the mint
+    #: array-rooted stamps removed that per-event cost, so the mint
     #: crossover collapsed to nearly the advance one.  Same bit-identity
     #: argument as above in both cases.
     MIN_ARRAY_DIM_ADVANCE = 32
@@ -756,7 +706,7 @@ class NumpyKernelBackend(KernelBackend):
         if cache is not None and (cache.threads or cache.objects):
             # Resident vectors exist: stay on the array path so they are
             # reused rather than evicted (the python fallback would have
-            # to materialise their handles' tuples anyway).
+            # to materialise their lazy stamps' tuples anyway).
             return True
         return (
             len(pairs) >= self.MIN_ARRAY_BATCH
@@ -800,16 +750,16 @@ class NumpyKernelBackend(KernelBackend):
             registry.add("kernel.batch.array_events", len(pairs))
         born_threads = len(components.thread_components)
         maximum = np.maximum
-        as_array = np.array
         zeros = np.zeros
         int64 = np.int64
-        make = _ArrayStamp._make
+        make = _LazyStamp._make
+        stamp_array = _stamp_array
         thread_work: Dict[Vertex, object] = {}
         object_work: Dict[Vertex, object] = {}
-        # Handles minted this batch, keyed by the id of their array.  The
+        # Stamps minted this batch, keyed by the id of their array.  The
         # write-back reuses them so a returned stamp and the stored
         # thread/object stamp of its endpoints are the *same* object,
-        # like the python backend's loop; handle entries keep their array
+        # like the python backend's loop; each stamp keeps its array
         # alive, so ids cannot be recycled while the dict is in use.
         minted: Dict[int, Timestamp] = {}
         append_stamp = stamps.append if stamps is not None else None
@@ -821,22 +771,14 @@ class NumpyKernelBackend(KernelBackend):
                     if thread_values is None:
                         stamp = thread_stamps.get(thread)
                         if stamp is not None:
-                            thread_values = (
-                                _handle_array(stamp, born_threads, size)
-                                if type(stamp) is _ArrayStamp
-                                else as_array(stamp._values, dtype=int64)
-                            )
+                            thread_values = stamp_array(stamp, born_threads, size)
                 object_values = object_work.get(obj)
                 if object_values is None:
                     object_values = cached_objects.get(obj)
                     if object_values is None:
                         stamp = object_stamps.get(obj)
                         if stamp is not None:
-                            object_values = (
-                                _handle_array(stamp, born_threads, size)
-                                if type(stamp) is _ArrayStamp
-                                else as_array(stamp._values, dtype=int64)
-                            )
+                            object_values = stamp_array(stamp, born_threads, size)
                 object_slot = object_slots.get(obj)
                 thread_slot = thread_slots.get(thread)
                 if thread_slot is None and object_slot is None:
@@ -966,17 +908,6 @@ def default_backend_name() -> str:
     if _DEFAULT_BACKEND is not None:
         return _DEFAULT_BACKEND
     return os.environ.get("REPRO_KERNEL_BACKEND", "").strip() or PYTHON_BACKEND
-
-
-def default_backend_override() -> Optional[str]:
-    """The explicit process-wide override, or ``None`` when unset.
-
-    Distinct from :func:`default_backend_name`, which also folds in the
-    environment variable and the ``python`` fallback - callers that pin
-    a backend temporarily (the ratio sweep's workers) save this raw
-    value and restore it, so they never clobber an ambient selection.
-    """
-    return _DEFAULT_BACKEND
 
 
 def set_default_backend(name: Optional[str]) -> None:
@@ -1162,9 +1093,8 @@ class ClockKernel:
         # The resident-array cache is process-local working state: it
         # holds numpy arrays (unloadable on a numpy-less host) that the
         # backend rebuilds on demand, so checkpoints never carry it.
-        # Stamp handles in the dicts serialise as materialised
-        # Timestamps via _ArrayStamp.__reduce__ /
-        # _ProjectedStamp.__reduce__.
+        # Lazy stamps in the dicts serialise as materialised Timestamps
+        # via _LazyStamp.__reduce__.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
@@ -1307,13 +1237,24 @@ class ClockKernel:
         values (their slot index may move - thread slots precede object
         slots by convention), new components start at zero everywhere,
         which is exactly the value they would have had from the start.
-        Returns the new component set.
+        The re-base is lazy: one gather-less :class:`_LazyStamp` link per
+        distinct stored stamp, padded on first read.  Returns the new
+        component set.
         """
         extended = self._components.extended(thread_components, object_components)
         if extended.size != self._components.size:
-            self._rebase_stamps(extended)
+            self._relayout_stamps(extended)
             self._bind_components(extended)
         return self._components
+
+    def _advance_epoch(self, new_components: ClockComponents) -> int:
+        """Count a rotation to ``new_components``; returns #retired."""
+        old = self._components
+        retired = len(old.thread_components - new_components.thread_components)
+        retired += len(old.object_components - new_components.object_components)
+        self._retired_total += retired
+        self._epoch += 1
+        return retired
 
     def rotate_epoch(self, new_components: ClockComponents) -> int:
         """Begin a new epoch over ``new_components``; returns #retired.
@@ -1328,11 +1269,7 @@ class ClockKernel:
         :class:`~repro.core.timestamping.EpochClock` packages the replay
         and the re-timestamping invariant check.
         """
-        old = self._components
-        retired = len(old.thread_components - new_components.thread_components)
-        retired += len(old.object_components - new_components.object_components)
-        self._retired_total += retired
-        self._epoch += 1
+        retired = self._advance_epoch(new_components)
         self._thread_stamps.clear()
         self._object_stamps.clear()
         self._invalidate_cache()
@@ -1342,8 +1279,8 @@ class ClockKernel:
     def rotate_epoch_delta(
         self,
         new_components: ClockComponents,
-        live_threads: AbstractSet[Vertex],
-        live_objects: AbstractSet[Vertex],
+        keep_threads: AbstractSet[Vertex],
+        keep_objects: AbstractSet[Vertex],
         live_stamps: Sequence[Timestamp],
     ) -> List[Timestamp]:
         """Begin a new epoch by *projection*; returns the re-based stamps.
@@ -1352,231 +1289,89 @@ class ClockKernel:
         pure-retirement case: ``new_components`` must be a subset of the
         current set (retired slots drop, no additions).  Instead of
         discarding all clock state and replaying the live window, every
-        surviving clock vector is *projected* - surviving slots gathered
-        into the new order, retired slots dropped - in ``O(live)`` slot
-        moves with no per-event update-rule work.  Thread/object clocks
-        outside ``live_threads`` / ``live_objects`` are dropped: an
-        endpoint with no live event contributes nothing to future merges
-        that a replay would have kept.
+        kept clock is wrapped in a :class:`_LazyStamp` link that gathers
+        the surviving slots on first read.  The gather is compiled once
+        here and shared, so the rotation itself is ``O(live)``
+        constant-size allocations plus one ``O(k)`` compile; gathers are
+        paid only for stamps somebody reads again (for ledger stamps,
+        usually nobody does).  Thread/object clocks outside
+        ``keep_threads`` / ``keep_objects`` are dropped.  Dropping slots
+        breaks the resident-array cache's pure-append pad model, so the
+        cache is invalidated wholesale.
 
-        ``live_stamps`` run through the same identity-keyed projection
-        cache as the endpoint clocks, preserving the instance sharing
-        between the caller's ledger and the stamp dicts that the
-        slot-delta fast paths rely on.  Returns the projections of
-        ``live_stamps`` in input order.  The epoch / retired-total
-        counters advance exactly as :meth:`rotate_epoch` would.
+        ``live_stamps`` run through the same identity-keyed wrap as the
+        endpoint clocks, preserving the instance sharing between the
+        caller's ledger and the stamp dicts that the slot-delta fast
+        paths rely on.  Returns the projections of ``live_stamps`` in
+        input order.  The epoch / retired-total counters advance exactly
+        as :meth:`rotate_epoch` would.
 
-        When projection preserves causal verdicts - and the fallback to
-        :meth:`rotate_epoch` + replay when it would not - is owned by
+        When projection preserves causal verdicts, which clocks to keep,
+        and the fallback to :meth:`rotate_epoch` + replay are owned by
         :meth:`EpochClock.rotate
-        <repro.core.timestamping.EpochClock.rotate>`'s applicability
-        gate; this method trusts its caller on that.
+        <repro.core.timestamping.EpochClock.rotate>`; this method trusts
+        its caller on them.
         """
+        self._advance_epoch(new_components)
         old = self._components
-        retired = len(old.thread_components - new_components.thread_components)
-        retired += len(old.object_components - new_components.object_components)
-        self._retired_total += retired
-        self._epoch += 1
-        project = self._project_stamps(
-            new_components, live_threads, live_objects
+        gather = (
+            _values_gather([old._index[c] for c in new_components.ordered]),
+            old.size,
+            len(old.thread_components),
         )
-        stamps = [project(stamp) for stamp in live_stamps]
+        wrap = self._relayout_stamps(
+            new_components, gather, keep_threads, keep_objects
+        )
+        stamps = [wrap(stamp) for stamp in live_stamps]
         self._invalidate_cache()
         self._bind_components(new_components)
         return stamps
 
-    def _project_stamps(
+    def _relayout_stamps(
         self,
         new_components: ClockComponents,
-        live_threads: AbstractSet[Vertex],
-        live_objects: AbstractSet[Vertex],
+        gather: Optional[tuple] = None,
+        keep_threads: Optional[AbstractSet[Vertex]] = None,
+        keep_objects: Optional[AbstractSet[Vertex]] = None,
     ):
-        """Project the endpoint clock dicts onto a subset of the layout.
+        """Wrap every stored clock in a lazy link into ``new_components``.
 
-        Prunes each stamp dict to its live endpoints, re-expresses every
-        kept vector over ``new_components`` by gathering the surviving
-        slots, and returns the projection function so the caller can run
-        its own stamps through the same identity-keyed cache (see
-        :meth:`_rebase_stamps` for why the cache is keyed by ``id`` and
-        why ``keep`` pins the inputs).  Dropping slots breaks the
-        resident-array cache's pure-append pad model, so the cache is
-        invalidated wholesale here.
-
-        An :class:`_ArrayStamp` gathers eagerly off its resident array
-        (a C-level ``take``; the projected handle is born in the new
-        layout, so later pad-on-read still applies).  Everything else -
-        plain stamps, stale ledger entries lazy extension left in an
-        append ancestor, wrappers from earlier rotations, materialised
-        or not - takes one uniform path: wrap in a
-        :class:`_ProjectedStamp` around the stamp *as is*, sharing the
-        single relayout built here.  No per-stamp slot work, no
-        per-basis map builds, no composition: count-based padding at
-        materialisation absorbs stale bases, and chaining absorbs
-        prior wrappers.  That uniformity is what flattens rotation p99
-        - the rotation itself is ``O(live)`` constant-size allocations
-        plus one ``O(k)`` gather compile, and deferred gathers are paid
-        only for stamps somebody actually reads again (for ledger
-        stamps, usually nobody does).
-        """
-        old = self._components
-        old_index = old._index
-        old_threads = len(old.thread_components)
-        old_size = old.size
-        gather = [old_index[c] for c in new_components.ordered]
-        relayout = (_values_gather(gather), old_size, old_threads)
-        new_threads = len(new_components.thread_components)
-        projected: Dict[int, Timestamp] = {}
-        keep: List[Timestamp] = []
-        make = _ProjectedStamp._make
-
-        def project(stamp: Timestamp) -> Timestamp:
-            cached = projected.get(id(stamp))
-            if cached is None:
-                if type(stamp) is _ArrayStamp:
-                    cached = _ArrayStamp._make(
-                        new_components,
-                        _handle_array(stamp, old_threads, old_size).take(
-                            gather
-                        ),
-                        new_threads,
-                    )
-                else:
-                    cached = make(new_components, stamp, relayout)
-                projected[id(stamp)] = cached
-                keep.append(stamp)
-            return cached
-
-        self._thread_stamps = {
-            vertex: project(stamp)
-            for vertex, stamp in self._thread_stamps.items()
-            if vertex in live_threads
-        }
-        self._object_stamps = {
-            vertex: project(stamp)
-            for vertex, stamp in self._object_stamps.items()
-            if vertex in live_objects
-        }
-        self._invalidate_cache()
-        return project
-
-    def _rebase_stamps(self, new_components: ClockComponents) -> None:
-        """Re-express every stored clock over ``new_components`` by identity.
+        Clocks of vertices outside ``keep_threads`` / ``keep_objects``
+        (when given) are dropped.  Returns the wrap function so the
+        caller can run its own stamps through the same cache.
 
         Threads and objects frequently share one stamp object (the
         kernel stores the same instance for both endpoints of an event),
-        so rebased results are cached per input stamp to preserve that
-        sharing - the ``object_stamp is thread_stamp`` fast path in
-        :meth:`observe` depends on it.
-
-        When ``new_components`` is a pure *append* of the current set
-        (what :meth:`ClockComponents.extended` produces: new threads
-        after the old thread block, new objects at the end, relative
-        order preserved) the rebase is three slices and two zero pads
-        per stored vector instead of a per-slot identity lookup - the
-        difference between component growth being free and it dominating
-        the online warm-up phase.
-
-        The cache is keyed by stamp *identity* (``id``), not value:
-        hashing a ``k``-slot tuple per stored stamp would cost more than
-        the rebase itself, and identity is exactly what the cache must
-        preserve.  The input stamps stay referenced by the two stamp
-        dicts (and ``keep``) for the duration, so ids cannot be
-        recycled mid-rebase.
+        so links are cached per input stamp to preserve that sharing -
+        the ``object_stamp is thread_stamp`` fast path in :meth:`observe`
+        depends on it.  The cache is keyed by stamp *identity* (``id``),
+        not value: hashing a ``k``-slot tuple per stored stamp would cost
+        more than the wrap itself, and identity is exactly what the
+        cache must preserve.  ``keep`` pins the inputs for the duration,
+        so ids cannot be recycled mid-wrap.
         """
-        old = self._components
-        old_order = old.ordered
-        old_threads = len(old.thread_components)
-        old_size = old.size
-        new_order = new_components.ordered
-        added_threads = (
-            len(new_components.thread_components) - old_threads
-        )
-        object_block = old_threads + added_threads
-        is_append = (
-            added_threads >= 0
-            and new_order[:old_threads] == old_order[:old_threads]
-            and new_order[object_block:object_block + (old_size - old_threads)]
-            == old_order[old_threads:]
-        )
-        rebased: Dict[int, Timestamp] = {}
+        relayout = _LazyStamp._relayout
+        links: Dict[int, Timestamp] = {}
         keep: List[Timestamp] = []
-        if is_append:
-            thread_pad = (0,) * added_threads
-            object_pad = (0,) * (new_components.size - old_size - added_threads)
-            # The pad as a relayout (sentinel old_size reads zero), for
-            # re-wrapping unmaterialised projections; built lazily since
-            # most extensions never meet one.
-            pad_relayout: List[Optional[tuple]] = [None]
 
-            def rebase(stamp: Timestamp) -> Timestamp:
-                cached = rebased.get(id(stamp))
-                if cached is None:
-                    if type(stamp) is _ArrayStamp:
-                        # A lazy handle rebases without materialising:
-                        # the new handle shares the resident array, and
-                        # its recorded birth layout already encodes the
-                        # append-only pad materialisation will apply.
-                        # This is what makes warm-up component growth
-                        # near-free on the array path.
-                        cached = _ArrayStamp._make(
-                            new_components, stamp._array, stamp._born_threads
-                        )
-                    elif (
-                        type(stamp) is _ProjectedStamp
-                        and stamp._source is not None
-                    ):
-                        # An unmaterialised projection stays lazy: an
-                        # eager pad here would force it and hand the
-                        # rotation's deferred gather bill to the very
-                        # next component extension.  Chaining keeps the
-                        # extension O(1) per wrapper.
-                        if pad_relayout[0] is None:
-                            pad_relayout[0] = (
-                                _values_gather(
-                                    tuple(range(old_threads))
-                                    + (old_size,) * added_threads
-                                    + tuple(range(old_threads, old_size))
-                                    + (old_size,) * len(object_pad)
-                                ),
-                                old_size,
-                                old_threads,
-                            )
-                        cached = _ProjectedStamp._make(
-                            new_components, stamp, pad_relayout[0]
-                        )
-                    else:
-                        values = stamp._values
-                        cached = Timestamp._from_trusted(
-                            new_components,
-                            values[:old_threads]
-                            + thread_pad
-                            + values[old_threads:]
-                            + object_pad,
-                        )
-                    rebased[id(stamp)] = cached
-                    keep.append(stamp)
-                return cached
+        def wrap(stamp: Timestamp) -> Timestamp:
+            link = links.get(id(stamp))
+            if link is None:
+                link = links[id(stamp)] = relayout(new_components, stamp, gather)
+                keep.append(stamp)
+            return link
 
-        else:
-            # A non-append layout change breaks the cache's pure-append
-            # pad model (slots permute), so the resident arrays cannot be
-            # reconciled by sync(); drop them.  Unreachable from
-            # extend_components (ClockComponents.extended always
-            # appends), kept for direct callers.
-            self._invalidate_cache()
-
-            def rebase(stamp: Timestamp) -> Timestamp:
-                cached = rebased.get(id(stamp))
-                if cached is None:
-                    cached = rebase_timestamp(stamp, new_components)
-                    rebased[id(stamp)] = cached
-                    keep.append(stamp)
-                return cached
-
-        for vertex, stamp in self._thread_stamps.items():
-            self._thread_stamps[vertex] = rebase(stamp)
-        for vertex, stamp in self._object_stamps.items():
-            self._object_stamps[vertex] = rebase(stamp)
+        self._thread_stamps = {
+            vertex: wrap(stamp)
+            for vertex, stamp in self._thread_stamps.items()
+            if keep_threads is None or vertex in keep_threads
+        }
+        self._object_stamps = {
+            vertex: wrap(stamp)
+            for vertex, stamp in self._object_stamps.items()
+            if keep_objects is None or vertex in keep_objects
+        }
+        return wrap
 
     def reset(self) -> None:
         """Forget all clock state."""

@@ -34,7 +34,7 @@ from repro.computation.event import Event, ObjectId, ThreadId
 from repro.computation.trace import Computation
 from repro.core.clock import Timestamp, ordering
 from repro.core.components import ClockComponents
-from repro.core.kernel import ClockKernel, rebase_timestamp
+from repro.core.kernel import ClockKernel, _LazyStamp
 from repro.exceptions import (
     AmbiguousTimestampError,
     ClockError,
@@ -128,7 +128,7 @@ class VectorClockProtocol:
         :meth:`observe` calls - the loop is just the kernel backend's.
 
         Under the numpy backend the returned objects may be *lazy*
-        stamp handles: full :class:`~repro.core.clock.Timestamp`
+        stamps: full :class:`~repro.core.clock.Timestamp`
         instances whose value tuple is materialised from the backend's
         resident array on first use (any comparison, ``.values``,
         hashing, pickling).  Digest-only consumers that never look
@@ -451,9 +451,10 @@ class EpochClock:
         """The (current-epoch) timestamp of a live event.
 
         A stamp minted before a component extension is stored in its
-        mint-time basis and re-based onto the current set here, on first
-        read (see :meth:`extend`); the re-based stamp is written back so
-        repeated queries pay the rebase once.
+        mint-time basis and lifted onto the current set here, on first
+        read (see :meth:`extend`): within an epoch the set only grows by
+        appending, so the kernel's count-based lazy lift is exact.  The
+        lifted stamp is written back so repeated queries pay it once.
         """
         try:
             stamp = self._live_stamps[token]
@@ -461,7 +462,7 @@ class EpochClock:
             raise ClockError(f"event token {token} is not live") from None
         components = self._kernel.components
         if stamp.components is not components:
-            stamp = rebase_timestamp(stamp, components)
+            stamp = _LazyStamp._relayout(components, stamp)
             self._live_stamps[token] = stamp
         return stamp
 
@@ -484,7 +485,7 @@ class EpochClock:
         Lifecycle ticks (:meth:`expire`, :meth:`rotate`) cannot occur
         *inside* a batch by construction - callers chunk their streams at
         lifecycle boundaries, as the sharded engine does.  The stored
-        live stamps may be the numpy backend's lazy handles (see
+        live stamps may be the numpy backend's lazy stamps (see
         :meth:`VectorClockProtocol.timestamp_batch`); causality queries
         materialise them transparently on first use.
         """

@@ -309,9 +309,7 @@ KERNEL_CLOCK_STATE = (
 _MUTATING_METHODS = frozenset({"clear", "pop", "popitem", "update", "setdefault"})
 
 #: ``self.<method>(...)`` calls that mutate clock state transitively.
-_MUTATING_DELEGATES = frozenset(
-    {"_bind_components", "_rebase_stamps", "_project_stamps"}
-)
+_MUTATING_DELEGATES = frozenset({"_bind_components", "_relayout_stamps"})
 
 #: Cache hooks whose call satisfies the contract.
 _CACHE_HOOKS = frozenset({"_invalidate_cache", "_cache_evict"})
@@ -325,8 +323,7 @@ class KernelCacheInvalidationRule(Rule):
     and the cached arrays to describe the same clocks.  Any method that
     mutates clock state behind the cache's back - writing the stamp
     dicts, rebinding ``_components``/slot maps, or delegating to
-    ``_bind_components``/``_rebase_stamps``/``_project_stamps`` - leaves
-    stale vectors that
+    ``_bind_components``/``_relayout_stamps`` - leaves stale vectors that
     the next batch silently reads: fingerprints diverge between cached
     and uncached runs, the worst kind of nondeterminism because it only
     appears after a warm-up.
@@ -403,7 +400,7 @@ class KernelCacheInvalidationRule(Rule):
                     node.func.value, KERNEL_CLOCK_STATE
                 ):
                     return True
-                # self._bind_components(...) / self._rebase_stamps(...)
+                # self._bind_components(...) / self._relayout_stamps(...)
                 if cls._is_self_attr(node.func, _MUTATING_DELEGATES):
                     return True
         return False

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.timestamping import DELTA_ROTATION, EpochClock
 from repro.exceptions import OnlineMechanismError
-from repro.graph.bipartite import BipartiteGraph, Vertex
+from repro.graph.bipartite import BipartiteGraph, Vertex, vertex_sort_key
 from repro.graph.incremental import DynamicMatching
 from repro.obs.registry import active as _metrics_active
 from repro.online.base import (
@@ -63,11 +63,6 @@ from repro.online.base import (
     OnlineMechanism,
     popularity_choice,
 )
-
-
-def _canonical_key(vertex: Vertex) -> Tuple[str, str]:
-    """The ``(type name, repr)`` ordering key shared with the simulator."""
-    return (type(vertex).__name__, repr(vertex))
 
 
 # -- retirement policies ------------------------------------------------------
@@ -124,15 +119,11 @@ class WindowedPopularityMechanism(OnlineMechanism):
         :class:`~repro.online.popularity.PopularityMechanism` (the choice
         policy is identical on purpose, so comparing this mechanism with
         plain Popularity isolates the effect of retirement).
-    eager:
-        When ``True`` (default) a component is retired by the expire tick
-        that kills its last live event; when ``False`` dead components
-        linger until the next ``end_epoch`` sweep.  Legacy switch kept
-        for callers predating ``retirement``; ignored when ``retirement``
-        is given explicitly.
     retirement:
-        Retirement policy: ``"eager"`` / ``"epoch"`` (the two regimes
-        ``eager`` selects between) or ``"cost"``.  Under ``"cost"`` a
+        Retirement policy.  ``"eager"`` (the default) retires a
+        component on the expire tick that kills its last live event;
+        ``"epoch"`` lets dead components linger until the next
+        ``end_epoch`` sweep.  Under ``"cost"`` a
         dead component is only reclaimed at an epoch sweep once the rent
         it has accrued (lifecycle ticks since its last live event died)
         exceeds the grace its *re-add score* buys: a per-vertex counter
@@ -165,17 +156,14 @@ class WindowedPopularityMechanism(OnlineMechanism):
     def __init__(
         self,
         tie_break: str = THREAD,
-        eager: bool = True,
         windowed_degrees: bool = False,
-        retirement: Optional[str] = None,
+        retirement: str = EAGER_RETIREMENT,
     ) -> None:
         super().__init__()
         if tie_break not in (THREAD, OBJECT):
             raise OnlineMechanismError(
                 f"tie_break must be {THREAD!r} or {OBJECT!r}, got {tie_break!r}"
             )
-        if retirement is None:
-            retirement = EAGER_RETIREMENT if eager else EPOCH_RETIREMENT
         if retirement not in RETIREMENT_POLICIES:
             raise OnlineMechanismError(
                 f"retirement must be one of {RETIREMENT_POLICIES}, "
@@ -321,7 +309,7 @@ class WindowedPopularityMechanism(OnlineMechanism):
         if self._retirement == COST_RETIREMENT:
             tick = self._tick()
             dead = self._cost_due(tick)
-            dead.sort(key=_canonical_key)
+            dead.sort(key=vertex_sort_key)
             for component in dead:
                 self._retire_component(component)
                 self._dead_thread_since.pop(component, None)
@@ -355,7 +343,7 @@ class WindowedPopularityMechanism(OnlineMechanism):
                 else component not in self._live_by_object
             )
         ]
-        dead.sort(key=_canonical_key)
+        dead.sort(key=vertex_sort_key)
         for component in dead:
             self._retire_component(component)
         return tuple(dead)
@@ -455,12 +443,12 @@ class EpochRotatingHybridMechanism(OnlineMechanism):
             for kind, component in self._component_order
             if component not in (want_threads if kind == THREAD else want_objects)
         ]
-        retired.sort(key=_canonical_key)
+        retired.sort(key=vertex_sort_key)
         for component in retired:
             self._retire_component(component)
-        for vertex in sorted(want_threads, key=_canonical_key):
+        for vertex in sorted(want_threads, key=vertex_sort_key):
             self._add_component(THREAD, vertex)
-        for vertex in sorted(want_objects, key=_canonical_key):
+        for vertex in sorted(want_objects, key=vertex_sort_key):
             self._add_component(OBJECT, vertex)
         # A fresh, window-optimal cover restarts the hybrid schedule.
         self._switched_at = None

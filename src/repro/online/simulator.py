@@ -58,7 +58,7 @@ from repro.computation.streams import (
 )
 from repro.exceptions import ComputationError
 from repro.computation.trace import Computation
-from repro.graph.bipartite import BipartiteGraph, Vertex
+from repro.graph.bipartite import BipartiteGraph, Vertex, vertex_sort_key
 from repro.graph.generators import SeedLike, _rng
 from repro.graph.incremental import DynamicMatching, incremental_optimum_trajectory
 from repro.online.base import OnlineMechanism
@@ -123,35 +123,20 @@ class OnlineRunResult:
         return self.size_trajectory
 
 
-def _vertex_sort_key(vertex: Vertex) -> Tuple[str, str]:
-    """An ordering key for arbitrary vertices: ``(type name, repr)``.
-
-    Sorting by ``str`` alone conflates distinct vertices whose printed
-    forms collide across types (``1`` vs ``"1"``, ``1`` vs ``1.0`` inside
-    a tuple, enum members vs their values); this key keeps the types
-    apart.  Same-type vertices with *identical* reprs (e.g. instances of
-    a class with a static ``__repr__``) still tie, and their relative
-    pre-shuffle order falls back to the stable sort's input order - give
-    such classes a discriminating ``__repr__`` if exact cross-run
-    reproducibility matters.
-    """
-    return (type(vertex).__name__, repr(vertex))
-
-
-def _edge_sort_key(edge: Pair) -> Tuple[Tuple[str, str], Tuple[str, str]]:
-    thread, obj = edge
-    return (_vertex_sort_key(thread), _vertex_sort_key(obj))
-
-
 def reveal_order(graph: BipartiteGraph, seed: SeedLike = None) -> List[Pair]:
     """A random order in which to reveal the edges of ``graph``.
 
     Each edge appears exactly once; the shuffle models the unpredictability
     of the online setting while keeping the final revealed graph equal to
-    ``graph``.  The edges are canonically sorted before shuffling, so for
-    vertices with discriminating reprs the order depends only on ``seed``
-    and the edge set; see :func:`_vertex_sort_key` for the one remaining
-    tie case (same-type vertices with identical reprs).
+    ``graph``.  The edges are canonically sorted by
+    :func:`~repro.graph.bipartite.vertex_sort_key` before shuffling, so
+    ``1`` and ``"1"`` stay apart and, for vertices with discriminating
+    reprs, the order depends only on ``seed`` and the edge set.
+    Same-type vertices with *identical* reprs (e.g. instances of a class
+    with a static ``__repr__``) still tie; their pre-shuffle order falls
+    back to the stable sort's input order, so give such classes a
+    discriminating ``__repr__`` if exact cross-run reproducibility
+    matters.
 
     The per-vertex ``(type name, repr)`` key is computed once per vertex
     and cached for the sort, not re-derived per comparison: a vertex of
@@ -161,9 +146,9 @@ def reveal_order(graph: BipartiteGraph, seed: SeedLike = None) -> List[Pair]:
     rng = _rng(seed)
     keys: Dict[Vertex, Tuple[str, str]] = {}
     for vertex in graph.threads:
-        keys[vertex] = _vertex_sort_key(vertex)
+        keys[vertex] = vertex_sort_key(vertex)
     for vertex in graph.objects:
-        keys[vertex] = _vertex_sort_key(vertex)
+        keys[vertex] = vertex_sort_key(vertex)
     edges = sorted(graph.edges(), key=lambda edge: (keys[edge[0]], keys[edge[1]]))
     rng.shuffle(edges)
     return edges

@@ -128,7 +128,7 @@ class TestWindowedPopularity:
         assert mechanism.clock_size == 1
 
     def test_lazy_mode_retires_only_at_epoch_boundaries(self):
-        mechanism = WindowedPopularityMechanism(eager=False)
+        mechanism = WindowedPopularityMechanism(retirement="epoch")
         mechanism.observe("T1", "O1")
         mechanism.expire("T1", "O1")
         assert mechanism.clock_size == 1  # dead but not yet reclaimed
@@ -195,7 +195,9 @@ def _full_history_oracle(pairs):
 
 MECHANISM_FACTORIES = {
     "adaptive-popularity-eager": lambda: WindowedPopularityMechanism(),
-    "adaptive-popularity-lazy": lambda: WindowedPopularityMechanism(eager=False),
+    "adaptive-popularity-lazy": lambda: WindowedPopularityMechanism(
+        retirement="epoch"
+    ),
     "epoch-hybrid": lambda: EpochRotatingHybridMechanism(),
 }
 

@@ -35,7 +35,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.components import ClockComponents
 from repro.core.kernel import (
     NumpyKernelBackend,
-    default_backend_override,
     numpy_available,
     set_default_backend,
 )
@@ -78,7 +77,6 @@ def drive(pairs, window, rotation, backend=None, pickle_at=None):
     many events, which is exactly what an engine checkpoint does to a
     kernel holding unmaterialised projection chains.
     """
-    saved = default_backend_override()
     if backend is not None:
         set_default_backend(backend)
     try:
@@ -106,7 +104,7 @@ def drive(pairs, window, rotation, backend=None, pickle_at=None):
         return tokens, verdicts
     finally:
         if backend is not None:
-            set_default_backend(saved)
+            set_default_backend(None)
 
 
 @SETTINGS

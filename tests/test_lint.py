@@ -636,7 +636,7 @@ class TestKernelCacheInvalidation:
             """
             class ClockKernel:
                 def shuffle(self, components):
-                    self._rebase_stamps(components)
+                    self._relayout_stamps(components)
             """,
         )
         assert rule_ids(findings) == ["C205"]

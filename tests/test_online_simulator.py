@@ -54,9 +54,9 @@ class TestRevealOrder:
         assert reveal_order(graph, seed=4) == order
 
     def test_edge_sort_key_separates_identical_strings(self):
-        from repro.online.simulator import _edge_sort_key
+        from repro.graph.bipartite import vertex_sort_key
 
-        assert _edge_sort_key((1, "O")) != _edge_sort_key(("1", "O"))
+        assert vertex_sort_key(1) != vertex_sort_key("1")
 
     def test_sort_keys_computed_once_per_vertex(self):
         # The canonicalisation key used to be re-derived per comparison
