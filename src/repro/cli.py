@@ -27,6 +27,11 @@ python -m repro engine clean ckpt            # prune unreferenced shard files
 Every command prints plain text to stdout; ``analyze`` and ``generate``
 read/write the JSON trace format of :mod:`repro.computation.serialization`.
 
+Exit codes: 0 on success; 1 when a check the command ran failed
+(``analyze --check``, ``lint`` findings); 2 on a usage or input error;
+:data:`EXIT_BROKEN_PIPE` (141) when the reader of stdout went away
+early, as in ``| head`` - the remaining output is discarded quietly.
+
 Workload and scenario choices are not hard-coded here: they are derived
 from the :mod:`~repro.computation.registry`, so a scenario registered
 anywhere in the package shows up in ``--workload`` / ``--scenario``
@@ -36,6 +41,7 @@ choices, help text and error messages without touching this module.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -610,6 +616,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Exit code when stdout's reader closes the pipe early: 128 + SIGPIPE,
+#: what a shell reports for a process that SIGPIPE terminated.
+EXIT_BROKEN_PIPE = 141
+
 COMMANDS = {
     "demo": _cmd_demo,
     "generate": _cmd_generate,
@@ -632,6 +642,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit-time flush of
+        # the unwritten rest cannot raise a second BrokenPipeError.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

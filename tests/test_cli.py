@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import WORKLOADS, build_parser, main
+import repro
+from repro.cli import EXIT_BROKEN_PIPE, WORKLOADS, build_parser, main
 from repro.computation.serialization import dump_computation, load_computation
 from repro.computation.workloads import paper_example_trace
 
@@ -84,6 +89,24 @@ class TestGenerateAndAnalyze:
         assert main(["generate", "--workload", workload, "--out", str(out_path)]) == 0
         document = json.loads(out_path.read_text())
         assert document["format"] == "repro-trace"
+
+    def test_closed_stdout_exits_quietly(self):
+        # `generate --out /dev/stdout | head -c 10`, made deterministic:
+        # the reader end is closed before the child writes a byte, so
+        # every write hits a broken pipe.
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "generate", "--workload", "random",
+             "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestSweep:
