@@ -6,7 +6,8 @@ ROADMAP item 5's boundary cost, measured head-to-head.  Two legs:
   above the sliding window, so nearly every expiry retires its dead
   endpoints and triggers a pure-subset rotation) driven through
   :class:`LifecycleClockDriver` twice: once with the ``"delta"``
-  strategy (live stamps projected by dropping retired slots) and once
+  strategy (live stamps keep their layout and drop the retired slots
+  when next read) and once
   with the ``"replay"`` baseline (the whole live window re-observed).
   ``driver.rotation_s`` p50/p95/p99 and stream events/sec are recorded
   per strategy; the full run asserts delta p99 at least
@@ -29,12 +30,12 @@ identical instrumentation, so the head-to-head stays fair, and the
 cyclic GC is disabled around each measured stream (standard latency
 isolation; both arms get the same treatment).
 
-Full-scale footprint: the delta arm keeps one lazy projection link
-per rotation survived unread alive for the whole window (reclaimed on
-read or expiry; extensions add none), so the rotation leg peaks around
-~2 GB RSS at the full 32k-ID/4k-window scale (at half scale, 16k IDs
-and a 2k window, the delta arm alone peaks at ~590 MB); the smoke run
-is a few hundred kilobytes.  Under ``--smoke``
+Footprint: every unread live stamp of the delta arm keeps the
+component set it was minted over alive (one ``O(k)`` layout per
+distinct mint layout, released when the stamp is read, replaced or
+expired); at half scale, 16k IDs and a 2k window, the delta arm alone
+peaks at ~385 MB RSS (2-vCPU box, Python 3.11, python backend); the
+smoke run is a few hundred kilobytes.  Under ``--smoke``
 the perf bars are skipped (the scales are too small for stable tail
 percentiles - the precedent bench_engine_scaling set) and the leg
 instead asserts the structural facts: every rotation took the expected
@@ -71,8 +72,8 @@ from _common import (
 #: The acceptance bar on the full-scale run: delta rotation's p99 must be
 #: at least this many times below the replay baseline's.  Measured ~12x
 #: at the full scale (delta p99 ~22ms vs replay ~261ms; the gap grows
-#: with the clock dimension, because replay pays O(window * k) while the
-#: delta projection pays O(live) wrapper creation).
+#: with the window, because replay pays O(window * k) per rotation while
+#: the delta rotation pays one O(k) layout push).
 ROTATION_P99_BAR = 5.0
 
 #: The bar on the cover leg: the repaired boundary *median* pause vs
@@ -127,7 +128,7 @@ def _run_rotation_leg(strategy):
         gc.enable()
         obs_install(previous)
     # The verdict surface is sampled *after* the timed region (reading a
-    # relation materialises the delta arm's lazy projection chains).
+    # relation lifts the delta arm's stamps to the current layout).
     alive = driver.live_tokens()
     rng = random.Random(STREAM_SEED)
     verdicts = tuple(

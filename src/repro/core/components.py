@@ -40,7 +40,9 @@ class ClockComponents:
     timestamps, never comparisons.
     """
 
-    __slots__ = ("_threads", "_objects", "_order", "_index")
+    # __weakref__: a clock kernel holds the layouts of its stored stamps
+    # weakly, so a layout dies with the last stamp minted over it.
+    __slots__ = ("_threads", "_objects", "_order", "_index", "__weakref__")
 
     def __init__(
         self,
@@ -57,7 +59,9 @@ class ClockComponents:
         self._threads: FrozenSet[Vertex] = frozenset(threads)
         self._objects: FrozenSet[Vertex] = frozenset(objects)
         self._order: Tuple[Vertex, ...] = threads + objects
-        self._index: Dict[Vertex, int] = {c: i for i, c in enumerate(self._order)}
+        self._index: Dict[Vertex, int] = dict(
+            zip(self._order, range(len(self._order)))
+        )
 
     # ------------------------------------------------------------------
     # Constructors
@@ -190,10 +194,11 @@ class ClockComponents:
         removed), new ones are appended, mirroring the online constraint
         stated in Section IV.
         """
+        threads = len(self._threads)
         return ClockComponents(
-            tuple(c for c in self._order if c in self._threads)
+            self._order[:threads]
             + tuple(c for c in thread_components if c not in self._threads),
-            tuple(c for c in self._order if c in self._objects)
+            self._order[threads:]
             + tuple(c for c in object_components if c not in self._objects),
         )
 

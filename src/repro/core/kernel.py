@@ -33,23 +33,27 @@ wraps the replay and proves verdict preservation with the
 re-timestamping invariant check.  For the pure-retirement case - the new
 set is a subset of the old and no retired component touches a live
 event - :meth:`ClockKernel.rotate_epoch_delta` replaces the replay with
-an ``O(live)`` slot *projection* of the surviving clock vectors;
-``EpochClock.rotate`` owns the applicability gate and the fallback.
+a layout change that keeps the surviving clocks as they are (see "Lift
+on read"); ``EpochClock.rotate`` owns the applicability gate and the
+fallback.
 
-Lazy stamps
------------
-Both layout changes are deferred to the first read through one
-:class:`Timestamp` subclass, :class:`_LazyStamp`.  Its source is a
-plain stamp, another lazy stamp, or a numpy resident array; reading
-``_values`` first *lifts* the source from its own layout into the
-link's by counts alone (zero pads after the thread block and at the
-end - exact because, within an epoch, components are only ever
-appended), then applies the link's slot gather if it has one (a
-rotation's projection, compiled once per rotation and shared by every
-stamp it wraps).  Extension wraps each distinct stored stamp in a
-gather-less link; rotation wraps it in a gather link; the numpy backend
-mints gather-less links over its arrays; ``EpochClock`` lifts stale
-ledger stamps the same way.
+Lift on read
+------------
+Neither layout change touches a stored stamp.  A stamp keeps the
+component set it was minted over (its *mint layout*); the kernel keeps
+a chain of its layouts, one step per extension or rotation, and notes
+which components left the layout and which re-joined it later.  A read
+that finds ``stamp._components is not kernel._components`` *lifts* the
+stamp: a current component present continuously since the mint layout
+keeps its minted value, any other reads zero - what it would have
+carried had it been present from the start, or since it was re-added
+after a retirement.  The lift is one compiled gather per source layout,
+memoised until the next layout change (an ``itemgetter`` on the
+python side, one ``take`` on a resident array).  So extension and
+rotation cost ``O(k)`` in the clock dimension and nothing per stored
+stamp; ``EpochClock`` lifts its ledger stamps through the same
+:meth:`ClockKernel.lift`, and a pickle lifts every stored stamp to the
+current layout, since layout identity does not survive one.
 
 Backends
 --------
@@ -73,7 +77,8 @@ supplied by a pluggable :class:`KernelBackend`:
   :class:`_ArrayCache` hung off the kernel, so the merge is a single C
   call (``np.maximum``) and a touched entity is converted from tuple
   form at most once per epoch, not once per batch; minted stamps are
-  lazy stamps over the resident arrays that materialise an exact
+  lazy stamps (:class:`_LazyStamp`) over the resident arrays that
+  materialise an exact
   Python-int tuple only on first ``_values`` access, so digest-only
   drivers (the engine's ``timestamps`` mode, the ``advance_batch``
   fold paths, which read their slot values straight off the resident
@@ -101,6 +106,8 @@ numpy installed raises a clean :class:`~repro.exceptions.ClockError`.
 from __future__ import annotations
 
 import os
+import weakref
+from itertools import repeat
 from operator import itemgetter
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -117,6 +124,7 @@ from repro.obs.registry import active as _metrics_active
 
 try:  # The gate: numpy is an optional accelerator, never a requirement.
     import numpy as _np
+    _ZERO = _np.zeros(1, dtype=_np.int64)  # the slot an array lift reads for 0
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
@@ -130,21 +138,15 @@ NUMPY_BACKEND = "numpy"
 #: coherent without a hook.  Keep the justifications current: the lint
 #: rule only checks membership, reviewers check the reasoning.
 CACHE_SAFE_METHODS = (
-    # Component growth is pure append (ClockComponents.extended keeps old
-    # threads a prefix of the thread block and old objects a prefix of the
-    # object block): stored stamps only gain gather-less lazy links, whose
-    # values are unchanged, and _ArrayCache.sync drops the arrays of the
-    # old layout at the next batch; nothing to invalidate here.
+    # Component growth only pushes a layout: stored stamps keep their mint
+    # layout and values (reads lift them), and _ArrayCache.sync drops the
+    # arrays of the old layout at the next batch; nothing to invalidate.
     "extend_components",
-    # Rebinds the slot maps / zero stamp to a component set; it mutates no
-    # clock values itself, and every mutating caller (rotate_epoch,
-    # rotate_epoch_delta, extend_components) owns its cache decision.
+    # Pushes a layout onto the chain and rebinds the slot maps / zero
+    # stamp to it; it mutates no clock values itself, and every mutating
+    # caller (rotate_epoch, rotate_epoch_delta, extend_components) owns
+    # its cache decision.
     "_bind_components",
-    # Wraps stored stamps in lazy links that stand for the same clocks in
-    # another layout; the caller owns the cache decision, as for
-    # _bind_components (extend_components: pure append, see above;
-    # rotate_epoch_delta: invalidates).
-    "_relayout_stamps",
 )
 
 #: 64-bit mixing constants of the stamp-digest fold (FNV prime / Knuth).
@@ -174,11 +176,10 @@ def _values_gather(indices: Sequence[int]):
     """A C-level tuple gather: ``values -> tuple(values[i] for i in indices)``.
 
     ``operator.itemgetter`` runs the whole gather inside the interpreter
-    core, which is what keeps epoch-rotation projection ``O(live)`` with
-    a memcpy-class constant instead of a bytecode-per-slot one.  The
-    zero- and one-index cases are special-cased because ``itemgetter``
-    changes shape there (no arguments is an error, one argument returns
-    a bare value).
+    core, which is what keeps a lift a memcpy-class ``O(k)`` instead of
+    a bytecode-per-slot one.  The zero- and one-index cases are
+    special-cased because ``itemgetter`` changes shape there (no
+    arguments is an error, one argument returns a bare value).
     """
     if not indices:
         return lambda values: ()
@@ -189,110 +190,34 @@ def _values_gather(indices: Sequence[int]):
 
 
 class _LazyStamp(Timestamp):
-    """A :class:`Timestamp` whose value tuple is built on first read.
+    """A numpy-minted :class:`Timestamp` whose value tuple is built on first read.
 
-    One link of a relayout chain.  ``_source`` holds the values the link
-    stands for, in the source's own layout: a plain stamp, another lazy
-    stamp, or a numpy resident array (minted by the numpy backend).
-    ``_born`` is the thread-block length of that source layout (an
-    array's size is its length).  ``_gather`` is ``None`` or a
-    rotation's shared ``(gather, size, threads)``: the compiled
-    :func:`_values_gather` from the pre-rotation layout of ``size``
-    slots and ``threads`` thread slots into this link's layout.
-
-    Reading ``_values`` first lifts the source into the link's target
-    layout (the pre-rotation one for a gather link, the link's own
-    otherwise) by counts alone - zero pads after the source's thread
-    block and at its end, exact because a source always sits in an
-    append ancestor of that layout - then gathers.  The walk over
-    unmaterialised links is iterative (a stamp that survived a thousand
-    rotations unread must not hit the recursion limit), writes each
-    link's ``_values`` back and releases its source and gather.
-
-    A chain costs one constant-size link per rotation survived unread
-    and nothing until somebody reads the stamp; most ledger stamps
-    expire unread, so most deferred gathers are never paid at all.
-    Extensions add no depth: a link over an unmaterialised gather-less
-    link points at that link's source instead (see :meth:`_relayout`).
-    Bounding rotation depth was tried and rejected: a depth cap must
-    resolve the capped links (composing index maps costs the same
-    ``O(k)`` per link as gathering values), which smears the
-    eager-rotation bill the chain exists to avoid.  A lazy stamp
-    pickles (and deep-copies) as the plain stamp it stands for, so
-    checkpoints load without numpy.
+    ``_source`` is the resident ``int64`` array the numpy backend minted
+    the stamp over, in the stamp's own layout; the first ``_values``
+    read converts it to exact Python ints, writes the tuple back and
+    releases the array.  Digest-only drivers never read it, so they
+    never pay the conversion.  A lazy stamp pickles (and deep-copies)
+    as the plain stamp it stands for, so checkpoints load without numpy.
     """
 
-    __slots__ = ("_source", "_born", "_gather")
+    __slots__ = ("_source",)
 
     @classmethod
-    def _make(
-        cls,
-        components: ClockComponents,
-        source: object,
-        born: int,
-        gather: Optional[tuple] = None,
-    ) -> "_LazyStamp":
+    def _make(cls, components: ClockComponents, source) -> "_LazyStamp":
         stamp = object.__new__(cls)
         stamp._components = components
         stamp._source = source
-        stamp._born = born
-        stamp._gather = gather
         return stamp
-
-    @classmethod
-    def _relayout(
-        cls,
-        components: ClockComponents,
-        stamp: Timestamp,
-        gather: Optional[tuple] = None,
-    ) -> "_LazyStamp":
-        """``stamp`` re-expressed over ``components`` (through ``gather``)."""
-        if (
-            type(stamp) is cls
-            and stamp._gather is None
-            and stamp._source is not None
-        ):
-            # An unmaterialised pad is a count lift too: skip it.
-            return cls._make(components, stamp._source, stamp._born, gather)
-        return cls._make(
-            components, stamp, len(stamp._components.thread_components), gather
-        )
 
     def __getattr__(self, name: str):
         # Only the _values slot is lazy; anything else genuinely absent.
         if name != "_values":
             raise AttributeError(name)
-        pending = [self]
-        source = self._source
-        while type(source) is _LazyStamp and source._source is not None:
-            pending.append(source)
-            source = source._source
         registry = _metrics_active()
         if registry is not None:
-            registry.add("kernel.lazy_stamps.materialised", len(pending))
-        if isinstance(source, Timestamp):
-            values = source._values
-        else:
-            values = tuple(source.tolist())
-        for link in reversed(pending):
-            if link._gather is None:
-                gather = None
-                threads = len(link._components.thread_components)
-                size = link._components.size
-            else:
-                gather, size, threads = link._gather
-            if len(values) != size:
-                born = link._born
-                values = (
-                    values[:born]
-                    + (0,) * (threads - born)
-                    + values[born:]
-                    + (0,) * (size - threads - (len(values) - born))
-                )
-            if gather is not None:
-                values = gather(values)
-            link._values = values
-            link._source = link._gather = None
+            registry.add("kernel.lazy_stamps.materialised")
+        values = self._values = tuple(self._source.tolist())
+        self._source = None
         return values
 
     def __reduce__(self):
@@ -369,11 +294,17 @@ class PythonKernelBackend(KernelBackend):
         thread_stamps = kernel._thread_stamps
         object_stamps = kernel._object_stamps
         from_trusted = Timestamp._from_trusted
+        lift = kernel.lift
         stamps: List[Timestamp] = []
         append = stamps.append
         for thread, obj in pairs:
             thread_stamp = thread_stamps.get(thread)
             object_stamp = object_stamps.get(obj)
+            # Lift on read: one identity check per stored stamp read.
+            if thread_stamp is not None and thread_stamp._components is not components:
+                thread_stamp = lift(thread_stamp)
+            if object_stamp is not None and object_stamp._components is not components:
+                object_stamp = lift(object_stamp)
             object_slot = object_slots.get(obj)
             thread_slot = thread_slots.get(thread)
             if thread_slot is None and object_slot is None:
@@ -432,6 +363,7 @@ class PythonKernelBackend(KernelBackend):
         object_slots = kernel._object_slot
         thread_stamps = kernel._thread_stamps
         object_stamps = kernel._object_stamps
+        lift = kernel.lift
         thread_work: Dict[Vertex, list] = {}
         object_work: Dict[Vertex, list] = {}
         try:
@@ -440,12 +372,12 @@ class PythonKernelBackend(KernelBackend):
                 if thread_values is None:
                     stamp = thread_stamps.get(thread)
                     if stamp is not None:
-                        thread_values = list(stamp._values)
+                        thread_values = list(lift(stamp)._values)
                 object_values = object_work.get(obj)
                 if object_values is None:
                     stamp = object_stamps.get(obj)
                     if stamp is not None:
-                        object_values = list(stamp._values)
+                        object_values = list(lift(stamp)._values)
                 object_slot = object_slots.get(obj)
                 thread_slot = thread_slots.get(thread)
                 if thread_slot is None and object_slot is None:
@@ -525,9 +457,9 @@ def _write_back_lists(components, thread_work, object_work,
     The identity cache preserves stamp *sharing*: when a thread and an
     object ended the batch on the same vector (they were endpoints of
     the same last event), they get the same Timestamp instance, which is
-    what the ``object_stamp is thread_stamp`` per-event fast path and
-    the relayout cache key on.  Working vectors stay referenced by the
-    work dicts until this completes, so ``id`` keys cannot be recycled.
+    what the ``object_stamp is thread_stamp`` per-event fast path keys
+    on.  Working vectors stay referenced by the work dicts until this
+    completes, so ``id`` keys cannot be recycled.
     """
     minted: Dict[int, Timestamp] = {}
     from_trusted = Timestamp._from_trusted
@@ -558,19 +490,15 @@ class _ArrayCache:
     always happens right after :meth:`sync`, so they all share the
     layout the kernel had at that moment.
 
-    Component growth is **deferred pad-on-read**: ``extend_components``
+    Component growth is **deferred lift-on-read**: ``extend_components``
     does not touch the cache (see :data:`CACHE_SAFE_METHODS`); the next
     batch's :meth:`sync` notices the layout drift - two integer
     compares on the hot path - and simply forgets the stale arrays.
-    Entities actually touched afterwards are rebuilt lazily, one pad
-    each, straight from the resident array their lazy stamp is still
-    rooted at (see :func:`_stamp_array`); entities never touched again
-    cost nothing, which is what makes warm-up growth (an extension
-    every few events while the cover assembles) near-free.  Because
-    :meth:`ClockComponents.extended` is pure append (old threads stay a
-    prefix of the thread block, old objects a prefix of the object
-    block, across any number of compositions), the pad is two slice
-    copies parameterised only by the birth and current layouts.
+    Entities actually touched afterwards are rebuilt lazily, one
+    ``take`` each, straight from the resident array their lazy stamp is
+    still rooted at (see :func:`_stamp_array`); entities never touched
+    again cost nothing, which is what makes warm-up growth (an
+    extension every few events while the cover assembles) near-free.
 
     Coherence with the kernel's stamp dicts is the C205 contract: every
     mutation of clock values outside the numpy write-back must evict the
@@ -591,9 +519,9 @@ class _ArrayCache:
     def sync(self, components: ClockComponents) -> None:
         """Reconcile the cache with ``components``' layout if it grew.
 
-        Stale arrays are dropped, not padded: the lazy stamps keep the
+        Stale arrays are dropped, not lifted: the lazy stamps keep the
         resident vectors alive, and :func:`_stamp_array` rebuilds a
-        touched entity's entry with one lazy pad on its next read.  Two
+        touched entity's entry with one lift on its next read.  Two
         integer compares when nothing changed - the hot-path cost.
         """
         new_threads = len(components.thread_components)
@@ -636,28 +564,23 @@ class _ArrayCache:
                 registry.add("kernel.array_cache.evictions", evicted)
 
 
-def _stamp_array(stamp: Timestamp, threads: int, size: int):
-    """A ``(threads, size)``-layout ``int64`` array of ``stamp``'s values.
+def _stamp_array(kernel: "ClockKernel", stamp: Timestamp):
+    """An ``int64`` array of ``stamp``'s values in ``kernel``'s layout.
 
-    The array-path fast lane of a cache miss: a gather-less lazy stamp
-    still rooted at a resident array reuses that array directly when
-    the layout matches, or zero-pads it with two slice copies when
-    components were appended since it was minted.  Anything else
-    converts the stamp's value tuple.  Never mutates (or returns a view
-    of a region that will be mutated of) the source array - callers
-    treat working arrays as frozen.
+    The array-path fast lane of a cache miss: a lazy stamp still rooted
+    at a resident array reuses that array directly when its layout is
+    current, or lifts it with one ``take`` when it is not.  Anything
+    else converts the stamp's value tuple.  Never mutates (or returns a
+    view of a region that will be mutated of) the source array -
+    callers treat working arrays as frozen.
     """
-    if type(stamp) is _LazyStamp and stamp._gather is None:
-        values = stamp._source
-        if isinstance(values, _np.ndarray):
-            born = stamp._born
-            if born == threads and len(values) == size:
-                return values
-            wide = _np.zeros(size, dtype=_np.int64)
-            wide[:born] = values[:born]
-            wide[threads:threads + (len(values) - born)] = values[born:]
-            return wide
-    return _np.array(stamp._values, dtype=_np.int64)
+    source = stamp._source if type(stamp) is _LazyStamp else None
+    if source is None:
+        source = _np.array(stamp._values, dtype=_np.int64)
+    if stamp._components is kernel._components:
+        return source
+    take = kernel._lift_from(stamp._components, array=True)
+    return _np.concatenate((source, _ZERO)).take(take)
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -667,7 +590,7 @@ class NumpyKernelBackend(KernelBackend):
     kernel's :class:`_ArrayCache` (one conversion per touched entity per
     *epoch*, not per batch) and the element-wise maximum is a single
     ``np.maximum`` call.  Values re-enter the immutable
-    :class:`Timestamp` world as :class:`_LazyStamp` links over the
+    :class:`Timestamp` world as :class:`_LazyStamp` stamps over the
     arrays, whose first-use materialisation restores exact Python ints -
     verdict bit-identity with the python backend is asserted by the
     property tests.
@@ -739,7 +662,7 @@ class NumpyKernelBackend(KernelBackend):
         if cache is None:
             cache = kernel._cache = _ArrayCache(components)
         else:
-            # Deferred pad-on-read: component growth since the last array
+            # Deferred lift-on-read: component growth since the last array
             # batch is reconciled here, once, instead of on every extend.
             cache.sync(components)
         cached_threads = cache.threads
@@ -748,7 +671,6 @@ class NumpyKernelBackend(KernelBackend):
         if registry is not None:
             registry.add("kernel.batch.array_batches")
             registry.add("kernel.batch.array_events", len(pairs))
-        born_threads = len(components.thread_components)
         maximum = np.maximum
         zeros = np.zeros
         int64 = np.int64
@@ -771,14 +693,14 @@ class NumpyKernelBackend(KernelBackend):
                     if thread_values is None:
                         stamp = thread_stamps.get(thread)
                         if stamp is not None:
-                            thread_values = stamp_array(stamp, born_threads, size)
+                            thread_values = stamp_array(kernel, stamp)
                 object_values = object_work.get(obj)
                 if object_values is None:
                     object_values = cached_objects.get(obj)
                     if object_values is None:
                         stamp = object_stamps.get(obj)
                         if stamp is not None:
-                            object_values = stamp_array(stamp, born_threads, size)
+                            object_values = stamp_array(kernel, stamp)
                 object_slot = object_slots.get(obj)
                 thread_slot = thread_slots.get(thread)
                 if thread_slot is None and object_slot is None:
@@ -805,7 +727,7 @@ class NumpyKernelBackend(KernelBackend):
                         key = id(values)
                         stamp = minted.get(key)
                         if stamp is None:
-                            stamp = make(components, values, born_threads)
+                            stamp = make(components, values)
                             minted[key] = stamp
                         append_stamp(stamp)
                     else:
@@ -828,7 +750,7 @@ class NumpyKernelBackend(KernelBackend):
                 thread_work[thread] = values
                 object_work[obj] = values
                 if append_stamp is not None:
-                    stamp = make(components, values, born_threads)
+                    stamp = make(components, values)
                     minted[id(values)] = stamp
                     append_stamp(stamp)
                 else:
@@ -877,7 +799,7 @@ class NumpyKernelBackend(KernelBackend):
                     key = id(values)
                     stamp = minted.get(key)
                     if stamp is None:
-                        stamp = make(components, values, born_threads)
+                        stamp = make(components, values)
                         minted[key] = stamp
                     stamp_store[vertex] = stamp
                     cache_store[vertex] = values
@@ -997,6 +919,16 @@ class ClockKernel:
         "_retired_total",
         "_backend",
         "_cache",
+        "_step",
+        "_left",
+        "_rejoined",
+        "_layouts",
+        "_lifts",
+    )
+
+    #: Process-local slots a pickle leaves out (see :meth:`__getstate__`).
+    _UNPICKLED = frozenset(
+        ("_cache", "_step", "_left", "_rejoined", "_layouts", "_lifts")
     )
 
     def __init__(
@@ -1012,20 +944,54 @@ class ClockKernel:
         self._thread_stamps: Dict[Vertex, Timestamp] = {}
         self._object_stamps: Dict[Vertex, Timestamp] = {}
         self._cache: Optional[_ArrayCache] = None
-        self._bind_components(components)
+        self._bind_components(components, fresh=True)
 
-    def _bind_components(self, components: ClockComponents) -> None:
-        """Point the kernel at ``components``: slot maps and the zero stamp."""
+    def _bind_components(
+        self, components: ClockComponents, fresh: bool = False
+    ) -> None:
+        """Push ``components`` onto the layout chain and make it current.
+
+        Records which components left and which *re*-joined (with the
+        step), which is what :meth:`_lift_from` reads.  ``fresh``
+        restarts the chain at ``components`` instead: no stamp the
+        kernel will read again predates it (construction, replay
+        rotation, unpickling).  Layouts are held weakly, so the layout
+        of a stamp nobody holds any more is collected with it.
+        """
+        if fresh:
+            self._step = 0
+            self._left: set = set()
+            self._rejoined: Dict[Vertex, int] = {}
+            self._layouts: Dict[int, tuple] = {}
+        layouts = self._layouts
+        entry = layouts.get(id(components))
+        if entry is not None and entry[0]() is components:
+            # A layout still on the chain keeps its step: re-enter a copy.
+            threads = len(components.thread_components)
+            components = ClockComponents(
+                components.ordered[:threads], components.ordered[threads:]
+            )
+        self._step = step = self._step + 1
+        old = {} if fresh else self._components._index
+        new = components._index
+        for component in old.keys() - new.keys():
+            self._left.add(component)
+            self._rejoined.pop(component, None)
+        for component in (new.keys() - old.keys()) & self._left:
+            self._rejoined[component] = step
+        key = id(components)
+        layouts[key] = (
+            weakref.ref(components, lambda _, key=key: layouts.pop(key, None)),
+            step,
+        )
+        self._lifts: Dict[tuple, tuple] = {}
         self._components = components
         self._zero = Timestamp.zero(components)
-        thread_set = components.thread_components
-        object_set = components.object_components
-        self._thread_slot: Dict[Vertex, int] = {
-            c: i for i, c in enumerate(components.ordered) if c in thread_set
-        }
-        self._object_slot: Dict[Vertex, int] = {
-            c: i for i, c in enumerate(components.ordered) if c in object_set
-        }
+        # Thread slots precede object slots (ClockComponents' slot order).
+        threads = len(components.thread_components)
+        order = components.ordered
+        self._thread_slot = dict(zip(order[:threads], range(threads)))
+        self._object_slot = dict(zip(order[threads:], range(threads, len(order))))
 
     # ------------------------------------------------------------------
     # Queries
@@ -1068,8 +1034,8 @@ class ClockKernel:
         """Drop the backend's resident-array cache wholesale.
 
         The hook for mutations that reshape clock state beyond the
-        cache's pure-append pad model (epoch rotation, resets, slot
-        permutations).  Cheap and always safe: the next array batch
+        component growth :meth:`_ArrayCache.sync` detects (epoch
+        rotation, resets, slot permutations).  Cheap and always safe: the next array batch
         rebuilds resident vectors from the stamp dicts.
         """
         if self._cache is not None:
@@ -1093,13 +1059,20 @@ class ClockKernel:
         # The resident-array cache is process-local working state: it
         # holds numpy arrays (unloadable on a numpy-less host) that the
         # backend rebuilds on demand, so checkpoints never carry it.
-        # Lazy stamps in the dicts serialise as materialised Timestamps
-        # via _LazyStamp.__reduce__.
-        return {
+        # Layout identity does not survive a pickle either, so every
+        # stored stamp is lifted to the current layout (O(stored), at
+        # checkpoint time only) and the chain restarts there on load.
+        # Lazy stamps serialise as plain Timestamps via __reduce__.
+        state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "_cache"
+            if slot not in self._UNPICKLED
         }
+        for name in ("_thread_stamps", "_object_stamps"):
+            state[name] = {
+                vertex: self.lift(stamp) for vertex, stamp in state[name].items()
+            }
+        return state
 
     def __setstate__(self, state) -> None:
         if isinstance(state, tuple):
@@ -1108,14 +1081,56 @@ class ClockKernel:
         for slot, value in state.items():
             setattr(self, slot, value)
         self._cache = None
+        self._bind_components(self._components, fresh=True)
+
+    # ------------------------------------------------------------------
+    # Lift on read
+    # ------------------------------------------------------------------
+    def _lift_from(self, layout: ClockComponents, array: bool = False):
+        """The memoised gather from ``layout`` into the current layout.
+
+        A current component reads its slot in ``layout`` if it has been
+        present continuously since then; any other reads zero, from one
+        slot appended past ``layout``'s end.  A component present in
+        both can only have left in between if it *re*-joined after
+        ``layout``, so the identity map plus those few fix-ups is exact.
+        Returns an ``itemgetter`` over ``values + (0,)``, or with
+        ``array`` a numpy index for ``take``; compiled once per source
+        layout until the next layout change.
+        """
+        lift = self._lifts.get((id(layout), array))
+        if lift is not None and lift[0] is layout:
+            return lift[1]
+        entry = self._layouts.get(id(layout))
+        if entry is None or entry[0]() is not layout:
+            raise ClockError("stamp layout is not on this kernel's layout chain")
+        index = layout._index
+        absent = layout.size
+        current = self._components
+        indices = list(map(index.get, current.ordered, repeat(absent)))
+        for component, joined in self._rejoined.items():
+            if joined > entry[1] and component in index:
+                indices[current._index[component]] = absent
+        gather = (
+            _np.array(indices, dtype=_np.intp) if array else _values_gather(indices)
+        )
+        self._lifts[(id(layout), array)] = (layout, gather)
+        return gather
+
+    def lift(self, stamp: Timestamp) -> Timestamp:
+        """``stamp`` (minted by this kernel) over the current component set."""
+        if stamp._components is self._components:
+            return stamp
+        values = self._lift_from(stamp._components)(stamp._values + (0,))
+        return Timestamp._from_trusted(self._components, values)
 
     def thread_stamp(self, thread: Vertex) -> Timestamp:
         """Current clock of ``thread`` as an immutable timestamp."""
-        return self._thread_stamps.get(thread, self._zero)
+        return self.lift(self._thread_stamps.get(thread, self._zero))
 
     def object_stamp(self, obj: Vertex) -> Timestamp:
         """Current clock of ``obj`` as an immutable timestamp."""
-        return self._object_stamps.get(obj, self._zero)
+        return self.lift(self._object_stamps.get(obj, self._zero))
 
     # ------------------------------------------------------------------
     # The update rule
@@ -1124,11 +1139,17 @@ class ClockKernel:
         """Apply the update rule for one operation and return its timestamp.
 
         One list, one tuple and one :class:`Timestamp` are allocated per
-        covered event; nothing is re-validated.
+        covered event; nothing is re-validated.  Endpoint clocks of an
+        older layout are lifted on read.
         """
         self._cache_evict(thread, obj)
         thread_stamp = self._thread_stamps.get(thread)
         object_stamp = self._object_stamps.get(obj)
+        components = self._components
+        if thread_stamp is not None and thread_stamp._components is not components:
+            thread_stamp = self.lift(thread_stamp)
+        if object_stamp is not None and object_stamp._components is not components:
+            object_stamp = self.lift(object_stamp)
         object_slot = self._object_slot.get(obj)
         thread_slot = self._thread_slot.get(thread)
 
@@ -1147,7 +1168,7 @@ class ClockKernel:
         if thread_stamp is None:
             values = list(object_stamp._values) if object_stamp is not None else [
                 0
-            ] * self._components.size
+            ] * components.size
         elif object_stamp is None or object_stamp is thread_stamp:
             values = list(thread_stamp._values)
         else:
@@ -1159,7 +1180,7 @@ class ClockKernel:
             values[object_slot] += 1
         if thread_slot is not None:
             values[thread_slot] += 1
-        stamp = Timestamp._from_trusted(self._components, tuple(values))
+        stamp = Timestamp._from_trusted(components, tuple(values))
         self._thread_stamps[thread] = stamp
         self._object_stamps[obj] = stamp
         return stamp
@@ -1232,18 +1253,16 @@ class ClockKernel:
     ) -> ClockComponents:
         """Grow the component set in place (the online append-only step).
 
-        Every stored thread/object clock is re-based onto the extended
-        set by component *identity*: existing components keep their
-        values (their slot index may move - thread slots precede object
-        slots by convention), new components start at zero everywhere,
+        Stored thread/object clocks keep their layout and are lifted by
+        component *identity* on their next read: existing components
+        keep their values (their slot index may move - thread slots
+        precede object slots by convention), new components read zero,
         which is exactly the value they would have had from the start.
-        The re-base is lazy: one gather-less :class:`_LazyStamp` link per
-        distinct stored stamp, padded on first read.  Returns the new
-        component set.
+        ``O(k)`` in the clock dimension, nothing per stored stamp.
+        Returns the new component set.
         """
         extended = self._components.extended(thread_components, object_components)
         if extended.size != self._components.size:
-            self._relayout_stamps(extended)
             self._bind_components(extended)
         return self._components
 
@@ -1273,7 +1292,7 @@ class ClockKernel:
         self._thread_stamps.clear()
         self._object_stamps.clear()
         self._invalidate_cache()
-        self._bind_components(new_components)
+        self._bind_components(new_components, fresh=True)
         return retired
 
     def rotate_epoch_delta(
@@ -1281,30 +1300,21 @@ class ClockKernel:
         new_components: ClockComponents,
         keep_threads: AbstractSet[Vertex],
         keep_objects: AbstractSet[Vertex],
-        live_stamps: Sequence[Timestamp],
-    ) -> List[Timestamp]:
-        """Begin a new epoch by *projection*; returns the re-based stamps.
+    ) -> int:
+        """Begin a new epoch by *projection*; returns #retired.
 
         The incremental counterpart of :meth:`rotate_epoch` for the
         pure-retirement case: ``new_components`` must be a subset of the
         current set (retired slots drop, no additions).  Instead of
-        discarding all clock state and replaying the live window, every
-        kept clock is wrapped in a :class:`_LazyStamp` link that gathers
-        the surviving slots on first read.  The gather is compiled once
-        here and shared, so the rotation itself is ``O(live)``
-        constant-size allocations plus one ``O(k)`` compile; gathers are
-        paid only for stamps somebody reads again (for ledger stamps,
-        usually nobody does).  Thread/object clocks outside
+        discarding all clock state and replaying the live window, the
+        kept clocks stay as they are and every later read lifts them
+        (see "Lift on read" in the module docstring), so the rotation
+        costs ``O(k)`` plus a filter of the stamp dicts with no
+        allocation per stamp.  Thread/object clocks outside
         ``keep_threads`` / ``keep_objects`` are dropped.  Dropping slots
-        breaks the resident-array cache's pure-append pad model, so the
-        cache is invalidated wholesale.
-
-        ``live_stamps`` run through the same identity-keyed wrap as the
-        endpoint clocks, preserving the instance sharing between the
-        caller's ledger and the stamp dicts that the slot-delta fast
-        paths rely on.  Returns the projections of ``live_stamps`` in
-        input order.  The epoch / retired-total counters advance exactly
-        as :meth:`rotate_epoch` would.
+        breaks the resident-array cache's layout, so the cache is
+        invalidated wholesale.  The epoch / retired-total counters
+        advance exactly as :meth:`rotate_epoch` would.
 
         When projection preserves causal verdicts, which clocks to keep,
         and the fallback to :meth:`rotate_epoch` + replay are owned by
@@ -1312,66 +1322,20 @@ class ClockKernel:
         <repro.core.timestamping.EpochClock.rotate>`; this method trusts
         its caller on them.
         """
-        self._advance_epoch(new_components)
-        old = self._components
-        gather = (
-            _values_gather([old._index[c] for c in new_components.ordered]),
-            old.size,
-            len(old.thread_components),
-        )
-        wrap = self._relayout_stamps(
-            new_components, gather, keep_threads, keep_objects
-        )
-        stamps = [wrap(stamp) for stamp in live_stamps]
-        self._invalidate_cache()
-        self._bind_components(new_components)
-        return stamps
-
-    def _relayout_stamps(
-        self,
-        new_components: ClockComponents,
-        gather: Optional[tuple] = None,
-        keep_threads: Optional[AbstractSet[Vertex]] = None,
-        keep_objects: Optional[AbstractSet[Vertex]] = None,
-    ):
-        """Wrap every stored clock in a lazy link into ``new_components``.
-
-        Clocks of vertices outside ``keep_threads`` / ``keep_objects``
-        (when given) are dropped.  Returns the wrap function so the
-        caller can run its own stamps through the same cache.
-
-        Threads and objects frequently share one stamp object (the
-        kernel stores the same instance for both endpoints of an event),
-        so links are cached per input stamp to preserve that sharing -
-        the ``object_stamp is thread_stamp`` fast path in :meth:`observe`
-        depends on it.  The cache is keyed by stamp *identity* (``id``),
-        not value: hashing a ``k``-slot tuple per stored stamp would cost
-        more than the wrap itself, and identity is exactly what the
-        cache must preserve.  ``keep`` pins the inputs for the duration,
-        so ids cannot be recycled mid-wrap.
-        """
-        relayout = _LazyStamp._relayout
-        links: Dict[int, Timestamp] = {}
-        keep: List[Timestamp] = []
-
-        def wrap(stamp: Timestamp) -> Timestamp:
-            link = links.get(id(stamp))
-            if link is None:
-                link = links[id(stamp)] = relayout(new_components, stamp, gather)
-                keep.append(stamp)
-            return link
-
+        retired = self._advance_epoch(new_components)
         self._thread_stamps = {
-            vertex: wrap(stamp)
+            vertex: stamp
             for vertex, stamp in self._thread_stamps.items()
-            if keep_threads is None or vertex in keep_threads
+            if vertex in keep_threads
         }
         self._object_stamps = {
-            vertex: wrap(stamp)
+            vertex: stamp
             for vertex, stamp in self._object_stamps.items()
-            if keep_objects is None or vertex in keep_objects
+            if vertex in keep_objects
         }
-        return wrap
+        self._invalidate_cache()
+        self._bind_components(new_components)
+        return retired
 
     def reset(self) -> None:
         """Forget all clock state."""

@@ -34,7 +34,7 @@ from repro.computation.event import Event, ObjectId, ThreadId
 from repro.computation.trace import Computation
 from repro.core.clock import Timestamp, ordering
 from repro.core.components import ClockComponents
-from repro.core.kernel import ClockKernel, _LazyStamp
+from repro.core.kernel import ClockKernel
 from repro.exceptions import (
     AmbiguousTimestampError,
     ClockError,
@@ -450,20 +450,18 @@ class EpochClock:
     def timestamp(self, token: int) -> Timestamp:
         """The (current-epoch) timestamp of a live event.
 
-        A stamp minted before a component extension is stored in its
-        mint-time basis and lifted onto the current set here, on first
-        read (see :meth:`extend`): within an epoch the set only grows by
-        appending, so the kernel's count-based lazy lift is exact.  The
-        lifted stamp is written back so repeated queries pay it once.
+        A stamp minted before a component extension or a delta rotation
+        is stored in its mint layout and lifted onto the current set
+        here, on first read, by :meth:`ClockKernel.lift
+        <repro.core.kernel.ClockKernel.lift>`.  The lifted stamp is
+        written back so repeated queries pay it once.
         """
         try:
             stamp = self._live_stamps[token]
         except KeyError:
             raise ClockError(f"event token {token} is not live") from None
-        components = self._kernel.components
-        if stamp.components is not components:
-            stamp = _LazyStamp._relayout(components, stamp)
-            self._live_stamps[token] = stamp
+        if stamp.components is not self._kernel.components:
+            stamp = self._live_stamps[token] = self._kernel.lift(stamp)
         return stamp
 
     # -- the lifecycle ------------------------------------------------------
@@ -530,11 +528,10 @@ class EpochClock:
         New components are zero in every existing timestamp - the value
         they would have carried had they been present from the start -
         so no verdict among recorded events can change; only the basis
-        widens.  The live ledger is *not* eagerly rewritten: a stamp is
-        re-based onto the current component set on first read
-        (:meth:`timestamp`), mirroring the kernel cache's pad-on-read,
-        so warm-up component growth costs ``O(1)`` per extension here
-        instead of ``O(live)``.
+        widens.  Neither the live ledger nor the kernel's clocks are
+        rewritten: a stamp is lifted onto the current component set on
+        first read (:meth:`timestamp`), so component growth costs
+        nothing per live event.
         """
         self._kernel.extend_components(thread_components, object_components)
 
@@ -553,11 +550,12 @@ class EpochClock:
         * ``"delta"`` (the default) - when the rotation is a **pure
           retirement** (``new_components`` is a subset of the current
           set *and* no retired component is an endpoint of a live
-          event), the kernel instead projects every live stamp and
-          surviving endpoint clock: retired slots dropped, surviving
-          slots gathered, ``O(live)`` slot moves with no update-rule
-          work (:meth:`ClockKernel.rotate_epoch_delta
-          <repro.core.kernel.ClockKernel.rotate_epoch_delta>`).  Any
+          event), the live stamps and surviving endpoint clocks are
+          instead *projected*: retired slots dropped, surviving slots
+          kept.  Nothing is rewritten at the boundary - the kernel
+          only changes layout (:meth:`ClockKernel.rotate_epoch_delta
+          <repro.core.kernel.ClockKernel.rotate_epoch_delta>`) and each
+          stamp is lifted when next read.  Any
           rotation outside that case silently falls back to replay; the
           ``clock.rotation.delta`` / ``clock.rotation.replay`` counters
           record which path ran.
@@ -600,20 +598,17 @@ class EpochClock:
             )
         registry = _metrics_active()
         if use_delta:
-            tokens = list(self._live_pairs)
             # A surviving component keeps its clock even with no live
             # event: its slot keeps its pre-rotation magnitude in other
             # live clocks, so restarting it from zero would reissue values.
-            projected = self._kernel.rotate_epoch_delta(
+            retired = self._kernel.rotate_epoch_delta(
                 new_components,
                 live_threads | new_components.thread_components,
                 live_objects | new_components.object_components,
-                [self._live_stamps[token] for token in tokens],
             )
-            self._live_stamps = dict(zip(tokens, projected))
             if registry is not None:
                 registry.add("clock.rotation.delta")
-            return old.size - new_components.size
+            return retired
         old_stamps: List[Timestamp] = (
             [self.timestamp(token) for token in self._live_pairs]
             if self._check_invariant
@@ -631,6 +626,16 @@ class EpochClock:
         if registry is not None:
             registry.add("clock.rotation.replay")
         return retired
+
+    def __getstate__(self):
+        # Layout identity does not survive a pickle (see
+        # ClockKernel.__getstate__): lift the ledger with the kernel.
+        state = dict(self.__dict__)
+        state["_live_stamps"] = {
+            token: self._kernel.lift(stamp)
+            for token, stamp in self._live_stamps.items()
+        }
+        return state
 
     # -- causality queries on live events -----------------------------------
     def relation(self, token_a: int, token_b: int) -> str:

@@ -296,7 +296,7 @@ class ScenarioSeedRule(Rule):
 
 #: ``ClockKernel`` attributes whose mutation can strand the resident-array
 #: cache (the stamp dicts the cache shadows, plus the layout bindings its
-#: pure-append pad model depends on).
+#: layout-drift check depends on).
 KERNEL_CLOCK_STATE = (
     "_thread_stamps",
     "_object_stamps",
@@ -309,7 +309,7 @@ KERNEL_CLOCK_STATE = (
 _MUTATING_METHODS = frozenset({"clear", "pop", "popitem", "update", "setdefault"})
 
 #: ``self.<method>(...)`` calls that mutate clock state transitively.
-_MUTATING_DELEGATES = frozenset({"_bind_components", "_relayout_stamps"})
+_MUTATING_DELEGATES = frozenset({"_bind_components"})
 
 #: Cache hooks whose call satisfies the contract.
 _CACHE_HOOKS = frozenset({"_invalidate_cache", "_cache_evict"})
@@ -323,10 +323,10 @@ class KernelCacheInvalidationRule(Rule):
     and the cached arrays to describe the same clocks.  Any method that
     mutates clock state behind the cache's back - writing the stamp
     dicts, rebinding ``_components``/slot maps, or delegating to
-    ``_bind_components``/``_relayout_stamps`` - leaves stale vectors that
-    the next batch silently reads: fingerprints diverge between cached
-    and uncached runs, the worst kind of nondeterminism because it only
-    appears after a warm-up.
+    ``_bind_components`` - leaves stale vectors that the next batch
+    silently reads: fingerprints diverge between cached and uncached
+    runs, the worst kind of nondeterminism because it only appears after
+    a warm-up.
 
     The rule requires every such method to do one of:
 
@@ -336,8 +336,8 @@ class KernelCacheInvalidationRule(Rule):
       the no-cache invariant), or
     * be listed in the module-level ``CACHE_SAFE_METHODS`` tuple, whose
       entries carry the written-down reason the mutation is coherent
-      without cache action (e.g. ``extend_components``: pure append,
-      reconciled by the cache's deferred pad-on-read ``sync``).
+      without cache action (e.g. ``extend_components``: a layout push,
+      reconciled by the cache's deferred lift-on-read ``sync``).
 
     The exemption set keeps the decision auditable: a new mutating
     method either visibly touches the cache or names itself next to a
@@ -400,7 +400,7 @@ class KernelCacheInvalidationRule(Rule):
                     node.func.value, KERNEL_CLOCK_STATE
                 ):
                     return True
-                # self._bind_components(...) / self._relayout_stamps(...)
+                # self._bind_components(...)
                 if cls._is_self_attr(node.func, _MUTATING_DELEGATES):
                     return True
         return False

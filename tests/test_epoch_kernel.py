@@ -4,7 +4,8 @@ Covers the three new kernel capabilities - append-only component growth
 (``extend_components``), epoch rotation with slot compaction
 (``rotate_epoch``), and the re-timestamping invariant check - plus the
 EpochClock ledger semantics (FIFO expiry per pair, stable tokens across
-rotations, causality queries on live events).
+rotations, causality queries on live events) and the layout chain
+behind them (layout changes leave stored stamps alone; reads lift them).
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ClockComponents, ClockKernel, EpochClock, Timestamp, ordering
+from repro.core.kernel import NumpyKernelBackend, numpy_available
 from repro.core.timestamping import verify_retimestamping
 from repro.exceptions import ClockError, ComponentError, RetimestampingError
+from repro.obs.registry import MetricsRegistry, install as obs_install
 
 
 class TestKernelExtension:
@@ -186,3 +189,85 @@ class TestEpochClock:
         assert clock.relation(a, b) == before
         c = clock.observe("T3", "O1")  # covered by the new object component
         assert clock.relation(b, c) == "before"
+
+
+def _backend_clock_setup(backend, monkeypatch):
+    """Skip without numpy; force the numpy backend onto its array loop."""
+    if backend == "numpy":
+        if not numpy_available():
+            pytest.skip("numpy backend not installed")
+        monkeypatch.setattr(NumpyKernelBackend, "MIN_ARRAY_BATCH", 1)
+        monkeypatch.setattr(NumpyKernelBackend, "MIN_ARRAY_DIM_MINT", 0)
+        monkeypatch.setattr(NumpyKernelBackend, "MIN_ARRAY_DIM_ADVANCE", 0)
+
+
+class TestLayoutChain:
+    """Layout changes leave stored stamps alone; reads lift them exactly."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_layout_changes_keep_stored_stamps(self, backend, monkeypatch):
+        _backend_clock_setup(backend, monkeypatch)
+        kernel = ClockKernel(
+            ClockComponents(["T1", "T2"], ["O1"]), backend=backend
+        )
+        kernel.timestamp_batch([("T1", "O1"), ("T2", "O2"), ("T3", "O1")])
+        threads = dict(kernel._thread_stamps)
+        objects = dict(kernel._object_stamps)
+        kernel.extend_components(["T3"], ["O2"])
+        assert all(kernel._thread_stamps[v] is s for v, s in threads.items())
+        assert all(kernel._object_stamps[v] is s for v, s in objects.items())
+        kernel.rotate_epoch_delta(
+            ClockComponents(["T1", "T3"], ["O1", "O2"]), {"T1", "T3"}, {"O1"}
+        )
+        assert kernel._thread_stamps.keys() == {"T1", "T3"}
+        assert kernel._object_stamps.keys() == {"O1"}
+        assert kernel._thread_stamps["T1"] is threads["T1"]
+        assert kernel._thread_stamps["T3"] is threads["T3"]
+        assert kernel._object_stamps["O1"] is objects["O1"]
+        # Reads lift: T2 retired, T3 and O2 read zero where not yet seen.
+        assert kernel.thread_stamp("T1").as_dict() == {
+            "T1": 1, "T3": 0, "O1": 1, "O2": 0
+        }
+        assert kernel.object_stamp("O1").as_dict() == {
+            "T1": 1, "T3": 0, "O1": 2, "O2": 0
+        }
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_retired_then_readded_component_reads_zero(self, backend, monkeypatch):
+        """A component retired by delta rotation and re-added by extension
+        reads 0 in every stamp older than the retirement."""
+        _backend_clock_setup(backend, monkeypatch)
+        registry = MetricsRegistry(origin="test-retire-readd")
+        previous = obs_install(registry)
+        try:
+            clocks = [
+                EpochClock(ClockComponents(["T0", "T1"]), backend=backend),
+                EpochClock(
+                    ClockComponents(["T0", "T1"]), backend=backend, rotation="replay"
+                ),
+            ]
+            for clock in clocks:
+                clock.observe_batch([("T1", "O0"), ("T0", "O0")])
+                # T1 left no live event, so T1 can retire by projection.
+                clock.expire("T1", "O0")
+                clock.rotate(ClockComponents(["T0"]))
+                clock.extend(thread_components=("T1",))
+                clock.observe_batch([("T1", "O1"), ("T0", "O1")])
+        finally:
+            obs_install(previous)
+        assert registry.counter_value("clock.rotation.delta") == 1
+        delta, replay = clocks
+        old = delta.live_tokens()[0]
+        assert delta.timestamp(old).value_of("T1") == 0
+        assert delta.timestamp(old).value_of("T0") == 1
+        live = delta.live_tokens()
+        assert live == replay.live_tokens()
+        verdicts = [
+            (delta.relation(a, b), replay.relation(a, b))
+            for i, a in enumerate(live)
+            for b in live[i + 1:]
+        ]
+        assert all(mine == theirs for mine, theirs in verdicts)
+        # The T1 event after the re-add is concurrent with the old T0 one;
+        # an identity-only lift would carry T1's old count and order them.
+        assert delta.relation(old, live[1]) == "concurrent"

@@ -7,11 +7,11 @@ cover-repair fast paths:
   rotation strategy issues the same tokens and answers every causality
   query identically to the ``"replay"`` strategy (and to the
   ``check_invariant=True`` oracle, which replays *and* proves the
-  re-timestamping invariant before committing).  Stamp values are
-  allowed to differ only in representation (lazy projection chains vs
-  eagerly replayed tuples) - their *verdicts* may not.
+  re-timestamping invariant before committing).  Stamp values may
+  differ (stamps kept in their mint layout and lifted on read vs
+  replayed ones) - their *verdicts* may not.
 * **interrupt/resume** - pickling a delta-rotating driver mid-stream
-  (while live stamps still hold unmaterialised projection chains) and
+  (while live stamps are still in the layouts they were minted in) and
   resuming from the pickle changes nothing: the resumed run issues the
   same tokens and verdicts as the uninterrupted replay baseline.
 * **array-minted stamps** - a numpy clock stamping whole batches keeps
@@ -75,7 +75,7 @@ def drive(pairs, window, rotation, backend=None, pickle_at=None):
     the full causality surface a monitor could query at that point.
     ``pickle_at`` round-trips the driver through ``pickle`` after that
     many events, which is exactly what an engine checkpoint does to a
-    kernel holding unmaterialised projection chains.
+    kernel holding stamps of older layouts.
     """
     if backend is not None:
         set_default_backend(backend)

@@ -636,7 +636,7 @@ class TestKernelCacheInvalidation:
             """
             class ClockKernel:
                 def shuffle(self, components):
-                    self._relayout_stamps(components)
+                    self._bind_components(components)
             """,
         )
         assert rule_ids(findings) == ["C205"]
