@@ -271,3 +271,18 @@ class TestLayoutChain:
         # The T1 event after the re-add is concurrent with the old T0 one;
         # an identity-only lift would carry T1's old count and order them.
         assert delta.relation(old, live[1]) == "concurrent"
+
+    def test_rotating_back_to_an_older_layout_object(self):
+        """Re-entering a component set object the chain still holds must
+        not let stamps minted in it skip a retire-then-re-add since."""
+        first = ClockComponents(["T0", "T1"])
+        clock = EpochClock(first)
+        clock.observe("T1", "O0")
+        old = clock.observe("T0", "O0")
+        clock.expire("T1", "O0")
+        clock.rotate(ClockComponents(["T0"]))
+        clock.extend(thread_components=("T1",))
+        clock.rotate(first)  # same set as the current one: a delta rotation
+        fresh = clock.observe("T1", "O1")
+        assert clock.timestamp(old).value_of("T1") == 0
+        assert clock.relation(old, fresh) == "concurrent"
