@@ -9,10 +9,11 @@ three ways over the same stream:
 * ``per-event`` - insert runs capped at one event: one Python call per
   event per layer;
 * ``batched`` + ``python`` backend - runs of consecutive inserts flow
-  through ``observe_batch`` / ``advance_batch`` with the slot-delta
-  pure-Python kernel loop;
+  through ``observe_batch`` / ``advance_batch``; the kernel's one batch
+  loop works on lists, with slot-delta derivation;
 * ``batched`` + ``numpy`` backend (skipped when numpy is absent) - the
-  same pipeline with the kernel's working vectors array-resident.
+  same pipeline and the same loop, its working vectors resident
+  ``int64`` arrays once the clocks are wide enough.
 
 Assertions, in CI via ``--smoke``:
 
@@ -27,8 +28,8 @@ Assertions, in CI via ``--smoke``:
   chunked pipeline alone does not reach that on this merge-heavy
   stream (random thread/object pairing defeats the slot-delta fast
   paths; an O(k) element-wise max per event remains), which is exactly
-  why the numpy backend exists and why it is gated rather than
-  required.
+  why the loop has an array form and why the numpy backend that picks
+  it is gated rather than required.
 
 A second test crosses ``{per-event, batched} x {python, numpy} x
 --workers {1, N}`` on a small engine run (offline optimum and sliding

@@ -48,8 +48,8 @@ stamp: a current component present continuously since the mint layout
 keeps its minted value, any other reads zero - what it would have
 carried had it been present from the start, or since it was re-added
 after a retirement.  The lift is one compiled gather per source layout,
-memoised until the next layout change (an ``itemgetter`` on the
-python side, one ``take`` on a resident array).  So extension and
+memoised until the next layout change (an ``itemgetter`` for the list
+form, one ``take`` for a resident array).  So extension and
 rotation cost ``O(k)`` in the clock dimension and nothing per stored
 stamp; ``EpochClock`` lifts its ledger stamps through the same
 :meth:`ClockKernel.lift`, and a pickle lifts every stored stamp to the
@@ -61,31 +61,37 @@ Per-event :meth:`ClockKernel.observe` pays Python-interpreter overhead
 per event no matter how lean the update rule is, so the kernel also has
 *batch* entry points - :meth:`ClockKernel.timestamp_batch` (mint one
 timestamp per event) and :meth:`ClockKernel.advance_batch` (advance the
-clocks and fold a digest, minting nothing) - whose inner loop is
-supplied by a pluggable :class:`KernelBackend`:
+clocks and fold a digest, minting nothing).  Both run one loop,
+:func:`_run_batch`, over working vectors of one of two forms:
 
-* ``python`` (:class:`PythonKernelBackend`, always available) - the
-  batch loop keeps the working clock vectors as plain lists and applies
-  *slot-delta* derivation on the hot path: whenever one operand of the
-  merge is absent or the two endpoints already share one stamp, the new
-  vector is a C-speed copy of the previous one with the one or two
-  incremented slots bumped, skipping the ``O(k)`` Python-level
-  element-wise maximum entirely;
-* ``numpy`` (:class:`NumpyKernelBackend`, **gated**: selectable only
-  when numpy imports, never required) - working vectors are *resident*
-  ``int64`` arrays that persist across batches in an
-  :class:`_ArrayCache` hung off the kernel, so the merge is a single C
-  call (``np.maximum``) and a touched entity is converted from tuple
-  form at most once per epoch, not once per batch; minted stamps are
-  lazy stamps (:class:`_LazyStamp`) over the resident arrays that
-  materialise an exact
-  Python-int tuple only on first ``_values`` access, so digest-only
-  drivers (the engine's ``timestamps`` mode, the ``advance_batch``
-  fold paths, which read their slot values straight off the resident
-  arrays) never pay tuple construction at all.  Every materialised
-  timestamp - and therefore every causal verdict - is bit-identical to
-  the pure-Python derivation; the property-test suite asserts that
-  identity on random computations.
+* *lists* (:data:`_LISTS`) - a stored stamp is read as its value tuple
+  and a derived vector is a list; a mint batch keeps the minted tuples
+  as its working state;
+* *arrays* (:data:`_ARRAYS`) - *resident* ``int64`` arrays that persist
+  across batches in an :class:`_ArrayCache` hung off the kernel, so the
+  merge is a single C call (``np.maximum``) and a touched entity is
+  converted from tuple form at most once per epoch, not once per batch.
+  Minted stamps are lazy stamps (:class:`_LazyStamp`) over the arrays
+  that materialise an exact Python-int tuple only on first ``_values``
+  access, so digest-only drivers (the engine's ``timestamps`` mode,
+  whose fold reads its slot values straight off the resident arrays)
+  never pay tuple construction at all.
+
+In both forms the loop applies *slot-delta* derivation on the hot path:
+whenever one operand of the merge is absent or the two endpoints
+already share one vector, the new vector is a C-speed copy of the
+previous one with the one or two incremented slots bumped, skipping the
+``O(k)`` element-wise maximum entirely.
+
+A pluggable :class:`KernelBackend` only picks the form of each batch:
+``python`` (:class:`PythonKernelBackend`, always available) always
+works on lists; ``numpy`` (:class:`NumpyKernelBackend`, **gated**:
+selectable only when numpy imports, never required) works on arrays
+when the batch and the clock are large enough to pay for them.  Every
+materialised timestamp - and therefore every causal verdict - is
+bit-identical across forms and to per-event :meth:`ClockKernel.observe`;
+the property-test suite asserts that identity on random computations,
+with ``observe`` as the independent oracle.
 
 Cache coherence is a *contract*, not a convention: any
 :class:`ClockKernel` method that mutates component layout or clock
@@ -108,8 +114,18 @@ from __future__ import annotations
 import os
 import weakref
 from itertools import repeat
-from operator import itemgetter
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import getitem, itemgetter
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.clock import Timestamp
 from repro.core.components import ClockComponents
@@ -192,7 +208,7 @@ def _values_gather(indices: Sequence[int]):
 class _LazyStamp(Timestamp):
     """A numpy-minted :class:`Timestamp` whose value tuple is built on first read.
 
-    ``_source`` is the resident ``int64`` array the numpy backend minted
+    ``_source`` is the resident ``int64`` array an array batch minted
     the stamp over, in the stamp's own layout; the first ``_values``
     read converts it to exact Python ints, writes the tuple back and
     releases the array.  Digest-only drivers never read it, so they
@@ -222,273 +238,19 @@ class _LazyStamp(Timestamp):
 
     def __reduce__(self):
         return (Timestamp._from_trusted, (self._components, self._values))
-
-
 # ---------------------------------------------------------------------------
-# Batch backends
+# The batch loop
 # ---------------------------------------------------------------------------
-class KernelBackend:
-    """Strategy supplying the kernel's batch inner loop.
-
-    Backends are stateless between calls: all clock state lives in the
-    :class:`ClockKernel`, batch-scoped working representations are built
-    on entry and written back before returning (also on error, so a
-    strict-mode :class:`~repro.exceptions.ComponentError` raised mid-batch
-    leaves exactly the events before it applied - the same prefix a
-    sequential ``observe`` loop would have left).  Statelessness is also
-    what makes kernels picklable across backends: a backend pickles as
-    its name.
-    """
-
-    name = "abstract"
-
-    def timestamp_batch(
-        self, kernel: "ClockKernel", pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> List[Timestamp]:
-        raise NotImplementedError
-
-    def advance_batch(
-        self,
-        kernel: "ClockKernel",
-        pairs: Sequence[Tuple[Vertex, Vertex]],
-        fold: int,
-    ) -> int:
-        raise NotImplementedError
-
-    def __reduce__(self):
-        # Checkpoints must stay loadable anywhere: a shard pickled under
-        # the numpy backend unpickles on a numpy-less host as the python
-        # backend (bit-identical by contract) instead of failing the
-        # whole resume; the resuming run re-pins its own --backend right
-        # after loading anyway.
-        return (_backend_from_checkpoint, (self.name,))
-
-
-class PythonKernelBackend(KernelBackend):
-    """The always-available pure-Python batch loop (slot-delta hot path)."""
-
-    name = PYTHON_BACKEND
-
-    def timestamp_batch(self, kernel, pairs):
-        # Minting a Timestamp per event needs a fresh tuple per event
-        # anyway, so the minted stamps themselves are the working state:
-        # this is observe() with the attribute lookups hoisted out of the
-        # loop and the slot-delta fast paths applied to the tuples.
-        #
-        # Cache coherence (C205): this loop replaces stamps without going
-        # through the resident-array cache, so any cached vectors for the
-        # touched endpoints go stale - evict them up front.  When the
-        # kernel never ran an array batch the cache is None and this is a
-        # single attribute load.
-        cache = kernel._cache
-        if cache is not None:
-            cache.evict_pairs(pairs)
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.batch.python_batches")
-            registry.add("kernel.batch.python_events", len(pairs))
-        components = kernel._components
-        size = components.size
-        thread_slots = kernel._thread_slot
-        object_slots = kernel._object_slot
-        thread_stamps = kernel._thread_stamps
-        object_stamps = kernel._object_stamps
-        from_trusted = Timestamp._from_trusted
-        lift = kernel.lift
-        stamps: List[Timestamp] = []
-        append = stamps.append
-        for thread, obj in pairs:
-            thread_stamp = thread_stamps.get(thread)
-            object_stamp = object_stamps.get(obj)
-            # Lift on read: one identity check per stored stamp read.
-            if thread_stamp is not None and thread_stamp._components is not components:
-                thread_stamp = lift(thread_stamp)
-            if object_stamp is not None and object_stamp._components is not components:
-                object_stamp = lift(object_stamp)
-            object_slot = object_slots.get(obj)
-            thread_slot = thread_slots.get(thread)
-            if thread_slot is None and object_slot is None:
-                if kernel._strict:
-                    raise ComponentError(
-                        f"operation ({thread!r}, {obj!r}) is not covered by "
-                        f"the clock components"
-                    )
-                stamp = kernel._merge_only(thread_stamp, object_stamp)
-                thread_stamps[thread] = stamp
-                object_stamps[obj] = stamp
-                append(stamp)
-                continue
-            if thread_stamp is None:
-                values = (
-                    list(object_stamp._values)
-                    if object_stamp is not None
-                    else [0] * size
-                )
-            elif object_stamp is None or object_stamp is thread_stamp:
-                values = list(thread_stamp._values)
-            else:
-                a = thread_stamp._values
-                b = object_stamp._values
-                values = [x if x >= y else y for x, y in zip(a, b)]
-            if object_slot is not None:
-                values[object_slot] += 1
-            if thread_slot is not None:
-                values[thread_slot] += 1
-            stamp = from_trusted(components, tuple(values))
-            thread_stamps[thread] = stamp
-            object_stamps[obj] = stamp
-            append(stamp)
-        return stamps
-
-    def advance_batch(self, kernel, pairs, fold):
-        # The digest-only loop keeps working vectors as plain lists
-        # (frozen by convention once shared) and mints nothing: stamps
-        # for the touched entities are materialised once at the batch
-        # boundary, preserving the thread/object stamp *sharing* the
-        # per-event fast path depends on.
-        #
-        # Cache coherence (C205): same up-front eviction as
-        # timestamp_batch - this loop's write-back bypasses the
-        # resident-array cache.
-        cache = kernel._cache
-        if cache is not None:
-            cache.evict_pairs(pairs)
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.batch.python_batches")
-            registry.add("kernel.batch.python_events", len(pairs))
-        components = kernel._components
-        size = components.size
-        thread_slots = kernel._thread_slot
-        object_slots = kernel._object_slot
-        thread_stamps = kernel._thread_stamps
-        object_stamps = kernel._object_stamps
-        lift = kernel.lift
-        thread_work: Dict[Vertex, list] = {}
-        object_work: Dict[Vertex, list] = {}
-        try:
-            for thread, obj in pairs:
-                thread_values = thread_work.get(thread)
-                if thread_values is None:
-                    stamp = thread_stamps.get(thread)
-                    if stamp is not None:
-                        thread_values = list(lift(stamp)._values)
-                object_values = object_work.get(obj)
-                if object_values is None:
-                    stamp = object_stamps.get(obj)
-                    if stamp is not None:
-                        object_values = list(lift(stamp)._values)
-                object_slot = object_slots.get(obj)
-                thread_slot = thread_slots.get(thread)
-                if thread_slot is None and object_slot is None:
-                    if kernel._strict:
-                        raise ComponentError(
-                            f"operation ({thread!r}, {obj!r}) is not covered "
-                            f"by the clock components"
-                        )
-                    # Merge-only: no increment, digest sees (0, 0).
-                    if thread_values is None:
-                        values = (
-                            object_values
-                            if object_values is not None
-                            else [0] * size
-                        )
-                    elif (
-                        object_values is None or object_values is thread_values
-                    ):
-                        values = thread_values
-                    else:
-                        values = [
-                            x if x >= y else y
-                            for x, y in zip(thread_values, object_values)
-                        ]
-                    thread_work[thread] = values
-                    object_work[obj] = values
-                    fold = (
-                        (fold ^ 1) * _FOLD_PRIME
-                    ) & _FOLD_MASK
-                    continue
-                # Slot-delta fast paths: copy + bump instead of an O(k)
-                # Python-level element-wise max whenever one operand is
-                # absent or both endpoints already share one vector.
-                if thread_values is None:
-                    values = (
-                        object_values.copy()
-                        if object_values is not None
-                        else [0] * size
-                    )
-                elif object_values is None or object_values is thread_values:
-                    values = thread_values.copy()
-                else:
-                    values = [
-                        x if x >= y else y
-                        for x, y in zip(thread_values, object_values)
-                    ]
-                if object_slot is not None:
-                    values[object_slot] += 1
-                if thread_slot is not None:
-                    values[thread_slot] += 1
-                thread_work[thread] = values
-                object_work[obj] = values
-                fold = (
-                    (
-                        fold
-                        ^ (
-                            (values[thread_slot] if thread_slot is not None else 0)
-                            * 2654435761
-                            + (values[object_slot] if object_slot is not None else 0)
-                            * 40503
-                            + 1
-                        )
-                    )
-                    * _FOLD_PRIME
-                ) & _FOLD_MASK
-        finally:
-            _write_back_lists(
-                components, thread_work, object_work, thread_stamps, object_stamps
-            )
-        return fold
-
-
-def _write_back_lists(components, thread_work, object_work,
-                      thread_stamps, object_stamps) -> None:
-    """Mint one Timestamp per unique working vector and store it.
-
-    The identity cache preserves stamp *sharing*: when a thread and an
-    object ended the batch on the same vector (they were endpoints of
-    the same last event), they get the same Timestamp instance, which is
-    what the ``object_stamp is thread_stamp`` per-event fast path keys
-    on.  Working vectors stay referenced by the work dicts until this
-    completes, so ``id`` keys cannot be recycled.
-    """
-    minted: Dict[int, Timestamp] = {}
-    from_trusted = Timestamp._from_trusted
-    for vertex, values in thread_work.items():
-        key = id(values)
-        stamp = minted.get(key)
-        if stamp is None:
-            stamp = from_trusted(components, tuple(values))
-            minted[key] = stamp
-        thread_stamps[vertex] = stamp
-    for vertex, values in object_work.items():
-        key = id(values)
-        stamp = minted.get(key)
-        if stamp is None:
-            stamp = from_trusted(components, tuple(values))
-            minted[key] = stamp
-        object_stamps[vertex] = stamp
-
-
 class _ArrayCache:
     """Cross-batch resident ``int64`` working vectors of one kernel.
 
     Maps touched threads/objects to the array holding their current
-    clock, so consecutive batches re-enter the numpy inner loop with a
-    dict lookup instead of a tuple-to-array conversion per touched
-    entity.  One *layout tag* (``born_threads``, ``born_size``) covers
-    every stored array: arrays only enter the cache at write-back, which
-    always happens right after :meth:`sync`, so they all share the
-    layout the kernel had at that moment.
+    clock, so consecutive batches re-enter the array form of the batch
+    loop with a dict lookup instead of a tuple-to-array conversion per
+    touched entity.  One *layout tag* (``born_threads``, ``born_size``)
+    covers every stored array: arrays only enter the cache at
+    write-back, which always happens right after :meth:`sync`, so they
+    all share the layout the kernel had at that moment.
 
     Component growth is **deferred lift-on-read**: ``extend_components``
     does not touch the cache (see :data:`CACHE_SAFE_METHODS`); the next
@@ -501,10 +263,10 @@ class _ArrayCache:
     extension every few events while the cover assembles) near-free.
 
     Coherence with the kernel's stamp dicts is the C205 contract: every
-    mutation of clock values outside the numpy write-back must evict the
+    mutation of clock values outside the array write-back must evict the
     touched entries (:meth:`evict`/:meth:`evict_pairs`) or drop the
     cache wholesale (``kernel._cache = None``).  Arrays in the cache are
-    never mutated in place - the inner loop derives a *fresh* array
+    never mutated in place - the batch loop derives a *fresh* array
     before incrementing - so eviction is about staleness, not aliasing.
     """
 
@@ -550,7 +312,7 @@ class _ArrayCache:
             registry.add("kernel.array_cache.evictions", evicted)
 
     def evict_pairs(self, pairs: Sequence[Tuple[Vertex, Vertex]]) -> None:
-        """Forget every endpoint of ``pairs`` ahead of a non-array batch."""
+        """Forget every endpoint of ``pairs`` ahead of a list-form batch."""
         threads = self.threads
         objects = self.objects
         registry = _metrics_active()
@@ -567,7 +329,7 @@ class _ArrayCache:
 def _stamp_array(kernel: "ClockKernel", stamp: Timestamp):
     """An ``int64`` array of ``stamp``'s values in ``kernel``'s layout.
 
-    The array-path fast lane of a cache miss: a lazy stamp still rooted
+    The array form's read of a stored stamp: a lazy stamp still rooted
     at a resident array reuses that array directly when its layout is
     current, or lifts it with one ``take`` when it is not.  Anything
     else converts the stamp's value tuple.  Never mutates (or returns a
@@ -583,82 +345,86 @@ def _stamp_array(kernel: "ClockKernel", stamp: Timestamp):
     return _np.concatenate((source, _ZERO)).take(take)
 
 
-class NumpyKernelBackend(KernelBackend):
-    """The gated numpy batch loop: resident-array clocks, C-speed merge.
+def _stamp_tuple(kernel: "ClockKernel", stamp: Timestamp) -> tuple:
+    """The list form's read of a stored stamp: its values, lifted."""
+    return kernel.lift(stamp)._values
 
-    Working vectors are ``int64`` arrays resident across batches in the
-    kernel's :class:`_ArrayCache` (one conversion per touched entity per
-    *epoch*, not per batch) and the element-wise maximum is a single
-    ``np.maximum`` call.  Values re-enter the immutable
-    :class:`Timestamp` world as :class:`_LazyStamp` stamps over the
-    arrays, whose first-use materialisation restores exact Python ints -
-    verdict bit-identity with the python backend is asserted by the
-    property tests.
+
+def _list_maximum(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    return [x if x >= y else y for x, y in zip(a, b)]
+
+
+class _Form(NamedTuple):
+    """How the batch loop holds its working vectors.
+
+    ``convert(kernel, stamp)`` reads a stored stamp in the current
+    layout; ``copy``, ``maximum`` and ``zeros(size)`` each return a
+    *fresh* vector, the only kind the loop increments; ``read(vector,
+    slot)`` returns one slot as a Python int, so the fold never sees
+    ``np.int64``; ``mint(components, vector)`` wraps a vector in a stamp.
     """
 
-    name = NUMPY_BACKEND
+    convert: Callable
+    copy: Callable
+    maximum: Callable
+    zeros: Callable
+    read: Callable
+    mint: Callable
 
-    #: Below this batch length the array working-state setup costs more
-    #: than it saves, so short runs (warm-up segments between component
-    #: additions, expire-riddled streams) take the pure-Python loop -
-    #: *until* the kernel has a populated resident cache, at which point
-    #: arrays win at any length (a cache hit is one dict lookup, while
-    #: falling back would evict cached vectors and rebuild them from
-    #: materialised tuples next batch).  Re-tuned for the cached regime:
-    #: the old per-batch backend needed 48 events to amortise its
-    #: conversions; with conversions amortised across the epoch the
-    #: crossover sits far lower.  Purely a wall-clock switch: both loops
-    #: are bit-identical.
-    MIN_ARRAY_BATCH = 16
 
-    #: Below this clock dimension ``np.maximum`` call overhead exceeds
-    #: the Python element-wise loop it replaces, so small clocks take
-    #: the Python loop too.  The two modes used to differ by ~3x because
-    #: minting converted every stamp back to a Python tuple; lazy
-    #: array-rooted stamps removed that per-event cost, so the mint
-    #: crossover collapsed to nearly the advance one.  Same bit-identity
-    #: argument as above in both cases.
-    MIN_ARRAY_DIM_ADVANCE = 32
-    MIN_ARRAY_DIM_MINT = 48
+#: Sequences: a stored stamp is read as its value tuple and a derived
+#: vector is a list.  Minting freezes the list into the stamp's tuple,
+#: which then replaces it as working state, so a mint batch holds no
+#: list beyond the event being derived.
+_LISTS = _Form(
+    _stamp_tuple,
+    list,
+    _list_maximum,
+    lambda size: [0] * size,
+    getitem,
+    lambda components, values: Timestamp._from_trusted(components, tuple(values)),
+)
 
-    def __init__(self) -> None:
-        self._fallback = PythonKernelBackend()
+#: Resident ``int64`` arrays (see :class:`_ArrayCache`): the maximum is
+#: one C call, and minted stamps are lazy stamps over the arrays.
+_ARRAYS = None if _np is None else _Form(
+    _stamp_array,
+    _np.ndarray.copy,
+    _np.maximum,
+    lambda size: _np.zeros(size, dtype=_np.int64),
+    _np.ndarray.item,
+    _LazyStamp._make,
+)
 
-    def _use_arrays(self, kernel, pairs, min_dim) -> bool:
-        cache = kernel._cache
-        if cache is not None and (cache.threads or cache.objects):
-            # Resident vectors exist: stay on the array path so they are
-            # reused rather than evicted (the python fallback would have
-            # to materialise their lazy stamps' tuples anyway).
-            return True
-        return (
-            len(pairs) >= self.MIN_ARRAY_BATCH
-            and kernel._components.size >= min_dim
-        )
 
-    def timestamp_batch(self, kernel, pairs):
-        if not self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_MINT):
-            return self._fallback.timestamp_batch(kernel, pairs)
-        stamps: List[Timestamp] = []
-        self._run(kernel, pairs, 0, stamps)
-        return stamps
+def _run_batch(
+    kernel: "ClockKernel",
+    pairs: Sequence[Tuple[Vertex, Vertex]],
+    fold: int,
+    stamps: Optional[List[Timestamp]],
+    arrays: bool,
+) -> int:
+    """Apply the update rule to ``pairs``: the kernel's one batch loop.
 
-    def advance_batch(self, kernel, pairs, fold):
-        if not self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_ADVANCE):
-            return self._fallback.advance_batch(kernel, pairs, fold)
-        return self._run(kernel, pairs, fold, None)
-
-    def _run(self, kernel, pairs, fold, stamps):
-        np = _np
-        if np is None:  # pragma: no cover - resolve_backend gates this
-            raise ClockError("numpy backend invoked without numpy installed")
-        components = kernel._components
-        size = components.size
-        thread_slots = kernel._thread_slot
-        object_slots = kernel._object_slot
-        thread_stamps = kernel._thread_stamps
-        object_stamps = kernel._object_stamps
-        cache = kernel._cache
+    Mints one stamp per event into ``stamps``, or with ``stamps`` None
+    advances ``fold`` by :func:`fold_stamp_values` per event and returns
+    it.  Working vectors take the :data:`_ARRAYS` form when ``arrays``
+    is set, else :data:`_LISTS`; both derive the same values, so the
+    form only moves wall-clock.  The write-back stores one stamp per
+    distinct final vector - the stamp its last event minted, if any -
+    so a thread and an object whose last event was the same share one
+    stamp, as :meth:`ClockKernel.observe` leaves them.  It runs on a
+    strict-mode error too: the events before the offender stay applied,
+    exactly as a sequential ``observe`` loop would have left them.
+    """
+    components = kernel._components
+    size = components.size
+    thread_slots = kernel._thread_slot
+    object_slots = kernel._object_slot
+    thread_stamps = kernel._thread_stamps
+    object_stamps = kernel._object_stamps
+    cache = kernel._cache
+    if arrays:
         if cache is None:
             cache = kernel._cache = _ArrayCache(components)
         else:
@@ -667,143 +433,213 @@ class NumpyKernelBackend(KernelBackend):
             cache.sync(components)
         cached_threads = cache.threads
         cached_objects = cache.objects
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.batch.array_batches")
-            registry.add("kernel.batch.array_events", len(pairs))
-        maximum = np.maximum
-        zeros = np.zeros
-        int64 = np.int64
-        make = _LazyStamp._make
-        stamp_array = _stamp_array
-        thread_work: Dict[Vertex, object] = {}
-        object_work: Dict[Vertex, object] = {}
-        # Stamps minted this batch, keyed by the id of their array.  The
-        # write-back reuses them so a returned stamp and the stored
-        # thread/object stamp of its endpoints are the *same* object,
-        # like the python backend's loop; each stamp keeps its array
-        # alive, so ids cannot be recycled while the dict is in use.
-        minted: Dict[int, Timestamp] = {}
-        append_stamp = stamps.append if stamps is not None else None
-        try:
-            for thread, obj in pairs:
-                thread_values = thread_work.get(thread)
+        convert, copy, maximum, zeros, read, mint = _ARRAYS
+    else:
+        # Cache coherence (C205): a list batch replaces its endpoints'
+        # stamps behind the resident-array cache, so evict them up front.
+        if cache is not None:
+            cache.evict_pairs(pairs)
+        cached_threads = cached_objects = {}
+        convert, copy, maximum, zeros, read, mint = _LISTS
+    registry = _metrics_active()
+    if registry is not None:
+        form = "array" if arrays else "python"
+        registry.add(f"kernel.batch.{form}_batches")
+        registry.add(f"kernel.batch.{form}_events", len(pairs))
+    thread_work: Dict[Vertex, object] = {}
+    object_work: Dict[Vertex, object] = {}
+    # Stamps by the id of their working vector, which the stamp keeps
+    # alive, so no key can be recycled while the dict is in use.
+    minted: Dict[int, Timestamp] = {}
+    append_stamp = stamps.append if stamps is not None else None
+    try:
+        for thread, obj in pairs:
+            thread_values = thread_work.get(thread)
+            if thread_values is None:
+                thread_values = cached_threads.get(thread)
                 if thread_values is None:
-                    thread_values = cached_threads.get(thread)
-                    if thread_values is None:
-                        stamp = thread_stamps.get(thread)
-                        if stamp is not None:
-                            thread_values = stamp_array(kernel, stamp)
-                object_values = object_work.get(obj)
+                    stamp = thread_stamps.get(thread)
+                    if stamp is not None:
+                        thread_values = convert(kernel, stamp)
+            object_values = object_work.get(obj)
+            if object_values is None:
+                object_values = cached_objects.get(obj)
                 if object_values is None:
-                    object_values = cached_objects.get(obj)
-                    if object_values is None:
-                        stamp = object_stamps.get(obj)
-                        if stamp is not None:
-                            object_values = stamp_array(kernel, stamp)
-                object_slot = object_slots.get(obj)
-                thread_slot = thread_slots.get(thread)
-                if thread_slot is None and object_slot is None:
-                    if kernel._strict:
-                        raise ComponentError(
-                            f"operation ({thread!r}, {obj!r}) is not covered "
-                            f"by the clock components"
-                        )
-                    if thread_values is None:
-                        values = (
-                            object_values
-                            if object_values is not None
-                            else zeros(size, dtype=int64)
-                        )
-                    elif (
-                        object_values is None or object_values is thread_values
-                    ):
-                        values = thread_values
-                    else:
-                        values = maximum(thread_values, object_values)
-                    thread_work[thread] = values
-                    object_work[obj] = values
-                    if append_stamp is not None:
-                        key = id(values)
-                        stamp = minted.get(key)
-                        if stamp is None:
-                            stamp = make(components, values)
-                            minted[key] = stamp
-                        append_stamp(stamp)
-                    else:
-                        fold = ((fold ^ 1) * _FOLD_PRIME) & _FOLD_MASK
-                    continue
-                if thread_values is None:
-                    values = (
-                        object_values.copy()
-                        if object_values is not None
-                        else zeros(size, dtype=int64)
+                    stamp = object_stamps.get(obj)
+                    if stamp is not None:
+                        object_values = convert(kernel, stamp)
+            object_slot = object_slots.get(obj)
+            thread_slot = thread_slots.get(thread)
+            if object_values is None or object_values is thread_values:
+                values = thread_values
+            elif thread_values is None:
+                values = object_values
+            else:
+                values = maximum(thread_values, object_values)
+            if thread_slot is None and object_slot is None:
+                if kernel._strict:
+                    raise ComponentError(
+                        f"operation ({thread!r}, {obj!r}) is not covered "
+                        f"by the clock components"
                     )
-                elif object_values is None or object_values is thread_values:
-                    values = thread_values.copy()
-                else:
-                    values = maximum(thread_values, object_values)
+                # Merge-only: no increment, and the digest sees (0, 0).
+                if values is None:
+                    values = zeros(size)
+            else:
+                # Slot-delta: when one operand is absent or both endpoints
+                # share one vector, the new vector is a C-speed copy with
+                # the one or two incremented slots bumped, skipping the
+                # O(k) element-wise maximum entirely.
+                if values is None:
+                    values = zeros(size)
+                elif values is thread_values or values is object_values:
+                    values = copy(values)
                 if object_slot is not None:
                     values[object_slot] += 1
                 if thread_slot is not None:
                     values[thread_slot] += 1
-                thread_work[thread] = values
-                object_work[obj] = values
-                if append_stamp is not None:
-                    stamp = make(components, values)
-                    minted[id(values)] = stamp
-                    append_stamp(stamp)
-                else:
-                    # The fold reads its post-increment slot values
-                    # straight off the resident array - no tuple, no
-                    # Timestamp, just two scalar reads per event.
-                    fold = (
-                        (
-                            fold
-                            ^ (
-                                (values.item(thread_slot) if thread_slot is not None else 0)
-                                * 2654435761
-                                + (values.item(object_slot) if object_slot is not None else 0)
-                                * 40503
-                                + 1
-                            )
+            if append_stamp is None:
+                fold = (
+                    (
+                        fold
+                        ^ (
+                            (read(values, thread_slot) if thread_slot is not None else 0)
+                            * 2654435761
+                            + (read(values, object_slot) if object_slot is not None else 0)
+                            * 40503
+                            + 1
                         )
-                        * _FOLD_PRIME
-                    ) & _FOLD_MASK
-        finally:
-            # Hit/miss accounting must read membership *before* the
-            # write-back repopulates the stores: an entity touched this
-            # batch was a hit iff its vector was already resident when
-            # the batch began (entries are only read, never added,
-            # inside the loop above).  Entity-granular on purpose - the
-            # cache's whole point is one conversion per touched entity,
-            # so per-entity is the meaningful hit rate.
-            if registry is not None:
-                touched = len(thread_work) + len(object_work)
-                hits = sum(
-                    1 for vertex in thread_work if vertex in cached_threads
-                ) + sum(1 for vertex in object_work if vertex in cached_objects)
-                if hits:
-                    registry.add("kernel.array_cache.hits", hits)
-                if touched - hits:
-                    registry.add("kernel.array_cache.misses", touched - hits)
-            # Also on a strict-mode error: the events before the offender
-            # are applied, and stamps and cache stay coherent (the batch
-            # entered synced, and every array written carries the synced
-            # layout).
-            for cache_store, stamp_store, work in (
-                (cached_threads, thread_stamps, thread_work),
-                (cached_objects, object_stamps, object_work),
-            ):
-                for vertex, values in work.items():
-                    key = id(values)
-                    stamp = minted.get(key)
-                    if stamp is None:
-                        stamp = make(components, values)
-                        minted[key] = stamp
-                    stamp_store[vertex] = stamp
-                    cache_store[vertex] = values
-        return fold
+                    )
+                    * _FOLD_PRIME
+                ) & _FOLD_MASK
+            else:
+                stamp = minted.get(id(values))
+                if stamp is None:
+                    stamp = mint(components, values)
+                    if not arrays:
+                        values = stamp._values
+                    minted[id(values)] = stamp
+                append_stamp(stamp)
+            thread_work[thread] = values
+            object_work[obj] = values
+    finally:
+        # Hit/miss accounting must read membership *before* the
+        # write-back repopulates the cache: an entity touched this batch
+        # was a hit iff its vector was already resident when the batch
+        # began.  Entity-granular on purpose - the cache's whole point is
+        # one conversion per touched entity.
+        if arrays and registry is not None:
+            touched = len(thread_work) + len(object_work)
+            hits = sum(
+                1 for vertex in thread_work if vertex in cached_threads
+            ) + sum(1 for vertex in object_work if vertex in cached_objects)
+            if hits:
+                registry.add("kernel.array_cache.hits", hits)
+            if touched - hits:
+                registry.add("kernel.array_cache.misses", touched - hits)
+        for stamp_store, work, cache_store in (
+            (thread_stamps, thread_work, cached_threads),
+            (object_stamps, object_work, cached_objects),
+        ):
+            for vertex, values in work.items():
+                stamp = minted.get(id(values))
+                if stamp is None:
+                    stamp = minted[id(values)] = mint(components, values)
+                stamp_store[vertex] = stamp
+            if arrays:
+                # Every array written carries the layout the batch synced.
+                cache_store.update(work)
+    return fold
+
+
+class KernelBackend:
+    """Strategy deciding which form the kernel's batch loop works in.
+
+    Every backend runs the same loop (:func:`_run_batch`); a backend
+    only decides, per batch, whether its working vectors are lists or
+    resident arrays (:meth:`_use_arrays`), which never changes results.
+    Backends hold no state between calls: all clock state lives in the
+    :class:`ClockKernel`, which is also what makes kernels picklable
+    across backends - a backend pickles as its name.
+    """
+
+    name = "abstract"
+
+    #: Clock dimensions below which a mint (resp. fold) batch stays on
+    #: lists, because ``np.maximum`` call overhead exceeds the
+    #: element-wise Python loop it replaces.  Lazy array-rooted stamps
+    #: made minting nearly as cheap on arrays as folding, so the two
+    #: crossovers sit close.  Only :class:`NumpyKernelBackend` reads them.
+    MIN_ARRAY_DIM_ADVANCE = 32
+    MIN_ARRAY_DIM_MINT = 48
+
+    def _use_arrays(self, kernel: "ClockKernel", pairs, min_dim: int) -> bool:
+        """Whether this batch runs on arrays; ``min_dim`` is the width gate."""
+        return False
+
+    def timestamp_batch(
+        self, kernel: "ClockKernel", pairs: Sequence[Tuple[Vertex, Vertex]]
+    ) -> List[Timestamp]:
+        stamps: List[Timestamp] = []
+        arrays = self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_MINT)
+        _run_batch(kernel, pairs, 0, stamps, arrays)
+        return stamps
+
+    def advance_batch(
+        self,
+        kernel: "ClockKernel",
+        pairs: Sequence[Tuple[Vertex, Vertex]],
+        fold: int,
+    ) -> int:
+        arrays = self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_ADVANCE)
+        return _run_batch(kernel, pairs, fold, None, arrays)
+
+    def __reduce__(self):
+        # Checkpoints must stay loadable anywhere: a shard pickled under
+        # the numpy backend unpickles on a numpy-less host as the python
+        # backend (bit-identical by contract) instead of failing the
+        # whole resume; the resuming run re-pins its own --backend right
+        # after loading anyway.
+        return (_backend_from_checkpoint, (self.name,))
+
+
+class PythonKernelBackend(KernelBackend):
+    """The always-available backend: every batch works on lists."""
+
+    name = PYTHON_BACKEND
+
+
+class NumpyKernelBackend(KernelBackend):
+    """The gated numpy backend: wide batches work on resident arrays.
+
+    Arrays persist across batches in the kernel's :class:`_ArrayCache`
+    (one conversion per touched entity per *epoch*, not per batch), the
+    element-wise maximum is a single ``np.maximum`` call, and minted
+    stamps are :class:`_LazyStamp` stamps over the arrays, whose
+    first-use materialisation restores exact Python ints.
+    """
+
+    name = NUMPY_BACKEND
+
+    #: Below this batch length the array working-state setup costs more
+    #: than it saves, so short runs (warm-up segments between component
+    #: additions, expire-riddled streams) work on lists - *until* the
+    #: kernel has a populated resident cache, at which point arrays win
+    #: at any length (a cache hit is one dict lookup, while a list batch
+    #: would evict cached vectors and rebuild them from materialised
+    #: tuples next batch).
+    MIN_ARRAY_BATCH = 16
+
+    def _use_arrays(self, kernel, pairs, min_dim) -> bool:
+        cache = kernel._cache
+        if cache is not None and (cache.threads or cache.objects):
+            # Resident vectors exist: stay on arrays so they are reused
+            # rather than evicted.
+            return True
+        return (
+            len(pairs) >= self.MIN_ARRAY_BATCH
+            and kernel._components.size >= min_dim
+        )
 
 
 _BACKENDS: Dict[str, KernelBackend] = {PYTHON_BACKEND: PythonKernelBackend()}
@@ -902,9 +738,10 @@ class ClockKernel:
         not incremented (see ``VectorClockProtocol`` for why that loses the
         vector clock property).
     backend:
-        The :class:`KernelBackend` (or its name) supplying the batch inner
-        loop; ``None`` resolves the process default (see the module
-        docstring).  The backend never changes results, only wall-clock.
+        The :class:`KernelBackend` (or its name) picking the form of the
+        batch loop's working vectors; ``None`` resolves the process
+        default (see the module docstring).  The backend never changes
+        results, only wall-clock.
     """
 
     __slots__ = (
@@ -1012,7 +849,7 @@ class ClockKernel:
 
     @property
     def backend_name(self) -> str:
-        """Name of the backend supplying the batch inner loop."""
+        """Name of the backend picking the batch loop's form."""
         return self._backend.name
 
     def set_backend(self, backend: Optional[object]) -> None:
@@ -1021,9 +858,8 @@ class ClockKernel:
         Used when resuming a checkpointed run under a different
         ``--backend``: the pickled kernel carries the backend it ran
         with, and the resuming configuration wins.  The resident-array
-        cache needs no action here: the python loops evict what they
-        touch, so a cache built by one backend stays coherent for the
-        next.
+        cache needs no action here: list batches evict what they touch,
+        so a cache built under one backend stays coherent for the next.
         """
         self._backend = resolve_backend(backend)
 
@@ -1191,9 +1027,9 @@ class ClockKernel:
         """Apply the update rule to a whole chunk; one timestamp per event.
 
         Bit-identical to calling :meth:`observe` per pair (the property
-        tests assert it for every backend), but the inner loop is the
-        backend's: slot lookups and stamp allocation are amortised over
-        the batch instead of being re-paid per Python call.  On a
+        tests assert it for every backend), but one loop runs the whole
+        chunk: slot lookups and stamp allocation are amortised over the
+        batch instead of being re-paid per Python call.  On a
         strict-mode coverage error the events preceding the offender are
         applied, exactly as a sequential loop would have left them.
         """

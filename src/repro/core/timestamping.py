@@ -125,7 +125,7 @@ class VectorClockProtocol:
         :meth:`timestamp_computation` it may be called repeatedly, so a
         streaming consumer can feed the protocol chunk by chunk.  The
         returned timestamps are bit-identical to per-event
-        :meth:`observe` calls - the loop is just the kernel backend's.
+        :meth:`observe` calls - the loop is just the kernel's batch loop.
 
         Under the numpy backend the returned objects may be *lazy*
         stamps: full :class:`~repro.core.clock.Timestamp`

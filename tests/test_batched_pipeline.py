@@ -21,6 +21,7 @@ Three layers of the chunked execution path are pinned down here:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import random
@@ -38,6 +39,7 @@ from repro.computation.streams import epoch_marker, iter_event_batches, StreamEv
 from repro.core.components import ClockComponents
 from repro.core.kernel import (
     ClockKernel,
+    NumpyKernelBackend,
     available_backends,
     fold_stamp_values,
     numpy_available,
@@ -50,6 +52,32 @@ from repro.exceptions import ClockError, ComputationError, EngineError
 from repro.online.adaptive import WindowedPopularityMechanism
 
 BACKENDS = available_backends()
+
+#: The batch loop's legs: every available backend, plus the numpy backend
+#: with its array gates forced open.  The kernel suites below use clocks
+#: and chunks so small that the gates would otherwise send every numpy
+#: batch to the list form, so only this extra leg drives the array form
+#: through random chunkings.
+ARRAYS_LEG = "numpy-arrays"
+LEGS = BACKENDS + ((ARRAYS_LEG,) if numpy_available() else ())
+
+
+@contextlib.contextmanager
+def batch_leg(leg):
+    """The backend name to run ``leg`` with, its gates set for the leg."""
+    if leg != ARRAYS_LEG:
+        yield leg
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        for gate in ("MIN_ARRAY_BATCH", "MIN_ARRAY_DIM_MINT", "MIN_ARRAY_DIM_ADVANCE"):
+            patch.setattr(NumpyKernelBackend, gate, 0)
+        yield "numpy"
+
+
+def assert_form_ran(kernel, leg):
+    """The arrays leg really ran the array form (it leaves a resident cache)."""
+    if leg == ARRAYS_LEG:
+        assert kernel._cache is not None, "the array form never ran"
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +240,13 @@ def kernel_runs(draw):
     return ClockComponents(thread_comps, object_comps), covered, extension_at
 
 
+def last_touches(pairs):
+    """The index of the last event touching each thread and each object."""
+    last_thread = {thread: index for index, (thread, _) in enumerate(pairs)}
+    last_object = {obj: index for index, (_, obj) in enumerate(pairs)}
+    return last_thread, last_object
+
+
 class TestKernelBatchBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(run=kernel_runs(), chunk_seed=st.integers(0, 2**16))
@@ -225,31 +260,42 @@ class TestKernelBatchBitIdentity:
             ref_stamps.append(reference.observe(thread, obj))
         if extension_at == len(pairs):
             reference.extend_components(thread_components=("T6",))
-        for backend in BACKENDS:
-            kernel = ClockKernel(components, backend=backend)
-            stamps = []
-            rng = random.Random(chunk_seed)
-            cursor = 0
-            extended = False
-            while cursor < len(pairs):
-                if not extended and cursor >= extension_at:
+        last_thread, last_object = last_touches(pairs)
+        for leg in LEGS:
+            with batch_leg(leg) as backend:
+                kernel = ClockKernel(components, backend=backend)
+                stamps = []
+                rng = random.Random(chunk_seed)
+                cursor = 0
+                extended = False
+                while cursor < len(pairs):
+                    if not extended and cursor >= extension_at:
+                        kernel.extend_components(thread_components=("T6",))
+                        extended = True
+                    boundary = len(pairs) if extended else extension_at
+                    cut = min(cursor + rng.randint(1, 17), boundary)
+                    stamps.extend(kernel.timestamp_batch(pairs[cursor:cut]))
+                    cursor = cut
+                if not extended:
                     kernel.extend_components(thread_components=("T6",))
-                    extended = True
-                boundary = len(pairs) if extended else extension_at
-                cut = min(cursor + rng.randint(1, 17), boundary)
-                stamps.extend(kernel.timestamp_batch(pairs[cursor:cut]))
-                cursor = cut
-            if not extended:
-                kernel.extend_components(thread_components=("T6",))
+            assert_form_ran(kernel, leg)
             assert [s.values for s in stamps] == [
                 s.values for s in ref_stamps
-            ], backend
+            ], leg
             # The stored per-entity clocks agree too (value-wise).
             for thread, _ in pairs:
                 assert (
                     kernel.thread_stamp(thread).values
                     == reference.thread_stamp(thread).values
-                ), backend
+                ), leg
+            # And each endpoint stores the very stamp its last event
+            # returned, in that stamp's mint layout: observe's
+            # ``object_stamp is thread_stamp`` fast path keys on it.
+            for index, (thread, obj) in enumerate(pairs):
+                if index == last_thread[thread]:
+                    assert kernel._thread_stamps[thread] is stamps[index], leg
+                if index == last_object[obj]:
+                    assert kernel._object_stamps[obj] is stamps[index], leg
 
     @settings(max_examples=40, deadline=None)
     @given(run=kernel_runs(), chunk_seed=st.integers(0, 2**16))
@@ -260,23 +306,31 @@ class TestKernelBatchBitIdentity:
         for thread, obj in pairs:
             stamp = reference.observe(thread, obj)
             fold = reference.fold_event(fold, stamp, thread, obj)
-        for backend in BACKENDS:
-            kernel = ClockKernel(components, backend=backend)
-            batched_fold = 0
-            rng = random.Random(chunk_seed)
-            cursor = 0
-            while cursor < len(pairs):
-                cut = min(cursor + rng.randint(1, 17), len(pairs))
-                batched_fold = kernel.advance_batch(
-                    pairs[cursor:cut], batched_fold
-                )
-                cursor = cut
-            assert batched_fold == fold, backend
+        last_thread, last_object = last_touches(pairs)
+        for leg in LEGS:
+            with batch_leg(leg) as backend:
+                kernel = ClockKernel(components, backend=backend)
+                batched_fold = 0
+                rng = random.Random(chunk_seed)
+                cursor = 0
+                while cursor < len(pairs):
+                    cut = min(cursor + rng.randint(1, 17), len(pairs))
+                    batched_fold = kernel.advance_batch(
+                        pairs[cursor:cut], batched_fold
+                    )
+                    cursor = cut
+            assert_form_ran(kernel, leg)
+            assert batched_fold == fold, leg
             for thread, _ in pairs:
                 assert (
                     kernel.thread_stamp(thread).values
                     == reference.thread_stamp(thread).values
-                ), backend
+                ), leg
+            # Minting nothing, the batch still leaves the thread and the
+            # object of an event that was last for both sharing one stamp.
+            for index, (thread, obj) in enumerate(pairs):
+                if index == last_thread[thread] == last_object[obj]:
+                    assert kernel.thread_stamp(thread) is kernel.object_stamp(obj), leg
 
     def test_strict_batch_raises_and_applies_prefix(self):
         components = ClockComponents(thread_components=["T0"])
@@ -291,13 +345,40 @@ class TestKernelBatchBitIdentity:
 
     def test_non_strict_batch_merge_only(self):
         components = ClockComponents(thread_components=["T0"])
-        pairs = [("T0", "O0"), ("T1", "O0"), ("T0", "O1")]
+        # Merge-only events (no component endpoint) with one side absent,
+        # both sides new, both sides sharing one vector, and two distinct
+        # vectors, around covered ones.
+        pairs = [
+            ("T0", "O0"), ("T1", "O0"), ("T2", "O2"), ("T1", "O0"),
+            ("T0", "O1"), ("T0", "O2"), ("T1", "O2"),
+        ]
         reference = ClockKernel(components, strict=False)
-        expected = [reference.observe(t, o).values for t, o in pairs]
-        for backend in BACKENDS:
-            kernel = ClockKernel(components, strict=False, backend=backend)
-            stamps = kernel.timestamp_batch(pairs)
-            assert [s.values for s in stamps] == expected, backend
+        expected = []
+        fold = 0
+        for thread, obj in pairs:
+            stamp = reference.observe(thread, obj)
+            expected.append(stamp.values)
+            fold = reference.fold_event(fold, stamp, thread, obj)
+        for leg in LEGS:
+            with batch_leg(leg) as backend:
+                kernel = ClockKernel(components, strict=False, backend=backend)
+                stamps = kernel.timestamp_batch(pairs)
+                folder = ClockKernel(components, strict=False, backend=backend)
+                batched_fold = folder.advance_batch(pairs)
+            assert_form_ran(kernel, leg)
+            assert_form_ran(folder, leg)
+            assert [s.values for s in stamps] == expected, leg
+            assert batched_fold == fold, leg
+            for thread, obj in pairs:
+                for clocks in (kernel, folder):
+                    assert (
+                        clocks.thread_stamp(thread).values
+                        == reference.thread_stamp(thread).values
+                    ), leg
+                    assert (
+                        clocks.object_stamp(obj).values
+                        == reference.object_stamp(obj).values
+                    ), leg
 
     def test_fold_is_order_sensitive(self):
         a = fold_stamp_values(fold_stamp_values(0, 1, 2), 3, 4)
@@ -327,14 +408,14 @@ class TestNumpyArrayPath:
     """Bit-identity of the *array-resident* numpy loop specifically.
 
     The hypothesis suites above use small clocks and short chunks, which
-    the numpy backend's crossover gates route to the Python fallback -
-    correct, but it would mask a bug in the array loop itself.  These
-    tests sit above both gates (clock width >= MIN_ARRAY_DIM_MINT,
-    batches >= MIN_ARRAY_BATCH) and assert the gate is actually open.
+    reach the array form only with the numpy backend's gates forced
+    open.  These tests run it behind the real gates: a 200-slot clock
+    and 96-event chunks clear both width gates (MIN_ARRAY_DIM_MINT,
+    MIN_ARRAY_DIM_ADVANCE) and MIN_ARRAY_BATCH, and each test asserts
+    that the gate of its mode is actually open.
     """
 
-    WIDTH = 200  # > MIN_ARRAY_DIM_MINT (160) > MIN_ARRAY_DIM_ADVANCE (48)
-    CHUNK = 96   # > MIN_ARRAY_BATCH (48)
+    CHUNK = 96
 
     def _setup(self, seed):
         rng = random.Random(seed)
@@ -347,13 +428,10 @@ class TestNumpyArrayPath:
         ]
         return components, threads, pairs
 
-    def _assert_gate_open(self, kernel, chunk):
-        from repro.core.kernel import NumpyKernelBackend
-
-        backend = kernel._backend
-        assert isinstance(backend, NumpyKernelBackend)
-        assert backend._use_arrays(
-            kernel, [None] * chunk, backend.MIN_ARRAY_DIM_MINT
+    def _assert_gate_open(self, kernel, chunk, min_dim):
+        assert isinstance(kernel._backend, NumpyKernelBackend)
+        assert kernel._backend._use_arrays(
+            kernel, [None] * chunk, min_dim
         ), "test sizes no longer clear the array-path gates; raise them"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -366,7 +444,9 @@ class TestNumpyArrayPath:
                 reference.extend_components(thread_components=(threads[155],))
             ref_stamps.append(reference.observe(thread, obj))
         kernel = ClockKernel(components, backend="numpy")
-        self._assert_gate_open(kernel, self.CHUNK)
+        self._assert_gate_open(
+            kernel, self.CHUNK, kernel._backend.MIN_ARRAY_DIM_MINT
+        )
         stamps = []
         for start in range(0, len(pairs), self.CHUNK):
             if start == 288:
@@ -393,6 +473,9 @@ class TestNumpyArrayPath:
             stamp = reference.observe(thread, obj)
             fold = reference.fold_event(fold, stamp, thread, obj)
         kernel = ClockKernel(components, backend="numpy")
+        self._assert_gate_open(
+            kernel, self.CHUNK, kernel._backend.MIN_ARRAY_DIM_ADVANCE
+        )
         batched_fold = 0
         for start in range(0, len(pairs), self.CHUNK):
             batched_fold = kernel.advance_batch(
@@ -413,7 +496,9 @@ class TestNumpyArrayPath:
         for thread, obj in poisoned[:60]:
             reference.observe(thread, obj)
         kernel = ClockKernel(components, backend="numpy")
-        self._assert_gate_open(kernel, len(poisoned))
+        self._assert_gate_open(
+            kernel, len(poisoned), kernel._backend.MIN_ARRAY_DIM_MINT
+        )
         with pytest.raises(Exception, match="not covered"):
             kernel.timestamp_batch(poisoned)
         for thread, obj in poisoned[:60]:

@@ -201,7 +201,7 @@ def test_numpy_batches_survive_extend_rotate_and_pickle(ops, window):
     previous = obs_install(registry)
     try:
         with pytest.MonkeyPatch.context() as patch:
-            # Small clocks would otherwise take the python fallback loop.
+            # Small clocks would otherwise keep every batch on the list form.
             patch.setattr(NumpyKernelBackend, "MIN_ARRAY_DIM_MINT", 0)
             fast = EpochClock(backend="numpy")
             oracle = EpochClock(check_invariant=True, backend="python")
