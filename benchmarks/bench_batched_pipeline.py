@@ -12,8 +12,9 @@ three ways over the same stream:
   through ``observe_batch`` / ``advance_batch``; the kernel's one batch
   loop works on lists, with slot-delta derivation;
 * ``batched`` + ``numpy`` backend (skipped when numpy is absent) - the
-  same pipeline and the same loop, its working vectors resident
-  ``int64`` arrays once the clocks are wide enough.
+  same pipeline and the same loop, its working vectors ``int64`` arrays
+  once the clocks are wide enough; each stored stamp keeps its array,
+  which the next batch reads back.
 
 Assertions, in CI via ``--smoke``:
 
@@ -23,8 +24,8 @@ Assertions, in CI via ``--smoke``:
 * the chunked pipeline is never slower than per-event dispatch;
 * with the numpy backend available, the chunked pipeline clears the
   acceptance bar: **>= 5x events/sec over the per-event path** at full
-  scale (>= 3x under ``--smoke``, where the 100k-event stream leaves
-  the resident-array cache less warm-up to amortise).  The pure-Python
+  scale (>= 3x under ``--smoke``, where the 100k-event stream has less
+  run to amortise the clocks' growth phase over).  The pure-Python
   chunked pipeline alone does not reach that on this merge-heavy
   stream (random thread/object pairing defeats the slot-delta fast
   paths; an O(k) element-wise max per event remains), which is exactly
@@ -64,9 +65,9 @@ from _common import (
 MECHANISMS = ("naive", "popularity", "hybrid")
 
 #: The acceptance bar (chunked vs per-event, best available backend).
-#: Full scale is the resident-array target; the smoke stream is 12x
-#: shorter, so the cross-batch cache amortises less warm-up and the bar
-#: is correspondingly lower (measured ~5x smoke / ~6x full on an
+#: Full scale is the array-form target; the smoke stream is 12x
+#: shorter, so it amortises less warm-up and the bar is
+#: correspondingly lower (measured ~5x smoke / ~6x full on an
 #: unloaded core; the slack absorbs shared-CI scheduling noise).
 SPEEDUP_BAR = 3.0 if SMOKE else 5.0
 
@@ -185,8 +186,8 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
     # the telemetry registry installed.  The timed legs above stay
     # telemetry-free (the published rates are the product); this pass
     # proves at benchmark scale that instrumentation does not move the
-    # fingerprint, and harvests the kernel/engine counters (cache
-    # hit-rate, array-path share, batch-size distribution) into the
+    # fingerprint, and harvests the kernel/engine counters (array-path
+    # share, lazy-stamp materialisations, batch-size distribution) into the
     # schema-v3 envelope's ``metrics`` block.
     registry = MetricsRegistry(origin="bench")
     previous = install(registry)

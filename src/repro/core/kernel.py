@@ -49,7 +49,7 @@ keeps its minted value, any other reads zero - what it would have
 carried had it been present from the start, or since it was re-added
 after a retirement.  The lift is one compiled gather per source layout,
 memoised until the next layout change (an ``itemgetter`` for the list
-form, one ``take`` for a resident array).  So extension and
+form, one ``take`` for an array).  So extension and
 rotation cost ``O(k)`` in the clock dimension and nothing per stored
 stamp; ``EpochClock`` lifts its ledger stamps through the same
 :meth:`ClockKernel.lift`, and a pickle lifts every stored stamp to the
@@ -67,15 +67,16 @@ clocks and fold a digest, minting nothing).  Both run one loop,
 * *lists* (:data:`_LISTS`) - a stored stamp is read as its value tuple
   and a derived vector is a list; a mint batch keeps the minted tuples
   as its working state;
-* *arrays* (:data:`_ARRAYS`) - *resident* ``int64`` arrays that persist
-  across batches in an :class:`_ArrayCache` hung off the kernel, so the
-  merge is a single C call (``np.maximum``) and a touched entity is
-  converted from tuple form at most once per epoch, not once per batch.
-  Minted stamps are lazy stamps (:class:`_LazyStamp`) over the arrays
-  that materialise an exact Python-int tuple only on first ``_values``
-  access, so digest-only drivers (the engine's ``timestamps`` mode,
-  whose fold reads its slot values straight off the resident arrays)
-  never pay tuple construction at all.
+* *arrays* (:data:`_ARRAYS`) - ``int64`` arrays, so the merge is a
+  single C call (``np.maximum``).  Minted stamps are lazy stamps
+  (:class:`_LazyStamp`) that keep their array and materialise an exact
+  Python-int tuple only on first ``_values`` access.  A stored lazy
+  stamp is therefore the one home of its entity's array: the next array
+  batch reads that array straight back (:func:`_stamp_array`), so a
+  touched entity is converted from tuple form only after something
+  materialised it, and digest-only drivers (the engine's ``timestamps``
+  mode, whose fold reads its slot values straight off the arrays) never
+  pay tuple construction at all.
 
 In both forms the loop applies *slot-delta* derivation on the hot path:
 whenever one operand of the merge is absent or the two endpoints
@@ -87,21 +88,12 @@ A pluggable :class:`KernelBackend` only picks the form of each batch:
 ``python`` (:class:`PythonKernelBackend`, always available) always
 works on lists; ``numpy`` (:class:`NumpyKernelBackend`, **gated**:
 selectable only when numpy imports, never required) works on arrays
-when the batch and the clock are large enough to pay for them.  Every
+when the batch and the clock are large enough to pay for them, or when
+the batch's first event already reads a stamp that holds its array.  Every
 materialised timestamp - and therefore every causal verdict - is
 bit-identical across forms and to per-event :meth:`ClockKernel.observe`;
 the property-test suite asserts that identity on random computations,
 with ``observe`` as the independent oracle.
-
-Cache coherence is a *contract*, not a convention: any
-:class:`ClockKernel` method that mutates component layout or clock
-values must call an invalidation hook
-(:meth:`ClockKernel._invalidate_cache` / :meth:`ClockKernel._cache_evict`,
-or assign ``self._cache`` directly) or be listed in
-:data:`CACHE_SAFE_METHODS` with its justification.  Lint rule C205
-enforces this statically; the hypothesis suite asserts cached/uncached
-bit-identity across the invalidation edges (component extension, epoch
-rotation, checkpoint/resume, backend switches).
 
 Backend selection: an explicit argument to :class:`ClockKernel` wins,
 then :func:`set_default_backend`, then the ``REPRO_KERNEL_BACKEND``
@@ -148,23 +140,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 PYTHON_BACKEND = "python"
 NUMPY_BACKEND = "numpy"
 
-#: :class:`ClockKernel` methods that touch component layout or clock
-#: values but are exempt from lint rule C205's invalidation-hook
-#: requirement, each with the reason the resident-array cache stays
-#: coherent without a hook.  Keep the justifications current: the lint
-#: rule only checks membership, reviewers check the reasoning.
-CACHE_SAFE_METHODS = (
-    # Component growth only pushes a layout: stored stamps keep their mint
-    # layout and values (reads lift them), and _ArrayCache.sync drops the
-    # arrays of the old layout at the next batch; nothing to invalidate.
-    "extend_components",
-    # Pushes a layout onto the chain and rebinds the slot maps / zero
-    # stamp to it; it mutates no clock values itself, and every mutating
-    # caller (rotate_epoch, rotate_epoch_delta, extend_components) owns
-    # its cache decision.
-    "_bind_components",
-)
-
 #: 64-bit mixing constants of the stamp-digest fold (FNV prime / Knuth).
 _FOLD_MASK = (1 << 64) - 1
 _FOLD_PRIME = 0x100000001B3
@@ -208,12 +183,14 @@ def _values_gather(indices: Sequence[int]):
 class _LazyStamp(Timestamp):
     """A numpy-minted :class:`Timestamp` whose value tuple is built on first read.
 
-    ``_source`` is the resident ``int64`` array an array batch minted
-    the stamp over, in the stamp's own layout; the first ``_values``
-    read converts it to exact Python ints, writes the tuple back and
-    releases the array.  Digest-only drivers never read it, so they
-    never pay the conversion.  A lazy stamp pickles (and deep-copies)
-    as the plain stamp it stands for, so checkpoints load without numpy.
+    ``_source`` is the ``int64`` array an array batch minted the stamp
+    over, in the stamp's own layout, and the array the next array batch
+    reads back; the first ``_values`` read converts it to exact Python
+    ints, writes the tuple back and releases the array.  Digest-only
+    drivers never read it, so they never pay the conversion.  A lazy
+    stamp pickles (and deep-copies) as the plain stamp it stands for, so
+    checkpoints load without numpy; pickling converts without caching,
+    so the stamp keeps its array.
     """
 
     __slots__ = ("_source",)
@@ -237,102 +214,21 @@ class _LazyStamp(Timestamp):
         return values
 
     def __reduce__(self):
-        return (Timestamp._from_trusted, (self._components, self._values))
+        source = self._source
+        values = self._values if source is None else tuple(source.tolist())
+        return (Timestamp._from_trusted, (self._components, values))
+
+
 # ---------------------------------------------------------------------------
 # The batch loop
 # ---------------------------------------------------------------------------
-class _ArrayCache:
-    """Cross-batch resident ``int64`` working vectors of one kernel.
-
-    Maps touched threads/objects to the array holding their current
-    clock, so consecutive batches re-enter the array form of the batch
-    loop with a dict lookup instead of a tuple-to-array conversion per
-    touched entity.  One *layout tag* (``born_threads``, ``born_size``)
-    covers every stored array: arrays only enter the cache at
-    write-back, which always happens right after :meth:`sync`, so they
-    all share the layout the kernel had at that moment.
-
-    Component growth is **deferred lift-on-read**: ``extend_components``
-    does not touch the cache (see :data:`CACHE_SAFE_METHODS`); the next
-    batch's :meth:`sync` notices the layout drift - two integer
-    compares on the hot path - and simply forgets the stale arrays.
-    Entities actually touched afterwards are rebuilt lazily, one
-    ``take`` each, straight from the resident array their lazy stamp is
-    still rooted at (see :func:`_stamp_array`); entities never touched
-    again cost nothing, which is what makes warm-up growth (an
-    extension every few events while the cover assembles) near-free.
-
-    Coherence with the kernel's stamp dicts is the C205 contract: every
-    mutation of clock values outside the array write-back must evict the
-    touched entries (:meth:`evict`/:meth:`evict_pairs`) or drop the
-    cache wholesale (``kernel._cache = None``).  Arrays in the cache are
-    never mutated in place - the batch loop derives a *fresh* array
-    before incrementing - so eviction is about staleness, not aliasing.
-    """
-
-    __slots__ = ("threads", "objects", "born_threads", "born_size")
-
-    def __init__(self, components: ClockComponents) -> None:
-        self.threads: Dict[Vertex, object] = {}
-        self.objects: Dict[Vertex, object] = {}
-        self.born_threads = len(components.thread_components)
-        self.born_size = components.size
-
-    def sync(self, components: ClockComponents) -> None:
-        """Reconcile the cache with ``components``' layout if it grew.
-
-        Stale arrays are dropped, not lifted: the lazy stamps keep the
-        resident vectors alive, and :func:`_stamp_array` rebuilds a
-        touched entity's entry with one lift on its next read.  Two
-        integer compares when nothing changed - the hot-path cost.
-        """
-        new_threads = len(components.thread_components)
-        new_size = components.size
-        if new_size == self.born_size and new_threads == self.born_threads:
-            return
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.array_cache.invalidations")
-        self.threads.clear()
-        self.objects.clear()
-        self.born_threads = new_threads
-        self.born_size = new_size
-
-    def evict(self, thread: Vertex, obj: Vertex) -> None:
-        """Forget one event's endpoints (their stamps changed elsewhere)."""
-        registry = _metrics_active()
-        if registry is None:
-            self.threads.pop(thread, None)
-            self.objects.pop(obj, None)
-            return
-        evicted = (self.threads.pop(thread, None) is not None) + (
-            self.objects.pop(obj, None) is not None
-        )
-        if evicted:
-            registry.add("kernel.array_cache.evictions", evicted)
-
-    def evict_pairs(self, pairs: Sequence[Tuple[Vertex, Vertex]]) -> None:
-        """Forget every endpoint of ``pairs`` ahead of a list-form batch."""
-        threads = self.threads
-        objects = self.objects
-        registry = _metrics_active()
-        before = len(threads) + len(objects) if registry is not None else 0
-        for thread, obj in pairs:
-            threads.pop(thread, None)
-            objects.pop(obj, None)
-        if registry is not None:
-            evicted = before - len(threads) - len(objects)
-            if evicted:
-                registry.add("kernel.array_cache.evictions", evicted)
-
-
 def _stamp_array(kernel: "ClockKernel", stamp: Timestamp):
     """An ``int64`` array of ``stamp``'s values in ``kernel``'s layout.
 
-    The array form's read of a stored stamp: a lazy stamp still rooted
-    at a resident array reuses that array directly when its layout is
-    current, or lifts it with one ``take`` when it is not.  Anything
-    else converts the stamp's value tuple.  Never mutates (or returns a
+    The array form's read of a stored stamp: a lazy stamp still holding
+    its array reuses that array directly when its layout is current, or
+    lifts it with one ``take`` when it is not.  Anything else converts
+    the stamp's value tuple.  Never mutates (or returns a
     view of a region that will be mutated of) the source array -
     callers treat working arrays as frozen.
     """
@@ -385,8 +281,8 @@ _LISTS = _Form(
     lambda components, values: Timestamp._from_trusted(components, tuple(values)),
 )
 
-#: Resident ``int64`` arrays (see :class:`_ArrayCache`): the maximum is
-#: one C call, and minted stamps are lazy stamps over the arrays.
+#: ``int64`` arrays: the maximum is one C call, and minted stamps are
+#: lazy stamps over the arrays, which the next array batch reads back.
 _ARRAYS = None if _np is None else _Form(
     _stamp_array,
     _np.ndarray.copy,
@@ -423,24 +319,7 @@ def _run_batch(
     object_slots = kernel._object_slot
     thread_stamps = kernel._thread_stamps
     object_stamps = kernel._object_stamps
-    cache = kernel._cache
-    if arrays:
-        if cache is None:
-            cache = kernel._cache = _ArrayCache(components)
-        else:
-            # Deferred lift-on-read: component growth since the last array
-            # batch is reconciled here, once, instead of on every extend.
-            cache.sync(components)
-        cached_threads = cache.threads
-        cached_objects = cache.objects
-        convert, copy, maximum, zeros, read, mint = _ARRAYS
-    else:
-        # Cache coherence (C205): a list batch replaces its endpoints'
-        # stamps behind the resident-array cache, so evict them up front.
-        if cache is not None:
-            cache.evict_pairs(pairs)
-        cached_threads = cached_objects = {}
-        convert, copy, maximum, zeros, read, mint = _LISTS
+    convert, copy, maximum, zeros, read, mint = _ARRAYS if arrays else _LISTS
     registry = _metrics_active()
     if registry is not None:
         form = "array" if arrays else "python"
@@ -456,18 +335,14 @@ def _run_batch(
         for thread, obj in pairs:
             thread_values = thread_work.get(thread)
             if thread_values is None:
-                thread_values = cached_threads.get(thread)
-                if thread_values is None:
-                    stamp = thread_stamps.get(thread)
-                    if stamp is not None:
-                        thread_values = convert(kernel, stamp)
+                stamp = thread_stamps.get(thread)
+                if stamp is not None:
+                    thread_values = convert(kernel, stamp)
             object_values = object_work.get(obj)
             if object_values is None:
-                object_values = cached_objects.get(obj)
-                if object_values is None:
-                    stamp = object_stamps.get(obj)
-                    if stamp is not None:
-                        object_values = convert(kernel, stamp)
+                stamp = object_stamps.get(obj)
+                if stamp is not None:
+                    object_values = convert(kernel, stamp)
             object_slot = object_slots.get(obj)
             thread_slot = thread_slots.get(thread)
             if object_values is None or object_values is thread_values:
@@ -523,32 +398,15 @@ def _run_batch(
             thread_work[thread] = values
             object_work[obj] = values
     finally:
-        # Hit/miss accounting must read membership *before* the
-        # write-back repopulates the cache: an entity touched this batch
-        # was a hit iff its vector was already resident when the batch
-        # began.  Entity-granular on purpose - the cache's whole point is
-        # one conversion per touched entity.
-        if arrays and registry is not None:
-            touched = len(thread_work) + len(object_work)
-            hits = sum(
-                1 for vertex in thread_work if vertex in cached_threads
-            ) + sum(1 for vertex in object_work if vertex in cached_objects)
-            if hits:
-                registry.add("kernel.array_cache.hits", hits)
-            if touched - hits:
-                registry.add("kernel.array_cache.misses", touched - hits)
-        for stamp_store, work, cache_store in (
-            (thread_stamps, thread_work, cached_threads),
-            (object_stamps, object_work, cached_objects),
+        for stamp_store, work in (
+            (thread_stamps, thread_work),
+            (object_stamps, object_work),
         ):
             for vertex, values in work.items():
                 stamp = minted.get(id(values))
                 if stamp is None:
                     stamp = minted[id(values)] = mint(components, values)
                 stamp_store[vertex] = stamp
-            if arrays:
-                # Every array written carries the layout the batch synced.
-                cache_store.update(work)
     return fold
 
 
@@ -557,7 +415,7 @@ class KernelBackend:
 
     Every backend runs the same loop (:func:`_run_batch`); a backend
     only decides, per batch, whether its working vectors are lists or
-    resident arrays (:meth:`_use_arrays`), which never changes results.
+    arrays (:meth:`_use_arrays`), which never changes results.
     Backends hold no state between calls: all clock state lives in the
     :class:`ClockKernel`, which is also what makes kernels picklable
     across backends - a backend pickles as its name.
@@ -610,32 +468,36 @@ class PythonKernelBackend(KernelBackend):
 
 
 class NumpyKernelBackend(KernelBackend):
-    """The gated numpy backend: wide batches work on resident arrays.
+    """The gated numpy backend: wide batches work on arrays.
 
-    Arrays persist across batches in the kernel's :class:`_ArrayCache`
-    (one conversion per touched entity per *epoch*, not per batch), the
-    element-wise maximum is a single ``np.maximum`` call, and minted
+    The element-wise maximum is a single ``np.maximum`` call, and minted
     stamps are :class:`_LazyStamp` stamps over the arrays, whose
-    first-use materialisation restores exact Python ints.
+    first-use materialisation restores exact Python ints.  The stored
+    lazy stamps carry the arrays across batches: the next array batch
+    reads each endpoint's array straight from its stamp, so an entity
+    is converted from tuple form only after something materialised it.
     """
 
     name = NUMPY_BACKEND
 
     #: Below this batch length the array working-state setup costs more
     #: than it saves, so short runs (warm-up segments between component
-    #: additions, expire-riddled streams) work on lists - *until* the
-    #: kernel has a populated resident cache, at which point arrays win
-    #: at any length (a cache hit is one dict lookup, while a list batch
-    #: would evict cached vectors and rebuild them from materialised
-    #: tuples next batch).
+    #: additions, expire-riddled streams) work on lists - *unless* the
+    #: batch's first event reads a stamp that still holds its array.
+    #: Warm state then stays on arrays at any length: the array is read
+    #: back as is, while a list batch would materialise the stamps it
+    #: reads and the next array batch would rebuild them from tuples.
     MIN_ARRAY_BATCH = 16
 
     def _use_arrays(self, kernel, pairs, min_dim) -> bool:
-        cache = kernel._cache
-        if cache is not None and (cache.threads or cache.objects):
-            # Resident vectors exist: stay on arrays so they are reused
-            # rather than evicted.
-            return True
+        if pairs:
+            thread, obj = pairs[0]
+            for stamp in (
+                kernel._thread_stamps.get(thread),
+                kernel._object_stamps.get(obj),
+            ):
+                if type(stamp) is _LazyStamp and stamp._source is not None:
+                    return True
         return (
             len(pairs) >= self.MIN_ARRAY_BATCH
             and kernel._components.size >= min_dim
@@ -755,7 +617,6 @@ class ClockKernel:
         "_epoch",
         "_retired_total",
         "_backend",
-        "_cache",
         "_step",
         "_left",
         "_rejoined",
@@ -764,9 +625,7 @@ class ClockKernel:
     )
 
     #: Process-local slots a pickle leaves out (see :meth:`__getstate__`).
-    _UNPICKLED = frozenset(
-        ("_cache", "_step", "_left", "_rejoined", "_layouts", "_lifts")
-    )
+    _UNPICKLED = frozenset(("_step", "_left", "_rejoined", "_layouts", "_lifts"))
 
     def __init__(
         self,
@@ -780,7 +639,6 @@ class ClockKernel:
         self._backend = resolve_backend(backend)
         self._thread_stamps: Dict[Vertex, Timestamp] = {}
         self._object_stamps: Dict[Vertex, Timestamp] = {}
-        self._cache: Optional[_ArrayCache] = None
         self._bind_components(components, fresh=True)
 
     def _bind_components(
@@ -857,66 +715,43 @@ class ClockKernel:
 
         Used when resuming a checkpointed run under a different
         ``--backend``: the pickled kernel carries the backend it ran
-        with, and the resuming configuration wins.  The resident-array
-        cache needs no action here: list batches evict what they touch,
-        so a cache built under one backend stays coherent for the next.
+        with, and the resuming configuration wins.  Nothing needs
+        converting: the stored stamps are the only clock state, and both
+        forms of the batch loop read them.
         """
         self._backend = resolve_backend(backend)
 
-    # ------------------------------------------------------------------
-    # Resident-array cache coherence (the C205 contract)
-    # ------------------------------------------------------------------
-    def _invalidate_cache(self) -> None:
-        """Drop the backend's resident-array cache wholesale.
-
-        The hook for mutations that reshape clock state beyond the
-        component growth :meth:`_ArrayCache.sync` detects (epoch
-        rotation, resets, slot permutations).  Cheap and always safe: the next array batch
-        rebuilds resident vectors from the stamp dicts.
-        """
-        if self._cache is not None:
-            registry = _metrics_active()
-            if registry is not None:
-                registry.add("kernel.array_cache.invalidations")
-        self._cache = None
-
-    def _cache_evict(self, thread: Vertex, obj: Vertex) -> None:
-        """Forget one event's endpoints from the resident-array cache.
-
-        The targeted hook for per-event mutations (:meth:`observe`):
-        the touched thread/object stamps are replaced outside the array
-        write-back, so their cached vectors would go stale.
-        """
-        cache = self._cache
-        if cache is not None:
-            cache.evict(thread, obj)
-
     def __getstate__(self):
-        # The resident-array cache is process-local working state: it
-        # holds numpy arrays (unloadable on a numpy-less host) that the
-        # backend rebuilds on demand, so checkpoints never carry it.
-        # Layout identity does not survive a pickle either, so every
-        # stored stamp is lifted to the current layout (O(stored), at
-        # checkpoint time only) and the chain restarts there on load.
-        # Lazy stamps serialise as plain Timestamps via __reduce__.
+        # Layout identity does not survive a pickle, so every stored stamp
+        # is lifted to the current layout (O(stored), at checkpoint time
+        # only) and the chain restarts there on load.  A lazy stamp still
+        # holding its array is lifted as an array, and every lazy stamp
+        # serialises as a plain Timestamp via __reduce__, so a checkpoint
+        # materialises none of them: the next array batch still reads
+        # their arrays.
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
             if slot not in self._UNPICKLED
         }
+        components = self._components
         for name in ("_thread_stamps", "_object_stamps"):
-            state[name] = {
-                vertex: self.lift(stamp) for vertex, stamp in state[name].items()
-            }
+            stamps = state[name] = dict(state[name])
+            for vertex, stamp in stamps.items():
+                if stamp._components is not components:
+                    stamps[vertex] = (
+                        _LazyStamp._make(components, _stamp_array(self, stamp))
+                        if type(stamp) is _LazyStamp and stamp._source is not None
+                        else self.lift(stamp)
+                    )
         return state
 
     def __setstate__(self, state) -> None:
         if isinstance(state, tuple):
-            # The pre-cache default slots form: (dict-state, slots-dict).
+            # The default slots pickle form: (dict-state, slots-dict).
             state = state[1] or {}
         for slot, value in state.items():
             setattr(self, slot, value)
-        self._cache = None
         self._bind_components(self._components, fresh=True)
 
     # ------------------------------------------------------------------
@@ -978,7 +813,6 @@ class ClockKernel:
         covered event; nothing is re-validated.  Endpoint clocks of an
         older layout are lifted on read.
         """
-        self._cache_evict(thread, obj)
         thread_stamp = self._thread_stamps.get(thread)
         object_stamp = self._object_stamps.get(obj)
         components = self._components
@@ -1127,7 +961,6 @@ class ClockKernel:
         retired = self._advance_epoch(new_components)
         self._thread_stamps.clear()
         self._object_stamps.clear()
-        self._invalidate_cache()
         self._bind_components(new_components, fresh=True)
         return retired
 
@@ -1147,10 +980,9 @@ class ClockKernel:
         (see "Lift on read" in the module docstring), so the rotation
         costs ``O(k)`` plus a filter of the stamp dicts with no
         allocation per stamp.  Thread/object clocks outside
-        ``keep_threads`` / ``keep_objects`` are dropped.  Dropping slots
-        breaks the resident-array cache's layout, so the cache is
-        invalidated wholesale.  The epoch / retired-total counters
-        advance exactly as :meth:`rotate_epoch` would.
+        ``keep_threads`` / ``keep_objects`` are dropped.  The epoch /
+        retired-total counters advance exactly as :meth:`rotate_epoch`
+        would.
 
         When projection preserves causal verdicts, which clocks to keep,
         and the fallback to :meth:`rotate_epoch` + replay are owned by
@@ -1169,7 +1001,6 @@ class ClockKernel:
             for vertex, stamp in self._object_stamps.items()
             if vertex in keep_objects
         }
-        self._invalidate_cache()
         self._bind_components(new_components)
         return retired
 
@@ -1177,4 +1008,3 @@ class ClockKernel:
         """Forget all clock state."""
         self._thread_stamps.clear()
         self._object_stamps.clear()
-        self._invalidate_cache()

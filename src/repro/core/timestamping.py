@@ -129,9 +129,9 @@ class VectorClockProtocol:
 
         Under the numpy backend the returned objects may be *lazy*
         stamps: full :class:`~repro.core.clock.Timestamp`
-        instances whose value tuple is materialised from the backend's
-        resident array on first use (any comparison, ``.values``,
-        hashing, pickling).  Digest-only consumers that never look
+        instances whose value tuple is materialised from the array they
+        were minted over on first use (any comparison, ``.values``,
+        hashing).  Digest-only consumers that never look
         inside a stamp therefore never pay tuple construction.  The
         laziness is unobservable by contract: values, ordering,
         identity sharing between a returned stamp and the stored

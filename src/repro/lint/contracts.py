@@ -16,10 +16,6 @@ violate silently:
   of bug from PR 5);
 * ``C204`` - a scenario factory that accepts a seed must consume it, or
   two differently-seeded runs silently produce the same stream;
-* ``C205`` - a ``ClockKernel`` method that mutates clock state or
-  component layout must touch the resident-array cache (invalidate,
-  evict, or assign it) or be listed in ``CACHE_SAFE_METHODS``, or the
-  numpy backend serves stale vectors from its cross-batch cache;
 * ``C206`` - result-path modules may *write* telemetry (counters,
   spans) but never *read* it back: a branch on a metrics value makes
   results a function of timing, breaking fingerprint identity between
@@ -294,135 +290,6 @@ class ScenarioSeedRule(Rule):
         return False
 
 
-#: ``ClockKernel`` attributes whose mutation can strand the resident-array
-#: cache (the stamp dicts the cache shadows, plus the layout bindings its
-#: layout-drift check depends on).
-KERNEL_CLOCK_STATE = (
-    "_thread_stamps",
-    "_object_stamps",
-    "_components",
-    "_thread_slot",
-    "_object_slot",
-)
-
-#: Dict/collection method calls that mutate their receiver in place.
-_MUTATING_METHODS = frozenset({"clear", "pop", "popitem", "update", "setdefault"})
-
-#: ``self.<method>(...)`` calls that mutate clock state transitively.
-_MUTATING_DELEGATES = frozenset({"_bind_components"})
-
-#: Cache hooks whose call satisfies the contract.
-_CACHE_HOOKS = frozenset({"_invalidate_cache", "_cache_evict"})
-
-
-class KernelCacheInvalidationRule(Rule):
-    """A ``ClockKernel`` mutation must keep the resident-array cache coherent.
-
-    The numpy backend keeps touched clock vectors resident as ``int64``
-    arrays *across* batches (``_ArrayCache``), trusting the stamp dicts
-    and the cached arrays to describe the same clocks.  Any method that
-    mutates clock state behind the cache's back - writing the stamp
-    dicts, rebinding ``_components``/slot maps, or delegating to
-    ``_bind_components`` - leaves stale vectors that the next batch
-    silently reads: fingerprints diverge between cached and uncached
-    runs, the worst kind of nondeterminism because it only appears after
-    a warm-up.
-
-    The rule requires every such method to do one of:
-
-    * call ``self._invalidate_cache(...)`` (wholesale drop - always safe),
-    * call ``self._cache_evict(...)`` (targeted per-event eviction),
-    * assign ``self._cache`` directly (e.g. ``__setstate__`` restoring
-      the no-cache invariant), or
-    * be listed in the module-level ``CACHE_SAFE_METHODS`` tuple, whose
-      entries carry the written-down reason the mutation is coherent
-      without cache action (e.g. ``extend_components``: a layout push,
-      reconciled by the cache's deferred lift-on-read ``sync``).
-
-    The exemption set keeps the decision auditable: a new mutating
-    method either visibly touches the cache or names itself next to a
-    justification, never neither.
-    """
-
-    id = "C205"
-    name = "kernel-cache-invalidation"
-    summary = "ClockKernel mutation without a resident-cache coherence action"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or node.name != "ClockKernel":
-                continue
-            exempt = _declared_exclusions(ctx.tree, "CACHE_SAFE_METHODS")
-            for name, method in _methods(node).items():
-                if name in exempt or name in _CACHE_HOOKS:
-                    continue
-                if self._mutates_clock_state(method) and not self._touches_cache(
-                    method
-                ):
-                    yield _finding(
-                        ctx,
-                        method,
-                        self,
-                        f"ClockKernel.{name} mutates clock state without a "
-                        "cache-coherence action; call _invalidate_cache/"
-                        "_cache_evict, assign self._cache, or list the "
-                        "method in CACHE_SAFE_METHODS with its reasoning",
-                    )
-
-    @staticmethod
-    def _is_self_attr(node: ast.AST, names) -> bool:
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr in names
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        )
-
-    @classmethod
-    def _mutates_clock_state(cls, method: ast.AST) -> bool:
-        for node in ast.walk(method):
-            # self._thread_stamps[k] = v  /  del self._thread_stamps[k]
-            if (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.ctx, (ast.Store, ast.Del))
-                and cls._is_self_attr(node.value, KERNEL_CLOCK_STATE)
-            ):
-                return True
-            # self._components = ...  (rebinding layout state)
-            if isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                if cls._is_self_attr(node, KERNEL_CLOCK_STATE):
-                    return True
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                # self._thread_stamps.clear() and friends
-                if node.func.attr in _MUTATING_METHODS and cls._is_self_attr(
-                    node.func.value, KERNEL_CLOCK_STATE
-                ):
-                    return True
-                # self._bind_components(...)
-                if cls._is_self_attr(node.func, _MUTATING_DELEGATES):
-                    return True
-        return False
-
-    @classmethod
-    def _touches_cache(cls, method: ast.AST) -> bool:
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and cls._is_self_attr(node.func, _CACHE_HOOKS)
-            ):
-                return True
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Store)
-                and cls._is_self_attr(node, ("_cache",))
-            ):
-                return True
-        return False
-
-
 #: Module path prefixes whose code feeds the fingerprint (directly or via
 #: merged partials).  Telemetry in these modules is write-only: counters
 #: and spans may be *recorded*, never read back into control flow.
@@ -551,6 +418,5 @@ CONTRACT_RULES = (
     KernelSurfaceRule,
     EngineConfigSignatureRule,
     ScenarioSeedRule,
-    KernelCacheInvalidationRule,
     TelemetryReadRule,
 )

@@ -37,8 +37,9 @@ __all__ = [
     "write_spans_jsonl",
 ]
 
-#: Version of the :func:`metrics_document` envelope.
-METRICS_SCHEMA_VERSION = 1
+#: Version of the :func:`metrics_document` envelope.  Version 2 dropped
+#: ``derived.kernel_cache_hit_rate`` along with the kernel's array cache.
+METRICS_SCHEMA_VERSION = 2
 
 #: Percentiles reported for every histogram, in document key order.
 SUMMARY_PERCENTILES = (50.0, 90.0, 95.0, 99.0)
@@ -59,9 +60,6 @@ def _histogram_row(name: str, sketch: Any) -> Dict[str, Any]:
 
 def _derived(counters: Dict[str, int]) -> Dict[str, Any]:
     """Ratios the raw counters imply but readers should not recompute."""
-    hits = counters.get("kernel.array_cache.hits", 0)
-    misses = counters.get("kernel.array_cache.misses", 0)
-    total = hits + misses
     python_events = counters.get("kernel.batch.python_events", 0)
     array_events = counters.get("kernel.batch.array_events", 0)
     batched = python_events + array_events
@@ -69,7 +67,6 @@ def _derived(counters: Dict[str, int]) -> Dict[str, Any]:
     replay = counters.get("clock.rotation.replay", 0)
     rotations = delta + replay
     return {
-        "kernel_cache_hit_rate": (hits / total) if total else None,
         "kernel_array_path_share": (array_events / batched) if batched else None,
         "rotation_delta_share": (delta / rotations) if rotations else None,
     }

@@ -10,13 +10,15 @@ integration and property tests for every clock flavour the library ships.
 
 from __future__ import annotations
 
+import contextlib
 import random
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import pytest
 
 from repro.computation import Computation, HappenedBefore, paper_example_trace
 from repro.graph import BipartiteGraph, paper_example_graph
+from repro.obs.registry import MetricsRegistry, install as obs_install
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,23 @@ def random_pairs(
         (f"T{rng.randrange(num_threads)}", f"O{rng.randrange(num_objects)}")
         for _ in range(num_events)
     ]
+
+
+@contextlib.contextmanager
+def count_array_batches() -> Iterator[Callable[[], int]]:
+    """Count the kernel batches that run in the array form inside the block.
+
+    Yields a callable returning the count so far: the
+    ``kernel.batch.array_batches`` counter of a telemetry registry
+    installed for the block only.  The "array form ran" check of the
+    kernel suites.
+    """
+    registry = MetricsRegistry(origin="array-batches")
+    previous = obs_install(registry)
+    try:
+        yield lambda: registry.counter_value("kernel.batch.array_batches")
+    finally:
+        obs_install(previous)
 
 
 def small_random_graph(seed: int, max_side: int = 6, density: float = 0.4) -> BipartiteGraph:

@@ -50,6 +50,7 @@ from repro.engine import EngineCheckpointManager, EngineConfig, run_engine
 from repro.engine.runner import BATCHED, PER_EVENT, EngineInterrupted
 from repro.exceptions import ClockError, ComputationError, EngineError
 from repro.online.adaptive import WindowedPopularityMechanism
+from tests.conftest import count_array_batches
 
 BACKENDS = available_backends()
 
@@ -74,10 +75,10 @@ def batch_leg(leg):
         yield "numpy"
 
 
-def assert_form_ran(kernel, leg):
-    """The arrays leg really ran the array form (it leaves a resident cache)."""
+def assert_form_ran(array_batches, leg):
+    """The arrays leg really ran the array form (see count_array_batches)."""
     if leg == ARRAYS_LEG:
-        assert kernel._cache is not None, "the array form never ran"
+        assert array_batches() > 0, "the array form never ran"
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,7 @@ class TestKernelBatchBitIdentity:
             reference.extend_components(thread_components=("T6",))
         last_thread, last_object = last_touches(pairs)
         for leg in LEGS:
-            with batch_leg(leg) as backend:
+            with batch_leg(leg) as backend, count_array_batches() as ran:
                 kernel = ClockKernel(components, backend=backend)
                 stamps = []
                 rng = random.Random(chunk_seed)
@@ -278,7 +279,7 @@ class TestKernelBatchBitIdentity:
                     cursor = cut
                 if not extended:
                     kernel.extend_components(thread_components=("T6",))
-            assert_form_ran(kernel, leg)
+            assert_form_ran(ran, leg)
             assert [s.values for s in stamps] == [
                 s.values for s in ref_stamps
             ], leg
@@ -308,7 +309,7 @@ class TestKernelBatchBitIdentity:
             fold = reference.fold_event(fold, stamp, thread, obj)
         last_thread, last_object = last_touches(pairs)
         for leg in LEGS:
-            with batch_leg(leg) as backend:
+            with batch_leg(leg) as backend, count_array_batches() as ran:
                 kernel = ClockKernel(components, backend=backend)
                 batched_fold = 0
                 rng = random.Random(chunk_seed)
@@ -319,7 +320,7 @@ class TestKernelBatchBitIdentity:
                         pairs[cursor:cut], batched_fold
                     )
                     cursor = cut
-            assert_form_ran(kernel, leg)
+            assert_form_ran(ran, leg)
             assert batched_fold == fold, leg
             for thread, _ in pairs:
                 assert (
@@ -362,11 +363,13 @@ class TestKernelBatchBitIdentity:
         for leg in LEGS:
             with batch_leg(leg) as backend:
                 kernel = ClockKernel(components, strict=False, backend=backend)
-                stamps = kernel.timestamp_batch(pairs)
+                with count_array_batches() as minted_on_arrays:
+                    stamps = kernel.timestamp_batch(pairs)
                 folder = ClockKernel(components, strict=False, backend=backend)
-                batched_fold = folder.advance_batch(pairs)
-            assert_form_ran(kernel, leg)
-            assert_form_ran(folder, leg)
+                with count_array_batches() as folded_on_arrays:
+                    batched_fold = folder.advance_batch(pairs)
+            assert_form_ran(minted_on_arrays, leg)
+            assert_form_ran(folded_on_arrays, leg)
             assert [s.values for s in stamps] == expected, leg
             assert batched_fold == fold, leg
             for thread, obj in pairs:
@@ -405,7 +408,7 @@ class TestKernelBatchBitIdentity:
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestNumpyArrayPath:
-    """Bit-identity of the *array-resident* numpy loop specifically.
+    """Bit-identity of the numpy loop's *array form* specifically.
 
     The hypothesis suites above use small clocks and short chunks, which
     reach the array form only with the numpy backend's gates forced
@@ -431,7 +434,7 @@ class TestNumpyArrayPath:
     def _assert_gate_open(self, kernel, chunk, min_dim):
         assert isinstance(kernel._backend, NumpyKernelBackend)
         assert kernel._backend._use_arrays(
-            kernel, [None] * chunk, min_dim
+            kernel, chunk, min_dim
         ), "test sizes no longer clear the array-path gates; raise them"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -445,7 +448,7 @@ class TestNumpyArrayPath:
             ref_stamps.append(reference.observe(thread, obj))
         kernel = ClockKernel(components, backend="numpy")
         self._assert_gate_open(
-            kernel, self.CHUNK, kernel._backend.MIN_ARRAY_DIM_MINT
+            kernel, pairs[:self.CHUNK], kernel._backend.MIN_ARRAY_DIM_MINT
         )
         stamps = []
         for start in range(0, len(pairs), self.CHUNK):
@@ -474,7 +477,7 @@ class TestNumpyArrayPath:
             fold = reference.fold_event(fold, stamp, thread, obj)
         kernel = ClockKernel(components, backend="numpy")
         self._assert_gate_open(
-            kernel, self.CHUNK, kernel._backend.MIN_ARRAY_DIM_ADVANCE
+            kernel, pairs[:self.CHUNK], kernel._backend.MIN_ARRAY_DIM_ADVANCE
         )
         batched_fold = 0
         for start in range(0, len(pairs), self.CHUNK):
@@ -497,7 +500,7 @@ class TestNumpyArrayPath:
             reference.observe(thread, obj)
         kernel = ClockKernel(components, backend="numpy")
         self._assert_gate_open(
-            kernel, len(poisoned), kernel._backend.MIN_ARRAY_DIM_MINT
+            kernel, poisoned, kernel._backend.MIN_ARRAY_DIM_MINT
         )
         with pytest.raises(Exception, match="not covered"):
             kernel.timestamp_batch(poisoned)

@@ -191,7 +191,7 @@ def _pure_retirement(components, live, mask):
 def test_numpy_batches_survive_extend_rotate_and_pickle(ops, window):
     """Array-minted stamps through extension, delta rotation and pickling.
 
-    A numpy ``EpochClock`` stamps whole batches (resident-array stamps),
+    A numpy ``EpochClock`` stamps whole batches (lazy stamps over arrays),
     then extends, rotates by pure retirement and round-trips through
     ``pickle`` over those stamps.  Tokens and every live-pair verdict
     must equal a ``check_invariant=True`` python clock (replay plus the

@@ -1,31 +1,35 @@
-"""Resident-array cache coherence: the edges where stale vectors hide.
+"""The array form across lifecycle edges: where stale vectors would hide.
 
-The numpy backend keeps touched clock vectors resident across batches
-(:class:`repro.core.kernel._ArrayCache`), which is exactly the kind of
-optimisation that stays bit-identical in the steady state and silently
-diverges at lifecycle edges.  Each test here drives one such edge with
-hypothesis-generated streams and asserts the cached path agrees with the
-uncached python loop value-for-value:
+Array batches mint lazy stamps that keep their ``int64`` array, and the
+next array batch reads each endpoint's array straight back from its
+stored stamp - the stored stamp is the one home of every clock.  That
+stays bit-identical in the steady state by construction; the risk sits
+at lifecycle edges, where an array of the wrong layout or epoch could
+be read back.  Each test here drives one such edge with
+hypothesis-generated streams and asserts the numpy backend agrees with
+the python loop (or with per-event ``observe``) value-for-value:
 
-* mid-stream ``extend_components`` while the cache is warm (the deferred
-  pad-on-read ``sync`` must reconcile resident vectors with the grown
-  layout);
-* ``rotate_epoch`` mid-stream (wholesale invalidation: nothing of the
-  old epoch's arrays may leak into the new one);
-* checkpoint/resume (the cache must not be pickled - it holds numpy
-  arrays a numpy-less host cannot load - and a resumed kernel must
-  rebuild it transparently);
-* backend switch on resume (a cache built by numpy batches must not go
-  stale when the python loop takes over, and vice versa).
+* mid-stream ``extend_components`` (a stored array of the old layout is
+  lifted with one ``take`` on its next read);
+* ``rotate_epoch`` mid-stream (nothing of the old epoch's arrays may
+  leak into the new one);
+* checkpoint/resume (a pickle holds no numpy object - a numpy-less host
+  must load it - and pickling strips no stored stamp of its array);
+* backend switch on resume, and short batches after long ones;
+* the numpy backend's stateless gate: a batch whose first event reads
+  an array-holding stamp stays on arrays at any length, with the
+  default gates, not forced open.
 
 These complement ``tests/test_batched_pipeline.py``'s broader backend
-bit-identity suite; here every stream is long and wide enough to keep
-the array path *on* (warm cache), because the fallback path would make
-the assertions vacuous.
+bit-identity suite; here every clock is wide enough (50 slots) to clear
+the default width gates, and every test that needs the array form
+asserts it ran, because the list form would make the assertions
+vacuous.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import random
 
@@ -34,7 +38,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.components import ClockComponents
-from repro.core.kernel import ClockKernel, numpy_available
+from repro.core.kernel import ClockKernel, NumpyKernelBackend, numpy_available
+from repro.obs.registry import MetricsRegistry, install as obs_install
+from tests.conftest import count_array_batches
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend not installed"
@@ -43,8 +49,7 @@ requires_numpy = pytest.mark.skipif(
 SETTINGS = settings(max_examples=25, deadline=None)
 
 #: Wide enough (30 + 20 = 50 slots) to clear MIN_ARRAY_DIM_MINT, so
-#: batches of >= MIN_ARRAY_BATCH events take the array path and the
-#: cache actually warms up.
+#: batches of >= MIN_ARRAY_BATCH events take the array path.
 THREAD_COMPS = [f"T{i}" for i in range(30)]
 OBJECT_COMPS = [f"O{i}" for i in range(20)]
 
@@ -53,18 +58,19 @@ def fresh_components():
     return ClockComponents(THREAD_COMPS, OBJECT_COMPS)
 
 
+def random_pair(rng):
+    return (
+        f"T{rng.randrange(len(THREAD_COMPS))}",
+        f"O{rng.randrange(len(OBJECT_COMPS))}",
+    )
+
+
 @st.composite
 def batched_pairs(draw, batches=4, batch_size=24):
     """A list of insert batches, each long enough for the array path."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
     return [
-        [
-            (
-                f"T{rng.randrange(len(THREAD_COMPS))}",
-                f"O{rng.randrange(len(OBJECT_COMPS))}",
-            )
-            for _ in range(batch_size)
-        ]
+        [random_pair(rng) for _ in range(batch_size)]
         for _ in range(draw(st.integers(min_value=2, max_value=batches)))
     ]
 
@@ -90,59 +96,74 @@ def assert_same_state(numpy_kernel, python_kernel):
         ), obj
 
 
+def holds_array(stamp):
+    """Whether ``stamp`` is a lazy stamp that still keeps its array."""
+    return getattr(stamp, "_source", None) is not None
+
+
+class NumpyFreeUnpickler(pickle.Unpickler):
+    """Loads a pickle only if it references nothing from numpy."""
+
+    def find_class(self, module, name):
+        assert module.split(".")[0] != "numpy", (module, name)
+        return super().find_class(module, name)
+
+
 @requires_numpy
 class TestCacheBitIdentity:
     @SETTINGS
     @given(batches=batched_pairs(), grow_at=st.integers(0, 3))
     def test_extend_components_with_warm_cache(self, batches, grow_at):
-        """Deferred pad-on-read: growth between batches stays bit-identical."""
-        cached = ClockKernel(fresh_components(), backend="numpy")
-        uncached = ClockKernel(fresh_components(), backend="python")
-        cached_values, uncached_values = [], []
-        for index, batch in enumerate(batches):
-            if index == min(grow_at, len(batches) - 1):
-                for kernel in (cached, uncached):
-                    kernel.extend_components(
-                        thread_components=("T90",), object_components=("O90",)
-                    )
-            cached_values.extend(s.values for s in cached.timestamp_batch(batch))
-            uncached_values.extend(
-                s.values for s in uncached.timestamp_batch(batch)
-            )
-        assert cached_values == uncached_values
-        assert_same_state(cached, uncached)
+        """Growth between array batches stays bit-identical."""
+        arrays = ClockKernel(fresh_components(), backend="numpy")
+        lists = ClockKernel(fresh_components(), backend="python")
+        array_values, list_values = [], []
+        with count_array_batches() as ran:
+            for index, batch in enumerate(batches):
+                if index == min(grow_at, len(batches) - 1):
+                    for kernel in (arrays, lists):
+                        kernel.extend_components(
+                            thread_components=("T90",), object_components=("O90",)
+                        )
+                array_values.extend(s.values for s in arrays.timestamp_batch(batch))
+                list_values.extend(s.values for s in lists.timestamp_batch(batch))
+        assert array_values == list_values
+        assert_same_state(arrays, lists)
         # The edge under test actually ran on the array path.
-        assert cached._cache is not None
+        assert ran() > 0
 
     @SETTINGS
     @given(batches=batched_pairs())
     def test_rotate_epoch_drops_cache_and_stays_identical(self, batches):
         """Epoch rotation mid-stream: no old-epoch array survives."""
-        cached = ClockKernel(fresh_components(), backend="numpy")
-        uncached = ClockKernel(fresh_components(), backend="python")
-        drive(cached, batches[:1])
-        drive(uncached, batches[:1])
-        assert cached._cache is not None
-        for kernel in (cached, uncached):
+        arrays = ClockKernel(fresh_components(), backend="numpy")
+        lists = ClockKernel(fresh_components(), backend="python")
+        with count_array_batches() as ran:
+            drive(arrays, batches[:1])
+        drive(lists, batches[:1])
+        assert ran() > 0
+        for kernel in (arrays, lists):
             kernel.rotate_epoch(fresh_components())
-        # Invalidation is wholesale: the resident arrays are gone, so the
-        # new epoch cannot read stale pre-rotation vectors.
-        assert cached._cache is None
-        assert drive(cached, batches) == drive(uncached, batches)
-        assert_same_state(cached, uncached)
+        # The rotation discards every stored stamp, and with them their
+        # arrays: the new epoch cannot read a pre-rotation vector.
+        assert not arrays._thread_stamps and not arrays._object_stamps
+        assert drive(arrays, batches) == drive(lists, batches)
+        assert_same_state(arrays, lists)
 
     @SETTINGS
     @given(batches=batched_pairs())
     def test_advance_batch_fold_matches_python(self, batches):
-        """The digest path reads resident arrays; folds must agree too."""
-        cached = ClockKernel(fresh_components(), backend="numpy")
-        uncached = ClockKernel(fresh_components(), backend="python")
-        cached_fold = uncached_fold = 0
-        for batch in batches:
-            cached_fold = cached.advance_batch(batch, cached_fold)
-            uncached_fold = uncached.advance_batch(batch, uncached_fold)
-        assert cached_fold == uncached_fold
-        assert_same_state(cached, uncached)
+        """The digest path reads the stored arrays; folds must agree too."""
+        arrays = ClockKernel(fresh_components(), backend="numpy")
+        lists = ClockKernel(fresh_components(), backend="python")
+        array_fold = list_fold = 0
+        with count_array_batches() as ran:
+            for batch in batches:
+                array_fold = arrays.advance_batch(batch, array_fold)
+                list_fold = lists.advance_batch(batch, list_fold)
+        assert array_fold == list_fold
+        assert_same_state(arrays, lists)
+        assert ran() > 0
 
 
 @requires_numpy
@@ -150,32 +171,55 @@ class TestCacheCheckpointing:
     def warm_kernel(self, seed=404):
         kernel = ClockKernel(fresh_components(), backend="numpy")
         rng = random.Random(seed)
-        kernel.timestamp_batch(
-            [
-                (
-                    f"T{rng.randrange(len(THREAD_COMPS))}",
-                    f"O{rng.randrange(len(OBJECT_COMPS))}",
-                )
-                for _ in range(64)
-            ]
-        )
-        assert kernel._cache is not None, "array path did not engage"
+        with count_array_batches() as ran:
+            kernel.timestamp_batch([random_pair(rng) for _ in range(64)])
+        assert ran() == 1, "array path did not engage"
         return kernel
 
     def test_cache_not_pickled(self):
+        """A pickled kernel contains no numpy object, so any host loads it."""
         kernel = self.warm_kernel()
-        assert "_cache" not in kernel.__getstate__()
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert clone._cache is None
+        assert any(map(holds_array, kernel._thread_stamps.values()))
+        clone = NumpyFreeUnpickler(io.BytesIO(pickle.dumps(kernel))).load()
+        assert not any(map(holds_array, clone._thread_stamps.values()))
+        assert_same_state(clone, kernel)
+
+    def test_pickling_keeps_stamp_arrays(self):
+        """A checkpoint materialises no stored stamp, current or lifted."""
+        kernel = self.warm_kernel()
+        kernel.extend_components(thread_components=("T90",))
+        # Re-mint part of the state over the grown layout, so the kernel
+        # holds array stamps of both the current and an older layout.
+        kernel.timestamp_batch([(f"T{i}", f"O{i}") for i in range(16)])
+        stored = list(kernel._thread_stamps.values()) + list(
+            kernel._object_stamps.values()
+        )
+        layouts = {id(stamp._components) for stamp in stored}
+        assert len(layouts) == 2 and all(map(holds_array, stored))
+        registry = MetricsRegistry(origin="test-checkpoint")
+        previous = obs_install(registry)
+        try:
+            payload = pickle.dumps(kernel)
+        finally:
+            obs_install(previous)
+        assert registry.counter_value("kernel.lazy_stamps.materialised") == 0
+        after = list(kernel._thread_stamps.values()) + list(
+            kernel._object_stamps.values()
+        )
+        assert all(old is new for old, new in zip(stored, after))
+        assert all(map(holds_array, stored))
+        assert_same_state(pickle.loads(payload), kernel)
 
     @SETTINGS
     @given(batches=batched_pairs())
     def test_resume_rebuilds_cache_bit_identically(self, batches):
         kernel = self.warm_kernel()
         clone = pickle.loads(pickle.dumps(kernel))
-        assert drive(clone, batches) == drive(kernel, batches)
-        # The resumed kernel re-warmed its own cache from the stamp dicts.
-        assert clone._cache is not None
+        with count_array_batches() as ran:
+            assert drive(clone, batches) == drive(kernel, batches)
+        # The resumed kernel, holding only tuple stamps, went back to
+        # arrays as soon as a batch cleared the gates.
+        assert ran() == 2 * len(batches)
 
     @SETTINGS
     @given(batches=batched_pairs())
@@ -192,17 +236,97 @@ class TestCacheCheckpointing:
         assert_same_state(to_numpy, to_python)
 
     def test_python_batches_evict_from_warm_cache(self):
-        """Short (fallback-path) batches must not strand stale vectors."""
+        """Short batches between long ones stay bit-identical."""
         kernel = self.warm_kernel()
         mixed = pickle.loads(pickle.dumps(kernel))
-        # A short batch after resume runs the python loop on the numpy
-        # backend (below MIN_ARRAY_BATCH, cold cache) and then long
-        # batches re-engage arrays; values must match the pure sequence.
+        # The short batches run on lists: after the resume no stored stamp
+        # holds an array, and drive() reads every minted stamp, which
+        # releases its array.  The long batches run on arrays.  Values
+        # must match the uninterrupted sequence.
         short = [("T0", "O0"), ("T1", "O1")]
         long = [
             (f"T{i % len(THREAD_COMPS)}", f"O{i % len(OBJECT_COMPS)}")
             for i in range(48)
         ]
         expected = drive(kernel, [short, long, short, long])
-        assert drive(mixed, [short, long, short, long]) == expected
+        with count_array_batches() as ran:
+            assert drive(mixed, [short, long, short, long]) == expected
+        assert ran() == 2
         assert_same_state(kernel, mixed)
+
+
+@requires_numpy
+class TestStatelessGate:
+    """The numpy backend's default gates, driven as the engine drives them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        chunks=st.lists(
+            st.tuples(st.integers(1, 40), st.booleans()), min_size=2, max_size=8
+        ),
+        grow_at=st.integers(0, 7),
+        pickle_at=st.integers(0, 7),
+    )
+    def test_random_chunks_match_per_event_observe(
+        self, seed, chunks, grow_at, pickle_at
+    ):
+        """Mint and fold chunks on both sides of MIN_ARRAY_BATCH, with a
+        mid-stream extension and a pickle round-trip, equal ``observe``."""
+        assert NumpyKernelBackend.MIN_ARRAY_BATCH < 40
+        rng = random.Random(seed)
+        # T90 joins the components only at the extension; its events are
+        # covered throughout by their object endpoint.
+        threads = THREAD_COMPS + ["T90"]
+        reference = ClockKernel(fresh_components(), backend="python")
+        kernel = ClockKernel(fresh_components(), backend="numpy")
+        for index, (length, mint) in enumerate(chunks):
+            if index == pickle_at:
+                kernel = pickle.loads(pickle.dumps(kernel))
+            if index == grow_at:
+                for clocks in (reference, kernel):
+                    clocks.extend_components(thread_components=("T90",))
+            chunk = [
+                (rng.choice(threads), f"O{rng.randrange(len(OBJECT_COMPS))}")
+                for _ in range(length)
+            ]
+            expected = [reference.observe(t, o) for t, o in chunk]
+            if mint:
+                stamps = kernel.timestamp_batch(chunk)
+                assert [s.values for s in stamps] == [s.values for s in expected]
+            else:
+                fold = 0
+                for stamp, (thread, obj) in zip(expected, chunk):
+                    fold = reference.fold_event(fold, stamp, thread, obj)
+                assert kernel.advance_batch(chunk) == fold
+        for thread in threads:
+            assert (
+                kernel.thread_stamp(thread).values
+                == reference.thread_stamp(thread).values
+            ), thread
+        for obj in OBJECT_COMPS:
+            assert (
+                kernel.object_stamp(obj).values
+                == reference.object_stamp(obj).values
+            ), obj
+
+    def test_short_batch_on_array_stamps_runs_on_arrays(self):
+        kernel = ClockKernel(fresh_components(), backend="numpy")
+        short = [("T0", "O0"), ("T1", "O1")]
+        assert len(short) < NumpyKernelBackend.MIN_ARRAY_BATCH
+        with count_array_batches() as ran:
+            # Cold: no stored stamp holds an array, so lists.
+            kernel.timestamp_batch(short)
+            assert ran() == 0
+            kernel.timestamp_batch([("T0", f"O{i}") for i in range(20)])
+            assert ran() == 1
+            # T0's stored stamp now holds its array: arrays at any length.
+            assert holds_array(kernel._thread_stamps["T0"])
+            kernel.timestamp_batch(short)
+            assert ran() == 2
+            # Once the first event's stamps are materialised, lists again.
+            assert kernel.thread_stamp("T0").values
+            assert kernel.object_stamp("O0").values
+            assert not holds_array(kernel._thread_stamps["T0"])
+            kernel.timestamp_batch(short)
+            assert ran() == 2

@@ -592,134 +592,6 @@ class TestScenarioSeed:
         assert findings == []
 
 
-# ---------------------------------------------------------------------------
-# C205 - ClockKernel mutations must keep the resident cache coherent
-# ---------------------------------------------------------------------------
-class TestKernelCacheInvalidation:
-    def test_unhooked_mutation_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def forget(self, thread):
-                    self._thread_stamps.pop(thread, None)
-            """,
-        )
-        assert rule_ids(findings) == ["C205"]
-        assert "forget" in findings[0].message
-
-    def test_subscript_store_without_hook_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def stash(self, thread, stamp):
-                    self._thread_stamps[thread] = stamp
-            """,
-        )
-        assert rule_ids(findings) == ["C205"]
-
-    def test_layout_rebind_without_hook_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def rebind(self, components):
-                    self._components = components
-            """,
-        )
-        assert rule_ids(findings) == ["C205"]
-
-    def test_mutating_delegate_without_hook_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def shuffle(self, components):
-                    self._bind_components(components)
-            """,
-        )
-        assert rule_ids(findings) == ["C205"]
-
-    def test_invalidate_call_satisfies(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def forget_all(self):
-                    self._thread_stamps.clear()
-                    self._invalidate_cache()
-            """,
-        )
-        assert findings == []
-
-    def test_targeted_evict_satisfies(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def touch(self, thread, obj, stamp):
-                    self._cache_evict(thread, obj)
-                    self._thread_stamps[thread] = stamp
-            """,
-        )
-        assert findings == []
-
-    def test_cache_assignment_satisfies(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def restore(self, state):
-                    self._thread_stamps = state
-                    self._cache = None
-            """,
-        )
-        assert findings == []
-
-    def test_declared_exemption_satisfies(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            CACHE_SAFE_METHODS = ("append_only_grow",)
-
-            class ClockKernel:
-                def append_only_grow(self, components):
-                    self._bind_components(components)
-            """,
-        )
-        assert findings == []
-
-    def test_read_only_method_not_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class ClockKernel:
-                def thread_stamp(self, thread):
-                    return self._thread_stamps.get(thread, self._zero)
-            """,
-        )
-        assert findings == []
-
-    def test_other_class_not_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class Ledger:
-                def forget(self, thread):
-                    self._thread_stamps.pop(thread, None)
-            """,
-        )
-        assert findings == []
-
-    def test_repo_clock_kernel_is_cache_coherent(self):
-        # The real kernel is the rule's reason to exist: every mutating
-        # method must already carry its coherence action or exemption.
-        rules = [rule() for rule in ALL_RULES if rule.id == "C205"]
-        path = REPO_ROOT / "src" / "repro" / "core" / "kernel.py"
-        assert check_file(path, rules) == []
-
-
 def lint_at(tmp_path, monkeypatch, relpath, source, select=None):
     """Lint one snippet *at a given repo-relative path* (for path-scoped
     rules: C206's result-path prefixes, the D104 obs carve-out)."""

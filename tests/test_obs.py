@@ -239,8 +239,6 @@ class TestSnapshotMerge:
 # ---------------------------------------------------------------------------
 def populated_registry():
     registry = MetricsRegistry(origin="main")
-    registry.add("kernel.array_cache.hits", 30)
-    registry.add("kernel.array_cache.misses", 10)
     registry.add("kernel.batch.array_events", 80)
     registry.add("kernel.batch.python_events", 20)
     registry.gauge("engine.workers", 2)
@@ -259,8 +257,7 @@ class TestExporters:
     def test_metrics_document_shape_and_derived(self):
         document = metrics_document(populated_registry())
         assert document["schema"] == METRICS_SCHEMA_VERSION
-        assert document["counters"]["kernel.array_cache.hits"] == 30
-        assert document["derived"]["kernel_cache_hit_rate"] == pytest.approx(0.75)
+        assert document["counters"]["kernel.batch.array_events"] == 80
         assert document["derived"]["kernel_array_path_share"] == pytest.approx(0.8)
         row = document["histograms"]["engine.chunk_s"]
         assert row["count"] == 10
@@ -271,7 +268,6 @@ class TestExporters:
 
     def test_derived_ratios_null_when_unobserved(self):
         document = metrics_document(MetricsRegistry())
-        assert document["derived"]["kernel_cache_hit_rate"] is None
         assert document["derived"]["kernel_array_path_share"] is None
 
     def test_metrics_json_round_trip(self, tmp_path):
@@ -418,7 +414,7 @@ class TestCliExports:
             == 0
         )
         document = json.loads(metrics.read_text())
-        assert "kernel_cache_hit_rate" in document["derived"]
+        assert "kernel_array_path_share" in document["derived"]
         assert document["counters"]["engine.chunks"] > 0
         assert any(
             name.startswith("sharder.shard[") for name in document["counters"]
