@@ -14,34 +14,51 @@ Recomputing Hopcroft-Karp from scratch per event costs
 ``O(E^2 * sqrt(V))`` over a run; :class:`DynamicMatching` instead
 maintains a maximum matching across both edge insertions and deletions.
 
-Insertion rests on one classical fact: if a matching is maximum and a
-single edge ``(t, o)`` is inserted, the maximum matching size grows by at
-most one, and any augmenting path that now exists must traverse the new
-edge.  Each insert therefore needs at most one (iterative, stack-based)
-alternating-path search anchored at the new edge:
+Both directions rest on the Dulmage-Mendelsohn (Gallai-Edmonds) split
+of a bipartite graph under a maximum matching.  Let ``Z`` be the vertices
+reachable from free threads along alternating paths (non-matched edges
+walked thread-to-object, matched edges object-to-thread) - König's ``Z``,
+the set behind the paper's Theorem 3 cover - and ``Z_O`` its mirror, the
+vertices reachable from free objects (non-matched edges object-to-thread,
+matched edges thread-to-object).  Inserting ``(t, o)`` grows the maximum
+matching **iff** ``t in Z`` and ``o in Z_O``.  *Proof sketch:* any new
+augmenting path must use the new edge, so it reads ``s ~~> t -> o ~~> f``
+with ``s`` a free thread and ``f`` a free object; the prefix is an
+alternating path of the old graph witnessing ``t in Z`` and the suffix
+one witnessing ``o in Z_O``.  Conversely two such witnesses join into an
+augmenting path, because ``Z`` and ``Z_O`` are disjoint under a maximum
+matching (a shared vertex would splice a free thread to a free object
+through an augmenting path of the old graph), so the halves cannot
+collide.  :class:`DynamicMatching` keeps both sets, each clean or dirty,
+and asks them *before* searching:
 
 * both endpoints unmatched - match them directly, ``O(1)``;
-* ``t`` unmatched - any augmenting path must *start* at ``t``, so one
-  thread-side search from ``t`` suffices;
+* ``t`` unmatched - ``t in Z`` holds, so one thread-side search from
+  ``t`` runs only when ``o in Z_O``, and is then certain to succeed;
 * ``o`` unmatched - the mirror image: one object-side search from ``o``;
-* both matched - an augmenting path must look like
-  ``s ~~> o_t -> t -> o -> t_o ~~> e`` (entering ``t`` through its matched
-  edge and leaving ``o`` through its matched edge), so the engine first
-  re-matches ``o_t`` away from ``t`` (object-side search), then, with
-  ``t`` freed, runs a plain thread-side search from ``t``.  If either
-  phase fails no augmenting path exists and the matching is already
-  maximum again; the first phase's re-matching is harmless because it
-  preserves both size and validity.
+* both matched - the path must enter ``t`` through its matched edge, so
+  when ``o in Z_O`` the engine first re-matches ``t``'s partner away from
+  ``t`` (object-side search, the test ``t in Z``) and, if that succeeds,
+  runs the then certain thread-side search from the freed ``t``.
+
+So an insert that does not grow the optimum never moves the matching:
+``Z`` and ``Z_O`` only gain an entry point and are closed monotonically.
 
 Deletion is the mirror argument.  Removing a *non-matched* edge never
 invalidates maximality (the matching is untouched and the edge set only
 shrank).  Removing a *matched* edge ``(t, o)`` frees exactly ``t`` and
 ``o``; any augmenting path of the shrunken graph must start at ``t`` or
 end at ``o`` (a path avoiding both would have been augmenting before the
-deletion, contradicting maximality), so one thread-side search from ``t``
-and - only if that fails - one object-side search from ``o`` restore
-maximality with at most one re-augmentation.  If both fail the optimum
-has genuinely shrunk by one.
+deletion).  A path from ``t`` to a free object other than ``o`` is an
+alternating path of the old graph, so it exists iff ``t`` was in
+``Z_O``.  With ``Z_O`` clean before the delete, ``t in Z_O`` therefore
+makes the thread-side search from ``t`` certain, and otherwise one
+object-side search from ``o`` is the whole repair: it also finds a path
+from ``o`` back to ``t`` (an alternating cycle through the deleted edge,
+which no reachability set sees), and if it fails the optimum has
+genuinely shrunk by one.  With ``Z_O`` dirty the engine does not rebuild
+it for a delete (a window that churns threads would rebuild it on
+nearly every expiry) and tries the thread side, then the object side.
 
 Every search phase is a single ``O(V + E)`` sweep, against
 ``O(E * sqrt(V))`` for a from-scratch Hopcroft-Karp per event.  Because
@@ -63,7 +80,7 @@ online simulator and the ratio sweeps.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph, Edge, Vertex
@@ -108,6 +125,15 @@ class DynamicMatching:
         # full sweep.  Exact for the empty graph, so start clean.
         self._reach_threads: Optional[Set[Vertex]] = set()
         self._reach_objects: Set[Vertex] = set()
+        # The mirror set Z_O (vertices reachable from free objects), kept
+        # the same way; ``_zo_objects is None`` means dirty, and the next
+        # insert that needs it rebuilds it with one sweep.  The sweep's
+        # roots come from a superset of the free objects: an object only
+        # becomes free by arriving or by losing a matched edge to a
+        # delete, and the rebuild drops the ones matched since.
+        self._zo_objects: Optional[Set[Vertex]] = set()
+        self._zo_threads: Set[Vertex] = set()
+        self._free_candidates: Set[Vertex] = set()
         for thread, obj in edges:
             self.add_edge(thread, obj)
 
@@ -137,6 +163,21 @@ class DynamicMatching:
     def __len__(self) -> int:
         return len(self._thread_to_object)
 
+    def __getstate__(self) -> dict:
+        # Z_O is derived state: leave it out of checkpoints.
+        state = self.__dict__.copy()
+        del state["_zo_objects"], state["_zo_threads"], state["_free_candidates"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # setattr interns the names, as the default restore does, so the
+        # engines of one checkpoint share them when pickled again.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._zo_objects = None
+        self._zo_threads = set()
+        self._free_candidates = set(self._graph.objects)
+
     def matching(self) -> Matching:
         """The current maximum matching as an immutable :class:`Matching`."""
         return Matching(self._thread_to_object.items())
@@ -145,15 +186,19 @@ class DynamicMatching:
         """A minimum vertex cover of the live graph (König construction).
 
         Assembled on demand as ``(threads - Z_threads) | Z_objects`` from
-        the *incrementally repaired* alternating-reachability sets and
-        cached until the next structural change (an edge actually
-        entering or leaving the graph).  Mutations that provably leave
-        the alternating forest intact - multiplicity bumps, inserts that
-        the matching absorbed without moving (a monotone closure adds any
-        newly reachable suffix), non-matched deletions whose thread was
-        unreachable, prunes of isolated vertices - keep the sets exact;
-        anything that moves a matched edge marks them dirty, and the next
-        query rebuilds them with one :func:`alternating_reachable` sweep.
+        König's Z, one of the two *incrementally repaired* reachability
+        sets the engine keeps (the other, Z_O, is reached from free
+        objects and only decides inserts and deletes, see the module
+        docstring), and cached until the next structural change (an edge
+        actually entering or leaving the graph).  Mutations that provably
+        leave the alternating forests intact - multiplicity bumps, inserts
+        that did not grow the optimum (they never move the matching; a
+        monotone closure adds any newly reachable suffix), matched
+        deletions that shrank it (the freed endpoints become roots),
+        non-matched deletions whose thread was unreachable, prunes of
+        isolated vertices - keep Z exact; anything that moves a matched
+        edge marks it dirty, and the next query rebuilds it with one
+        :func:`alternating_reachable` sweep.
         The ``matching.cover.repairs`` / ``matching.cover.rebuilds``
         counters record which path served each (cache-missing) query; the
         property tests assert the repaired cover equals the from-scratch
@@ -210,6 +255,9 @@ class DynamicMatching:
             self._multiplicity[key] += 1
         else:
             thread_known = self._graph.has_thread(thread)
+            object_known = self._graph.has_object(obj)
+            if not object_known:
+                self._free_candidates.add(obj)
             self._graph.add_edge(thread, obj)
             self._multiplicity[key] = 1
             self._cover_cache = None
@@ -219,7 +267,7 @@ class DynamicMatching:
             # so a search can only succeed while both sides have free
             # vertices.  Checking first is what keeps the saturated regime
             # (matching size pinned at min(n, m), common in dense reveals)
-            # at O(1) per insert instead of one doomed O(V + E) sweep each.
+            # at O(1) per insert, without even a Z_O rebuild.
             matched = len(self._thread_to_object)
             free_threads = self._graph.num_threads - matched
             free_objects = self._graph.num_objects - matched
@@ -227,36 +275,31 @@ class DynamicMatching:
                 self._thread_to_object[thread] = obj
                 self._object_to_thread[obj] = thread
                 grew = True
-                # A pre-existing free thread was a root of the alternating
-                # forest; matching it away is non-monotone.  A brand-new
-                # thread never was a root, and a pre-existing free object
-                # cannot have been reachable (that would have been an
-                # augmenting path), so reachability is untouched.
+                # A pre-existing free thread was a root of Z; matching it
+                # away is non-monotone.  A brand-new thread never was a
+                # root, and a pre-existing free object cannot have been in
+                # Z (that would have been an augmenting path), so Z is
+                # untouched.  The same holds for Z_O with the roles swapped.
                 if thread_known:
                     self._reach_threads = None
-            elif not thread_matched:
-                if free_objects:
-                    grew = self._augment_from_thread(thread)
-                if grew:
-                    self._reach_threads = None
-                else:
-                    self._absorb_reachable(thread, obj)
-            elif not object_matched:
-                if free_threads:
-                    grew = self._augment_from_object(obj)
-                if grew:
-                    self._reach_threads = None
-                else:
-                    self._absorb_reachable(thread, obj)
+                if object_known:
+                    self._zo_objects = None
             else:
-                if free_threads and free_objects:
+                if not thread_matched:
+                    # ``thread`` is a free root of Z, so growth is exactly
+                    # ``obj in Z_O``, and then the search cannot fail.
+                    if free_objects and obj in self._object_reach():
+                        grew = self._augment_from_thread(thread)
+                elif not object_matched:
+                    if free_threads:
+                        grew = self._augment_from_object(obj)
+                elif free_threads and free_objects and obj in self._object_reach():
                     grew = self._augment_through_matched_edge(thread, obj)
-                if grew or thread not in self._thread_to_object:
-                    # Success flipped the path; a phase-1 exchange (the
-                    # returned-False case that left ``thread`` free) also
-                    # moved matched edges.  Either way the forest moved.
+                if grew:
                     self._reach_threads = None
+                    self._zo_objects = None
                 else:
+                    # A doomed insert moved no matched edge.
                     self._absorb_reachable(thread, obj)
         if self._trajectory is not None:
             self._trajectory.append(len(self._thread_to_object))
@@ -294,24 +337,35 @@ class DynamicMatching:
                 # The deleted edge carried the matching: free both
                 # endpoints, then try the only two path families that can
                 # exist (start at the freed thread / end at the freed
-                # object - see the module docstring).  Freed endpoints
-                # and repair flips both move the alternating forest.
-                self._reach_threads = None
+                # object - see the module docstring).  The first exists
+                # iff ``thread`` was in Z_O, so a clean Z_O can skip that
+                # search; a dirty one is not rebuilt for it.
+                thread_side = self._zo_objects is None or thread in self._zo_threads
                 del self._thread_to_object[thread]
                 del self._object_to_thread[obj]
-                if not self._augment_from_thread(thread):
+                self._free_candidates.add(obj)
+                if not (thread_side and self._augment_from_thread(thread)):
                     shrank = not self._augment_from_object(obj)
-            elif (
-                self._reach_threads is not None
-                and thread in self._reach_threads
-            ):
+                if shrank:
+                    # No repair: the only lost step (``obj`` to ``thread``
+                    # in Z, ``thread`` to ``obj`` in Z_O) never fired, or
+                    # the repair would have succeeded, and the freed
+                    # endpoints are new roots.  Both sets grow monotonically.
+                    self._absorb_reachable(thread, obj)
+                else:
+                    self._reach_threads = None
+                    self._zo_objects = None
+            else:
                 # The removed non-matched edge may have been the only
                 # alternating step into some reachable suffix; deletion
-                # is non-monotone, so recompute on the next cover query.
-                # A thread outside Z contributed nothing through this
-                # edge (non-matched edges are walked thread-to-object),
-                # so Z is untouched in that case.
-                self._reach_threads = None
+                # is non-monotone, so recompute on the next query.  Z
+                # walks non-matched edges thread-to-object and Z_O
+                # object-to-thread, so a thread outside Z (an object
+                # outside Z_O) contributed nothing through this edge.
+                if self._reach_threads is not None and thread in self._reach_threads:
+                    self._reach_threads = None
+                if self._zo_objects is not None and obj in self._zo_objects:
+                    self._zo_objects = None
             # Prune endpoints the removal isolated: a degree-0 vertex is
             # necessarily unmatched (a matched pair is always an edge) and
             # can never join an augmenting path, and on unbounded streams
@@ -323,8 +377,9 @@ class DynamicMatching:
                     self._reach_threads.discard(thread)
             if self._graph.degree(obj) == 0:
                 self._graph.remove_isolated_vertex(obj)
-                if self._reach_threads is not None:
-                    self._reach_objects.discard(obj)
+                self._free_candidates.discard(obj)
+                if self._zo_objects is not None:
+                    self._zo_objects.discard(obj)
         if self._trajectory is not None:
             self._trajectory.append(len(self._thread_to_object))
         return shrank
@@ -336,55 +391,46 @@ class DynamicMatching:
         return self
 
     # ------------------------------------------------------------------
-    # Incremental alternating reachability (König's Z)
+    # Incremental alternating reachability (König's Z and its mirror Z_O)
     # ------------------------------------------------------------------
     def _absorb_reachable(self, thread: Vertex, obj: Vertex) -> None:
-        """Close the reachability sets over an insert that moved no matching.
+        """Close Z and Z_O over a mutation that moved no matched edge.
 
         Called after a structural insert of ``(thread, obj)`` that left
-        every matched edge in place.  Z (the alternating-reachability
-        set) is the least fixed point of monotone rules - free threads
-        are roots, non-matched edges walk thread-to-object, matched
-        edges walk object-to-thread - and both possible additions (a new
-        free-thread root, a new thread-to-object step) only *add* rules,
-        so seeding the old Z with the new entry points and closing is
-        exact, not approximate.  No-op when the sets are already dirty.
+        every matched edge in place, and after a matched delete that
+        found no repair.  Each set is the least fixed point of monotone
+        rules - free vertices of its side are roots, non-matched edges
+        walk away from that side, matched edges walk back - and both
+        possible additions (a new free root, a new non-matched step)
+        only *add* rules, so seeding the old set with the new entry
+        points and closing is exact, not approximate.  A dirty set is
+        left dirty.
         """
-        reach_threads = self._reach_threads
-        if reach_threads is None:
-            return
-        reach_objects = self._reach_objects
-        thread_to_object = self._thread_to_object
-        object_to_thread = self._object_to_thread
         graph = self._graph
-        # Threads newly absorbed into Z whose edges still need scanning.
-        pending: List[Vertex] = []
-        if thread not in thread_to_object and thread not in reach_threads:
-            reach_threads.add(thread)
-            pending.append(thread)
-        elif (
-            thread in reach_threads
-            and obj not in reach_objects
-            and thread_to_object.get(thread) != obj
-        ):
-            # Only the new edge can have opened anything: ``thread`` was
-            # already closed over its other edges when it joined Z.
-            reach_objects.add(obj)
-            partner = object_to_thread.get(obj)
-            if partner is not None and partner not in reach_threads:
-                reach_threads.add(partner)
-                pending.append(partner)
-        while pending:
-            current = pending.pop()
-            matched = thread_to_object.get(current)
-            for neighbor in graph.thread_neighbors(current):
-                if neighbor == matched or neighbor in reach_objects:
-                    continue
-                reach_objects.add(neighbor)
-                partner = object_to_thread.get(neighbor)
-                if partner is not None and partner not in reach_threads:
-                    reach_threads.add(partner)
-                    pending.append(partner)
+        if self._reach_threads is not None:
+            _absorb(
+                thread, obj, self._thread_to_object, self._object_to_thread,
+                self._reach_threads, self._reach_objects, graph.thread_neighbors,
+            )
+        if self._zo_objects is not None:
+            _absorb(
+                obj, thread, self._object_to_thread, self._thread_to_object,
+                self._zo_objects, self._zo_threads, graph.object_neighbors,
+            )
+
+    def _object_reach(self) -> Set[Vertex]:
+        """The objects of Z_O, rebuilt by one sweep from the free objects if dirty."""
+        if self._zo_objects is None:
+            object_to_thread = self._object_to_thread
+            free = {obj for obj in self._free_candidates if obj not in object_to_thread}
+            self._free_candidates = set(free)
+            self._zo_objects = free
+            self._zo_threads = set()
+            _close(
+                set(free), self._object_to_thread, self._thread_to_object,
+                self._zo_objects, self._zo_threads, self._graph.object_neighbors,
+            )
+        return self._zo_objects
 
     # ------------------------------------------------------------------
     # Anchored augmenting-path searches (iterative)
@@ -459,11 +505,11 @@ class DynamicMatching:
         Phase 1 re-matches ``thread``'s partner object away from it (the
         ``s ~~> o_t`` prefix of the required path shape); ``obj`` is banned
         because the prefix of a simple augmenting path cannot revisit it.
-        Phase 2 is then the plain unmatched-thread case.  If phase 1
-        succeeds but phase 2 fails, the matching has merely been exchanged
-        for another of the same (still maximum) size: any augmenting path
-        would have to start at the only freed thread, and phase 2 just
-        proved there is none.
+        Phase 2 is then the plain unmatched-thread case.  The caller runs
+        this only when ``obj`` is in Z_O, so phase 1 succeeds exactly when
+        ``thread`` is in Z, and then phase 2 cannot fail: the phase-1 flip
+        stays inside Z, which is disjoint from the alternating path that
+        puts ``obj`` in Z_O.
         """
         partner = self._thread_to_object[thread]
         del self._thread_to_object[thread]
@@ -475,6 +521,61 @@ class DynamicMatching:
             self._object_to_thread[partner] = thread
             return False
         return self._augment_from_thread(thread)
+
+
+def _absorb(
+    root: Vertex,
+    other: Vertex,
+    root_match: Dict[Vertex, Vertex],
+    other_match: Dict[Vertex, Vertex],
+    root_reach: Set[Vertex],
+    other_reach: Set[Vertex],
+    neighbors: Callable[[Vertex], Iterable[Vertex]],
+) -> None:
+    """Absorb a free ``root`` or a new non-matched edge ``(root, other)``.
+
+    Works on one clean reachability set, rooted at the free vertices of
+    ``root``'s side: Z with a thread as ``root``, Z_O with an object.
+    """
+    pending: Set[Vertex] = set()
+    if root not in root_match and root not in root_reach:
+        root_reach.add(root)
+        pending.add(root)
+    elif root in root_reach and other not in other_reach:
+        # Only the new edge can have opened anything: ``root`` was
+        # already closed over its other edges when it joined the set.
+        other_reach.add(other)
+        partner = other_match.get(other)
+        if partner is not None and partner not in root_reach:
+            root_reach.add(partner)
+            pending.add(partner)
+    _close(pending, root_match, other_match, root_reach, other_reach, neighbors)
+
+
+def _close(
+    pending: Set[Vertex],
+    root_match: Dict[Vertex, Vertex],
+    other_match: Dict[Vertex, Vertex],
+    root_reach: Set[Vertex],
+    other_reach: Set[Vertex],
+    neighbors: Callable[[Vertex], Iterable[Vertex]],
+) -> None:
+    """Close a reachability set over the newly added ``pending`` vertices.
+
+    From a vertex of the root side, step along every non-matched edge to
+    the other side, and from there along its matched edge back.
+    """
+    while pending:
+        current = pending.pop()
+        matched = root_match.get(current)
+        for neighbor in neighbors(current):
+            if neighbor == matched or neighbor in other_reach:
+                continue
+            other_reach.add(neighbor)
+            partner = other_match.get(neighbor)
+            if partner is not None and partner not in root_reach:
+                root_reach.add(partner)
+                pending.add(partner)
 
 
 def incremental_optimum_trajectory(pairs: Iterable[Edge]) -> Tuple[int, ...]:

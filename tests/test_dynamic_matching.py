@@ -8,7 +8,9 @@ both regimes.
 
 from __future__ import annotations
 
+import pickle
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,8 @@ from repro.exceptions import GraphError
 from repro.graph import (
     BipartiteGraph,
     DynamicMatching,
+    Matching,
+    alternating_reachable,
     chain_bipartite,
     hopcroft_karp_matching,
     is_maximum_matching,
@@ -102,6 +106,177 @@ def test_lazy_vertex_cover_is_a_valid_minimum_cover(script):
 
 
 # ---------------------------------------------------------------------------
+# Per-call verdicts and the two reachability sets
+# ---------------------------------------------------------------------------
+# Rare interleavings (a phase-1 exchange, a free object matched away
+# while Z_O is clean) need more draws than the suites above.
+PER_CALL_SETTINGS = settings(max_examples=200, deadline=None)
+
+WIDE_THREADS = [f"T{i}" for i in range(7)]
+WIDE_OBJECTS = [f"O{i}" for i in range(7)]
+
+wide_scripts = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from(WIDE_THREADS),
+        st.sampled_from(WIDE_OBJECTS),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+wide_streams = st.tuples(
+    st.lists(
+        st.tuples(st.sampled_from(WIDE_THREADS), st.sampled_from(WIDE_OBJECTS)),
+        min_size=20,
+        max_size=60,
+    ),
+    st.integers(min_value=1, max_value=14),
+)
+
+
+def _reachable_sides(graph, pairs):
+    """From-scratch (threads, objects) reached from free threads."""
+    reached = alternating_reachable(graph, Matching(pairs))
+    return reached & graph.threads, reached & graph.objects
+
+
+def _mirror_reachable_sides(graph, pairs):
+    """From-scratch (threads, objects) reached from free objects.
+
+    The mirror sweep is the ordinary one on the transposed graph, where
+    objects play the threads.
+    """
+    transposed = BipartiteGraph(edges=[(obj, thread) for thread, obj in graph.edges()])
+    reached = alternating_reachable(
+        transposed, Matching((obj, thread) for thread, obj in pairs)
+    )
+    return reached & graph.threads, reached & graph.objects
+
+
+def _checked_call(engine, is_insert, thread, obj):
+    """One mutation, checked against from-scratch Hopcroft-Karp."""
+    before = engine.size  # equal to Hopcroft-Karp, checked by the last call
+    matching = engine.matching()
+    if is_insert:
+        grew = engine.add_edge(thread, obj)
+        after = len(hopcroft_karp_matching(engine.graph))
+        assert grew == (after == before + 1)
+        assert after - before in (0, 1)
+        if not grew:
+            assert engine.matching() == matching
+    else:
+        shrank = engine.remove_edge(thread, obj)
+        after = len(hopcroft_karp_matching(engine.graph))
+        assert shrank == (after == before - 1)
+        assert before - after in (0, 1)
+    assert engine.size == after
+    pairs = list(engine.matching())
+    if engine._reach_threads is not None:
+        assert (engine._reach_threads, engine._reach_objects) == _reachable_sides(
+            engine.graph, pairs
+        )
+    if engine._zo_objects is not None:
+        assert (engine._zo_threads, engine._zo_objects) == _mirror_reachable_sides(
+            engine.graph, pairs
+        )
+
+
+@PER_CALL_SETTINGS
+@given(wide_scripts)
+def test_every_call_reports_the_from_scratch_change_on_interleaved_scripts(script):
+    engine = DynamicMatching()
+    live = {}
+    for step, (is_insert, thread, obj, pick) in enumerate(script):
+        if is_insert or not live:
+            _checked_call(engine, True, thread, obj)
+            live[(thread, obj)] = live.get((thread, obj), 0) + 1
+        else:
+            edge = sorted(live)[pick % len(live)]
+            _checked_call(engine, False, *edge)
+            live[edge] -= 1
+            if not live[edge]:
+                del live[edge]
+        if step % 7 == 6:
+            # A cover query makes Z clean, so its repairs get checked too.
+            engine.vertex_cover()
+
+
+@PER_CALL_SETTINGS
+@given(wide_streams)
+def test_every_call_reports_the_from_scratch_change_on_sliding_windows(stream):
+    events, window = stream
+    engine = DynamicMatching(record_trajectory=False)
+    live = deque()
+    for step, edge in enumerate(events):
+        if len(live) == window:
+            _checked_call(engine, False, *live.popleft())
+        live.append(edge)
+        _checked_call(engine, True, *edge)
+        if step % 5 == 4:
+            engine.vertex_cover()
+
+
+class TestDeleteRepairShortcuts:
+    """A matched delete must try every repair that can exist."""
+
+    def test_alternating_four_cycle_keeps_its_size(self):
+        # Both matched edges plus both cross edges: no vertex is free, so
+        # Z and Z_O are clean and empty, yet deleting T0-O0 leaves the
+        # cycle's other perfect matching T0-O1, T1-O0.
+        engine = DynamicMatching(
+            [("T0", "O0"), ("T1", "O1"), ("T0", "O1"), ("T1", "O0")]
+        )
+        assert dict(engine.matching()) == {"T0": "O0", "T1": "O1"}
+        engine.vertex_cover()
+        assert engine._reach_threads == set() and engine._zo_objects == set()
+        assert engine.remove_edge("T0", "O0") is False
+        assert engine.size == 2
+        assert dict(engine.matching()) == {"T0": "O1", "T1": "O0"}
+
+    def test_star_is_repaired_from_the_object_side(self):
+        # T0-O0 matched and T1-O0 not: after the delete T0 has no edge
+        # left at all, so only O0's side can find the repair (to T1).
+        engine = DynamicMatching([("T0", "O0"), ("T1", "O0")])
+        assert dict(engine.matching()) == {"T0": "O0"}
+        assert engine.remove_edge("T0", "O0") is False
+        assert engine.size == 1
+        assert dict(engine.matching()) == {"T1": "O0"}
+
+
+def test_pickle_round_trip_mid_stream_keeps_later_verdicts():
+    rng = random.Random(11)
+    events = [
+        (f"T{rng.randrange(12)}", f"O{rng.randrange(12)}") for _ in range(400)
+    ]
+    window = 25
+    engine = DynamicMatching(record_trajectory=False)
+    live = deque()
+
+    def step(engine, edge, live):
+        verdicts = []
+        if len(live) == window:
+            verdicts.append(engine.remove_edge(*live.popleft()))
+        live.append(edge)
+        verdicts.append(engine.add_edge(*edge))
+        return verdicts, engine.size
+
+    for edge in events[:200]:
+        step(engine, edge, live)
+    engine._object_reach()
+    state = pickle.dumps(engine)
+    restored = pickle.loads(state)
+    # Z_O is derived state: it is not written, and comes back dirty.
+    assert b"_zo_" not in state and b"_free_candidates" not in state
+    assert restored._zo_objects is None
+    restored_live = deque(live)
+    for edge in events[200:]:
+        assert step(restored, edge, restored_live) == step(engine, edge, live)
+    assert restored.vertex_cover() == engine.vertex_cover()
+
+
+# ---------------------------------------------------------------------------
 # Deletion semantics
 # ---------------------------------------------------------------------------
 class TestRemoveEdge:
@@ -181,8 +356,6 @@ class TestRemoveEdge:
         # A window of 2 over a stream of always-fresh vertex ids: at most
         # 2 edges (4 vertices) may ever be live at once.
         engine = DynamicMatching(record_trajectory=False)
-        from collections import deque
-
         live = deque()
         for i in range(500):
             if len(live) == 2:
