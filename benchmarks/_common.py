@@ -210,10 +210,11 @@ def bench_environment() -> dict:
     A rate that moves between two PRs means nothing until the runs are
     known to share a backend and a machine class; this block records the
     variables that historically explained phantom regressions: the
-    process-wide kernel backend selection, the numpy version (or null
-    when the accelerator is absent - the python fallback's numbers are
-    not comparable to the numpy path's), the interpreter version, and
-    the CPU count (``--workers`` speedups are meaningless on one core).
+    default kernel backend (numpy when it imports), the numpy version
+    (or null when the accelerator is absent - the python fallback's
+    numbers are not comparable to the numpy path's), the interpreter
+    version, and the CPU count (``--workers`` speedups are meaningless
+    on one core).
     """
     try:
         import numpy

@@ -56,14 +56,8 @@ from repro.analysis import (
 from repro.computation import GRAPH, HappenedBefore, REGISTRY, STREAM, TRACE
 from repro.computation.serialization import dump_computation, load_computation
 from repro.computation.workloads import paper_example_trace
-from repro.core.kernel import NUMPY_BACKEND, PYTHON_BACKEND
 from repro.engine import EngineConfig, run_engine
 from repro.engine.sharding import STRATEGIES as ENGINE_STRATEGIES
-
-#: Kernel backend choices offered by the CLI.  Both names are always
-#: *offered* (so help text is stable); selecting ``numpy`` without numpy
-#: installed fails with a clean gate error from the kernel layer.
-KERNEL_BACKENDS = (PYTHON_BACKEND, NUMPY_BACKEND)
 from repro.exceptions import ReproError
 from repro.lint.cli import add_lint_arguments, cmd_lint
 from repro.obs import MetricsRegistry, install as obs_install
@@ -263,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the dynamic offline optimum (mechanisms only)",
     )
     engine_run.add_argument(
-        "--backend", choices=list(KERNEL_BACKENDS), default=None,
-        help="kernel backend for the timestamping stage (numpy is gated "
-        "on being importable; stamps are bit-identical across backends)",
-    )
-    engine_run.add_argument(
         "--timestamps", action="store_true",
         help="mint real per-event timestamps per mechanism and carry a "
         "per-label stamp digest under the fingerprint (append-only "
@@ -413,7 +402,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         checkpoint_dir=args.checkpoint_dir,
         trajectory_stride=args.stride,
-        backend=args.backend,
         timestamps=args.timestamps,
         workers=args.workers,
     )

@@ -70,13 +70,14 @@ clocks and fold a digest, minting nothing).  Both run one loop,
 * *arrays* (:data:`_ARRAYS`) - ``int64`` arrays, so the merge is a
   single C call (``np.maximum``).  Minted stamps are lazy stamps
   (:class:`_LazyStamp`) that keep their array and materialise an exact
-  Python-int tuple only on first ``_values`` access.  A stored lazy
-  stamp is therefore the one home of its entity's array: the next array
-  batch reads that array straight back (:func:`_stamp_array`), so a
-  touched entity is converted from tuple form only after something
-  materialised it, and digest-only drivers (the engine's ``timestamps``
-  mode, whose fold reads its slot values straight off the arrays) never
-  pay tuple construction at all.
+  Python-int tuple only on first ``_values`` access (two of them in one
+  layout compare on their arrays).  A stored lazy stamp is therefore
+  the one home of its entity's array: the next array batch reads that
+  array straight back (:func:`_stamp_array`), so a touched entity is
+  converted from tuple form only after something materialised it, and
+  digest-only drivers (the engine's ``timestamps`` mode, whose fold
+  reads its slot values straight off the arrays) never pay tuple
+  construction at all.
 
 In both forms the loop applies *slot-delta* derivation on the hot path:
 whenever one operand of the merge is absent or the two endpoints
@@ -95,15 +96,14 @@ bit-identical across forms and to per-event :meth:`ClockKernel.observe`;
 the property-test suite asserts that identity on random computations,
 with ``observe`` as the independent oracle.
 
-Backend selection: an explicit argument to :class:`ClockKernel` wins,
-then :func:`set_default_backend`, then the ``REPRO_KERNEL_BACKEND``
-environment variable, then ``python``.  Requesting ``numpy`` without
-numpy installed raises a clean :class:`~repro.exceptions.ClockError`.
+Backend selection: an explicit ``backend`` argument (to the kernel or to
+whatever builds one) wins; otherwise ``numpy`` when numpy imports, else
+``python``.  Requesting ``numpy`` without numpy installed raises a clean
+:class:`~repro.exceptions.ClockError`.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from itertools import repeat
 from operator import getitem, itemgetter
@@ -187,10 +187,11 @@ class _LazyStamp(Timestamp):
     over, in the stamp's own layout, and the array the next array batch
     reads back; the first ``_values`` read converts it to exact Python
     ints, writes the tuple back and releases the array.  Digest-only
-    drivers never read it, so they never pay the conversion.  A lazy
-    stamp pickles (and deep-copies) as the plain stamp it stands for, so
-    checkpoints load without numpy; pickling converts without caching,
-    so the stamp keeps its array.
+    drivers never read it, so they never pay the conversion, and two
+    lazy stamps of one layout compare on their arrays while both hold
+    one.  A lazy stamp pickles (and deep-copies) as the plain stamp it
+    stands for, so checkpoints load without numpy; pickling converts
+    without caching, so the stamp keeps its array.
     """
 
     __slots__ = ("_source",)
@@ -217,6 +218,30 @@ class _LazyStamp(Timestamp):
         source = self._source
         values = self._values if source is None else tuple(source.tolist())
         return (Timestamp._from_trusted, (self._components, values))
+
+    def _arrays(self, other):
+        """Both value arrays, if both stamps still hold one in one layout."""
+        if type(other) is _LazyStamp and other._components is self._components:
+            if self._source is not None and other._source is not None:
+                return self._source, other._source
+        return None
+
+    def __eq__(self, other):
+        arrays = self._arrays(other)
+        if arrays is None:
+            return Timestamp.__eq__(self, other)
+        return bool((arrays[0] == arrays[1]).all())
+
+    def __le__(self, other):
+        arrays = self._arrays(other)
+        if arrays is None:
+            return Timestamp.__le__(self, other)
+        return bool((arrays[0] <= arrays[1]).all())
+
+    def __lt__(self, other):
+        return self <= other and not self == other
+
+    __hash__ = Timestamp.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +481,7 @@ class KernelBackend:
         # Checkpoints must stay loadable anywhere: a shard pickled under
         # the numpy backend unpickles on a numpy-less host as the python
         # backend (bit-identical by contract) instead of failing the
-        # whole resume; the resuming run re-pins its own --backend right
+        # whole resume; the resuming run re-pins its own backend right
         # after loading anyway.
         return (_backend_from_checkpoint, (self.name,))
 
@@ -506,10 +531,6 @@ class NumpyKernelBackend(KernelBackend):
 
 _BACKENDS: Dict[str, KernelBackend] = {PYTHON_BACKEND: PythonKernelBackend()}
 
-#: Process-wide default set by :func:`set_default_backend` (``None`` defers
-#: to the ``REPRO_KERNEL_BACKEND`` environment variable, then ``python``).
-_DEFAULT_BACKEND: Optional[str] = None
-
 
 def numpy_available() -> bool:
     """``True`` when the optional numpy backend can actually be selected."""
@@ -518,28 +539,13 @@ def numpy_available() -> bool:
 
 def available_backends() -> Tuple[str, ...]:
     """The backend names selectable in this process, python first."""
-    if _np is not None:
-        return (PYTHON_BACKEND, NUMPY_BACKEND)
-    return (PYTHON_BACKEND,)
+    return (PYTHON_BACKEND,) if _np is None else (PYTHON_BACKEND, NUMPY_BACKEND)
 
 
 def default_backend_name() -> str:
-    """The backend used when no explicit choice is made anywhere."""
-    if _DEFAULT_BACKEND is not None:
-        return _DEFAULT_BACKEND
-    return os.environ.get("REPRO_KERNEL_BACKEND", "").strip() or PYTHON_BACKEND
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend.
-
-    Validates availability immediately, so a CLI ``--backend numpy``
-    without numpy fails at argument-handling time, not deep inside a run.
-    """
-    global _DEFAULT_BACKEND
-    if name is not None:
-        resolve_backend(name)
-    _DEFAULT_BACKEND = name
+    """The backend a kernel gets without an explicit choice: ``numpy``
+    when numpy imports, ``python`` otherwise."""
+    return PYTHON_BACKEND if _np is None else NUMPY_BACKEND
 
 
 def _backend_from_checkpoint(name: str) -> KernelBackend:
@@ -556,7 +562,7 @@ def _backend_from_checkpoint(name: str) -> KernelBackend:
 
 
 def resolve_backend(name: Optional[str] = None) -> KernelBackend:
-    """The backend instance for ``name`` (``None``: the current default).
+    """The backend instance for ``name`` (``None``: the default backend).
 
     Raises :class:`~repro.exceptions.ClockError` for unknown names and
     for ``numpy`` when numpy is not importable - the gate that keeps the
@@ -601,8 +607,8 @@ class ClockKernel:
         vector clock property).
     backend:
         The :class:`KernelBackend` (or its name) picking the form of the
-        batch loop's working vectors; ``None`` resolves the process
-        default (see the module docstring).  The backend never changes
+        batch loop's working vectors; ``None`` picks ``numpy`` when it
+        imports and ``python`` otherwise.  The backend never changes
         results, only wall-clock.
     """
 
@@ -714,8 +720,8 @@ class ClockKernel:
         """Swap the batch backend (results are identical by contract).
 
         Used when resuming a checkpointed run under a different
-        ``--backend``: the pickled kernel carries the backend it ran
-        with, and the resuming configuration wins.  Nothing needs
+        ``EngineConfig.backend``: the pickled kernel carries the backend
+        it ran with, and the resuming configuration wins.  Nothing needs
         converting: the stored stamps are the only clock state, and both
         forms of the batch loop read them.
         """

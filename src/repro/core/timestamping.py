@@ -64,8 +64,9 @@ class VectorClockProtocol:
         should leave it on.
     backend:
         Kernel batch backend (name or instance) for the chunked entry
-        points; ``None`` resolves the process default.  Never changes the
-        timestamps, only the wall-clock of the batch paths.
+        points; ``None`` picks ``numpy`` when it imports and ``python``
+        otherwise.  Never changes the timestamps, only the wall-clock of
+        the batch paths.
     """
 
     def __init__(
@@ -130,9 +131,10 @@ class VectorClockProtocol:
         Under the numpy backend the returned objects may be *lazy*
         stamps: full :class:`~repro.core.clock.Timestamp`
         instances whose value tuple is materialised from the array they
-        were minted over on first use (any comparison, ``.values``,
-        hashing).  Digest-only consumers that never look
-        inside a stamp therefore never pay tuple construction.  The
+        were minted over on first use (``.values``, hashing, or a
+        comparison with a stamp that holds no array).  Digest-only
+        consumers and verdict reads between lazy stamps therefore never
+        pay tuple construction.  The
         laziness is unobservable by contract: values, ordering,
         identity sharing between a returned stamp and the stored
         endpoint clocks, and pickle output (plain eager timestamps,
@@ -391,7 +393,9 @@ class EpochClock:
     committing.
 
     ``rotation`` selects the strategy per clock (``"delta"``, the
-    default, or ``"replay"``).
+    default, or ``"replay"``).  ``backend`` is the kernel batch backend,
+    as for :class:`VectorClockProtocol` (``None``: ``numpy`` when it
+    imports, ``python`` otherwise).
     """
 
     def __init__(

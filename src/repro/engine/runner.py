@@ -146,9 +146,9 @@ class EngineConfig:
       caps every run at one insert.  Bit-identical results; the
       fingerprint proves it.
     * ``backend`` - the kernel backend (``python`` / ``numpy``) for the
-      timestamping stage; ``None`` resolves the process default.  The
-      numpy backend is gated on numpy importing and never changes a
-      single stamp value.
+      timestamping stage; ``None`` picks ``numpy`` when it imports and
+      ``python`` otherwise.  The numpy backend is gated on numpy
+      importing and never changes a single stamp value.
     * ``timestamps`` - when ``True``, every shard actually *mints* a
       timestamp per insert per mechanism label (the monitoring system's
       real output, driven through a per-label :class:`ClockKernel` that
@@ -308,7 +308,7 @@ class _ShardConsumers:
     :class:`ClockKernel` per mechanism label (its component set follows
     the mechanism's decisions) and the label's cumulative stamp digest.
     Kernels pickle with their backend reduced to its name, so a resumed
-    run can re-pin them to its own ``--backend``.
+    run can re-pin them to its own ``backend``.
     """
 
     mechanisms: Dict[str, OnlineMechanism]

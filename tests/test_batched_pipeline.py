@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 import repro.core.kernel as kernel_module
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.cli import main
+from repro.computation import trace_from_graph
 from repro.computation.streams import epoch_marker, iter_event_batches, StreamEvent
 from repro.core.components import ClockComponents
 from repro.core.kernel import (
@@ -44,11 +45,13 @@ from repro.core.kernel import (
     fold_stamp_values,
     numpy_available,
     resolve_backend,
-    set_default_backend,
 )
+from repro.core.timestamping import EpochClock, VectorClockProtocol
 from repro.engine import EngineCheckpointManager, EngineConfig, run_engine
 from repro.engine.runner import BATCHED, PER_EVENT, EngineInterrupted
 from repro.exceptions import ClockError, ComputationError, EngineError
+from repro.graph import nonuniform_bipartite, uniform_bipartite
+from repro.offline import timestamp_offline
 from repro.online.adaptive import WindowedPopularityMechanism
 from tests.conftest import count_array_batches
 
@@ -530,9 +533,6 @@ class TestBackendGate:
     def test_numpy_gate_degrades_cleanly(self, monkeypatch):
         """Without numpy: python-only listing, clean errors, working kernels."""
         monkeypatch.setattr(kernel_module, "_np", None)
-        # The CI numpy job exports REPRO_KERNEL_BACKEND=numpy; this test
-        # simulates numpy's *absence*, so clear the ambient selection.
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert available_backends() == ("python",)
         assert not numpy_available()
         with pytest.raises(ClockError, match="numpy is not importable"):
@@ -545,19 +545,57 @@ class TestBackendGate:
         kernel = ClockKernel(ClockComponents(thread_components=["T0"]))
         assert kernel.timestamp_batch([("T0", "O0")])[0].values == (1,)
 
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
-        kernel = ClockKernel(ClockComponents(thread_components=["T0"]))
-        assert kernel.backend_name == "python"
+    @staticmethod
+    def default_backends():
+        """The backend a bare kernel, protocol and epoch clock resolve to."""
+        components = ClockComponents(thread_components=["T0"])
+        return (
+            ClockKernel(components).backend_name,
+            VectorClockProtocol(components)._kernel.backend_name,
+            EpochClock(components)._kernel.backend_name,
+        )
 
-    def test_set_default_backend_validates(self):
-        with pytest.raises(ClockError):
-            set_default_backend("no-such-backend")
-        try:
-            set_default_backend("python")
-            assert ClockKernel(ClockComponents()).backend_name == "python"
-        finally:
-            set_default_backend(None)
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_default_is_numpy_when_it_imports(self):
+        assert self.default_backends() == ("numpy",) * 3
+
+    def test_default_is_python_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_np", None)
+        assert self.default_backends() == ("python",) * 3
+        protocol = VectorClockProtocol(ClockComponents(thread_components=["T0"]))
+        assert [s.values for s in protocol.timestamp_batch([("T0", "O0")] * 2)] == [
+            (1,), (2,),
+        ]
+        clock = EpochClock(ClockComponents(thread_components=["T0"]))
+        first, second = clock.observe("T0", "O0"), clock.observe("T0", "O1")
+        assert clock.relation(first, second) == "before"
+
+    @pytest.mark.parametrize(
+        "family, nodes", [(uniform_bipartite, 60), (nonuniform_bipartite, 250)]
+    )
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_offline_default_matches_python(self, family, nodes, seed):
+        """The offline pipeline stamps wide clocks the same under the default
+        backend (numpy when it imports) as under the python loop."""
+        trace = trace_from_graph(
+            family(nodes, nodes, 3 / nodes, seed=seed),
+            operations_per_edge=2,
+            seed=seed,
+        )
+        with count_array_batches() as array_batches:
+            stamped = timestamp_offline(trace)
+        assert stamped.clock_size >= 48
+        assert (array_batches() > 0) == numpy_available()
+        reference = VectorClockProtocol(
+            stamped.components, backend="python"
+        ).timestamp_computation(trace)
+        events = trace.events
+        rng = random.Random(seed)
+        for _ in range(2_000):
+            a, b = rng.sample(events, 2)
+            assert stamped.relation(a, b) == reference.relation(a, b)
+        for event in events:
+            assert stamped[event].values == reference[event].values
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_numpy_backend_pickles_by_name(self):
@@ -905,16 +943,35 @@ class TestCli:
         )
         assert f"fingerprint: {per_event.fingerprint()}" in out_batched
 
-    def test_engine_run_rejects_numpy_without_numpy(self, capsys, monkeypatch):
+    def test_engine_run_backend_is_unknown_argument(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "engine", "run", "--scenario", "thread-churn",
+                    "--events", "100", "--backend", "numpy",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_engine_run_timestamps_without_numpy(self, capsys, monkeypatch):
         monkeypatch.setattr(kernel_module, "_np", None)
         code = main(
             [
                 "engine", "run", "--scenario", "thread-churn",
-                "--events", "100", "--backend", "numpy",
+                "--events", "200", "--nodes", "10", "--shards", "2",
+                "--mechanisms", "naive", "--timestamps",
             ]
         )
-        assert code == 2
-        assert "numpy is not importable" in capsys.readouterr().err
+        assert code == 0
+        reference = run_engine(
+            EngineConfig(
+                scenario="thread-churn", num_threads=10, num_objects=10,
+                num_events=200, num_shards=2, mechanisms=("naive",),
+                timestamps=True, backend="python",
+            )
+        )
+        assert f"fingerprint: {reference.fingerprint()}" in capsys.readouterr().out
 
     def test_sweep_ratio_backend(self, capsys):
         # A ratio is a size quotient: the sweep mints no stamps, so it

@@ -32,12 +32,9 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.kernel as kernel_module
 from repro.core.components import ClockComponents
-from repro.core.kernel import (
-    NumpyKernelBackend,
-    numpy_available,
-    set_default_backend,
-)
+from repro.core.kernel import NumpyKernelBackend, numpy_available
 from repro.core.timestamping import EpochClock
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.incremental import DynamicMatching
@@ -75,11 +72,13 @@ def drive(pairs, window, rotation, backend=None, pickle_at=None):
     the full causality surface a monitor could query at that point.
     ``pickle_at`` round-trips the driver through ``pickle`` after that
     many events, which is exactly what an engine checkpoint does to a
-    kernel holding stamps of older layouts.
+    kernel holding stamps of older layouts.  ``backend`` pins the
+    backend the driver's clock resolves by default (the driver takes no
+    backend argument).
     """
-    if backend is not None:
-        set_default_backend(backend)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        if backend is not None:
+            patch.setattr(kernel_module, "default_backend_name", lambda: backend)
         driver = LifecycleClockDriver(
             WindowedPopularityMechanism(), rotation=rotation
         )
@@ -102,9 +101,6 @@ def drive(pairs, window, rotation, backend=None, pickle_at=None):
                 )
             )
         return tokens, verdicts
-    finally:
-        if backend is not None:
-            set_default_backend(None)
 
 
 @SETTINGS

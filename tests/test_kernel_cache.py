@@ -18,7 +18,9 @@ the python loop (or with per-event ``observe``) value-for-value:
 * backend switch on resume, and short batches after long ones;
 * the numpy backend's stateless gate: a batch whose first event reads
   an array-holding stamp stays on arrays at any length, with the
-  default gates, not forced open.
+  default gates, not forced open;
+* verdicts between array-holding stamps: compared on their arrays,
+  they equal the python stamps' verdicts and materialise nothing.
 
 These complement ``tests/test_batched_pipeline.py``'s broader backend
 bit-identity suite; here every clock is wide enough (50 slots) to clear
@@ -37,6 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clock import Timestamp, ordering
 from repro.core.components import ClockComponents
 from repro.core.kernel import ClockKernel, NumpyKernelBackend, numpy_available
 from repro.obs.registry import MetricsRegistry, install as obs_install
@@ -330,3 +333,41 @@ class TestStatelessGate:
             assert not holds_array(kernel._thread_stamps["T0"])
             kernel.timestamp_batch(short)
             assert ran() == 2
+
+
+@requires_numpy
+class TestLazyStampVerdicts:
+    @SETTINGS
+    @given(batches=batched_pairs(), seed=st.integers(0, 2**31))
+    def test_array_verdicts_match_python(self, batches, seed):
+        """Lazy stamps of one layout compare on their arrays: the same
+        ``ordering`` as the python stamps, with no tuple built."""
+        kernel = ClockKernel(fresh_components(), backend="numpy")
+        reference = ClockKernel(fresh_components(), backend="python")
+        lazy, plain = [], []
+        with count_array_batches() as ran:
+            for batch in batches:
+                lazy.extend(kernel.timestamp_batch(batch))
+                plain.extend(reference.timestamp_batch(batch))
+        assert ran() == len(batches)
+        # A second lazy stamp over a copy of one array: equal, not identical.
+        lazy.append(type(lazy[0])._make(lazy[0]._components, lazy[0]._source.copy()))
+        plain.append(Timestamp._from_trusted(plain[0].components, plain[0].values))
+        rng = random.Random(seed)
+        pairs = [tuple(rng.randrange(len(lazy)) for _ in range(2)) for _ in range(200)]
+        pairs += [(0, len(lazy) - 1), (len(lazy) - 1, 0)]
+        registry = MetricsRegistry(origin="test-verdicts")
+        previous = obs_install(registry)
+        try:
+            verdicts = [
+                (ordering(lazy[i], lazy[j]), lazy[i] <= lazy[j]) for i, j in pairs
+            ]
+        finally:
+            obs_install(previous)
+        assert registry.counter_value("kernel.lazy_stamps.materialised") == 0
+        assert verdicts == [
+            (ordering(plain[i], plain[j]), plain[i] <= plain[j]) for i, j in pairs
+        ]
+        # Against a stamp without an array, comparison still materialises.
+        assert ordering(lazy[1], plain[1]) == "equal"
+        assert not holds_array(lazy[1])
