@@ -308,10 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Statically enforce the repo's bit-identity invariants: "
             "determinism rules (D1xx: hash-order set iteration, builtin "
             "hash(), global random state, wall-clock reads, unsorted "
-            "directory listings, completion-order collection) and contract "
-            "rules (C2xx: observe_batch fallback guard, kernel backend "
-            "surface, EngineConfig signature membership, scenario seed "
-            "threading).  Exit 0 when clean or fully baselined, 1 on "
+            "directory listings, completion-order collection, set element "
+            "picks, sets rendered into text) and contract rules (C2xx: "
+            "observe_batch fallback guard, EngineConfig signature "
+            "membership, scenario seed threading, no telemetry reads on "
+            "result paths).  Exit 0 when clean or fully baselined, 1 on "
             "active findings."
         ),
     )

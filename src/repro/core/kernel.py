@@ -85,21 +85,24 @@ already share one vector, the new vector is a C-speed copy of the
 previous one with the one or two incremented slots bumped, skipping the
 ``O(k)`` element-wise maximum entirely.
 
-A pluggable :class:`KernelBackend` only picks the form of each batch:
-``python`` (:class:`PythonKernelBackend`, always available) always
-works on lists; ``numpy`` (:class:`NumpyKernelBackend`, **gated**:
-selectable only when numpy imports, never required) works on arrays
-when the batch and the clock are large enough to pay for them, or when
-the batch's first event already reads a stamp that holds its array.  Every
-materialised timestamp - and therefore every causal verdict - is
-bit-identical across forms and to per-event :meth:`ClockKernel.observe`;
-the property-test suite asserts that identity on random computations,
-with ``observe`` as the independent oracle.
+The kernel's *backend* only picks the form of each batch: ``python``
+always works on lists; ``numpy`` (**gated**: selectable only when numpy
+imports, never required) works on arrays when the batch and the clock
+are large enough to pay for them (:data:`MIN_ARRAY_BATCH`,
+:data:`MIN_ARRAY_DIM_MINT`, :data:`MIN_ARRAY_DIM_ADVANCE`), or when the
+batch's first event already reads a stamp that holds its array
+(:func:`_use_arrays`).  The choice is one flag on the kernel, so a
+pickle carries a bool and loads as ``python`` where numpy does not
+import.  Every materialised timestamp - and therefore every causal
+verdict - is bit-identical across forms and to per-event
+:meth:`ClockKernel.observe`; the property-test suite asserts that
+identity on random computations, with ``observe`` as the independent
+oracle.
 
-Backend selection: an explicit ``backend`` argument (to the kernel or to
+Backend selection: an explicit ``backend`` name (to the kernel or to
 whatever builds one) wins; otherwise ``numpy`` when numpy imports, else
-``python``.  Requesting ``numpy`` without numpy installed raises a clean
-:class:`~repro.exceptions.ClockError`.
+``python``.  Requesting ``numpy`` without numpy installed, or any name
+but these two, raises a clean :class:`~repro.exceptions.ClockError`.
 """
 
 from __future__ import annotations
@@ -435,101 +438,41 @@ def _run_batch(
     return fold
 
 
-class KernelBackend:
-    """Strategy deciding which form the kernel's batch loop works in.
+#: Below this batch length the array working-state setup costs more
+#: than it saves, so short runs (warm-up segments between component
+#: additions, expire-riddled streams) work on lists - *unless* the
+#: batch's first event reads a stamp that still holds its array.  Warm
+#: state then stays on arrays at any length: the array is read back as
+#: is, while a list batch would materialise the stamps it reads and the
+#: next array batch would rebuild them from tuples.
+MIN_ARRAY_BATCH = 16
 
-    Every backend runs the same loop (:func:`_run_batch`); a backend
-    only decides, per batch, whether its working vectors are lists or
-    arrays (:meth:`_use_arrays`), which never changes results.
-    Backends hold no state between calls: all clock state lives in the
-    :class:`ClockKernel`, which is also what makes kernels picklable
-    across backends - a backend pickles as its name.
+#: Clock dimensions below which a mint (resp. fold) batch stays on
+#: lists, because ``np.maximum`` call overhead exceeds the element-wise
+#: Python loop it replaces.  Lazy array-rooted stamps made minting nearly
+#: as cheap on arrays as folding, so the two crossovers sit close.
+MIN_ARRAY_DIM_MINT = 48
+MIN_ARRAY_DIM_ADVANCE = 32
+
+
+def _use_arrays(kernel: "ClockKernel", pairs, min_dim: int) -> bool:
+    """Whether this batch runs on arrays; ``min_dim`` is the width gate.
+
+    Never under the ``python`` backend; under ``numpy`` when the first
+    event reads a stamp still holding its array, or when the batch and
+    the clock both clear their gates.
     """
-
-    name = "abstract"
-
-    #: Clock dimensions below which a mint (resp. fold) batch stays on
-    #: lists, because ``np.maximum`` call overhead exceeds the
-    #: element-wise Python loop it replaces.  Lazy array-rooted stamps
-    #: made minting nearly as cheap on arrays as folding, so the two
-    #: crossovers sit close.  Only :class:`NumpyKernelBackend` reads them.
-    MIN_ARRAY_DIM_ADVANCE = 32
-    MIN_ARRAY_DIM_MINT = 48
-
-    def _use_arrays(self, kernel: "ClockKernel", pairs, min_dim: int) -> bool:
-        """Whether this batch runs on arrays; ``min_dim`` is the width gate."""
+    if not kernel._arrays:
         return False
-
-    def timestamp_batch(
-        self, kernel: "ClockKernel", pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> List[Timestamp]:
-        stamps: List[Timestamp] = []
-        arrays = self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_MINT)
-        _run_batch(kernel, pairs, 0, stamps, arrays)
-        return stamps
-
-    def advance_batch(
-        self,
-        kernel: "ClockKernel",
-        pairs: Sequence[Tuple[Vertex, Vertex]],
-        fold: int,
-    ) -> int:
-        arrays = self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_ADVANCE)
-        return _run_batch(kernel, pairs, fold, None, arrays)
-
-    def __reduce__(self):
-        # Checkpoints must stay loadable anywhere: a shard pickled under
-        # the numpy backend unpickles on a numpy-less host as the python
-        # backend (bit-identical by contract) instead of failing the
-        # whole resume; the resuming run re-pins its own backend right
-        # after loading anyway.
-        return (_backend_from_checkpoint, (self.name,))
-
-
-class PythonKernelBackend(KernelBackend):
-    """The always-available backend: every batch works on lists."""
-
-    name = PYTHON_BACKEND
-
-
-class NumpyKernelBackend(KernelBackend):
-    """The gated numpy backend: wide batches work on arrays.
-
-    The element-wise maximum is a single ``np.maximum`` call, and minted
-    stamps are :class:`_LazyStamp` stamps over the arrays, whose
-    first-use materialisation restores exact Python ints.  The stored
-    lazy stamps carry the arrays across batches: the next array batch
-    reads each endpoint's array straight from its stamp, so an entity
-    is converted from tuple form only after something materialised it.
-    """
-
-    name = NUMPY_BACKEND
-
-    #: Below this batch length the array working-state setup costs more
-    #: than it saves, so short runs (warm-up segments between component
-    #: additions, expire-riddled streams) work on lists - *unless* the
-    #: batch's first event reads a stamp that still holds its array.
-    #: Warm state then stays on arrays at any length: the array is read
-    #: back as is, while a list batch would materialise the stamps it
-    #: reads and the next array batch would rebuild them from tuples.
-    MIN_ARRAY_BATCH = 16
-
-    def _use_arrays(self, kernel, pairs, min_dim) -> bool:
-        if pairs:
-            thread, obj = pairs[0]
-            for stamp in (
-                kernel._thread_stamps.get(thread),
-                kernel._object_stamps.get(obj),
-            ):
-                if type(stamp) is _LazyStamp and stamp._source is not None:
-                    return True
-        return (
-            len(pairs) >= self.MIN_ARRAY_BATCH
-            and kernel._components.size >= min_dim
-        )
-
-
-_BACKENDS: Dict[str, KernelBackend] = {PYTHON_BACKEND: PythonKernelBackend()}
+    if pairs:
+        thread, obj = pairs[0]
+        for stamp in (
+            kernel._thread_stamps.get(thread),
+            kernel._object_stamps.get(obj),
+        ):
+            if type(stamp) is _LazyStamp and stamp._source is not None:
+                return True
+    return len(pairs) >= MIN_ARRAY_BATCH and kernel._components.size >= min_dim
 
 
 def numpy_available() -> bool:
@@ -548,47 +491,26 @@ def default_backend_name() -> str:
     return PYTHON_BACKEND if _np is None else NUMPY_BACKEND
 
 
-def _backend_from_checkpoint(name: str) -> KernelBackend:
-    """Unpickle entry point for backends: lenient where resolve is strict.
+def resolve_backend(name: Optional[str] = None) -> str:
+    """Validate a backend name; ``None`` resolves to the default.
 
-    See :meth:`KernelBackend.__reduce__` - an unavailable backend named
-    by old state degrades to ``python`` rather than making the pickle
-    unreadable.
+    Raises :class:`~repro.exceptions.ClockError` for anything but
+    ``None``, ``"python"`` and ``"numpy"``, and for ``numpy`` when numpy
+    is not importable - the gate that keeps the accelerator optional.
     """
-    try:
-        return resolve_backend(name)
-    except ClockError:
-        return resolve_backend(PYTHON_BACKEND)
-
-
-def resolve_backend(name: Optional[str] = None) -> KernelBackend:
-    """The backend instance for ``name`` (``None``: the default backend).
-
-    Raises :class:`~repro.exceptions.ClockError` for unknown names and
-    for ``numpy`` when numpy is not importable - the gate that keeps the
-    accelerator optional.
-    """
-    if isinstance(name, KernelBackend):
-        return name
     if name is None:
-        name = default_backend_name()
-    if name == NUMPY_BACKEND:
-        if _np is None:
-            raise ClockError(
-                "kernel backend 'numpy' requested but numpy is not "
-                "importable; install numpy or select the 'python' backend"
-            )
-        backend = _BACKENDS.get(NUMPY_BACKEND)
-        if backend is None:
-            backend = _BACKENDS[NUMPY_BACKEND] = NumpyKernelBackend()
-        return backend
-    try:
-        return _BACKENDS[name]
-    except KeyError:
+        return default_backend_name()
+    if not isinstance(name, str) or name not in (PYTHON_BACKEND, NUMPY_BACKEND):
         raise ClockError(
             f"unknown kernel backend {name!r} "
             f"(expected one of: {', '.join(available_backends())})"
-        ) from None
+        )
+    if name == NUMPY_BACKEND and _np is None:
+        raise ClockError(
+            "kernel backend 'numpy' requested but numpy is not "
+            "importable; install numpy or select the 'python' backend"
+        )
+    return name
 
 
 class ClockKernel:
@@ -606,10 +528,11 @@ class ClockKernel:
         not incremented (see ``VectorClockProtocol`` for why that loses the
         vector clock property).
     backend:
-        The :class:`KernelBackend` (or its name) picking the form of the
-        batch loop's working vectors; ``None`` picks ``numpy`` when it
-        imports and ``python`` otherwise.  The backend never changes
-        results, only wall-clock.
+        The name of the backend picking the form of the batch loop's
+        working vectors: ``python`` always works on lists, ``numpy`` on
+        arrays when a batch is wide enough; ``None`` picks ``numpy``
+        when it imports and ``python`` otherwise.  The backend never
+        changes results, only wall-clock.
     """
 
     __slots__ = (
@@ -622,7 +545,7 @@ class ClockKernel:
         "_object_stamps",
         "_epoch",
         "_retired_total",
-        "_backend",
+        "_arrays",
         "_step",
         "_left",
         "_rejoined",
@@ -637,12 +560,12 @@ class ClockKernel:
         self,
         components: ClockComponents,
         strict: bool = True,
-        backend: Optional[object] = None,
+        backend: Optional[str] = None,
     ) -> None:
         self._strict = strict
         self._epoch = 0
         self._retired_total = 0
-        self._backend = resolve_backend(backend)
+        self.set_backend(backend)
         self._thread_stamps: Dict[Vertex, Timestamp] = {}
         self._object_stamps: Dict[Vertex, Timestamp] = {}
         self._bind_components(components, fresh=True)
@@ -714,9 +637,9 @@ class ClockKernel:
     @property
     def backend_name(self) -> str:
         """Name of the backend picking the batch loop's form."""
-        return self._backend.name
+        return NUMPY_BACKEND if self._arrays else PYTHON_BACKEND
 
-    def set_backend(self, backend: Optional[object]) -> None:
+    def set_backend(self, backend: Optional[str]) -> None:
         """Swap the batch backend (results are identical by contract).
 
         Used when resuming a checkpointed run under a different
@@ -725,7 +648,7 @@ class ClockKernel:
         converting: the stored stamps are the only clock state, and both
         forms of the batch loop read them.
         """
-        self._backend = resolve_backend(backend)
+        self._arrays = resolve_backend(backend) == NUMPY_BACKEND
 
     def __getstate__(self):
         # Layout identity does not survive a pickle, so every stored stamp
@@ -758,6 +681,9 @@ class ClockKernel:
             state = state[1] or {}
         for slot, value in state.items():
             setattr(self, slot, value)
+        # A kernel pickled under numpy loads on a host without it on lists
+        # (bit-identical by contract); a resuming run re-pins it anyway.
+        self._arrays = self._arrays and _np is not None
         self._bind_components(self._components, fresh=True)
 
     # ------------------------------------------------------------------
@@ -873,7 +799,11 @@ class ClockKernel:
         strict-mode coverage error the events preceding the offender are
         applied, exactly as a sequential loop would have left them.
         """
-        return self._backend.timestamp_batch(self, pairs)
+        stamps: List[Timestamp] = []
+        _run_batch(
+            self, pairs, 0, stamps, _use_arrays(self, pairs, MIN_ARRAY_DIM_MINT)
+        )
+        return stamps
 
     def advance_batch(
         self, pairs: Sequence[Tuple[Vertex, Vertex]], fold: int = 0
@@ -886,7 +816,8 @@ class ClockKernel:
         ``fold`` advanced by :func:`fold_stamp_values` for every event,
         the digest the sharded engine carries into its fingerprint.
         """
-        return self._backend.advance_batch(self, pairs, fold)
+        arrays = _use_arrays(self, pairs, MIN_ARRAY_DIM_ADVANCE)
+        return _run_batch(self, pairs, fold, None, arrays)
 
     def fold_event(
         self, fold: int, stamp: Timestamp, thread: Vertex, obj: Vertex

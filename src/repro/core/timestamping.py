@@ -63,17 +63,17 @@ class VectorClockProtocol:
         tests and examples *why* coverage is required; production callers
         should leave it on.
     backend:
-        Kernel batch backend (name or instance) for the chunked entry
-        points; ``None`` picks ``numpy`` when it imports and ``python``
-        otherwise.  Never changes the timestamps, only the wall-clock of
-        the batch paths.
+        Kernel batch backend name (``python`` or ``numpy``) for the
+        chunked entry points; ``None`` picks ``numpy`` when it imports
+        and ``python`` otherwise.  Never changes the timestamps, only the
+        wall-clock of the batch paths.
     """
 
     def __init__(
         self,
         components: ClockComponents,
         strict: bool = True,
-        backend: Optional[object] = None,
+        backend: Optional[str] = None,
     ) -> None:
         self._components = components
         self._strict = strict
@@ -403,7 +403,7 @@ class EpochClock:
         components: Optional[ClockComponents] = None,
         strict: bool = True,
         check_invariant: bool = False,
-        backend: Optional[object] = None,
+        backend: Optional[str] = None,
         rotation: str = DELTA_ROTATION,
     ) -> None:
         self._kernel = ClockKernel(
@@ -549,8 +549,8 @@ class EpochClock:
           re-timestamps them over ``new_components`` (compacted: retired
           slots are gone) and rebuilds the per-thread / per-object
           clocks future events merge from.  ``O(window)`` update-rule
-          applications per rotation - the latency spike ROADMAP item 5
-          charges to epoch boundaries.
+          applications per rotation, a latency spike at every epoch
+          boundary that sets a monitor's tail tick latency.
         * ``"delta"`` (the default) - when the rotation is a **pure
           retirement** (``new_components`` is a subset of the current
           set *and* no retired component is an endpoint of a live

@@ -307,8 +307,8 @@ class _ShardConsumers:
     ``clocks`` / ``stamp_folds`` exist only for timestamping runs: one
     :class:`ClockKernel` per mechanism label (its component set follows
     the mechanism's decisions) and the label's cumulative stamp digest.
-    Kernels pickle with their backend reduced to its name, so a resumed
-    run can re-pin them to its own ``backend``.
+    Kernels pickle with their backend as one flag, so a resumed run can
+    re-pin them to its own ``backend``.
     """
 
     mechanisms: Dict[str, OnlineMechanism]
@@ -487,9 +487,9 @@ class _ShardRun:
             self.inserts_done = checkpoint.inserts_done
             self.chunks_done = checkpoint.chunks_done
             if config.timestamps and self.consumers.clocks is not None:
-                # The pickled kernels carry the backend they ran under; the
-                # resuming configuration wins (backends are bit-identical by
-                # contract, so this is purely a wall-clock choice).
+                # The pickled kernels carry the backend flag they ran under;
+                # the resuming configuration wins (backends are bit-identical
+                # by contract, so this is purely a wall-clock choice).
                 for kernel in self.consumers.clocks.values():
                     kernel.set_backend(config.backend)
         else:

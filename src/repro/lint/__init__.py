@@ -3,10 +3,11 @@
 ``python -m repro lint`` runs an ``ast``-based pass over the tree with
 two rule families: generic determinism rules (``D1xx`` - hash-order
 iteration, builtin ``hash()``, global RNG state, wall-clock reads,
-unsorted directory listings, completion-order result collection) and
-repo-specific contract rules (``C2xx`` - the hoisted ``observe_batch``
-guard, the kernel bit-identity surface, ``EngineConfig`` signature
-membership, scenario seed threading).
+unsorted directory listings, completion-order result collection, set
+element picks, sets rendered into text) and repo-specific contract
+rules (``C2xx`` - the hoisted ``observe_batch`` guard, ``EngineConfig``
+signature membership, scenario seed threading, no telemetry reads on
+result paths).
 
 See :mod:`repro.lint.engine` for the machinery, :mod:`repro.lint.rules`
 / :mod:`repro.lint.contracts` for the rules themselves, and

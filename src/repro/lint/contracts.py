@@ -9,8 +9,6 @@ violate silently:
 * ``C201`` - the hoisted ``observe_batch`` fast path must keep the
   ``super()`` fallback guard, or subclass hook overrides are silently
   skipped in batched runs (bit-identity between pipelines breaks);
-* ``C202`` - a kernel backend must override the *whole* bit-identity
-  surface or none of it, or batches mix backends mid-run;
 * ``C203`` - every ``EngineConfig`` field needs an explicit decision
   about run-signature membership (the ``timestamps``-in-signature class
   of bug from PR 5);
@@ -28,10 +26,6 @@ import ast
 from typing import Iterator, List, Set
 
 from repro.lint.engine import FileContext, Finding, Rule
-
-#: The kernel-backend methods that must agree bit-for-bit across backends.
-KERNEL_SURFACE = ("advance_batch", "timestamp_batch")
-
 
 def _finding(ctx: FileContext, node: ast.AST, rule: Rule, message: str) -> Finding:
     return Finding(
@@ -116,51 +110,6 @@ class MechanismBatchGuardRule(Rule):
             ):
                 return True
         return False
-
-
-class KernelSurfaceRule(Rule):
-    """A kernel backend must cover the whole bit-identity surface.
-
-    ``KernelBackend`` strategies promise that ``advance_batch`` and
-    ``timestamp_batch`` produce byte-identical results across backends -
-    the property tests compare them pairwise.  A subclass overriding only
-    one of the two runs half its batches through the parent backend: the
-    mixed implementation can pass single-method tests while its two
-    halves disagree about internal layout (e.g. a vectorised
-    ``advance_batch`` updating arrays the inherited ``timestamp_batch``
-    never reads).
-
-    The rule requires an ``*KernelBackend`` subclass to override both
-    surface methods or neither.  Intentional partial specialisations
-    (e.g. overriding only ``name`` or checkpoint behaviour) are
-    untouched; a genuinely safe half-override can ``noqa`` with the
-    invariant that makes it safe.
-    """
-
-    id = "C202"
-    name = "kernel-backend-surface"
-    summary = "KernelBackend subclass overrides only part of the bit-identity surface"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(
-                name.endswith("KernelBackend") for name in _base_names(node, ctx)
-            ):
-                continue
-            overridden = [m for m in KERNEL_SURFACE if m in _methods(node)]
-            if overridden and len(overridden) < len(KERNEL_SURFACE):
-                missing = [m for m in KERNEL_SURFACE if m not in overridden]
-                yield _finding(
-                    ctx,
-                    node,
-                    self,
-                    f"{node.name} overrides {', '.join(overridden)} but not "
-                    f"{', '.join(missing)}; the bit-identity surface "
-                    f"({', '.join(KERNEL_SURFACE)}) must be overridden "
-                    "together or not at all",
-                )
 
 
 class EngineConfigSignatureRule(Rule):
@@ -415,7 +364,6 @@ class TelemetryReadRule(Rule):
 
 CONTRACT_RULES = (
     MechanismBatchGuardRule,
-    KernelSurfaceRule,
     EngineConfigSignatureRule,
     ScenarioSeedRule,
     TelemetryReadRule,

@@ -41,8 +41,10 @@ through the lifecycle protocol of :class:`~repro.online.base.OnlineMechanism`
 :class:`LifecycleClockDriver` is the timestamping tie-in: it couples any
 lifecycle mechanism with an :class:`~repro.core.timestamping.EpochClock`,
 extending the kernel when the mechanism appends a component and rotating
-the epoch (replay + optional invariant check) whenever the mechanism
-retires or rebuilds.  The property-test suite drives it to prove that
+the epoch whenever the mechanism retires or rebuilds: by delta
+projection (the default) when the rotation is a pure retirement, by
+replay otherwise, and always by replay plus the re-timestamping proof
+with ``check_invariant=True``.  The property-test suite drives it to prove that
 adaptive mechanisms preserve happened-before / concurrent verdicts for
 every live-window event pair across retirements and rotations.
 """
@@ -514,11 +516,11 @@ class LifecycleClockDriver:
         """Rotate the clock, observing the latency when telemetry is on.
 
         Rotation re-stamps the live window - ``O(live)`` projection on
-        the delta path, an ``O(window)`` replay otherwise - and was the
-        driver's dominant boundary cost (ROADMAP item 5's p99 target),
-        so every rotation goes through this one timed funnel; the
-        ``clock.rotation.delta`` / ``clock.rotation.replay`` counters
-        say which path each rotation took.  The measurement changes
+        the delta path, an ``O(window)`` replay otherwise - and is the
+        driver's dominant boundary cost, the one that sets its tail
+        tick latency, so every rotation goes through this one timed
+        funnel; the ``clock.rotation.delta`` / ``clock.rotation.replay``
+        counters say which path each rotation took.  The measurement changes
         nothing the clock computes: the registry, when installed, only
         *receives* the duration.
         """

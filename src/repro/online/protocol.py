@@ -22,12 +22,12 @@ components exist at the moment each event is revealed.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterator, Mapping, Optional, Tuple
 
 from repro.computation.event import Event, ObjectId, ThreadId
 from repro.computation.trace import Computation
 from repro.exceptions import ClockError
-from repro.online.base import THREAD, OnlineMechanism
+from repro.online.base import OnlineMechanism
 
 
 class SparseTimestamp:
@@ -160,56 +160,6 @@ class OnlineClockProtocol:
         self._thread_clocks[thread] = stamped
         self._object_clocks[obj] = stamped
         return stamped
-
-    def observe_batch(
-        self, pairs: Iterable[Tuple[ThreadId, ObjectId]]
-    ) -> List[SparseTimestamp]:
-        """Reveal a chunk of operations; one sparse timestamp per event.
-
-        Drives the mechanism's :meth:`~repro.online.base.OnlineMechanism.observe_batch`
-        (so the policy runs its hoisted loop where it has one) and then
-        stamps each pair with the component set that existed at its
-        moment - reading membership from the mechanism's decision log
-        rather than re-freezing the component frozensets per event.
-        Bit-identical to per-event :meth:`observe`.
-        """
-        pairs = list(pairs)
-        decisions_before = self._mechanism.decision_count
-        self._mechanism.observe_batch(pairs)
-        new_decisions = self._mechanism.decisions_since(decisions_before)
-        base = self._mechanism.events_seen - len(pairs)
-        # The sparse stamping only needs to know, per event, whether each
-        # endpoint is a component *at that event*: membership before the
-        # batch, plus any decision at an earlier-or-equal offset.
-        thread_members = set(self._mechanism.thread_components)
-        object_members = set(self._mechanism.object_components)
-        for decision in new_decisions:
-            if decision.choice == THREAD:
-                thread_members.discard(decision.component)
-            else:
-                object_members.discard(decision.component)
-        cursor = 0
-        stamps: List[SparseTimestamp] = []
-        for offset, (thread, obj) in enumerate(pairs):
-            while (
-                cursor < len(new_decisions)
-                and new_decisions[cursor].event_index - base <= offset
-            ):
-                decision = new_decisions[cursor]
-                if decision.choice == THREAD:
-                    thread_members.add(decision.component)
-                else:
-                    object_members.add(decision.component)
-                cursor += 1
-            stamped = self.thread_clock(thread).merged(self.object_clock(obj))
-            if obj in object_members:
-                stamped = stamped.incremented(obj)
-            if thread in thread_members:
-                stamped = stamped.incremented(thread)
-            self._thread_clocks[thread] = stamped
-            self._object_clocks[obj] = stamped
-            stamps.append(stamped)
-        return stamps
 
     def observe_event(self, event: Event) -> SparseTimestamp:
         """Reveal an already-minted event and remember its timestamp."""

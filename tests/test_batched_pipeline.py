@@ -40,7 +40,6 @@ from repro.computation.streams import epoch_marker, iter_event_batches, StreamEv
 from repro.core.components import ClockComponents
 from repro.core.kernel import (
     ClockKernel,
-    NumpyKernelBackend,
     available_backends,
     fold_stamp_values,
     numpy_available,
@@ -74,7 +73,7 @@ def batch_leg(leg):
         return
     with pytest.MonkeyPatch.context() as patch:
         for gate in ("MIN_ARRAY_BATCH", "MIN_ARRAY_DIM_MINT", "MIN_ARRAY_DIM_ADVANCE"):
-            patch.setattr(NumpyKernelBackend, gate, 0)
+            patch.setattr(kernel_module, gate, 0)
         yield "numpy"
 
 
@@ -435,8 +434,8 @@ class TestNumpyArrayPath:
         return components, threads, pairs
 
     def _assert_gate_open(self, kernel, chunk, min_dim):
-        assert isinstance(kernel._backend, NumpyKernelBackend)
-        assert kernel._backend._use_arrays(
+        assert kernel.backend_name == "numpy"
+        assert kernel_module._use_arrays(
             kernel, chunk, min_dim
         ), "test sizes no longer clear the array-path gates; raise them"
 
@@ -451,7 +450,7 @@ class TestNumpyArrayPath:
             ref_stamps.append(reference.observe(thread, obj))
         kernel = ClockKernel(components, backend="numpy")
         self._assert_gate_open(
-            kernel, pairs[:self.CHUNK], kernel._backend.MIN_ARRAY_DIM_MINT
+            kernel, pairs[:self.CHUNK], kernel_module.MIN_ARRAY_DIM_MINT
         )
         stamps = []
         for start in range(0, len(pairs), self.CHUNK):
@@ -480,7 +479,7 @@ class TestNumpyArrayPath:
             fold = reference.fold_event(fold, stamp, thread, obj)
         kernel = ClockKernel(components, backend="numpy")
         self._assert_gate_open(
-            kernel, pairs[:self.CHUNK], kernel._backend.MIN_ARRAY_DIM_ADVANCE
+            kernel, pairs[:self.CHUNK], kernel_module.MIN_ARRAY_DIM_ADVANCE
         )
         batched_fold = 0
         for start in range(0, len(pairs), self.CHUNK):
@@ -503,7 +502,7 @@ class TestNumpyArrayPath:
             reference.observe(thread, obj)
         kernel = ClockKernel(components, backend="numpy")
         self._assert_gate_open(
-            kernel, poisoned, kernel._backend.MIN_ARRAY_DIM_MINT
+            kernel, poisoned, kernel_module.MIN_ARRAY_DIM_MINT
         )
         with pytest.raises(Exception, match="not covered"):
             kernel.timestamp_batch(poisoned)
@@ -524,11 +523,19 @@ class TestNumpyArrayPath:
 class TestBackendGate:
     def test_python_always_available(self):
         assert "python" in available_backends()
-        assert resolve_backend("python").name == "python"
+        assert resolve_backend("python") == "python"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ClockError, match="unknown kernel backend"):
             resolve_backend("fortran")
+
+    @pytest.mark.parametrize("backend", [["numpy"], {}, 1])
+    def test_non_name_backend_rejected(self, backend):
+        """Anything but a backend name is a clean error, hashable or not."""
+        with pytest.raises(ClockError, match="unknown kernel backend"):
+            ClockKernel(ClockComponents(), backend=backend)
+        with pytest.raises(EngineError, match="unknown kernel backend"):
+            EngineConfig(scenario="thread-churn", backend=backend).validate()
 
     def test_numpy_gate_degrades_cleanly(self, monkeypatch):
         """Without numpy: python-only listing, clean errors, working kernels."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.kernel as kernel_module
 from repro.core import ClockComponents, ClockKernel, EpochClock, Timestamp, ordering
-from repro.core.kernel import NumpyKernelBackend, numpy_available
+from repro.core.kernel import numpy_available
 from repro.core.timestamping import verify_retimestamping
 from repro.exceptions import ClockError, ComponentError, RetimestampingError
 from repro.obs.registry import MetricsRegistry, install as obs_install
@@ -196,9 +197,9 @@ def _backend_clock_setup(backend, monkeypatch):
     if backend == "numpy":
         if not numpy_available():
             pytest.skip("numpy backend not installed")
-        monkeypatch.setattr(NumpyKernelBackend, "MIN_ARRAY_BATCH", 1)
-        monkeypatch.setattr(NumpyKernelBackend, "MIN_ARRAY_DIM_MINT", 0)
-        monkeypatch.setattr(NumpyKernelBackend, "MIN_ARRAY_DIM_ADVANCE", 0)
+        monkeypatch.setattr(kernel_module, "MIN_ARRAY_BATCH", 1)
+        monkeypatch.setattr(kernel_module, "MIN_ARRAY_DIM_MINT", 0)
+        monkeypatch.setattr(kernel_module, "MIN_ARRAY_DIM_ADVANCE", 0)
 
 
 class TestLayoutChain:

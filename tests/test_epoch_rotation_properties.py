@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.kernel as kernel_module
 from repro.core.components import ClockComponents
-from repro.core.kernel import NumpyKernelBackend, numpy_available
+from repro.core.kernel import numpy_available
 from repro.core.timestamping import EpochClock
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.incremental import DynamicMatching
@@ -198,7 +198,7 @@ def test_numpy_batches_survive_extend_rotate_and_pickle(ops, window):
     try:
         with pytest.MonkeyPatch.context() as patch:
             # Small clocks would otherwise keep every batch on the list form.
-            patch.setattr(NumpyKernelBackend, "MIN_ARRAY_DIM_MINT", 0)
+            patch.setattr(kernel_module, "MIN_ARRAY_DIM_MINT", 0)
             fast = EpochClock(backend="numpy")
             oracle = EpochClock(check_invariant=True, backend="python")
             live = []

@@ -39,9 +39,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernel as kernel_module
 from repro.core.clock import Timestamp, ordering
 from repro.core.components import ClockComponents
-from repro.core.kernel import ClockKernel, NumpyKernelBackend, numpy_available
+from repro.core.kernel import ClockKernel, numpy_available
 from repro.obs.registry import MetricsRegistry, install as obs_install
 from tests.conftest import count_array_batches
 
@@ -276,7 +277,7 @@ class TestStatelessGate:
     ):
         """Mint and fold chunks on both sides of MIN_ARRAY_BATCH, with a
         mid-stream extension and a pickle round-trip, equal ``observe``."""
-        assert NumpyKernelBackend.MIN_ARRAY_BATCH < 40
+        assert kernel_module.MIN_ARRAY_BATCH < 40
         rng = random.Random(seed)
         # T90 joins the components only at the extension; its events are
         # covered throughout by their object endpoint.
@@ -316,7 +317,7 @@ class TestStatelessGate:
     def test_short_batch_on_array_stamps_runs_on_arrays(self):
         kernel = ClockKernel(fresh_components(), backend="numpy")
         short = [("T0", "O0"), ("T1", "O1")]
-        assert len(short) < NumpyKernelBackend.MIN_ARRAY_BATCH
+        assert len(short) < kernel_module.MIN_ARRAY_BATCH
         with count_array_batches() as ran:
             # Cold: no stored stamp holds an array, so lists.
             kernel.timestamp_batch(short)
