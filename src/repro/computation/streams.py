@@ -172,42 +172,10 @@ def with_epochs(events: Iterable[EventLike], every: int) -> Iterator[StreamEvent
 
 
 #: Upper bound on one insert run handed to ``observe_batch`` /
-#: ``advance_batch`` by the simulator and the engine (bounds working
-#: memory; flushing early never changes results, so it is not part of a
-#: run's identity).
+#: ``advance_batch`` by a stream consumer (bounds working memory;
+#: flushing early never changes results, so it is not part of a run's
+#: identity).
 MAX_BATCH_EVENTS = 4096
-
-
-def iter_event_batches(
-    events: Iterable[EventLike], max_batch: int = 1024
-) -> Iterator[Union[List[StreamEvent], StreamEvent]]:
-    """Partition a stream into insert runs and individual lifecycle events.
-
-    Yields, in stream order, either a non-empty ``list`` of consecutive
-    insert events (at most ``max_batch`` long) or a bare expire / epoch
-    :class:`StreamEvent`.  This is the chunking rule of the batched
-    execution pipeline: inserts between two lifecycle ticks form one
-    batch handed to ``observe_batch``, while the ticks themselves are
-    delivered individually, so window-aware consumers see exactly the
-    interleaving the per-event loop would have produced.
-    """
-    if max_batch < 1:
-        raise ComputationError(f"max_batch must be >= 1, got {max_batch}")
-    run: List[StreamEvent] = []
-    for item in events:
-        event = as_stream_event(item)
-        if event.kind == INSERT:
-            run.append(event)
-            if len(run) == max_batch:
-                yield run
-                run = []
-        else:
-            if run:
-                yield run
-                run = []
-            yield event
-    if run:
-        yield run
 
 
 def _candidate_objects(

@@ -1,10 +1,13 @@
 """The sharded execution engine: chunked per-shard runs, merged results.
 
 This is the driver that takes any registered ``stream`` scenario from
-thousands of events (where the one-pass
-:func:`~repro.online.simulator.compare_mechanisms_on_stream` is fine) to
-millions (where one process is not).  The design splits the classic
-single pass along two axes:
+thousands of events to millions.  It runs the same
+:class:`~repro.online.simulator.StreamConsumer` as the one-pass
+:func:`~repro.online.simulator.compare_mechanisms_on_stream` - the
+mechanisms, the dynamic optimum, the imposed window and the counter
+epochs - one per shard, and adds around it only what is its own:
+chunks, stride sampling, ratio statistics and sketches, stamp folding
+and checkpoints.  The design splits the single pass along two axes:
 
 * **shards** - the *logical* partition.  A
   :class:`~repro.engine.sharding.StreamSharder` routes every event by
@@ -32,13 +35,14 @@ One consumer loop and one schedule:
 * **one loop** - :func:`run_shard_group` consumes each owned shard's
   sub-stream as whole insert runs plus boundary events
   (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`).
-  Every insert run goes through ``_ShardRun.flush_inserts`` -
-  ``observe_batch`` on the mechanisms, ``advance_batch`` on the
-  timestamping kernels.  A run's length is capped by
-  ``_ShardRun.run_cap``: chunk and epoch boundaries, the room left in an
-  imposed window (one insert at a time once it is full), and one insert
-  under ``pipeline="per-event"``, which also stamps one insert at a
-  time.  Per-event execution is a run length, not a second loop;
+  Every insert run goes through ``_ShardRun.flush_inserts`` - the
+  shard's stream consumer, then ``advance_batch`` on the timestamping
+  kernels; expires and epoch markers go to the consumer directly.  A
+  run's length is capped by ``_ShardRun.run_cap``: chunk boundaries,
+  the consumer's own cap (epoch boundaries, the room left in an imposed
+  window, one insert at a time once it is full), and one insert under
+  ``pipeline="per-event"``, which also stamps one insert at a time.
+  Per-event execution is a run length, not a second loop;
 * **one schedule** - :func:`plan_shard_groups` deals the shards into
   ``workers`` contiguous groups, and :func:`run_engine` maps
   :func:`run_shard_group_task` over them on a
@@ -58,10 +62,9 @@ seeds), and every float accumulation follows one fixed merge tree
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.analysis.metrics import QuantileSketch, RunningStats
@@ -80,11 +83,10 @@ from repro.engine.results import (
 )
 from repro.engine.sharding import HASH, STRATEGIES, StreamSharder, plan_shard_groups
 from repro.exceptions import ClockError, EngineError, ScenarioError
-from repro.graph.incremental import DynamicMatching
 from repro.obs.registry import active as _metrics_active
 from repro.obs.registry import span as _metrics_span
-from repro.online.base import THREAD, OnlineMechanism
-from repro.online.simulator import seed_mechanism_factories
+from repro.online.base import THREAD
+from repro.online.simulator import StreamConsumer, seed_mechanism_factories
 from repro.seeds import derive_seed
 
 #: Execution pipelines: the longest insert run the consumers take at
@@ -304,6 +306,8 @@ class EngineConfig:
 class _ShardConsumers:
     """The picklable per-shard run state (what a checkpoint snapshots).
 
+    ``stream`` is the shard's lifecycle consumer: its mechanisms, the
+    optimum, the imposed window and the insert/expire/epoch counters.
     ``clocks`` / ``stamp_folds`` exist only for timestamping runs: one
     :class:`ClockKernel` per mechanism label (its component set follows
     the mechanism's decisions) and the label's cumulative stamp digest.
@@ -311,51 +315,60 @@ class _ShardConsumers:
     re-pin them to its own ``backend``.
     """
 
-    mechanisms: Dict[str, OnlineMechanism]
-    engine: Optional[DynamicMatching]
-    live_window: Optional[Deque[Tuple[object, object]]]
+    stream: StreamConsumer
     clocks: Optional[Dict[str, ClockKernel]] = None
     stamp_folds: Optional[Dict[str, int]] = None
 
 
 class _ChunkBuffers:
-    """Accumulators of the chunk in progress, frozen at the boundary."""
+    """Accumulators of the chunk in progress, frozen at the boundary.
 
-    def __init__(self, labels: Tuple[str, ...], start: int, stride: int,
-                 include_offline: bool) -> None:
-        self.start = start
+    Expire and epoch counts are the stream consumer's counters minus
+    their values when the chunk opened.
+    """
+
+    def __init__(self, stream: StreamConsumer, stride: int) -> None:
+        labels = tuple(stream.mechanisms)
+        self.start = stream.inserts
+        self.expires_at = stream.expires
+        self.epochs_at = stream.epochs
         self.stride = stride
         self.inserts = 0
-        self.expires = 0
-        self.epochs = 0
+        self.offline_final = 0
         self.samples: Dict[str, List[int]] = {label: [] for label in labels}
-        self.final: Dict[str, int] = {}
-        self.retired: Dict[str, int] = {label: 0 for label in labels}
         self.ratios: Dict[str, RunningStats] = {label: RunningStats() for label in labels}
         # The quantile companion of the moment statistics; the offline
         # series has no ratios, so it carries no sketch either.
-        self.sketches: Dict[str, QuantileSketch] = (
-            {label: QuantileSketch() for label in labels} if include_offline else {}
-        )
-        if include_offline:
+        self.sketches: Dict[str, QuantileSketch] = {}
+        if stream.optimum is not None:
+            self.sketches = {label: QuantileSketch() for label in labels}
             self.samples[OFFLINE_LABEL] = []
             self.ratios[OFFLINE_LABEL] = RunningStats()
+
+    def touched(self, stream: StreamConsumer) -> bool:
+        """Whether any insert, expire or epoch landed in this chunk."""
+        return bool(
+            self.inserts
+            or stream.expires != self.expires_at
+            or stream.epochs != self.epochs_at
+        )
 
     def freeze(
         self,
         shard_id: int,
+        stream: StreamConsumer,
         stamp_folds: Optional[Dict[str, int]] = None,
     ) -> PartialResult:
         """The chunk as a mergeable partial.
 
         Chunks covering no inserts can still carry facts: expire and
-        epoch ticks update ``final`` / ``retired`` (a window-aware
-        mechanism shrinks between inserts), so a label with recorded
-        state freezes to a count-0 *lifecycle-update* fragment - the
-        merge algebra takes the temporally later fragment's carried
-        values, so a trailing expire-only chunk is not lost.  A label
-        with no recorded state (e.g. the offline series of an
-        insert-less chunk) freezes to nothing.
+        epoch ticks change a mechanism's clock size and retirement total
+        (a window-aware mechanism shrinks between inserts), so every
+        mechanism freezes, possibly to a count-0 *lifecycle-update*
+        fragment - the merge algebra takes the temporally later
+        fragment's carried values, so a trailing expire-only chunk is
+        not lost.  The offline series freezes only from a chunk with
+        inserts (its final size is the optimum after the last insert).
 
         ``stamp_folds`` (timestamping runs) is the per-label cumulative
         digest as of this chunk boundary; it rides on each mechanism
@@ -363,29 +376,33 @@ class _ChunkBuffers:
         """
         series: Dict[Tuple[int, str], SeriesFragment] = {}
         for label, samples in self.samples.items():
-            if label not in self.final:
+            mechanism = stream.mechanisms.get(label)
+            if mechanism is None and not self.inserts:
                 continue
             series[(shard_id, label)] = SeriesFragment(
                 start=self.start,
                 count=self.inserts,
                 stride=self.stride,
-                final_size=self.final[label],
+                final_size=(
+                    self.offline_final if mechanism is None else mechanism.clock_size
+                ),
                 samples=tuple(samples),
                 ratios=self.ratios[label].freeze(),
                 sketch=self.sketches.get(label),
-                retired=self.retired.get(label, 0),
+                retired=0 if mechanism is None else mechanism.retired_total,
                 stamp_digest=(
                     stamp_folds.get(label) if stamp_folds is not None else None
                 ),
             )
         return PartialResult(
-            inserts=self.inserts, expires=self.expires, epochs=self.epochs,
+            inserts=self.inserts,
+            expires=stream.expires - self.expires_at,
+            epochs=stream.epochs - self.epochs_at,
             series=series,
         )
 
 
-def _fresh_consumers(config: EngineConfig, shard_id: int,
-                     scenario_expires: bool) -> _ShardConsumers:
+def _fresh_consumers(config: EngineConfig, shard_id: int) -> _ShardConsumers:
     # One root per shard, one child per mechanism label - the same
     # splitting discipline the ratio sweep uses, so a mechanism's
     # randomness depends on *what* it computes, never on worker placement.
@@ -394,14 +411,9 @@ def _fresh_consumers(config: EngineConfig, shard_id: int,
         {label: EXTENDED_MECHANISMS[label] for label in config.mechanisms},
         shard_root,
     )
-    mechanisms: Dict[str, OnlineMechanism] = {
-        label: factories[label]() for label in config.mechanisms
-    }
-    engine = (
-        DynamicMatching(record_trajectory=False) if config.include_offline else None
-    )
-    live_window = (
-        deque() if (config.window is not None and not scenario_expires) else None
+    stream = StreamConsumer(
+        {label: factories[label]() for label in config.mechanisms},
+        config.include_offline, config.window, config.epoch_every,
     )
     clocks = None
     stamp_folds = None
@@ -416,10 +428,7 @@ def _fresh_consumers(config: EngineConfig, shard_id: int,
             for label in config.mechanisms
         }
         stamp_folds = {label: 0 for label in config.mechanisms}
-    return _ShardConsumers(
-        mechanisms=mechanisms, engine=engine, live_window=live_window,
-        clocks=clocks, stamp_folds=stamp_folds,
-    )
+    return _ShardConsumers(stream=stream, clocks=clocks, stamp_folds=stamp_folds)
 
 
 def _extend_clock(kernel: ClockKernel, decision) -> None:
@@ -461,15 +470,17 @@ def _timed_stream(stream: Iterable, reg) -> Iterator:
 class _ShardRun:
     """One shard's live execution state and transitions.
 
-    The per-shard half of :func:`run_shard_group`: consumer state (loaded
-    from a checkpoint or fresh), the chunk clock, the timestamping
-    accumulation, and the chunk-boundary checkpoint/telemetry plumbing.
-    Every shard is driven through these same methods in the same
-    per-shard event order whichever group owns it, so a shard's partial -
-    and its checkpoint bytes - cannot depend on the worker count.
+    The per-shard half of :func:`run_shard_group`, wrapped around the
+    shard's :class:`~repro.online.simulator.StreamConsumer` (loaded from
+    a checkpoint or fresh): the chunk clock, stride sampling, ratio
+    statistics, the timestamping accumulation, and the chunk-boundary
+    checkpoint/telemetry plumbing.  Every shard is driven through these
+    same methods in the same per-shard event order whichever group owns
+    it, so a shard's partial - and its checkpoint bytes - cannot depend
+    on the worker count.
     """
 
-    def __init__(self, config: EngineConfig, shard_id: int, scenario,
+    def __init__(self, config: EngineConfig, shard_id: int,
                  manager: Optional[EngineCheckpointManager], reg) -> None:
         self.config = config
         self.shard_id = shard_id
@@ -484,7 +495,6 @@ class _ShardRun:
             self.consumers = checkpoint.consumers
             self.partial = checkpoint.partial
             self.raw_consumed = checkpoint.raw_events_consumed
-            self.inserts_done = checkpoint.inserts_done
             self.chunks_done = checkpoint.chunks_done
             if config.timestamps and self.consumers.clocks is not None:
                 # The pickled kernels carry the backend flag they ran under;
@@ -493,20 +503,15 @@ class _ShardRun:
                 for kernel in self.consumers.clocks.values():
                     kernel.set_backend(config.backend)
         else:
-            self.consumers = _fresh_consumers(config, shard_id, scenario.expires)
+            self.consumers = _fresh_consumers(config, shard_id)
             self.partial = PartialResult()
             self.raw_consumed = 0
-            self.inserts_done = 0
             self.chunks_done = 0
-        self.mechanisms = self.consumers.mechanisms
-        self.engine = self.consumers.engine
-        self.live_window = self.consumers.live_window
+        self.stream = self.consumers.stream
+        self.mechanisms = self.stream.mechanisms
         self.clocks = self.consumers.clocks
         self.stamp_folds = self.consumers.stamp_folds
-        self.chunk = _ChunkBuffers(
-            config.mechanisms, self.inserts_done, config.stride,
-            config.include_offline,
-        )
+        self.chunk = _ChunkBuffers(self.stream, config.stride)
         # The timestamping stage's own, longer accumulation: the
         # per-label kernels consume *inserts only* (append-only clocks
         # ignore expiry), so their runs are cut by chunk boundaries and
@@ -517,7 +522,7 @@ class _ShardRun:
         # other consumer.
         self.kernel_pending: List[Tuple[object, object]] = []
         self.kernel_run = 1 if config.pipeline == PER_EVENT else MAX_BATCH_EVENTS
-        self.kernel_start = self.inserts_done
+        self.kernel_start = self.stream.inserts
         self.decision_cursor: Dict[str, int] = (
             {
                 label: mechanism.decision_count
@@ -530,7 +535,7 @@ class _ShardRun:
     # -- chunk / lifecycle transitions ----------------------------------
     def complete_chunk(self) -> None:
         self.partial = self.partial.merge(
-            self.chunk.freeze(self.shard_id, self.stamp_folds)
+            self.chunk.freeze(self.shard_id, self.stream, self.stamp_folds)
         )
         self.chunks_done += 1
         reg = self.reg
@@ -552,16 +557,13 @@ class _ShardRun:
                         shard_id=self.shard_id,
                         chunks_done=self.chunks_done,
                         raw_events_consumed=self.raw_consumed,
-                        inserts_done=self.inserts_done,
+                        inserts_done=self.stream.inserts,
                         expires_done=self.partial.expires,
                         consumers=self.consumers,
                         partial=self.partial,
                     )
                 )
-        self.chunk = _ChunkBuffers(
-            self.config.mechanisms, self.inserts_done, self.config.stride,
-            self.config.include_offline,
-        )
+        self.chunk = _ChunkBuffers(self.stream, self.config.stride)
 
     def interrupt_if_due(self) -> None:
         if (
@@ -570,60 +572,23 @@ class _ShardRun:
         ):
             raise EngineInterrupted(
                 f"shard {self.shard_id} stopped after {self.chunks_done} "
-                f"chunks ({self.inserts_done} inserts checkpointed)"
+                f"chunks ({self.stream.inserts} inserts checkpointed)"
             )
-
-    def deliver_epoch(self) -> None:
-        """One epoch boundary: every mechanism may restructure its clock."""
-        chunk = self.chunk
-        chunk.epochs += 1
-        reg = self.reg
-        for label, mechanism in self.mechanisms.items():
-            if reg is None:
-                mechanism.end_epoch()
-            else:
-                began = perf_counter()
-                mechanism.end_epoch()
-                reg.observe("engine.epoch_rotation_s", perf_counter() - began)
-            # A rebuild changes the clock between inserts; keep the
-            # carried-forward facts current so a chunk ending right after
-            # a boundary freezes the post-boundary state.
-            chunk.final[label] = mechanism.clock_size
-            chunk.retired[label] = mechanism.retired_total
-
-    def deliver_expire(self, thread, obj) -> None:
-        """One expiry: mechanisms may retire, the optimum retracts the edge."""
-        chunk = self.chunk
-        for label, mechanism in self.mechanisms.items():
-            mechanism.expire(thread, obj)
-            chunk.final[label] = mechanism.clock_size
-            chunk.retired[label] = mechanism.retired_total
-        if self.engine is not None:
-            self.engine.remove_edge(thread, obj)
-        chunk.expires += 1
 
     # -- insert runs ----------------------------------------------------
     def run_cap(self) -> int:
         """Largest insert run :meth:`flush_inserts` may take next.
 
-        A run never overshoots a chunk or epoch boundary.  An imposed
-        window caps it at the room left in ``live_window``, or at one
-        insert once the window is full (each insert then expires the
-        oldest pair first).  The per-event pipeline caps every run at
-        one insert.
+        A run never overshoots a chunk boundary, nor whatever the stream
+        consumer's own cap says (epoch boundaries, the imposed window).
+        The per-event pipeline caps every run at one insert.
         """
         config = self.config
         if config.pipeline == PER_EVENT:
             return 1
-        cap = min(config.chunk_size - self.chunk.inserts, MAX_BATCH_EVENTS)
-        if config.epoch_every is not None:
-            cap = min(
-                cap,
-                config.epoch_every - self.inserts_done % config.epoch_every,
-            )
-        if self.live_window is not None:
-            cap = min(cap, max(1, config.window - len(self.live_window)))
-        return cap
+        return self.stream.run_cap(
+            min(config.chunk_size - self.chunk.inserts, MAX_BATCH_EVENTS)
+        )
 
     def flush_stamps(self) -> None:
         """Advance every label's kernel over the accumulated inserts.
@@ -664,51 +629,32 @@ class _ShardRun:
         kernel_pending.clear()
 
     def flush_inserts(self, run: List[Tuple[object, object]]) -> None:
-        """One whole insert run through every consumer.
+        """One whole insert run through the stream consumer and the stamps.
 
-        Under an imposed window, :meth:`run_cap` makes a run that meets a
-        full window one insert long; that insert first expires the
-        oldest live pair, as a sliding window delivers it.
+        Samples every ``stride``-th insert, folds every insert's ratio to
+        the optimum, and completes the chunk when the run fills it.
         """
-        live_window = self.live_window
-        if live_window is not None:
-            if len(live_window) == self.config.window:
-                old_thread, old_obj = live_window.popleft()
-                self.deliver_expire(old_thread, old_obj)
-            live_window.extend(run)
+        sizes, offline_sizes = self.stream.insert_run(run)
         chunk = self.chunk
         count = len(run)
         reg = self.reg
         if reg is not None:
             reg.observe("engine.batch_size", count)
-        start = self.inserts_done
-        stride = self.config.stride
-        offline_sizes: Optional[List[int]] = None
-        engine = self.engine
-        if engine is not None:
-            offline_sizes = []
-            add_edge = engine.add_edge
-            append_offline = offline_sizes.append
-            for thread, obj in run:
-                add_edge(thread, obj)
-                append_offline(engine.size)
-        sample_offsets = range((-start) % stride, count, stride)
-        for label, mechanism in self.mechanisms.items():
-            sizes = mechanism.observe_batch(run)
+        start = self.stream.inserts - count
+        sample_offsets = range(-start % chunk.stride, count, chunk.stride)
+        for label, label_sizes in sizes.items():
             samples = chunk.samples[label]
             for offset in sample_offsets:
-                samples.append(sizes[offset])
-            chunk.final[label] = sizes[-1]
-            chunk.retired[label] = mechanism.retired_total
+                samples.append(label_sizes[offset])
             if offline_sizes is not None:
                 update_stats = chunk.ratios[label].update
                 update_sketch = chunk.sketches[label].update
-                for size, offline_size in zip(sizes, offline_sizes):
+                for size, offline_size in zip(label_sizes, offline_sizes):
                     ratio = size / offline_size
                     update_stats(ratio)
                     update_sketch(ratio)
         if offline_sizes is not None:
-            chunk.final[OFFLINE_LABEL] = offline_sizes[-1]
+            chunk.offline_final = offline_sizes[-1]
             offline_samples = chunk.samples[OFFLINE_LABEL]
             for offset in sample_offsets:
                 offline_samples.append(offline_sizes[offset])
@@ -716,16 +662,19 @@ class _ShardRun:
             self.kernel_pending.extend(run)
             if len(self.kernel_pending) >= self.kernel_run:
                 self.flush_stamps()
-        self.inserts_done += count
         chunk.inserts += count
+        if chunk.inserts == self.config.chunk_size:
+            # The chunk's frozen digest must be current, so the kernels
+            # catch up right before the boundary.
+            self.flush_stamps()
+            self.complete_chunk()
+            self.interrupt_if_due()
 
     # -- completion ------------------------------------------------------
     def finish(self) -> PartialResult:
         """Freeze any trailing chunk, flush telemetry; the shard's partial."""
-        if self.clocks is not None:
-            self.flush_stamps()
-        chunk = self.chunk
-        if chunk.inserts or chunk.expires or chunk.epochs:
+        self.flush_stamps()
+        if self.chunk.touched(self.stream):
             self.complete_chunk()
         reg = self.reg
         if reg is not None:
@@ -758,19 +707,8 @@ def run_shard_group(
     resumes every shard from its own last boundary.
     """
     config.validate()
+    # The group's shard ids are validated by split_runs_group.
     owned: Tuple[int, ...] = tuple(shard_ids)
-    if not owned:
-        raise EngineError("a shard group must own at least one shard")
-    if list(owned) != sorted(set(owned)):
-        raise EngineError(
-            f"group shard ids must be strictly increasing, got {owned!r}"
-        )
-    for shard_id in owned:
-        if not (0 <= shard_id < config.num_shards):
-            raise EngineError(
-                f"shard_id {shard_id} out of range for "
-                f"{config.num_shards} shards"
-            )
     scenario = REGISTRY.get(config.scenario, kind=STREAM)
     manager = (
         EngineCheckpointManager(config.checkpoint_dir, config.signature())
@@ -785,7 +723,7 @@ def run_shard_group(
     reg = _metrics_active()
     group_started = perf_counter() if reg is not None else 0.0
     runs: Dict[int, _ShardRun] = {
-        shard_id: _ShardRun(config, shard_id, scenario, manager, reg)
+        shard_id: _ShardRun(config, shard_id, manager, reg)
         for shard_id in owned
     }
     stream = scenario.build(
@@ -817,22 +755,10 @@ def run_shard_group(
             continue
         if type(item) is list:
             shard_run.flush_inserts(item)
-            if (
-                config.epoch_every is not None
-                and shard_run.inserts_done % config.epoch_every == 0
-            ):
-                shard_run.deliver_epoch()
-            if shard_run.chunk.inserts == config.chunk_size:
-                # The chunk's frozen digest must be current, so the
-                # kernels catch up right before the boundary.
-                shard_run.flush_stamps()
-                shard_run.complete_chunk()
-                shard_run.interrupt_if_due()
-            continue
-        if item.kind == EPOCH:
-            shard_run.deliver_epoch()
+        elif item.kind == EPOCH:
+            shard_run.stream.end_epoch()
         else:
-            shard_run.deliver_expire(item.thread, item.obj)
+            shard_run.stream.expire(item.thread, item.obj)
 
     partials = {shard_id: runs[shard_id].finish() for shard_id in owned}
     if reg is not None:

@@ -198,53 +198,6 @@ class StreamSharder:
                 continue
             yield self.shard_of(event.thread), event
 
-    def split_runs(
-        self,
-        events: Iterable[EventLike],
-        shard_id: int,
-        cap: Callable[[], int],
-        skip: int = 0,
-    ) -> Iterator[Tuple[int, Union[List[Tuple[Vertex, Vertex]], StreamEvent, None]]]:
-        """One shard's sub-stream as whole insert runs plus boundary events.
-
-        The routing, filtering and run accumulation all happen inside
-        this generator's single loop, so a consumer resumes once per
-        *run* instead of paying a ``next()`` dispatch and a tuple unpack
-        per tagged event.  Yields ``(consumed, item)`` where ``item`` is
-        one of:
-
-        * a non-empty ``list`` of ``(thread, object)`` pairs - a run of
-          consecutive inserts owned by ``shard_id``, cut at lifecycle
-          events, at ``cap()`` (re-evaluated at each run's first insert,
-          so the driver's chunk/epoch arithmetic is always current), and
-          at end of stream;
-        * a :class:`StreamEvent` - an epoch marker or expire owned by
-          this shard, preceded by the flush of any open run;
-        * ``None`` - the end-of-stream tick, so the driver's final
-          ``consumed`` covers the whole stream.
-
-        ``consumed`` counts *tagged* events exactly as a ``split()``
-        loop would have (epoch markers are broadcast, one count per
-        shard), which keeps checkpoints interchangeable whatever run
-        lengths the consumer chose.  A run flushed because its cap
-        was reached reports the count through its own last insert; runs
-        flushed by a boundary event report the count *before* that
-        event, whose own yield then accounts for it.
-
-        ``skip`` fast-forwards a resumed shard: that many tagged events
-        are consumed - routed through the assignment table, which must
-        replay identically - but not yielded.  Raises
-        :class:`~repro.exceptions.EngineError` when the stream is
-        shorter than ``skip`` (the checkpoint does not match).
-
-        The single-shard projection of :meth:`split_runs_group`, kept
-        as the reference the group pass is tested against.
-        """
-        for _, consumed, item in self.split_runs_group(
-            events, (shard_id,), {shard_id: cap}, {shard_id: skip}
-        ):
-            yield consumed, item
-
     def split_runs_group(
         self,
         events: Iterable[EventLike],
@@ -259,16 +212,32 @@ class StreamSharder:
         The engine's one routing pass: a worker that owns ``shard_ids``
         consumes the base stream once, and every event is routed to (at
         most) one owned shard's accumulation - so stream generation and
-        routing are paid once per *worker*, not once per shard.  Yields
-        ``(shard_id, consumed, item)`` triples where ``item`` has
-        exactly the :meth:`split_runs` meaning (a run of that shard's
-        consecutive inserts cut at lifecycle events and at
-        ``caps[shard_id]()``; a boundary :class:`StreamEvent`; or the
-        shard's ``None`` end-of-stream tick).
+        routing are paid once per *worker*, not once per shard.  The
+        routing, filtering and run accumulation all happen inside this
+        generator's single loop, so a consumer resumes once per *run*
+        instead of once per tagged event.  Yields ``(shard_id, consumed,
+        item)`` triples where ``item`` is one of:
 
-        Per-shard semantics are *identical* to a dedicated
-        ``split_runs`` pass - same run boundaries, same ``consumed``
-        values, same skip arithmetic - which is what keeps checkpoints
+        * a non-empty ``list`` of ``(thread, object)`` pairs - a run of
+          that shard's consecutive inserts, cut at lifecycle events, at
+          ``caps[shard_id]()`` (re-evaluated at each run's first insert,
+          so the driver's chunk/epoch arithmetic is always current), and
+          at end of stream;
+        * a :class:`StreamEvent` - an epoch marker or expire owned by the
+          shard, preceded by the flush of its open run;
+        * ``None`` - the shard's end-of-stream tick, so the driver's
+          final ``consumed`` covers the whole stream.
+
+        ``consumed`` counts *tagged* events exactly as a :meth:`split`
+        loop would (epoch markers are broadcast, one count per shard),
+        whatever run lengths the consumer chose.  A run flushed because
+        its cap was reached reports the count through its own last
+        insert; a run flushed by a boundary event reports the count
+        *before* that event, whose own yield then accounts for it.
+
+        Per-shard semantics do not depend on which other shards share
+        the pass - same run boundaries, same ``consumed`` values, same
+        skip arithmetic - which is what keeps checkpoints
         interchangeable across group plans (a run checkpointed at one
         ``workers`` count resumes at any other).  In particular:
 

@@ -28,7 +28,6 @@ from repro.online.simulator import (
     OnlineRunResult,
     compare_mechanisms,
     compare_mechanisms_on_stream,
-    offline_optimum_result,
     reveal_order,
     run_mechanism,
     run_mechanism_on_computation,
@@ -57,7 +56,6 @@ __all__ = [
     "compare_mechanisms",
     "compare_mechanisms_on_stream",
     "compare_order_sensitivity",
-    "offline_optimum_result",
     "order_sensitivity",
     "popularity_choice",
     "reveal_order",

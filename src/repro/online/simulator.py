@@ -5,15 +5,25 @@ mechanisms "as we reveal the edge of the graph one by one".  This module
 generalises that driver to the streaming model: the unit of input is a
 lazy stream of :class:`~repro.computation.streams.StreamEvent` (inserts
 *and* expires), consumed exactly once, with every mechanism and the
-dynamic offline optimum advancing in lock-step.  Inserts between two
-lifecycle ticks reach the mechanisms as one run through
-:meth:`~repro.online.base.OnlineMechanism.observe_batch` - the same
-insert-run consumption the sharded engine uses - which records exactly
-the samples one call per event would.  Nothing
-proportional to the stream length is materialised beyond the recorded
-trajectories themselves, so unbounded monitoring streams and windowed
-workloads run in one pass.
+dynamic offline optimum advancing in lock-step.  Nothing proportional to
+the stream length is materialised beyond the recorded trajectories
+themselves, so unbounded monitoring streams and windowed workloads run
+in one pass.
 
+* :class:`StreamConsumer` is the one lifecycle consumer of a stream
+  pass, shared with the sharded engine (:mod:`repro.engine.runner`
+  runs one per shard): inserts between two lifecycle ticks reach every
+  mechanism as one run through
+  :meth:`~repro.online.base.OnlineMechanism.observe_batch` (which
+  records exactly the samples one call per event would) and the
+  :class:`~repro.graph.incremental.DynamicMatching` optimum; expire
+  events reach :meth:`~repro.online.base.OnlineMechanism.expire` (a
+  no-op shim for the paper's append-only mechanisms, a retirement
+  opportunity for the adaptive ones) and retract the edge from the
+  optimum; epoch boundaries - explicit markers in the stream, or
+  counter-based ticks - reach
+  :meth:`~repro.online.base.OnlineMechanism.end_epoch`.  It also
+  imposes a sliding window on an insert-only stream.
 * :func:`reveal_order` turns a bipartite graph into a random edge-reveal
   order (each edge is one event, matching the paper's setup where repeated
   operations on the same pair change nothing).  Before shuffling, edges
@@ -22,21 +32,13 @@ workloads run in one pass.
   ``"1"``) still reveal deterministically for a given seed;
 * :func:`run_mechanism` feeds a pair sequence to a mechanism and records
   the clock-size trajectory;
-* :func:`compare_mechanisms_on_stream` is the streaming core: it runs
-  several mechanisms plus a
-  :class:`~repro.graph.incremental.DynamicMatching` engine over one lazy
-  event stream (optionally imposing a sliding window), recording one
-  clock-size sample per *insert* so all trajectories stay aligned.
-  The full lifecycle is delivered to every mechanism: expire events
-  reach :meth:`~repro.online.base.OnlineMechanism.expire` (a no-op shim
-  for the paper's append-only mechanisms, a retirement opportunity for
-  the adaptive ones) and epoch boundaries - explicit markers in the
-  stream, or counter-based ticks via the ``epoch`` parameter - reach
-  :meth:`~repro.online.base.OnlineMechanism.end_epoch`.  The offline
+* :func:`compare_mechanisms_on_stream` drives one
+  :class:`StreamConsumer` over a whole stream and records one clock-size
+  sample per *insert*, so all trajectories stay aligned.  The offline
   optimum consumes inserts and expires, so with a window its trajectory
-  can dip back down - and so, now, can a window-aware mechanism's.
+  can dip back down - and so can a window-aware mechanism's.
 * :func:`compare_mechanisms` keeps the classic graph-input surface of
-  Figs. 4-7 and now simply routes a reveal order through the stream core.
+  Figs. 4-7 and simply routes a reveal order through the stream core.
   The ``"offline"`` entry is a true per-event optimum trajectory: the
   minimum-vertex-cover size of every revealed (non-expired) prefix.
   Dividing an online trajectory by it pointwise gives the
@@ -46,21 +48,24 @@ workloads run in one pass.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.computation.streams import (
     EPOCH,
+    INSERT,
     MAX_BATCH_EVENTS,
     EventLike,
-    iter_event_batches,
-    sliding_window,
+    as_stream_event,
 )
 from repro.exceptions import ComputationError
 from repro.computation.trace import Computation
 from repro.graph.bipartite import BipartiteGraph, Vertex, vertex_sort_key
 from repro.graph.generators import SeedLike, _rng
-from repro.graph.incremental import DynamicMatching, incremental_optimum_trajectory
+from repro.graph.incremental import DynamicMatching
+from repro.obs.registry import active as _metrics_active
 from repro.online.base import OnlineMechanism
 from repro.seeds import derive_seed
 
@@ -158,18 +163,9 @@ def run_mechanism(
     mechanism: OnlineMechanism, pairs: Iterable[Pair]
 ) -> OnlineRunResult:
     """Feed ``pairs`` to ``mechanism`` and record its clock-size trajectory."""
-    trajectory: List[int] = []
-    for thread, obj in pairs:
-        mechanism.observe(thread, obj)
-        trajectory.append(mechanism.clock_size)
-    return OnlineRunResult(
-        mechanism_name=mechanism.name,
-        final_size=mechanism.clock_size,
-        size_trajectory=tuple(trajectory),
-        thread_components=len(mechanism.thread_components),
-        object_components=len(mechanism.object_components),
-        events_revealed=mechanism.events_seen,
-    )
+    return compare_mechanisms_on_stream(
+        pairs, {"mechanism": lambda: mechanism}, include_offline=False
+    )["mechanism"]
 
 
 def run_mechanism_on_graph(
@@ -186,6 +182,147 @@ def run_mechanism_on_computation(
     return run_mechanism(mechanism, computation.to_pairs())
 
 
+class StreamConsumer:
+    """The lifecycle half of one stream pass: mechanisms, optimum, window.
+
+    :func:`compare_mechanisms_on_stream` drives one whole stream through
+    :meth:`consume`; the sharded engine routes each shard's runs to its
+    own consumer and pickles it whole at chunk boundaries.  ``window``
+    imposes a sliding window of the most recent inserts on an
+    insert-only stream, delivered as
+    :func:`~repro.computation.streams.sliding_window` would; ``epoch``
+    adds an epoch boundary right after every ``epoch``-th insert.
+    """
+
+    def __init__(
+        self,
+        mechanisms: Dict[str, OnlineMechanism],
+        include_offline: bool = True,
+        window: Optional[int] = None,
+        epoch: Optional[int] = None,
+    ) -> None:
+        if window is not None and window < 1:
+            raise ComputationError(f"window must be >= 1, got {window}")
+        if epoch is not None and epoch < 1:
+            raise ComputationError(f"epoch must be >= 1, got {epoch}")
+        self.mechanisms = mechanisms
+        # No mutation history: the footprint tracks the live graph.
+        self.optimum = (
+            DynamicMatching(record_trajectory=False) if include_offline else None
+        )
+        self.window = window
+        self.live_window: Optional[Deque[Pair]] = deque() if window is not None else None
+        self.epoch = epoch
+        self.inserts = 0
+        self.expires = 0
+        self.epochs = 0
+
+    def run_cap(self, limit: int) -> int:
+        """Largest insert run :meth:`insert_run` may take next, at most ``limit``.
+
+        A run never overshoots an epoch boundary; an imposed window caps
+        it at the room left, or at one insert once the window is full.
+        """
+        if self.epoch is not None:
+            limit = min(limit, self.epoch - self.inserts % self.epoch)
+        if self.live_window is not None:
+            limit = min(limit, max(1, self.window - len(self.live_window)))
+        return limit
+
+    def insert_run(
+        self, run: List[Pair]
+    ) -> Tuple[Dict[str, List[int]], Optional[List[int]]]:
+        """One :meth:`run_cap`-bounded insert run through every consumer.
+
+        Returns each mechanism's clock size and the optimum's size
+        (``None`` without one) after every insert.  An insert meeting a
+        full window first expires the oldest pair; an epoch the run
+        completes is delivered after it.
+        """
+        live_window = self.live_window
+        if live_window is not None:
+            if len(live_window) == self.window:
+                self._retract(*live_window.popleft())
+            live_window.extend(run)
+        offline_sizes: Optional[List[int]] = None
+        optimum = self.optimum
+        if optimum is not None:
+            offline_sizes = []
+            add_edge = optimum.add_edge
+            append = offline_sizes.append
+            for thread, obj in run:
+                add_edge(thread, obj)
+                append(optimum.size)
+        sizes = {
+            label: mechanism.observe_batch(run)
+            for label, mechanism in self.mechanisms.items()
+        }
+        self.inserts += len(run)
+        if self.epoch is not None and self.inserts % self.epoch == 0:
+            self.end_epoch()
+        return sizes, offline_sizes
+
+    def expire(self, thread: Vertex, obj: Vertex) -> None:
+        """One expire event of the stream (none may arrive under a window)."""
+        if self.live_window is not None:
+            raise ComputationError(
+                "an imposed window expects an insert-only stream; streams "
+                "with explicit expiry manage their own window"
+            )
+        self._retract(thread, obj)
+
+    def _retract(self, thread: Vertex, obj: Vertex) -> None:
+        self.expires += 1
+        for mechanism in self.mechanisms.values():
+            mechanism.expire(thread, obj)
+        if self.optimum is not None:
+            self.optimum.remove_edge(thread, obj)
+
+    def end_epoch(self) -> None:
+        """One epoch boundary: every mechanism may restructure its clock."""
+        self.epochs += 1
+        registry = _metrics_active()
+        for mechanism in self.mechanisms.values():
+            if registry is None:
+                mechanism.end_epoch()
+            else:
+                began = perf_counter()
+                mechanism.end_epoch()
+                registry.observe("engine.epoch_rotation_s", perf_counter() - began)
+
+    def consume(
+        self,
+        events: Iterable[EventLike],
+        record: Callable[[Dict[str, List[int]], Optional[List[int]]], None],
+    ) -> None:
+        """Drive one whole stream through this consumer in one pass.
+
+        Insert runs are cut at lifecycle events and at
+        ``run_cap(MAX_BATCH_EVENTS)``; ``record`` gets each run's result.
+        """
+        run: List[Pair] = []
+        room = 0
+        for item in events:
+            event = as_stream_event(item)
+            if event.kind == INSERT:
+                if not run:
+                    room = self.run_cap(MAX_BATCH_EVENTS)
+                run.append((event.thread, event.obj))
+                if len(run) == room:
+                    record(*self.insert_run(run))
+                    run = []
+                continue
+            if run:
+                record(*self.insert_run(run))
+                run = []
+            if event.kind == EPOCH:
+                self.end_epoch()
+            else:
+                self.expire(event.thread, event.obj)
+        if run:
+            record(*self.insert_run(run))
+
+
 def compare_mechanisms_on_stream(
     events: Iterable[EventLike],
     factories: Dict[str, MechanismFactory],
@@ -195,86 +332,32 @@ def compare_mechanisms_on_stream(
 ) -> Dict[str, OnlineRunResult]:
     """Run several mechanisms and the dynamic optimum over one event stream.
 
-    The stream is consumed exactly once; bare ``(thread, object)`` pairs
-    are accepted and treated as inserts.  Runs of consecutive inserts
-    (cut at lifecycle ticks, counter-epoch boundaries and
-    :data:`~repro.computation.streams.MAX_BATCH_EVENTS`) go through each
-    mechanism's :meth:`~repro.online.base.OnlineMechanism.observe_batch`,
-    and every consumer records one trajectory sample per insert; on each
-    expire every mechanism's
-    :meth:`~repro.online.base.OnlineMechanism.expire` fires (the no-op
-    shim for append-only mechanisms) and the
-    :class:`~repro.graph.incremental.DynamicMatching` engine retracts the
-    edge.  Epoch boundaries - explicit markers in the stream, plus a tick
-    after every ``epoch`` inserts when the parameter is set - deliver
-    :meth:`~repro.online.base.OnlineMechanism.end_epoch` to every
-    mechanism.  With ``window`` set, the insert-only input is wrapped in
-    :func:`~repro.computation.streams.sliding_window` first; streams that
-    emit their own expire events must pass ``window=None``.
+    The stream is consumed exactly once by a :class:`StreamConsumer`
+    (see it for ``window`` and ``epoch``); bare ``(thread, object)``
+    pairs are inserts.  Streams that emit their own expire events must
+    pass ``window=None``.
 
     Returns one :class:`OnlineRunResult` per factory label, plus an
     ``"offline"`` entry when ``include_offline`` is true whose trajectory
     is the per-insert minimum-vertex-cover size of the *live* (windowed /
     non-expired) graph.
     """
-    if epoch is not None and epoch < 1:
-        raise ComputationError(f"epoch must be >= 1, got {epoch}")
-    if window is not None:
-        events = sliding_window(events, window)
-    mechanisms = {label: factory() for label, factory in factories.items()}
-    trajectories: Dict[str, List[int]] = {label: [] for label in mechanisms}
-    # The engine keeps no mutation history of its own (the per-insert
-    # samples below are the record), so its footprint tracks the live
-    # graph rather than the total stream length.
-    engine = DynamicMatching(record_trajectory=False) if include_offline else None
+    consumer = StreamConsumer(
+        {label: factory() for label, factory in factories.items()},
+        include_offline, window, epoch,
+    )
+    trajectories: Dict[str, List[int]] = {label: [] for label in factories}
     offline_sizes: List[int] = []
-    inserts = 0
-    expires = 0
-    epochs = 0
 
-    def deliver_epoch() -> None:
-        nonlocal epochs
-        epochs += 1
-        for mechanism in mechanisms.values():
-            mechanism.end_epoch()
+    def record(sizes: Dict[str, List[int]], offline: Optional[List[int]]) -> None:
+        for label, run_sizes in sizes.items():
+            trajectories[label].extend(run_sizes)
+        if offline is not None:
+            offline_sizes.extend(offline)
 
-    def feed(segment: List[Tuple[Vertex, Vertex]]) -> None:
-        nonlocal inserts
-        for label, mechanism in mechanisms.items():
-            trajectories[label].extend(mechanism.observe_batch(segment))
-        if engine is not None:
-            add_edge = engine.add_edge
-            append = offline_sizes.append
-            for thread, obj in segment:
-                add_edge(thread, obj)
-                append(engine.size)
-        inserts += len(segment)
-
-    for item in iter_event_batches(events, MAX_BATCH_EVENTS):
-        if isinstance(item, list):
-            run = [(event.thread, event.obj) for event in item]
-            if epoch is None:
-                feed(run)
-                continue
-            # Sub-split at counter-epoch boundaries, so each tick lands
-            # right after the insert that completes the epoch.
-            start = 0
-            while start < len(run):
-                segment = run[start:start + epoch - inserts % epoch]
-                feed(segment)
-                start += len(segment)
-                if inserts % epoch == 0:
-                    deliver_epoch()
-        elif item.kind == EPOCH:
-            deliver_epoch()
-        else:
-            expires += 1
-            for mechanism in mechanisms.values():
-                mechanism.expire(item.thread, item.obj)
-            if engine is not None:
-                engine.remove_edge(item.thread, item.obj)
+    consumer.consume(events, record)
     results: Dict[str, OnlineRunResult] = {}
-    for label, mechanism in mechanisms.items():
+    for label, mechanism in consumer.mechanisms.items():
         results[label] = OnlineRunResult(
             mechanism_name=mechanism.name,
             final_size=mechanism.clock_size,
@@ -287,16 +370,16 @@ def compare_mechanisms_on_stream(
             retired_components=mechanism.retired_total,
             peak_size=mechanism.peak_size,
         )
-    if engine is not None:
+    if include_offline:
         results[OFFLINE_LABEL] = OnlineRunResult(
             mechanism_name="offline-optimal",
             final_size=offline_sizes[-1] if offline_sizes else 0,
             size_trajectory=tuple(offline_sizes),
             thread_components=-1,
             object_components=-1,
-            events_revealed=inserts,
-            expires_seen=expires,
-            epochs=epochs,
+            events_revealed=consumer.inserts,
+            expires_seen=consumer.expires,
+            epochs=consumer.epochs,
         )
     return results
 
@@ -330,23 +413,4 @@ def compare_mechanisms(
     order = reveal_order(graph, seed=seed)
     return compare_mechanisms_on_stream(
         order, factories, include_offline=include_offline
-    )
-
-
-def offline_optimum_result(order: Sequence[Pair]) -> OnlineRunResult:
-    """The per-event offline-optimum trajectory of one reveal order.
-
-    Packaged as an :class:`OnlineRunResult` so it plots alongside the
-    online mechanisms.  Thread/object component counts are reported as
-    ``-1``: the optimum is a matching *size*; which side each cover vertex
-    lives on is only fixed once the final cover is constructed.
-    """
-    trajectory = incremental_optimum_trajectory(order)
-    return OnlineRunResult(
-        mechanism_name="offline-optimal",
-        final_size=trajectory[-1] if trajectory else 0,
-        size_trajectory=trajectory,
-        thread_components=-1,
-        object_components=-1,
-        events_revealed=len(order),
     )

@@ -36,7 +36,7 @@ import repro.core.kernel as kernel_module
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.cli import main
 from repro.computation import trace_from_graph
-from repro.computation.streams import epoch_marker, iter_event_batches, StreamEvent
+from repro.computation.streams import epoch_marker, StreamEvent
 from repro.core.components import ClockComponents
 from repro.core.kernel import (
     ClockKernel,
@@ -51,7 +51,9 @@ from repro.engine.runner import BATCHED, PER_EVENT, EngineInterrupted
 from repro.exceptions import ClockError, ComputationError, EngineError
 from repro.graph import nonuniform_bipartite, uniform_bipartite
 from repro.offline import timestamp_offline
+import repro.online.simulator as simulator_module
 from repro.online.adaptive import WindowedPopularityMechanism
+from repro.online.simulator import StreamConsumer
 from tests.conftest import count_array_batches
 
 BACKENDS = available_backends()
@@ -799,8 +801,19 @@ class TestEnginePipelines:
 # ---------------------------------------------------------------------------
 # Stream batching helpers and simulator parity
 # ---------------------------------------------------------------------------
-class TestIterEventBatches:
-    def test_partitions_at_lifecycle_events(self):
+class TestStreamConsumerRuns:
+    """How :meth:`StreamConsumer.consume` cuts a stream into insert runs."""
+
+    @staticmethod
+    def _run_lengths(events, **options):
+        consumer = StreamConsumer(
+            {"naive": EXTENDED_MECHANISMS["naive"](0)}, **options
+        )
+        lengths = []
+        consumer.consume(events, lambda sizes, _: lengths.append(len(sizes["naive"])))
+        return lengths, consumer
+
+    def test_runs_cut_at_lifecycle_events(self):
         events = [
             StreamEvent("T0", "O0"),
             StreamEvent("T1", "O1"),
@@ -808,22 +821,19 @@ class TestIterEventBatches:
             epoch_marker(),
             StreamEvent("T1", "O0"),
         ]
-        batches = list(iter_event_batches(events, max_batch=10))
-        assert [len(b) if isinstance(b, list) else b.kind for b in batches] == [
-            2,
-            "expire",
-            "epoch",
-            1,
-        ]
+        lengths, consumer = self._run_lengths(events)
+        assert lengths == [2, 1]
+        assert (consumer.inserts, consumer.expires, consumer.epochs) == (3, 1, 1)
 
-    def test_max_batch_cuts_runs(self):
+    def test_max_batch_cuts_runs(self, monkeypatch):
+        monkeypatch.setattr(simulator_module, "MAX_BATCH_EVENTS", 2)
         events = [StreamEvent(f"T{i}", "O0") for i in range(5)]
-        batches = list(iter_event_batches(events, max_batch=2))
-        assert [len(b) for b in batches] == [2, 2, 1]
+        assert self._run_lengths(events)[0] == [2, 2, 1]
 
-    def test_rejects_non_positive_cap(self):
-        with pytest.raises(ComputationError):
-            list(iter_event_batches([], max_batch=0))
+    @pytest.mark.parametrize("option", ["window", "epoch"])
+    def test_rejects_non_positive_window_and_epoch(self, option):
+        with pytest.raises(ComputationError, match=f"{option} must be >= 1"):
+            self._run_lengths([], **{option: 0})
 
 
 # ---------------------------------------------------------------------------

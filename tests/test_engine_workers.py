@@ -8,8 +8,7 @@ layer:
 * :func:`plan_shard_groups` / :class:`ShardGroup` - the deterministic
   balanced partition whose flattening must recover shard-id order;
 * :meth:`StreamSharder.split_runs_group` - the one-pass router, checked
-  event-for-event against independent single-shard ``split_runs``
-  passes, including epoch-broadcast copy-position skip arithmetic (the
+  event-for-event against independent single-shard passes, including epoch-broadcast copy-position skip arithmetic (the
   "resume mid-epoch" regression the ISSUE suspected of double-counting);
 * :class:`WorkerPool` - task order, exception transport (original type
   preserved across the process boundary), dead-worker detection;
@@ -104,8 +103,18 @@ class TestPlanShardGroups:
 
 
 # ---------------------------------------------------------------------------
-# split_runs_group vs independent split_runs passes
+# split_runs_group vs independent single-shard passes
 # ---------------------------------------------------------------------------
+def _solo_pass(sharder, events, shard_id, cap, skip=0):
+    """One shard's ``(consumed, item)`` sequence from a pass of its own."""
+    return [
+        (consumed, item)
+        for _, consumed, item in sharder.split_runs_group(
+            events, (shard_id,), {shard_id: lambda: cap}, {shard_id: skip}
+        )
+    ]
+
+
 def _stream_events(draw_ops):
     """Materialise op tuples into stream events."""
     events = []
@@ -141,7 +150,7 @@ class TestSplitRunsGroup:
         self, ops, num_shards, cap, strategy
     ):
         # A group pass over ALL shards must yield, per shard, exactly the
-        # (consumed, item) sequence a dedicated split_runs pass yields -
+        # (consumed, item) sequence a dedicated one-shard pass yields -
         # same run boundaries, same counts.  Fresh sharders per pass:
         # round-robin is stateful.
         events = _stream_events(ops)
@@ -153,9 +162,8 @@ class TestSplitRunsGroup:
         ):
             grouped[shard_id].append((consumed, item))
         for shard_id in owned:
-            solo_sharder = StreamSharder(num_shards, strategy)
-            solo = list(
-                solo_sharder.split_runs(events, shard_id, lambda: cap)
+            solo = _solo_pass(
+                StreamSharder(num_shards, strategy), events, shard_id, cap
             )
             assert grouped[shard_id] == solo, f"shard {shard_id} diverged"
 
@@ -186,10 +194,8 @@ class TestSplitRunsGroup:
         ):
             grouped[shard_id].append((consumed, item))
         for shard_id in owned:
-            solo = list(
-                StreamSharder(num_shards).split_runs(
-                    events, shard_id, lambda: cap, skip=skips[shard_id]
-                )
+            solo = _solo_pass(
+                StreamSharder(num_shards), events, shard_id, cap, skips[shard_id]
             )
             assert grouped[shard_id] == solo
 
