@@ -18,9 +18,10 @@ This module implements that simple variant for the thread-object model:
 
 The number of chains is an upper bound on the clock size the chain-clock
 approach needs; the extended evaluation compares it with the paper's mixed
-clock (which is bounded by ``min(n, m)`` instead of ``n``).  Timestamps use
-:class:`~repro.online.protocol.SparseTimestamp` because the number of
-chains grows online.
+clock (which is bounded by ``min(n, m)`` instead of ``n``).  Timestamps are
+:class:`~repro.core.clock.Timestamp` values over one component per chain
+opened so far; chains only ever append, so a stamp minted before a chain
+opened reads zero there once widened to the current chains.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.computation.event import Event
 from repro.computation.trace import Computation
+from repro.core.clock import Timestamp
+from repro.core.components import ClockComponents
 from repro.exceptions import ClockError
-from repro.online.protocol import SparseTimestamp
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class ChainClockResult:
 
     num_chains: int
     chain_assignment: Dict[Event, int]
-    timestamps: Dict[Event, SparseTimestamp]
+    timestamps: Dict[Event, Timestamp]
 
     @property
     def clock_size(self) -> int:
@@ -62,9 +64,10 @@ class ChainClock:
     def __init__(self) -> None:
         self._chain_last: List[Optional[Event]] = []
         self._chain_of_event: Dict[Event, int] = {}
-        self._thread_clocks: Dict[object, SparseTimestamp] = {}
-        self._object_clocks: Dict[object, SparseTimestamp] = {}
-        self._timestamps: Dict[Event, SparseTimestamp] = {}
+        self._chains = ClockComponents()
+        self._thread_clocks: Dict[object, Timestamp] = {}
+        self._object_clocks: Dict[object, Timestamp] = {}
+        self._timestamps: Dict[Event, Timestamp] = {}
         self._last_thread_event: Dict[object, Event] = {}
         self._last_object_event: Dict[object, Event] = {}
 
@@ -79,25 +82,34 @@ class ChainClock:
         except KeyError:
             raise ClockError(f"event {event} has not been observed") from None
 
-    def timestamp(self, event: Event) -> SparseTimestamp:
+    def timestamp(self, event: Event) -> Timestamp:
+        """``event``'s stamp over every chain opened so far."""
         try:
-            return self._timestamps[event]
+            return self._widen(self._timestamps[event])
         except KeyError:
             raise ClockError(f"event {event} has not been observed") from None
 
+    def _widen(self, stamp: Timestamp) -> Timestamp:
+        """``stamp`` over the current chains (later chains read zero)."""
+        missing = self._chains.size - len(stamp)
+        if not missing:
+            return stamp
+        return Timestamp(self._chains, stamp.values + (0,) * missing)
+
     # ------------------------------------------------------------------
-    def observe_event(self, event: Event) -> SparseTimestamp:
+    def observe_event(self, event: Event) -> Timestamp:
         """Assign ``event`` to a chain and timestamp it."""
         chain = self._pick_chain(event)
         if chain is None:
             chain = len(self._chain_last)
             self._chain_last.append(None)
+            self._chains = self._chains.extended((f"chain-{chain}",))
         self._chain_last[chain] = event
         self._chain_of_event[event] = chain
 
-        zero = SparseTimestamp()
-        merged = self._thread_clocks.get(event.thread, zero).merged(
-            self._object_clocks.get(event.obj, zero)
+        zero = Timestamp.zero(self._chains)
+        merged = self._widen(self._thread_clocks.get(event.thread, zero)).merged(
+            self._widen(self._object_clocks.get(event.obj, zero))
         )
         stamped = merged.incremented(f"chain-{chain}")
         self._thread_clocks[event.thread] = stamped
@@ -132,7 +144,7 @@ class ChainClock:
         return ChainClockResult(
             num_chains=self.num_chains,
             chain_assignment=dict(self._chain_of_event),
-            timestamps=dict(self._timestamps),
+            timestamps={event: self.timestamp(event) for event in self._timestamps},
         )
 
 

@@ -451,6 +451,14 @@ class EpochClock:
         """Tokens of the live events, oldest first."""
         return tuple(self._live_pairs)
 
+    def thread_clock(self, thread: Vertex) -> Timestamp:
+        """Current clock of ``thread`` (zero if it has not acted yet)."""
+        return self._kernel.thread_stamp(thread)
+
+    def object_clock(self, obj: Vertex) -> Timestamp:
+        """Current clock of ``obj`` (zero if it has not been accessed yet)."""
+        return self._kernel.object_stamp(obj)
+
     def timestamp(self, token: int) -> Timestamp:
         """The (current-epoch) timestamp of a live event.
 

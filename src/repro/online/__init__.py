@@ -16,7 +16,7 @@ from repro.online.base import (
 from repro.online.hybrid import HybridMechanism
 from repro.online.naive import NaiveMechanism
 from repro.online.popularity import PopularityMechanism
-from repro.online.protocol import OnlineClockProtocol, SparseTimestamp
+from repro.online.protocol import OnlineClockProtocol
 from repro.online.random_choice import RandomMechanism
 from repro.online.sensitivity import (
     SensitivityResult,
@@ -50,7 +50,6 @@ __all__ = [
     "RandomMechanism",
     "Retirement",
     "SensitivityResult",
-    "SparseTimestamp",
     "THREAD",
     "WindowedPopularityMechanism",
     "compare_mechanisms",

@@ -32,8 +32,7 @@ def assert_valid_vector_clock(
     """Assert Theorem 2 (``s → t ⇔ s.v < t.v``) for every ordered event pair.
 
     ``timestamp_of`` maps an event to any object supporting ``<`` with the
-    vector clock semantics (both :class:`repro.core.Timestamp` and
-    :class:`repro.online.SparseTimestamp` qualify).
+    vector clock semantics (a :class:`repro.core.Timestamp`, for one).
     """
     oracle = oracle or HappenedBefore(computation)
     for s in computation:

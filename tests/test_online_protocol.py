@@ -33,8 +33,29 @@ class TestOnlineClockProtocol:
 
     def test_unseen_endpoints_have_zero_clock(self):
         protocol = OnlineClockProtocol(NaiveMechanism())
-        assert protocol.thread_clock("ghost").as_dict() == {}
-        assert protocol.object_clock("ghost").as_dict() == {}
+        protocol.observe("A", "x")
+        protocol.observe("B", "y")
+        assert protocol.thread_clock("ghost").as_dict() == {"A": 0, "B": 0}
+        assert protocol.object_clock("ghost").as_dict() == {"A": 0, "B": 0}
+
+    def test_unseen_endpoint_clock_below_every_stamp(self, small_computation):
+        protocol = OnlineClockProtocol(PopularityMechanism())
+        stamps = protocol.timestamp_computation(small_computation)
+        zero = protocol.thread_clock("ghost")
+        assert all(zero < stamp for stamp in stamps.values())
+
+    def test_older_stamps_read_zero_in_later_components(self):
+        protocol = OnlineClockProtocol(NaiveMechanism())
+        computation = Computation.from_pairs([("A", "x"), ("B", "y"), ("A", "y")])
+        first, second, third = computation.events
+        protocol.timestamp_computation(computation)
+        assert protocol.clock_size == 2
+        # "B" joined after the first event: its stamp reads 0 there.
+        assert protocol.timestamp(first).as_dict() == {"A": 1, "B": 0}
+        assert protocol.timestamp(second).as_dict() == {"A": 0, "B": 1}
+        assert protocol.timestamp(first) < protocol.timestamp(third)
+        assert protocol.timestamp(second) < protocol.timestamp(third)
+        assert protocol.concurrent(first, second)
 
     def test_timestamp_computation_and_queries(self, small_computation):
         protocol = OnlineClockProtocol(PopularityMechanism())

@@ -1,4 +1,4 @@
-"""Unit tests for dense and sparse timestamp values."""
+"""Unit tests for timestamp values."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import ClockComponents, Timestamp, ordering
 from repro.exceptions import ClockError
-from repro.online import SparseTimestamp
 
 
 @pytest.fixture
@@ -88,54 +87,3 @@ class TestDenseTimestamp:
 
     def test_repr_contains_components(self, components):
         assert "T1:1" in repr(Timestamp(components, [1, 0, 2]))
-
-
-class TestSparseTimestamp:
-    def test_zero_values_dropped(self):
-        stamp = SparseTimestamp({"a": 0, "b": 2})
-        assert stamp.as_dict() == {"b": 2}
-        assert stamp.value_of("a") == 0
-        assert stamp.components() == {"b"}
-        assert len(stamp) == 1
-        assert dict(iter(stamp)) == {"b": 2}
-
-    def test_negative_rejected(self):
-        with pytest.raises(ClockError):
-            SparseTimestamp({"a": -1})
-
-    def test_merge_and_increment(self):
-        a = SparseTimestamp({"x": 1, "y": 3})
-        b = SparseTimestamp({"y": 1, "z": 2})
-        merged = a.merged(b)
-        assert merged.as_dict() == {"x": 1, "y": 3, "z": 2}
-        assert a.incremented("x").value_of("x") == 2
-        assert a.incremented("new").value_of("new") == 1
-        with pytest.raises(ClockError):
-            a.incremented("x", amount=0)
-
-    def test_missing_components_compare_as_zero(self):
-        small = SparseTimestamp({"x": 1})
-        big = SparseTimestamp({"x": 1, "y": 1})
-        assert small < big
-        assert small <= big
-        assert big > small
-        assert big >= small
-        assert not big < small
-
-    def test_concurrency_and_equality(self):
-        a = SparseTimestamp({"x": 1})
-        b = SparseTimestamp({"y": 1})
-        assert a.concurrent_with(b)
-        assert not a.concurrent_with(SparseTimestamp({"x": 2}))
-        assert SparseTimestamp({"x": 1}) == SparseTimestamp({"x": 1, "y": 0})
-        assert hash(SparseTimestamp({"x": 1})) == hash(SparseTimestamp({"x": 1}))
-        assert a != "junk"
-
-    def test_empty_timestamp_below_everything(self):
-        zero = SparseTimestamp()
-        assert zero <= SparseTimestamp({"x": 1})
-        assert zero < SparseTimestamp({"x": 1})
-        assert zero == SparseTimestamp({})
-
-    def test_repr(self):
-        assert "x:1" in repr(SparseTimestamp({"x": 1}))
