@@ -20,6 +20,12 @@ Mechanics:
   kill mid-write leaves the previous chunk's checkpoint intact - the
   invariant that makes "resume from the last *completed* chunk" true
   under arbitrary interruption;
+* a shard file is a header - :data:`MAGIC`, the
+  :data:`CHECKPOINT_FORMAT` version and the SHA-256 of the payload -
+  followed by the pickled :class:`ShardCheckpoint`.  Loading a file of
+  another format, a truncated or bit-flipped file, or a payload that is
+  not a shard checkpoint raises :class:`~repro.exceptions.EngineError`
+  before anything is resumed from it;
 * resuming validates the manifest against the resuming run's signature
   and refuses on mismatch: silently mixing partial metrics of two
   different configurations is the one unrecoverable corruption.
@@ -35,6 +41,7 @@ the interrupted run left off.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -47,6 +54,18 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.exceptions import EngineError
 
 MANIFEST_NAME = "manifest.json"
+
+#: First bytes of every shard checkpoint file.
+MAGIC = b"repro-shard-checkpoint\n"
+
+#: Version of the pickled shard state.  Bump it whenever that state
+#: changes shape, so a checkpoint written by other code is refused by
+#: name instead of unpickling into the wrong classes.
+CHECKPOINT_FORMAT = 1
+
+_VERSION_BYTES = 2
+_DIGEST_AT = len(MAGIC) + _VERSION_BYTES
+_PAYLOAD_AT = _DIGEST_AT + hashlib.sha256().digest_size
 
 
 @dataclass
@@ -154,12 +173,31 @@ class EngineCheckpointManager:
         if not path.exists():
             return None
         try:
-            with path.open("rb") as handle:
-                checkpoint = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as error:
+            data = path.read_bytes()
+        except OSError as error:
+            raise EngineError(f"unreadable shard checkpoint {path}: {error}") from None
+        if not data.startswith(MAGIC):
+            raise EngineError(f"corrupt shard checkpoint {path}: no checkpoint header")
+        version = int.from_bytes(data[len(MAGIC):_DIGEST_AT], "big")
+        if version != CHECKPOINT_FORMAT:
             raise EngineError(
-                f"corrupt shard checkpoint {path}: {error}"
-            ) from None
+                f"checkpoint format {version}, expected {CHECKPOINT_FORMAT} ({path})"
+            )
+        payload = data[_PAYLOAD_AT:]
+        if hashlib.sha256(payload).digest() != data[_DIGEST_AT:_PAYLOAD_AT]:
+            raise EngineError(f"corrupt shard checkpoint {path}: checksum mismatch")
+        try:
+            checkpoint = pickle.loads(payload)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                TypeError) as error:
+            # An intact payload whose classes no longer match this code
+            # (CHECKPOINT_FORMAT was not bumped when they changed).
+            raise EngineError(f"corrupt shard checkpoint {path}: {error}") from None
+        if not isinstance(checkpoint, ShardCheckpoint):
+            raise EngineError(
+                f"corrupt shard checkpoint {path}: holds a "
+                f"{type(checkpoint).__name__}, not a ShardCheckpoint"
+            )
         if checkpoint.shard_id != shard_id:
             raise EngineError(
                 f"checkpoint {path} records shard {checkpoint.shard_id}, "
@@ -169,9 +207,13 @@ class EngineCheckpointManager:
 
     def save(self, checkpoint: ShardCheckpoint) -> None:
         """Atomically persist one shard's chunk-boundary state."""
+        payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
         self._atomic_write(
             self._shard_path(checkpoint.shard_id),
-            pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL),
+            MAGIC
+            + CHECKPOINT_FORMAT.to_bytes(_VERSION_BYTES, "big")
+            + hashlib.sha256(payload).digest()
+            + payload,
         )
 
     def shard_files(self) -> Dict[int, Path]:

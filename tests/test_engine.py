@@ -12,6 +12,9 @@ isolation.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pickle
+import random
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.engine import (
     run_shard_group,
     stable_vertex_hash,
 )
+import repro.engine.checkpoint as checkpoint_module
 from repro.engine.checkpoint import EngineCheckpointManager
 from repro.exceptions import EngineError
 from repro.seeds import derive_seed, spawn_seeds, splitmix64
@@ -381,6 +385,80 @@ class TestCheckpointResume:
         assert set(manager.shard_files()) == set(range(config.num_shards))
         manager.clear()
         assert manager.shard_files() == {}
+
+
+class TestCheckpointIntegrity:
+    """A damaged or foreign shard file is always a clean EngineError."""
+
+    @pytest.fixture
+    def interrupted(self, tmp_path):
+        config = dataclasses.replace(
+            BASE_CONFIG, checkpoint_dir=str(tmp_path / "ckpt"), timestamps=True,
+            mechanisms=("naive", "popularity"),
+        )
+        with pytest.raises(EngineInterrupted):
+            run_engine(dataclasses.replace(config, max_chunks_per_shard=1))
+        manager = EngineCheckpointManager(config.checkpoint_dir, config.signature())
+        (shard, path), = manager.shard_files().items()
+        return config, manager, shard, path
+
+    @staticmethod
+    def _framed(payload: bytes, version: int = checkpoint_module.CHECKPOINT_FORMAT) -> bytes:
+        return (
+            checkpoint_module.MAGIC
+            + version.to_bytes(2, "big")
+            + hashlib.sha256(payload).digest()
+            + payload
+        )
+
+    def test_intact_checkpoint_loads(self, interrupted):
+        _, manager, shard, _ = interrupted
+        assert manager.load(shard).shard_id == shard
+
+    def test_truncated_file_rejected(self, interrupted):
+        config, manager, shard, path = interrupted
+        data = path.read_bytes()
+        for length in (0, 10, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:length])
+            with pytest.raises(EngineError, match="corrupt shard checkpoint"):
+                manager.load(shard)
+        with pytest.raises(EngineError):
+            run_engine(config)
+
+    def test_every_bit_flip_rejected(self, interrupted):
+        _, manager, shard, path = interrupted
+        data = path.read_bytes()
+        rng = random.Random(2019)
+        for _ in range(400):
+            flipped = bytearray(data)
+            flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(EngineError):
+                manager.load(shard)
+
+    def test_other_format_named(self, interrupted):
+        _, manager, shard, path = interrupted
+        payload = path.read_bytes()[checkpoint_module._PAYLOAD_AT:]
+        path.write_bytes(self._framed(payload, version=0))
+        with pytest.raises(EngineError, match="checkpoint format 0, expected 1"):
+            manager.load(shard)
+        # A headerless pickle, as shard files were before the header.
+        path.write_bytes(payload)
+        with pytest.raises(EngineError, match="no checkpoint header"):
+            manager.load(shard)
+
+    def test_payload_of_other_code_rejected(self, interrupted):
+        # Intact framing around a pickle naming a class this code lacks.
+        _, manager, shard, path = interrupted
+        path.write_bytes(self._framed(b"\x80\x04crepro.engine.runner\n_Gone\n."))
+        with pytest.raises(EngineError, match="_Gone"):
+            manager.load(shard)
+
+    def test_non_checkpoint_payload_rejected(self, interrupted):
+        _, manager, shard, path = interrupted
+        path.write_bytes(self._framed(pickle.dumps(42)))
+        with pytest.raises(EngineError, match="holds a int, not a ShardCheckpoint"):
+            manager.load(shard)
 
 
 # ---------------------------------------------------------------------------
