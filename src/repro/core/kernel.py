@@ -25,35 +25,46 @@ protocols (sliding-window monitoring): its component set can grow
 (:meth:`ClockKernel.extend_components` - the online setting appends
 components as uncovered events arrive) and can be *rotated*
 (:meth:`ClockKernel.rotate_epoch` - a new epoch begins over a new
-component set, retired components' slots are compacted away, and the
-caller replays the live window so every surviving event is re-timestamped
-in the new epoch's basis).  Timestamps minted in an epoch reference only
-that epoch's components; :class:`~repro.core.timestamping.EpochClock`
-wraps the replay and proves verdict preservation with the
-re-timestamping invariant check.  For the pure-retirement case - the new
-set is a subset of the old and no retired component touches a live
-event - :meth:`ClockKernel.rotate_epoch_delta` replaces the replay with
-a layout change that keeps the surviving clocks as they are (see "Lift
-on read"); ``EpochClock.rotate`` owns the applicability gate and the
+component set and the caller replays the live window so every
+surviving event is re-timestamped in the new epoch's basis).
+:class:`~repro.core.timestamping.EpochClock` wraps the replay and
+proves verdict preservation with the re-timestamping invariant check.
+For the pure-retirement case - components leave, none joins, and no
+retired component touches a live event -
+:meth:`ClockKernel.rotate_epoch_delta` replaces the replay with a slot
+retirement that keeps the surviving clocks as they are (see "Slots in
+join order"); ``EpochClock.rotate`` owns the applicability gate and the
 fallback.
 
-Lift on read
-------------
-Neither layout change touches a stored stamp.  A stamp keeps the
-component set it was minted over (its *mint layout*); the kernel keeps
-a chain of its layouts, one step per extension or rotation, and notes
-which components left the layout and which re-joined it later.  A read
-that finds ``stamp._components is not kernel._components`` *lifts* the
-stamp: a current component present continuously since the mint layout
-keeps its minted value, any other reads zero - what it would have
-carried had it been present from the start, or since it was re-added
-after a retirement.  The lift is one compiled gather per source layout,
-memoised until the next layout change (an ``itemgetter`` for the list
-form, one ``take`` for an array).  So extension and
-rotation cost ``O(k)`` in the clock dimension and nothing per stored
-stamp; ``EpochClock`` lifts its ledger stamps through the same
-:meth:`ClockKernel.lift`, and a pickle lifts every stored stamp to the
-current layout, since layout identity does not survive one.
+Slots in join order
+-------------------
+A layout change costs what changed.  Every component gets a slot id in
+the order it joined, and an id is never reused: an extension appends
+one slot and one map entry, a retirement marks its slots dead (the
+slot space's ``died`` map records the layout version that retired
+each).  No stored stamp is touched by either.  A stamp keeps the raw
+vector it was minted over, in slot order, with a small handle on its
+mint layout (:class:`_Layout`: the slot space, the version, the
+width).  Read in the current layout, a stamp minted earlier is a
+prefix: slots that joined since read zero-padded, which is the value
+they would have carried had they been present from the start.  A
+component that re-joins after a retirement gets a fresh slot, so every
+older stamp reads 0 there too.
+
+Correctness rests on one obligation, the one delta rotation has always
+met: every live event keeps its marker slot (the slot its stamping
+incremented) live.  Dead slots stay in the raw vectors until
+compaction, but they only ever grew monotonically and never enter a
+verdict: a stamp's public view holds the live slots only.  Once dead
+slots outnumber live ones, :meth:`ClockKernel.rotate_epoch_delta`
+compacts: a new slot space holds the live slots in join order, and a
+stamp of the old one is gathered across on its next read.
+
+The public view keeps the threads-first order of
+:class:`~repro.core.components.ClockComponents` (``components.ordered``,
+``Timestamp.values``, ``as_dict``); it is built on first read, once per
+layout, as a lazy stamp builds its value tuple.  Join order stays
+internal.  A pickle keeps the slot spaces as they are.
 
 Backends
 --------
@@ -64,14 +75,14 @@ timestamp per event) and :meth:`ClockKernel.advance_batch` (advance the
 clocks and fold a digest, minting nothing).  Both run one loop,
 :func:`_run_batch`, over working vectors of one of two forms:
 
-* *lists* (:data:`_LISTS`) - a stored stamp is read as its value tuple
+* *lists* (:data:`_LISTS`) - a stored stamp is read as its raw tuple
   and a derived vector is a list; a mint batch keeps the minted tuples
   as its working state;
 * *arrays* (:data:`_ARRAYS`) - ``int64`` arrays, so the merge is a
   single C call (``np.maximum``).  Minted stamps are lazy stamps
   (:class:`_LazyStamp`) that keep their array and materialise an exact
-  Python-int tuple only on first ``_values`` access (two of them in one
-  layout compare on their arrays).  A stored lazy stamp is therefore
+  Python-int tuple only on first read (two of them in one layout
+  compare on their arrays).  A stored lazy stamp is therefore
   the one home of its entity's array: the next array batch reads that
   array straight back (:func:`_stamp_array`), so a touched entity is
   converted from tuple form only after something materialised it, and
@@ -107,11 +118,9 @@ but these two, raises a clean :class:`~repro.exceptions.ClockError`.
 
 from __future__ import annotations
 
-import weakref
-from itertools import repeat
+from itertools import chain
 from operator import getitem, itemgetter
 from typing import (
-    AbstractSet,
     Callable,
     Dict,
     Iterable,
@@ -135,7 +144,6 @@ from repro.obs.registry import active as _metrics_active
 
 try:  # The gate: numpy is an optional accelerator, never a requirement.
     import numpy as _np
-    _ZERO = _np.zeros(1, dtype=_np.int64)  # the slot an array lift reads for 0
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
@@ -170,9 +178,9 @@ def _values_gather(indices: Sequence[int]):
     """A C-level tuple gather: ``values -> tuple(values[i] for i in indices)``.
 
     ``operator.itemgetter`` runs the whole gather inside the interpreter
-    core, which is what keeps a lift a memcpy-class ``O(k)`` instead of
-    a bytecode-per-slot one.  The zero- and one-index cases are
-    special-cased because ``itemgetter`` changes shape there (no
+    core, which keeps building a public view a memcpy-class ``O(k)``
+    instead of a bytecode-per-slot one.  The zero- and one-index cases
+    are special-cased because ``itemgetter`` changes shape there (no
     arguments is an error, one argument returns a bare value).
     """
     if not indices:
@@ -183,50 +191,128 @@ def _values_gather(indices: Sequence[int]):
     return itemgetter(*indices)
 
 
-class _LazyStamp(Timestamp):
-    """A numpy-minted :class:`Timestamp` whose value tuple is built on first read.
+class _Slots:
+    """One slot space of a kernel, from its binding to its compaction.
 
-    ``_source`` is the ``int64`` array an array batch minted the stamp
-    over, in the stamp's own layout, and the array the next array batch
-    reads back; the first ``_values`` read converts it to exact Python
-    ints, writes the tuple back and releases the array.  Digest-only
-    drivers never read it, so they never pay the conversion, and two
-    lazy stamps of one layout compare on their arrays while both hold
-    one.  A lazy stamp pickles (and deep-copies) as the plain stamp it
-    stands for, so checkpoints load without numpy; pickling converts
-    without caching, so the stamp keeps its array.
+    ``vertices[i]`` and ``threads[i]`` name slot ``i``'s component and
+    whether it is a thread; both only grow.  ``died`` maps each retired
+    slot to the layout version that retired it.  A compaction sets
+    ``moved`` to ``(successor, old slot of each successor slot)``.
     """
 
-    __slots__ = ("_source",)
+    __slots__ = ("vertices", "threads", "died", "moved")
+
+    def __init__(self, vertices: List[Vertex], threads: List[bool]) -> None:
+        self.vertices = vertices
+        self.threads = threads
+        self.died: Dict[int, int] = {}
+        self.moved: Optional[Tuple["_Slots", List[int]]] = None
+
+
+class _Layout:
+    """The slot space a stamp was minted over, at one layout version.
+
+    ``width`` is the number of slots then, and ``full`` says none of
+    them was dead, so two stamps of this layout compare on their raw
+    vectors.  The public view is built on first read (:meth:`public`).
+    """
+
+    __slots__ = ("slots", "version", "width", "full", "_public")
+
+    def __init__(
+        self, slots: _Slots, version: int, width: int, full: bool, public=None
+    ) -> None:
+        self.slots = slots
+        self.version = version
+        self.width = width
+        self.full = full
+        self._public = public
+
+    def __reduce__(self):
+        # The public view holds a gather closure; it is rebuilt on load.
+        return (_Layout, (self.slots, self.version, self.width, self.full))
+
+    def public(self) -> Tuple[ClockComponents, Optional[Callable]]:
+        """``(components, gather)``: the live components threads first,
+        and the gather from raw slot order into theirs (None when the two
+        orders agree)."""
+        public = self._public
+        if public is None:
+            slots, version = self.slots, self.version
+            live = [
+                slot for slot in range(self.width)
+                if slots.died.get(slot, version + 1) > version
+            ]
+            threads = [slot for slot in live if slots.threads[slot]]
+            order = threads + [slot for slot in live if not slots.threads[slot]]
+            names = [slots.vertices[slot] for slot in order]
+            components = ClockComponents(names[:len(threads)], names[len(threads):])
+            identity = order == list(range(self.width))
+            public = self._public = (
+                components, None if identity else _values_gather(order)
+            )
+        return public
+
+
+class _LazyStamp(Timestamp):
+    """A kernel-minted :class:`Timestamp`: raw slot values, public view on read.
+
+    ``_raw`` holds the event's values in the slot order of ``_layout``:
+    a tuple, or the ``int64`` array an array batch minted the stamp
+    over, which the next array batch reads back.  The public
+    ``_components`` and ``_values`` (threads first, live slots only)
+    are derived on first read; the first read of an array-minted stamp
+    also converts its array to exact Python ints and releases it.
+    Digest-only drivers never read a stamp, so they never pay either,
+    and two array stamps of one full layout compare on their arrays.  A
+    stamp pickles (and deep-copies) with a tuple, so checkpoints load
+    without numpy; pickling converts without caching, so the stamp
+    keeps its array.
+    """
+
+    __slots__ = ("_layout", "_raw")
 
     @classmethod
-    def _make(cls, components: ClockComponents, source) -> "_LazyStamp":
+    def _make(cls, layout: _Layout, raw) -> "_LazyStamp":
         stamp = object.__new__(cls)
-        stamp._components = components
-        stamp._source = source
+        stamp._layout = layout
+        stamp._raw = raw
         return stamp
 
+    def _tuple(self) -> tuple:
+        """The raw values as a tuple (an array is converted once, then released)."""
+        raw = self._raw
+        if type(raw) is not tuple:
+            registry = _metrics_active()
+            if registry is not None:
+                registry.add("kernel.lazy_stamps.materialised")
+            raw = self._raw = tuple(raw.tolist())
+        return raw
+
     def __getattr__(self, name: str):
-        # Only the _values slot is lazy; anything else genuinely absent.
+        # Only the public view is lazy; anything else genuinely absent.
+        if name == "_components":
+            components = self._components = self._layout.public()[0]
+            return components
         if name != "_values":
             raise AttributeError(name)
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.lazy_stamps.materialised")
-        values = self._values = tuple(self._source.tolist())
-        self._source = None
+        gather = self._layout.public()[1]
+        raw = self._tuple()
+        values = self._values = raw if gather is None else gather(raw)
         return values
 
     def __reduce__(self):
-        source = self._source
-        values = self._values if source is None else tuple(source.tolist())
-        return (Timestamp._from_trusted, (self._components, values))
+        raw = self._raw
+        if type(raw) is not tuple:
+            raw = tuple(raw.tolist())
+        return (_LazyStamp._make, (self._layout, raw))
 
     def _arrays(self, other):
-        """Both value arrays, if both stamps still hold one in one layout."""
-        if type(other) is _LazyStamp and other._components is self._components:
-            if self._source is not None and other._source is not None:
-                return self._source, other._source
+        """Both raw arrays, if both stamps still hold one in one full layout."""
+        if type(other) is _LazyStamp and other._layout is self._layout:
+            mine, theirs = self._raw, other._raw
+            if self._layout.full and type(mine) is not tuple and type(theirs) is not tuple:
+                return mine, theirs
         return None
 
     def __eq__(self, other):
@@ -250,28 +336,32 @@ class _LazyStamp(Timestamp):
 # ---------------------------------------------------------------------------
 # The batch loop
 # ---------------------------------------------------------------------------
-def _stamp_array(kernel: "ClockKernel", stamp: Timestamp):
-    """An ``int64`` array of ``stamp``'s values in ``kernel``'s layout.
+def _stamp_array(kernel: "ClockKernel", stamp: _LazyStamp):
+    """An ``int64`` array of ``stamp``'s values in ``kernel``'s slot space.
 
-    The array form's read of a stored stamp: a lazy stamp still holding
-    its array reuses that array directly when its layout is current, or
-    lifts it with one ``take`` when it is not.  Anything else converts
-    the stamp's value tuple.  Never mutates (or returns a
-    view of a region that will be mutated of) the source array -
-    callers treat working arrays as frozen.
+    The array form's read of a stored stamp: its own array when it
+    still holds one (zero-padded if slots joined since), else its
+    values converted.  Never mutates (or returns a view of a region
+    that will be mutated of) the source array - callers treat working
+    arrays as frozen.
     """
-    source = stamp._source if type(stamp) is _LazyStamp else None
-    if source is None:
-        source = _np.array(stamp._values, dtype=_np.int64)
-    if stamp._components is kernel._components:
-        return source
-    take = kernel._lift_from(stamp._components, array=True)
-    return _np.concatenate((source, _ZERO)).take(take)
+    raw = stamp._raw
+    if stamp._layout.slots is not kernel._slots:
+        raw = kernel._slot_values(stamp)
+    if type(raw) is tuple:
+        raw = _np.array(raw, dtype=_np.int64)
+    missing = kernel._layout.width - len(raw)
+    if missing:
+        raw = _np.concatenate((raw, _np.zeros(missing, dtype=_np.int64)))
+    return raw
 
 
-def _stamp_tuple(kernel: "ClockKernel", stamp: Timestamp) -> tuple:
-    """The list form's read of a stored stamp: its values, lifted."""
-    return kernel.lift(stamp)._values
+def _stamp_tuple(kernel: "ClockKernel", stamp: _LazyStamp) -> tuple:
+    """The list form's read of a stored stamp: its raw tuple, padded."""
+    raw = stamp._raw
+    if stamp._layout is kernel._layout and type(raw) is tuple:
+        return raw
+    return kernel._slot_values(stamp)
 
 
 def _list_maximum(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -282,10 +372,10 @@ class _Form(NamedTuple):
     """How the batch loop holds its working vectors.
 
     ``convert(kernel, stamp)`` reads a stored stamp in the current
-    layout; ``copy``, ``maximum`` and ``zeros(size)`` each return a
+    slot space; ``copy``, ``maximum`` and ``zeros(size)`` each return a
     *fresh* vector, the only kind the loop increments; ``read(vector,
     slot)`` returns one slot as a Python int, so the fold never sees
-    ``np.int64``; ``mint(components, vector)`` wraps a vector in a stamp.
+    ``np.int64``; ``mint(layout, vector)`` wraps a vector in a stamp.
     """
 
     convert: Callable
@@ -296,7 +386,7 @@ class _Form(NamedTuple):
     mint: Callable
 
 
-#: Sequences: a stored stamp is read as its value tuple and a derived
+#: Sequences: a stored stamp is read as its raw tuple and a derived
 #: vector is a list.  Minting freezes the list into the stamp's tuple,
 #: which then replaces it as working state, so a mint batch holds no
 #: list beyond the event being derived.
@@ -306,7 +396,7 @@ _LISTS = _Form(
     _list_maximum,
     lambda size: [0] * size,
     getitem,
-    lambda components, values: Timestamp._from_trusted(components, tuple(values)),
+    lambda layout, values: _LazyStamp._make(layout, tuple(values)),
 )
 
 #: ``int64`` arrays: the maximum is one C call, and minted stamps are
@@ -341,8 +431,8 @@ def _run_batch(
     strict-mode error too: the events before the offender stay applied,
     exactly as a sequential ``observe`` loop would have left them.
     """
-    components = kernel._components
-    size = components.size
+    layout = kernel._current()
+    size = layout.width
     thread_slots = kernel._thread_slot
     object_slots = kernel._object_slot
     thread_stamps = kernel._thread_stamps
@@ -418,9 +508,9 @@ def _run_batch(
             else:
                 stamp = minted.get(id(values))
                 if stamp is None:
-                    stamp = mint(components, values)
+                    stamp = mint(layout, values)
                     if not arrays:
-                        values = stamp._values
+                        values = stamp._raw
                     minted[id(values)] = stamp
                 append_stamp(stamp)
             thread_work[thread] = values
@@ -433,7 +523,7 @@ def _run_batch(
             for vertex, values in work.items():
                 stamp = minted.get(id(values))
                 if stamp is None:
-                    stamp = minted[id(values)] = mint(components, values)
+                    stamp = minted[id(values)] = mint(layout, values)
                 stamp_store[vertex] = stamp
     return fold
 
@@ -470,9 +560,9 @@ def _use_arrays(kernel: "ClockKernel", pairs, min_dim: int) -> bool:
             kernel._thread_stamps.get(thread),
             kernel._object_stamps.get(obj),
         ):
-            if type(stamp) is _LazyStamp and stamp._source is not None:
+            if stamp is not None and type(stamp._raw) is not tuple:
                 return True
-    return len(pairs) >= MIN_ARRAY_BATCH and kernel._components.size >= min_dim
+    return len(pairs) >= MIN_ARRAY_BATCH and len(kernel._slots.vertices) >= min_dim
 
 
 def numpy_available() -> bool:
@@ -536,25 +626,18 @@ class ClockKernel:
     """
 
     __slots__ = (
-        "_components",
         "_strict",
-        "_zero",
+        "_epoch",
+        "_retired_total",
+        "_arrays",
+        "_slots",
+        "_version",
+        "_layout",
         "_thread_slot",
         "_object_slot",
         "_thread_stamps",
         "_object_stamps",
-        "_epoch",
-        "_retired_total",
-        "_arrays",
-        "_step",
-        "_left",
-        "_rejoined",
-        "_layouts",
-        "_lifts",
     )
-
-    #: Process-local slots a pickle leaves out (see :meth:`__getstate__`).
-    _UNPICKLED = frozenset(("_step", "_left", "_rejoined", "_layouts", "_lifts"))
 
     def __init__(
         self,
@@ -566,63 +649,65 @@ class ClockKernel:
         self._epoch = 0
         self._retired_total = 0
         self.set_backend(backend)
-        self._thread_stamps: Dict[Vertex, Timestamp] = {}
-        self._object_stamps: Dict[Vertex, Timestamp] = {}
-        self._bind_components(components, fresh=True)
+        self._thread_stamps: Dict[Vertex, _LazyStamp] = {}
+        self._object_stamps: Dict[Vertex, _LazyStamp] = {}
+        self._bind(components)
 
-    def _bind_components(
-        self, components: ClockComponents, fresh: bool = False
-    ) -> None:
-        """Push ``components`` onto the layout chain and make it current.
-
-        Records which components left and which *re*-joined (with the
-        step), which is what :meth:`_lift_from` reads.  ``fresh``
-        restarts the chain at ``components`` instead: no stamp the
-        kernel will read again predates it (construction, replay
-        rotation, unpickling).  Layouts are held weakly, so the layout
-        of a stamp nobody holds any more is collected with it.
-        """
-        if fresh:
-            self._step = 0
-            self._left: set = set()
-            self._rejoined: Dict[Vertex, int] = {}
-            self._layouts: Dict[int, tuple] = {}
-        layouts = self._layouts
-        entry = layouts.get(id(components))
-        if entry is not None and entry[0]() is components:
-            # A layout still on the chain keeps its step: re-enter a copy.
-            threads = len(components.thread_components)
-            components = ClockComponents(
-                components.ordered[:threads], components.ordered[threads:]
-            )
-        self._step = step = self._step + 1
-        old = {} if fresh else self._components._index
-        new = components._index
-        for component in old.keys() - new.keys():
-            self._left.add(component)
-            self._rejoined.pop(component, None)
-        for component in (new.keys() - old.keys()) & self._left:
-            self._rejoined[component] = step
-        key = id(components)
-        layouts[key] = (
-            weakref.ref(components, lambda _, key=key: layouts.pop(key, None)),
-            step,
-        )
-        self._lifts: Dict[tuple, tuple] = {}
-        self._components = components
-        self._zero = Timestamp.zero(components)
-        # Thread slots precede object slots (ClockComponents' slot order).
-        threads = len(components.thread_components)
+    def _bind(self, components: ClockComponents) -> None:
+        """Start a fresh slot space over ``components``, in their order."""
         order = components.ordered
+        threads = len(components.thread_components)
+        self._slots = _Slots(
+            list(order), [True] * threads + [False] * (len(order) - threads)
+        )
+        self._version = 0
         self._thread_slot = dict(zip(order[:threads], range(threads)))
         self._object_slot = dict(zip(order[threads:], range(threads, len(order))))
+        self._layout: Optional[_Layout] = _Layout(
+            self._slots, 0, len(order), True, (components, None)
+        )
+
+    def _current(self) -> _Layout:
+        """The current layout; one handle per version, made on first use."""
+        layout = self._layout
+        if layout is None:
+            slots = self._slots
+            layout = self._layout = _Layout(
+                slots, self._version, len(slots.vertices), not slots.died
+            )
+        return layout
+
+    def _slot_values(self, stamp: _LazyStamp) -> tuple:
+        """``stamp``'s raw values in the current slot space, zero-padded.
+
+        Follows the compactions since the stamp was minted, one gather
+        each; a stamp of the current slot space only pads.
+        """
+        raw = stamp._raw
+        if stamp._layout is self._layout and type(raw) is tuple:
+            return raw
+        raw = stamp._tuple()
+        slots = stamp._layout.slots
+        while slots is not self._slots:
+            if slots.moved is None:
+                raise ClockError("stamp was not minted in this kernel's slot space")
+            raw += (0,) * (len(slots.vertices) - len(raw))
+            slots, moved = slots.moved
+            raw = tuple(map(raw.__getitem__, moved))
+        return raw + (0,) * (len(slots.vertices) - len(raw))
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def components(self) -> ClockComponents:
-        return self._components
+        """The live components, threads first (built once per layout)."""
+        return self._current().public()[0]
+
+    @property
+    def size(self) -> int:
+        """The clock dimension: the number of live components."""
+        return len(self._thread_slot) + len(self._object_slot)
 
     @property
     def epoch(self) -> int:
@@ -650,31 +735,6 @@ class ClockKernel:
         """
         self._arrays = resolve_backend(backend) == NUMPY_BACKEND
 
-    def __getstate__(self):
-        # Layout identity does not survive a pickle, so every stored stamp
-        # is lifted to the current layout (O(stored), at checkpoint time
-        # only) and the chain restarts there on load.  A lazy stamp still
-        # holding its array is lifted as an array, and every lazy stamp
-        # serialises as a plain Timestamp via __reduce__, so a checkpoint
-        # materialises none of them: the next array batch still reads
-        # their arrays.
-        state = {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in self._UNPICKLED
-        }
-        components = self._components
-        for name in ("_thread_stamps", "_object_stamps"):
-            stamps = state[name] = dict(state[name])
-            for vertex, stamp in stamps.items():
-                if stamp._components is not components:
-                    stamps[vertex] = (
-                        _LazyStamp._make(components, _stamp_array(self, stamp))
-                        if type(stamp) is _LazyStamp and stamp._source is not None
-                        else self.lift(stamp)
-                    )
-        return state
-
     def __setstate__(self, state) -> None:
         if isinstance(state, tuple):
             # The default slots pickle form: (dict-state, slots-dict).
@@ -684,56 +744,23 @@ class ClockKernel:
         # A kernel pickled under numpy loads on a host without it on lists
         # (bit-identical by contract); a resuming run re-pins it anyway.
         self._arrays = self._arrays and _np is not None
-        self._bind_components(self._components, fresh=True)
-
-    # ------------------------------------------------------------------
-    # Lift on read
-    # ------------------------------------------------------------------
-    def _lift_from(self, layout: ClockComponents, array: bool = False):
-        """The memoised gather from ``layout`` into the current layout.
-
-        A current component reads its slot in ``layout`` if it has been
-        present continuously since then; any other reads zero, from one
-        slot appended past ``layout``'s end.  A component present in
-        both can only have left in between if it *re*-joined after
-        ``layout``, so the identity map plus those few fix-ups is exact.
-        Returns an ``itemgetter`` over ``values + (0,)``, or with
-        ``array`` a numpy index for ``take``; compiled once per source
-        layout until the next layout change.
-        """
-        lift = self._lifts.get((id(layout), array))
-        if lift is not None and lift[0] is layout:
-            return lift[1]
-        entry = self._layouts.get(id(layout))
-        if entry is None or entry[0]() is not layout:
-            raise ClockError("stamp layout is not on this kernel's layout chain")
-        index = layout._index
-        absent = layout.size
-        current = self._components
-        indices = list(map(index.get, current.ordered, repeat(absent)))
-        for component, joined in self._rejoined.items():
-            if joined > entry[1] and component in index:
-                indices[current._index[component]] = absent
-        gather = (
-            _np.array(indices, dtype=_np.intp) if array else _values_gather(indices)
-        )
-        self._lifts[(id(layout), array)] = (layout, gather)
-        return gather
 
     def lift(self, stamp: Timestamp) -> Timestamp:
         """``stamp`` (minted by this kernel) over the current component set."""
-        if stamp._components is self._components:
+        layout = self._current()
+        if stamp._layout is layout:
             return stamp
-        values = self._lift_from(stamp._components)(stamp._values + (0,))
-        return Timestamp._from_trusted(self._components, values)
+        return _LazyStamp._make(layout, self._slot_values(stamp))
 
     def thread_stamp(self, thread: Vertex) -> Timestamp:
         """Current clock of ``thread`` as an immutable timestamp."""
-        return self.lift(self._thread_stamps.get(thread, self._zero))
+        stamp = self._thread_stamps.get(thread)
+        return Timestamp.zero(self.components) if stamp is None else self.lift(stamp)
 
     def object_stamp(self, obj: Vertex) -> Timestamp:
         """Current clock of ``obj`` as an immutable timestamp."""
-        return self.lift(self._object_stamps.get(obj, self._zero))
+        stamp = self._object_stamps.get(obj)
+        return Timestamp.zero(self.components) if stamp is None else self.lift(stamp)
 
     # ------------------------------------------------------------------
     # The update rule
@@ -741,48 +768,37 @@ class ClockKernel:
     def observe(self, thread: Vertex, obj: Vertex) -> Timestamp:
         """Apply the update rule for one operation and return its timestamp.
 
-        One list, one tuple and one :class:`Timestamp` are allocated per
-        covered event; nothing is re-validated.  Endpoint clocks of an
-        older layout are lifted on read.
+        One list, one tuple and one stamp are allocated per event;
+        nothing is re-validated.  Endpoint clocks minted before slots
+        joined read zero-padded.  An uncovered event (non-strict mode
+        only) is merged and not incremented.
         """
         thread_stamp = self._thread_stamps.get(thread)
         object_stamp = self._object_stamps.get(obj)
-        components = self._components
-        if thread_stamp is not None and thread_stamp._components is not components:
-            thread_stamp = self.lift(thread_stamp)
-        if object_stamp is not None and object_stamp._components is not components:
-            object_stamp = self.lift(object_stamp)
+        layout = self._current()
         object_slot = self._object_slot.get(obj)
         thread_slot = self._thread_slot.get(thread)
-
-        if thread_slot is None and object_slot is None:
-            if self._strict:
-                raise ComponentError(
-                    f"operation ({thread!r}, {obj!r}) is not covered by the "
-                    f"clock components"
-                )
-            # Merge-only (no increment): the degenerate non-strict path.
-            stamp = self._merge_only(thread_stamp, object_stamp)
-            self._thread_stamps[thread] = stamp
-            self._object_stamps[obj] = stamp
-            return stamp
-
+        if thread_slot is None and object_slot is None and self._strict:
+            raise ComponentError(
+                f"operation ({thread!r}, {obj!r}) is not covered by the "
+                f"clock components"
+            )
         if thread_stamp is None:
-            values = list(object_stamp._values) if object_stamp is not None else [
-                0
-            ] * components.size
+            values = (
+                [0] * layout.width if object_stamp is None
+                else list(self._slot_values(object_stamp))
+            )
         elif object_stamp is None or object_stamp is thread_stamp:
-            values = list(thread_stamp._values)
+            values = list(self._slot_values(thread_stamp))
         else:
-            values = [
-                a if a >= b else b
-                for a, b in zip(thread_stamp._values, object_stamp._values)
-            ]
+            values = _list_maximum(
+                self._slot_values(thread_stamp), self._slot_values(object_stamp)
+            )
         if object_slot is not None:
             values[object_slot] += 1
         if thread_slot is not None:
             values[thread_slot] += 1
-        stamp = Timestamp._from_trusted(components, tuple(values))
+        stamp = _LazyStamp._make(layout, tuple(values))
         self._thread_stamps[thread] = stamp
         self._object_stamps[obj] = stamp
         return stamp
@@ -831,24 +847,12 @@ class ClockKernel:
         """
         thread_slot = self._thread_slot.get(thread)
         object_slot = self._object_slot.get(obj)
-        values = stamp._values
+        values = self._slot_values(stamp)
         return fold_stamp_values(
             fold,
             values[thread_slot] if thread_slot is not None else 0,
             values[object_slot] if object_slot is not None else 0,
         )
-
-    def _merge_only(
-        self, thread_stamp: Optional[Timestamp], object_stamp: Optional[Timestamp]
-    ) -> Timestamp:
-        """Bare merge for an uncovered event (non-strict mode only)."""
-        if thread_stamp is None and object_stamp is None:
-            return self._zero
-        if thread_stamp is None:
-            return object_stamp
-        if object_stamp is None or object_stamp is thread_stamp:
-            return thread_stamp
-        return thread_stamp.merged(object_stamp)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -857,30 +861,33 @@ class ClockKernel:
         self,
         thread_components: Iterable[Vertex] = (),
         object_components: Iterable[Vertex] = (),
-    ) -> ClockComponents:
+    ) -> None:
         """Grow the component set in place (the online append-only step).
 
-        Stored thread/object clocks keep their layout and are lifted by
-        component *identity* on their next read: existing components
-        keep their values (their slot index may move - thread slots
-        precede object slots by convention), new components read zero,
-        which is exactly the value they would have had from the start.
-        ``O(k)`` in the clock dimension, nothing per stored stamp.
-        Returns the new component set.
+        Each new component appends one slot and one map entry, ``O(1)``;
+        no stored stamp is touched.  Clocks minted before read the new
+        slot as zero, which is exactly the value it would have had from
+        the start.  Components already present are skipped; a thread
+        component that is already an object component (or the reverse)
+        raises :class:`ComponentError`.
         """
-        extended = self._components.extended(thread_components, object_components)
-        if extended.size != self._components.size:
-            self._bind_components(extended)
-        return self._components
-
-    def _advance_epoch(self, new_components: ClockComponents) -> int:
-        """Count a rotation to ``new_components``; returns #retired."""
-        old = self._components
-        retired = len(old.thread_components - new_components.thread_components)
-        retired += len(old.object_components - new_components.object_components)
-        self._retired_total += retired
-        self._epoch += 1
-        return retired
+        slots = self._slots
+        for names, own, other, is_thread in (
+            (thread_components, self._thread_slot, self._object_slot, True),
+            (object_components, self._object_slot, self._thread_slot, False),
+        ):
+            for vertex in names:
+                if vertex in own:
+                    continue
+                if vertex in other:
+                    raise ComponentError(
+                        f"components cannot be both thread and object: [{vertex!r}]"
+                    )
+                own[vertex] = len(slots.vertices)
+                slots.vertices.append(vertex)
+                slots.threads.append(is_thread)
+                self._version += 1
+                self._layout = None
 
     def rotate_epoch(self, new_components: ClockComponents) -> int:
         """Begin a new epoch over ``new_components``; returns #retired.
@@ -890,56 +897,99 @@ class ClockKernel:
         order) through :meth:`observe` so every surviving event - and the
         thread/object clocks future events merge from - is re-timestamped
         in the new epoch's basis.  Components of the old set absent from
-        the new one are *retired*: their slots are compacted away and no
-        timestamp minted in the new epoch references them.
-        :class:`~repro.core.timestamping.EpochClock` packages the replay
-        and the re-timestamping invariant check.
+        the new one are *retired*; the new epoch starts a fresh slot
+        space over ``new_components``, so no timestamp minted in it
+        references them.  :class:`~repro.core.timestamping.EpochClock`
+        packages the replay and the re-timestamping invariant check.
         """
-        retired = self._advance_epoch(new_components)
+        retired = sum(
+            1 for thread in self._thread_slot
+            if thread not in new_components.thread_components
+        ) + sum(
+            1 for obj in self._object_slot
+            if obj not in new_components.object_components
+        )
+        self._retired_total += retired
+        self._epoch += 1
         self._thread_stamps.clear()
         self._object_stamps.clear()
-        self._bind_components(new_components, fresh=True)
+        self._bind(new_components)
         return retired
 
     def rotate_epoch_delta(
         self,
-        new_components: ClockComponents,
-        keep_threads: AbstractSet[Vertex],
-        keep_objects: AbstractSet[Vertex],
+        retired: Iterable[Vertex],
+        idle_threads: Iterable[Vertex] = (),
+        idle_objects: Iterable[Vertex] = (),
     ) -> int:
-        """Begin a new epoch by *projection*; returns #retired.
+        """Begin a new epoch by *retirement*; returns #retired.
 
         The incremental counterpart of :meth:`rotate_epoch` for the
-        pure-retirement case: ``new_components`` must be a subset of the
-        current set (retired slots drop, no additions).  Instead of
-        discarding all clock state and replaying the live window, the
-        kept clocks stay as they are and every later read lifts them
-        (see "Lift on read" in the module docstring), so the rotation
-        costs ``O(k)`` plus a filter of the stamp dicts with no
-        allocation per stamp.  Thread/object clocks outside
-        ``keep_threads`` / ``keep_objects`` are dropped.  The epoch /
-        retired-total counters advance exactly as :meth:`rotate_epoch`
-        would.
+        pure-retirement case: the ``retired`` components leave, none
+        joins.  Each retired slot is marked dead and its component's
+        clock dropped; so are the clocks of ``idle_threads`` /
+        ``idle_objects`` that own no surviving component.  Every other
+        clock stays as it is, so the rotation costs ``O(#retired +
+        #idle)`` - unless dead slots now outnumber live ones, when the
+        slot space is compacted (``O(k)`` once; stored stamps are
+        gathered across on their next read).  The epoch / retired-total
+        counters advance exactly as :meth:`rotate_epoch` would.
 
-        When projection preserves causal verdicts, which clocks to keep,
-        and the fallback to :meth:`rotate_epoch` + replay are owned by
-        :meth:`EpochClock.rotate
+        When retirement preserves causal verdicts, which clocks count as
+        idle, and the fallback to :meth:`rotate_epoch` + replay are
+        owned by :meth:`EpochClock.rotate
         <repro.core.timestamping.EpochClock.rotate>`; this method trusts
         its caller on them.
         """
-        retired = self._advance_epoch(new_components)
-        self._thread_stamps = {
-            vertex: stamp
-            for vertex, stamp in self._thread_stamps.items()
-            if vertex in keep_threads
-        }
-        self._object_stamps = {
-            vertex: stamp
-            for vertex, stamp in self._object_stamps.items()
-            if vertex in keep_objects
-        }
-        self._bind_components(new_components)
-        return retired
+        retired = list(retired)
+        unknown = [
+            c for c in retired
+            if c not in self._thread_slot and c not in self._object_slot
+        ]
+        if unknown:
+            raise ClockError(f"cannot retire non-components {unknown!r}")
+        self._version += 1
+        self._layout = None
+        died = self._slots.died
+        for component in retired:
+            if component in self._thread_slot:
+                died[self._thread_slot.pop(component)] = self._version
+                self._thread_stamps.pop(component, None)
+            else:
+                died[self._object_slot.pop(component)] = self._version
+                self._object_stamps.pop(component, None)
+        for idle, slots, stamps in (
+            (idle_threads, self._thread_slot, self._thread_stamps),
+            (idle_objects, self._object_slot, self._object_stamps),
+        ):
+            for vertex in idle:
+                if vertex not in slots:
+                    stamps.pop(vertex, None)
+        self._retired_total += len(retired)
+        self._epoch += 1
+        if len(died) > self.size:
+            self._compact()
+        return len(retired)
+
+    def _compact(self) -> None:
+        """Start a slot space of the live slots, in join order.
+
+        The old space records where each slot went (``moved``), so a
+        stamp minted in it is gathered across on its next read; nothing
+        is touched here.
+        """
+        old = self._slots
+        moved = sorted(chain(self._thread_slot.values(), self._object_slot.values()))
+        self._slots = _Slots(
+            [old.vertices[slot] for slot in moved],
+            [old.threads[slot] for slot in moved],
+        )
+        old.moved = (self._slots, moved)
+        renumber = dict(zip(moved, range(len(moved))))
+        self._thread_slot = {v: renumber[s] for v, s in self._thread_slot.items()}
+        self._object_slot = {v: renumber[s] for v, s in self._object_slot.items()}
+        self._version = 0
+        self._layout = None
 
     def reset(self) -> None:
         """Forget all clock state."""

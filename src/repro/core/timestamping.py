@@ -28,7 +28,18 @@ timestamps (that is what Theorem 2 promises is possible).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.computation.event import Event, ObjectId, ThreadId
 from repro.computation.trace import Computation
@@ -424,6 +435,12 @@ class EpochClock:
         self._live_stamps: Dict[int, Timestamp] = {}
         self._tokens_by_pair: Dict[Tuple[Vertex, Vertex], Deque[int]] = {}
         self._next_token = 0
+        # Live events per endpoint, and the endpoints left with none since
+        # the last rotation: the clocks a delta rotation may drop.
+        self._live_threads: Dict[Vertex, int] = {}
+        self._live_objects: Dict[Vertex, int] = {}
+        self._idle_threads: Set[Vertex] = set()
+        self._idle_objects: Set[Vertex] = set()
 
     # -- introspection ------------------------------------------------------
     @property
@@ -433,7 +450,7 @@ class EpochClock:
     @property
     def size(self) -> int:
         """The current clock dimension (number of live components)."""
-        return self._kernel.components.size
+        return self._kernel.size
 
     @property
     def epoch(self) -> int:
@@ -463,18 +480,20 @@ class EpochClock:
         """The (current-epoch) timestamp of a live event.
 
         A stamp minted before a component extension or a delta rotation
-        is stored in its mint layout and lifted onto the current set
-        here, on first read, by :meth:`ClockKernel.lift
-        <repro.core.kernel.ClockKernel.lift>`.  The lifted stamp is
-        written back so repeated queries pay it once.
+        is stored as minted and read over the current component set
+        here, by :meth:`ClockKernel.lift
+        <repro.core.kernel.ClockKernel.lift>`: slots that joined since
+        read zero, retired ones drop out.  The lifted stamp is written
+        back so repeated queries pay it once.
         """
         try:
             stamp = self._live_stamps[token]
         except KeyError:
             raise ClockError(f"event token {token} is not live") from None
-        if stamp.components is not self._kernel.components:
-            stamp = self._live_stamps[token] = self._kernel.lift(stamp)
-        return stamp
+        lifted = self._kernel.lift(stamp)
+        if lifted is not stamp:
+            self._live_stamps[token] = lifted
+        return lifted
 
     # -- the lifecycle ------------------------------------------------------
     def observe(self, thread: Vertex, obj: Vertex) -> int:
@@ -485,7 +504,13 @@ class EpochClock:
         self._live_pairs[token] = (thread, obj)
         self._live_stamps[token] = stamp
         self._tokens_by_pair.setdefault((thread, obj), deque()).append(token)
+        self._enter(thread, obj)
         return token
+
+    def _enter(self, thread: Vertex, obj: Vertex) -> None:
+        """Count one more live event on each endpoint."""
+        self._live_threads[thread] = self._live_threads.get(thread, 0) + 1
+        self._live_objects[obj] = self._live_objects.get(obj, 0) + 1
 
     def observe_batch(self, pairs: Sequence[Tuple[Vertex, Vertex]]) -> List[int]:
         """Timestamp a chunk of operations; returns their event tokens.
@@ -507,6 +532,7 @@ class EpochClock:
             self._live_pairs[token] = pair
             self._live_stamps[token] = stamp
             self._tokens_by_pair.setdefault(pair, deque()).append(token)
+            self._enter(*pair)
             tokens.append(token)
             token += 1
         self._next_token = token
@@ -528,6 +554,15 @@ class EpochClock:
             del self._tokens_by_pair[(thread, obj)]
         del self._live_pairs[token]
         del self._live_stamps[token]
+        for live, idle, vertex in (
+            (self._live_threads, self._idle_threads, thread),
+            (self._live_objects, self._idle_objects, obj),
+        ):
+            if live[vertex] == 1:
+                del live[vertex]
+                idle.add(vertex)
+            else:
+                live[vertex] -= 1
         return token
 
     def extend(
@@ -535,56 +570,66 @@ class EpochClock:
         thread_components: Tuple[Vertex, ...] = (),
         object_components: Tuple[Vertex, ...] = (),
     ) -> None:
-        """Append components (no epoch change); live stamps re-base lazily.
+        """Append components (no epoch change); live stamps read them as zero.
 
         New components are zero in every existing timestamp - the value
         they would have carried had they been present from the start -
         so no verdict among recorded events can change; only the basis
-        widens.  Neither the live ledger nor the kernel's clocks are
-        rewritten: a stamp is lifted onto the current component set on
-        first read (:meth:`timestamp`), so component growth costs
-        nothing per live event.
+        widens.  Each new component is one kernel slot appended
+        (:meth:`ClockKernel.extend_components
+        <repro.core.kernel.ClockKernel.extend_components>`): neither the
+        live ledger nor the kernel's clocks are rewritten, so growth
+        costs ``O(1)`` per component and nothing per live event.
         """
         self._kernel.extend_components(thread_components, object_components)
 
-    def rotate(self, new_components: ClockComponents) -> int:
+    def rotate(
+        self,
+        new_components: Optional[ClockComponents] = None,
+        retired: Iterable[Vertex] = (),
+    ) -> int:
         """Enter a new epoch: retire/rebuild components, re-stamp the window.
 
-        Two strategies, chosen per clock by its ``rotation`` argument:
+        The change is given either as the whole ``new_components`` set
+        (a rebuild may add and remove; diffing it costs ``O(k)``) or as
+        the ``retired`` components alone (a pure retirement, ``O(#retired)``
+        - what :class:`~repro.online.adaptive.LifecycleClockDriver`
+        passes on an expire tick).  Two strategies, chosen per clock by
+        its ``rotation`` argument:
 
         * ``"replay"`` - the kernel discards all clock state and the
           live events are replayed in stream order, which both
-          re-timestamps them over ``new_components`` (compacted: retired
-          slots are gone) and rebuilds the per-thread / per-object
-          clocks future events merge from.  ``O(window)`` update-rule
-          applications per rotation, a latency spike at every epoch
-          boundary that sets a monitor's tail tick latency.
+          re-timestamps them over the new set (a fresh slot space:
+          retired slots are gone) and rebuilds the per-thread /
+          per-object clocks future events merge from.  ``O(window)``
+          update-rule applications per rotation, a latency spike at
+          every epoch boundary that sets a monitor's tail tick latency.
         * ``"delta"`` (the default) - when the rotation is a **pure
-          retirement** (``new_components`` is a subset of the current
-          set *and* no retired component is an endpoint of a live
-          event), the live stamps and surviving endpoint clocks are
-          instead *projected*: retired slots dropped, surviving slots
-          kept.  Nothing is rewritten at the boundary - the kernel
-          only changes layout (:meth:`ClockKernel.rotate_epoch_delta
-          <repro.core.kernel.ClockKernel.rotate_epoch_delta>`) and each
-          stamp is lifted when next read.  Any
+          retirement** (no component joins *and* no retired component
+          is an endpoint of a live event - checked against per-endpoint
+          live counts, ``O(#retired)``), the kernel only marks the
+          retired slots dead (:meth:`ClockKernel.rotate_epoch_delta
+          <repro.core.kernel.ClockKernel.rotate_epoch_delta>`) and drops
+          the clocks of retired components and of endpoints that lost
+          their last live event since the last rotation and own no
+          surviving component.  Nothing is rewritten: each stamp drops
+          the dead slots from its public view when next read.  Any
           rotation outside that case silently falls back to replay; the
           ``clock.rotation.delta`` / ``clock.rotation.replay`` counters
           record which path ran.
 
-        Projection preserves every causal verdict among live and future
+        Retirement preserves every causal verdict among live and future
         events: the gate guarantees each live event keeps the component
         whose slot its stamping incremented (its mint-time *marker*),
-        marker values are untouched by projection and monotone under
-        future merges, and the dropped clocks (endpoints with no live
-        event that own no surviving component) hold only history older
-        than every live event.  Projected stamp
-        *values* are however not the replayed values (replay
-        renormalises to the live window; projection keeps pre-rotation
-        magnitudes), so the strategies are verdict- and token-identical
-        but not value-identical - which is why ``check_invariant=True``
-        always forces replay: :func:`verify_retimestamping` is the
-        oracle the property tests compare the delta path against.
+        marker values are untouched and monotone under future merges,
+        dead slots never enter a verdict, and the dropped clocks hold
+        only history older than every live event.  Kept stamp *values*
+        are however not the replayed values (replay renormalises to the
+        live window; retirement keeps pre-rotation magnitudes), so the
+        strategies are verdict- and token-identical but not
+        value-identical - which is why ``check_invariant=True`` always
+        forces replay: :func:`verify_retimestamping` is the oracle the
+        property tests compare the delta path against.
 
         Returns the number of retired components.  With
         ``check_invariant=True`` the re-timestamping invariant is
@@ -592,44 +637,57 @@ class EpochClock:
         clock is unusable and the caller should treat the mechanism
         driving it as buggy.
         """
-        old = self._kernel.components
-        use_delta = (
+        kernel = self._kernel
+        grows = False
+        if new_components is not None:
+            old = kernel.components
+            grows = not (
+                new_components.thread_components <= old.thread_components
+                and new_components.object_components <= old.object_components
+            )
+            retired = [c for c in old.ordered if c not in new_components]
+        retired = list(retired)
+        registry = _metrics_active()
+        if (
             self._rotation == DELTA_ROTATION
             and not self._check_invariant
-            and new_components.thread_components <= old.thread_components
-            and new_components.object_components <= old.object_components
-        )
-        if use_delta:
-            live_threads = {thread for thread, _ in self._live_pairs.values()}
-            live_objects = {obj for _, obj in self._live_pairs.values()}
-            use_delta = not (
-                (old.thread_components - new_components.thread_components)
-                & live_threads
-                or (old.object_components - new_components.object_components)
-                & live_objects
+            and not grows
+            and not any(
+                c in self._live_threads or c in self._live_objects for c in retired
             )
-        registry = _metrics_active()
-        if use_delta:
+        ):
             # A surviving component keeps its clock even with no live
             # event: its slot keeps its pre-rotation magnitude in other
             # live clocks, so restarting it from zero would reissue values.
-            retired = self._kernel.rotate_epoch_delta(
-                new_components,
-                live_threads | new_components.thread_components,
-                live_objects | new_components.object_components,
+            count = kernel.rotate_epoch_delta(
+                retired,
+                [v for v in self._idle_threads if v not in self._live_threads],
+                [v for v in self._idle_objects if v not in self._live_objects],
             )
+            self._idle_threads.clear()
+            self._idle_objects.clear()
             if registry is not None:
                 registry.add("clock.rotation.delta")
-            return retired
+            return count
+        if new_components is None:
+            old = kernel.components
+            gone = set(retired)
+            threads = len(old.thread_components)
+            new_components = ClockComponents(
+                [c for c in old.ordered[:threads] if c not in gone],
+                [c for c in old.ordered[threads:] if c not in gone],
+            )
         old_stamps: List[Timestamp] = (
             [self.timestamp(token) for token in self._live_pairs]
             if self._check_invariant
             else []
         )
-        retired = self._kernel.rotate_epoch(new_components)
+        count = kernel.rotate_epoch(new_components)
+        self._idle_threads.clear()
+        self._idle_objects.clear()
         new_stamps: Dict[int, Timestamp] = {}
         for token, (thread, obj) in self._live_pairs.items():
-            new_stamps[token] = self._kernel.observe(thread, obj)
+            new_stamps[token] = kernel.observe(thread, obj)
         if self._check_invariant:
             verify_retimestamping(
                 old_stamps, list(new_stamps.values()), new_components
@@ -637,17 +695,7 @@ class EpochClock:
         self._live_stamps = new_stamps
         if registry is not None:
             registry.add("clock.rotation.replay")
-        return retired
-
-    def __getstate__(self):
-        # Layout identity does not survive a pickle (see
-        # ClockKernel.__getstate__): lift the ledger with the kernel.
-        state = dict(self.__dict__)
-        state["_live_stamps"] = {
-            token: self._kernel.lift(stamp)
-            for token, stamp in self._live_stamps.items()
-        }
-        return state
+        return count
 
     # -- causality queries on live events -----------------------------------
     def relation(self, token_a: int, token_b: int) -> str:

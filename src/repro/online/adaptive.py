@@ -512,38 +512,41 @@ class LifecycleClockDriver:
     def live_tokens(self) -> Tuple[int, ...]:
         return self._clock.live_tokens()
 
-    def _rotate(self, components) -> None:
+    def _rotate(self, components=None, retired=()) -> None:
         """Rotate the clock, observing the latency when telemetry is on.
 
-        Rotation re-stamps the live window - ``O(live)`` projection on
-        the delta path, an ``O(window)`` replay otherwise - and is the
-        driver's dominant boundary cost, the one that sets its tail
-        tick latency, so every rotation goes through this one timed
-        funnel; the ``clock.rotation.delta`` / ``clock.rotation.replay``
-        counters say which path each rotation took.  The measurement changes
-        nothing the clock computes: the registry, when installed, only
-        *receives* the duration.
+        Rotation re-stamps the live window - ``O(#retired)`` slot
+        retirement on the delta path, an ``O(window)`` replay otherwise
+        - and is the driver's dominant boundary cost, the one that sets
+        its tail tick latency, so every rotation goes through this one
+        timed funnel; the ``clock.rotation.delta`` /
+        ``clock.rotation.replay`` counters say which path each rotation
+        took.  The measurement changes nothing the clock computes: the
+        registry, when installed, only *receives* the duration.
         """
         registry = _metrics_active()
         if registry is None:
-            self._clock.rotate(components)
+            self._clock.rotate(components, retired)
             return
         began = perf_counter()
-        self._clock.rotate(components)
+        self._clock.rotate(components, retired)
         registry.add("driver.rotations")
         registry.observe("driver.rotation_s", perf_counter() - began)
 
     # -- lifecycle ----------------------------------------------------------
     def observe(self, thread: Vertex, obj: Vertex) -> int:
         """Reveal one event; returns its :class:`EpochClock` token."""
-        retired_before = self._mechanism.retired_total
-        added = self._mechanism.observe(thread, obj)
-        if self._mechanism.retired_total != retired_before:
+        mechanism = self._mechanism
+        retired_before = mechanism.retired_total
+        decided_before = mechanism.decision_count
+        added = mechanism.observe(thread, obj)
+        if mechanism.retired_total != retired_before:
             # No current mechanism retires on observe, but the protocol
             # does not forbid it; fall back to a full rotation.
-            self._rotate(self._mechanism.components())
+            self._rotate(mechanism.components())
         elif added is not None:
-            if added in self._mechanism.thread_components:
+            # The kind comes from the decision just logged: O(1).
+            if mechanism.decisions_since(decided_before)[-1].choice == THREAD:
                 self._clock.extend(thread_components=(added,))
             else:
                 self._clock.extend(object_components=(added,))
@@ -553,16 +556,21 @@ class LifecycleClockDriver:
         return self._clock.observe(thread, obj)
 
     def expire(self, thread: Vertex, obj: Vertex) -> int:
-        """Expire one live occurrence; returns the expired token."""
-        retired_before = self._mechanism.retired_total
-        self._mechanism.expire(thread, obj)
+        """Expire one live occurrence; returns the expired token.
+
+        A retirement it triggers reaches the clock as a delta: the
+        retired components, read from the mechanism's retirement log.
+        """
+        mechanism = self._mechanism
+        retired_before = mechanism.retired_total
+        mechanism.expire(thread, obj)
         token = self._clock.expire(thread, obj)
-        retired_now = self._mechanism.retired_total
-        if retired_now != retired_before:
+        if mechanism.retired_total != retired_before:
+            retired = mechanism.retirements_since(retired_before)
             registry = _metrics_active()
             if registry is not None:
-                registry.add("driver.retirements", retired_now - retired_before)
-            self._rotate(self._mechanism.components())
+                registry.add("driver.retirements", len(retired))
+            self._rotate(retired=[record.component for record in retired])
         return token
 
     def end_epoch(self) -> Tuple[Vertex, ...]:

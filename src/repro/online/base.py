@@ -370,6 +370,15 @@ class OnlineMechanism(abc.ABC):
         """The full retirement log, in the order components were retired."""
         return tuple(self._retirements)
 
+    def retirements_since(self, start: int) -> Tuple[Retirement, ...]:
+        """The retirements logged at index ``start`` onwards (O(suffix)).
+
+        The retirement counterpart of :meth:`decisions_since`: a driver
+        snapshots :attr:`retired_total` before a tick and reads what
+        the tick retired.
+        """
+        return tuple(self._retirements[start:])
+
     def components(self) -> ClockComponents:
         """The current component set as an immutable :class:`ClockComponents`."""
         return ClockComponents(

@@ -53,7 +53,8 @@ class TestKernelExtension:
     def test_extension_is_noop_for_known_components(self):
         kernel = ClockKernel(ClockComponents(thread_components=["T1"]))
         components = kernel.components
-        assert kernel.extend_components(thread_components=["T1"]) is components
+        kernel.extend_components(thread_components=["T1"])
+        assert kernel.components is components
 
     def test_thread_slots_precede_object_slots_after_extension(self):
         kernel = ClockKernel(ClockComponents(object_components=["O1"]))
@@ -217,14 +218,15 @@ class TestLayoutChain:
         kernel.extend_components(["T3"], ["O2"])
         assert all(kernel._thread_stamps[v] is s for v, s in threads.items())
         assert all(kernel._object_stamps[v] is s for v, s in objects.items())
-        kernel.rotate_epoch_delta(
-            ClockComponents(["T1", "T3"], ["O1", "O2"]), {"T1", "T3"}, {"O1"}
-        )
+        # T2 retires and loses its clock; O2 is idle but a component,
+        # so it keeps its clock, as does every other endpoint.
+        kernel.rotate_epoch_delta(["T2"], idle_objects=["O2"])
         assert kernel._thread_stamps.keys() == {"T1", "T3"}
-        assert kernel._object_stamps.keys() == {"O1"}
+        assert kernel._object_stamps.keys() == {"O1", "O2"}
         assert kernel._thread_stamps["T1"] is threads["T1"]
         assert kernel._thread_stamps["T3"] is threads["T3"]
         assert kernel._object_stamps["O1"] is objects["O1"]
+        assert kernel._object_stamps["O2"] is objects["O2"]
         # Reads lift: T2 retired, T3 and O2 read zero where not yet seen.
         assert kernel.thread_stamp("T1").as_dict() == {
             "T1": 1, "T3": 0, "O1": 1, "O2": 0

@@ -102,7 +102,7 @@ def assert_same_state(numpy_kernel, python_kernel):
 
 def holds_array(stamp):
     """Whether ``stamp`` is a lazy stamp that still keeps its array."""
-    return getattr(stamp, "_source", None) is not None
+    return type(getattr(stamp, "_raw", ())) is not tuple
 
 
 class NumpyFreeUnpickler(pickle.Unpickler):
@@ -352,7 +352,7 @@ class TestLazyStampVerdicts:
                 plain.extend(reference.timestamp_batch(batch))
         assert ran() == len(batches)
         # A second lazy stamp over a copy of one array: equal, not identical.
-        lazy.append(type(lazy[0])._make(lazy[0]._components, lazy[0]._source.copy()))
+        lazy.append(type(lazy[0])._make(lazy[0]._layout, lazy[0]._raw.copy()))
         plain.append(Timestamp._from_trusted(plain[0].components, plain[0].values))
         rng = random.Random(seed)
         pairs = [tuple(rng.randrange(len(lazy)) for _ in range(2)) for _ in range(200)]
