@@ -105,6 +105,7 @@ if SMOKE:
     ROTATION_COVER_WINDOW = 150
     ROTATION_COVER_EVENTS = 600
     ROTATION_COVER_BOUNDARY = 30
+    ROTATION_SCALING_WINDOWS = [30, 300]
 else:
     #: Densities swept in Figs. 4 and 6.
     FIG4_DENSITIES = [0.01, 0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.50]
@@ -188,6 +189,13 @@ else:
     ROTATION_COVER_EVENTS = 24_000
     #: Events between epoch boundaries (cover queries) in the cover leg.
     ROTATION_COVER_BOUNDARY = 50
+    #: Windows of the layout-change scaling leg: the lifecycle-rotation
+    #: workload's window and ten times it.
+    ROTATION_SCALING_WINDOWS = [300, 3_000]
+
+#: Thread/object IDs per window slot in the scaling leg (the rotation
+#: stream's ratio, so most expiries retire a component at every scale).
+ROTATION_SCALING_ID_RATIO = 8
 
 #: Nodes per side in the density sweeps (the paper uses 50 threads / 50 objects).
 FIG4_NODES = 50

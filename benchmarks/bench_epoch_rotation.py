@@ -1,13 +1,13 @@
 """Extra experiment E10: incremental epoch rotation vs the replay baseline.
 
-ROADMAP item 5's boundary cost, measured head-to-head.  Two legs:
+The lifecycle clock's boundary cost, measured head-to-head.  Three legs:
 
 * **rotation latency** - one rotation-heavy churn stream (ID space far
   above the sliding window, so nearly every expiry retires its dead
   endpoints and triggers a pure-subset rotation) driven through
   :class:`LifecycleClockDriver` twice: once with the ``"delta"``
-  strategy (live stamps keep their layout and drop the retired slots
-  when next read) and once
+  strategy (the retired slots are marked dead and live stamps drop
+  them when next read) and once
   with the ``"replay"`` baseline (the whole live window re-observed).
   ``driver.rotation_s`` p50/p95/p99 and stream events/sec are recorded
   per strategy; the full run asserts delta p99 at least
@@ -19,6 +19,12 @@ ROADMAP item 5's boundary cost, measured head-to-head.  Two legs:
   repaired boundary *median* at least :data:`COVER_P50_BAR` times
   lower (the tail percentiles are recorded as data - a few hundred
   boundary samples make the p99 a noisy near-max).
+* **layout-change scaling** - the delta arm alone at the
+  lifecycle-rotation workload's window (300) and at ten times it, IDs
+  scaled with the window.  The clock extension (``EpochClock.extend``)
+  and the rotation latencies are recorded at p50/p99; since a layout
+  change costs what changed, not ``O(k)``, the full run asserts each
+  p50 within :data:`SCALING_P50_BAR` times across the two scales.
 
 The strategy is a per-clock parameter (``LifecycleClockDriver(rotation=)``):
 the engine's timestamping kernels are append-only, so no engine run
@@ -30,17 +36,19 @@ identical instrumentation, so the head-to-head stays fair, and the
 cyclic GC is disabled around each measured stream (standard latency
 isolation; both arms get the same treatment).
 
-Footprint: every unread live stamp of the delta arm keeps the
-component set it was minted over alive (one ``O(k)`` layout per
-distinct mint layout, released when the stamp is read, replaced or
-expired); at half scale, 16k IDs and a 2k window, the delta arm alone
-peaks at ~385 MB RSS (2-vCPU box, Python 3.11, python backend); the
-smoke run is a few hundred kilobytes.  Under ``--smoke``
-the perf bars are skipped (the scales are too small for stable tail
-percentiles - the precedent bench_engine_scaling set) and the leg
-instead asserts the structural facts: every rotation took the expected
-path, both arms agree on rotations, retirements, final clock size and
-a sampled causality surface.
+Footprint: a live stamp of the delta arm holds its raw slot vector
+(live and not yet compacted dead slots, so at most twice the clock
+dimension) and a handle on the slot space it was minted in; no stamp
+keeps a component set of its own.  The delta arm alone, python
+backend, 2-vCPU box, Python 3.11: at half scale (16k IDs, 2k window,
+2.4k inserts) ~0.1 s and ~77 MB peak RSS; at full scale ~0.4 s and
+~176 MB, nearly all of it the live stamps' vectors (``O(window * k)``).
+Under ``--smoke`` the perf bars are skipped (the scales are too small
+for stable tail percentiles - the precedent bench_engine_scaling set)
+and each leg instead asserts the structural facts: every rotation took
+the expected path, both arms agree on rotations, retirements, final
+clock size and a sampled causality surface, and both scaling runs
+extend and rotate.
 """
 
 from __future__ import annotations
@@ -65,16 +73,21 @@ from _common import (
     ROTATION_COVER_WINDOW,
     ROTATION_EVENTS,
     ROTATION_IDS,
+    ROTATION_SCALING_ID_RATIO,
+    ROTATION_SCALING_WINDOWS,
     ROTATION_WINDOW,
     SMOKE,
 )
 
 #: The acceptance bar on the full-scale run: delta rotation's p99 must be
-#: at least this many times below the replay baseline's.  Measured ~12x
-#: at the full scale (delta p99 ~22ms vs replay ~261ms; the gap grows
+#: at least this many times below the replay baseline's.  The gap grows
 #: with the window, because replay pays O(window * k) per rotation while
-#: the delta rotation pays one O(k) layout push).
+#: the delta rotation marks the retired slots dead, O(#retired).
 ROTATION_P99_BAR = 5.0
+
+#: The bar on the scaling leg: extension and rotation p50 at ten times
+#: the window may be at most this many times the p50 at the base window.
+SCALING_P50_BAR = 2.0
 
 #: The bar on the cover leg: the repaired boundary *median* pause vs
 #: the fresh from-scratch rebuild's.  Measured ~5x at the full scale
@@ -184,9 +197,9 @@ def test_rotation_latency_delta_vs_replay(benchmark, record_table, record_json):
     for leg in (replay, delta):
         lines.append(
             f"{leg['strategy']:>8}  "
-            f"{leg['rotation_p50_s'] * 1e3:>7.1f}ms  "
-            f"{leg['rotation_p95_s'] * 1e3:>7.1f}ms  "
-            f"{leg['rotation_p99_s'] * 1e3:>7.1f}ms  "
+            f"{leg['rotation_p50_s'] * 1e3:>7.3f}ms  "
+            f"{leg['rotation_p95_s'] * 1e3:>7.3f}ms  "
+            f"{leg['rotation_p99_s'] * 1e3:>7.3f}ms  "
             f"{leg['events_per_second']:>9,.0f}"
         )
     p99_ratio = replay["rotation_p99_s"] / delta["rotation_p99_s"]
@@ -369,3 +382,103 @@ def test_cover_repair_vs_from_scratch(benchmark, record_table, record_json):
             f"must clear {COVER_P50_BAR}x"
         )
 
+
+
+def _run_scaling_leg(window):
+    """The delta arm at one window: extension and rotation latencies.
+
+    IDs scale with the window, so the share of expiries that retire a
+    component - and the live clock dimension relative to the window -
+    stays the same at every scale.  Extensions are timed around the
+    driver's one ``EpochClock.extend`` call each, rotations by the
+    driver's ``driver.rotation_s`` histogram.
+    """
+    ids = ROTATION_SCALING_ID_RATIO * window
+    events = _churn_events(ids, 2 * window, tag=window)
+    registry = MetricsRegistry(origin=f"bench-epoch-scaling-{window}")
+    driver = LifecycleClockDriver(WindowedPopularityMechanism())
+    extend = driver.clock.extend
+    extensions = []
+
+    def timed_extend(*args, **kwargs):
+        began = time.perf_counter()
+        extend(*args, **kwargs)
+        extensions.append(time.perf_counter() - began)
+
+    driver.clock.extend = timed_extend
+    previous = obs_install(registry)
+    gc.collect()
+    gc.disable()
+    try:
+        for item in sliding_window(events, window):
+            event = as_stream_event(item)
+            if event.is_insert:
+                driver.observe(event.thread, event.obj)
+            else:
+                driver.expire(event.thread, event.obj)
+    finally:
+        gc.enable()
+        obs_install(previous)
+    rotation = dict(registry.histograms())["driver.rotation_s"]
+    counters = dict(registry.counters())
+    return {
+        "window": window,
+        "ids": ids,
+        "clock_size": driver.clock_size,
+        "extensions": len(extensions),
+        "extension_p50_s": _percentile(extensions, 50),
+        "extension_p99_s": _percentile(extensions, 99),
+        "rotations": counters.get("driver.rotations", 0),
+        "delta_rotations": counters.get("clock.rotation.delta", 0),
+        "rotation_p50_s": rotation.percentile(50),
+        "rotation_p99_s": rotation.percentile(99),
+    }
+
+
+@pytest.mark.benchmark(group="epoch-rotation")
+def test_layout_change_cost_across_scales(benchmark, record_table, record_json):
+    legs = benchmark.pedantic(
+        lambda: [_run_scaling_leg(window) for window in ROTATION_SCALING_WINDOWS],
+        rounds=1,
+        iterations=1,
+    )
+    for leg in legs:
+        assert leg["extensions"] > 0, leg["window"]
+        assert leg["delta_rotations"] == leg["rotations"] > 0, leg["window"]
+    base, large = legs
+    assert large["clock_size"] > base["clock_size"]
+
+    ratios = {
+        key: large[f"{key}_p50_s"] / base[f"{key}_p50_s"]
+        for key in ("extension", "rotation")
+    }
+    lines = [
+        f"delta arm, IDs = {ROTATION_SCALING_ID_RATIO} x window, "
+        f"inserts = 2 x window",
+        f"{'window':>7}  {'k':>6}  {'ext p50':>9}  {'ext p99':>9}  "
+        f"{'rot p50':>9}  {'rot p99':>9}",
+    ]
+    for leg in legs:
+        lines.append(
+            f"{leg['window']:>7,}  {leg['clock_size']:>6,}  "
+            f"{leg['extension_p50_s'] * 1e6:>7.1f}us  "
+            f"{leg['extension_p99_s'] * 1e6:>7.1f}us  "
+            f"{leg['rotation_p50_s'] * 1e6:>7.1f}us  "
+            f"{leg['rotation_p99_s'] * 1e6:>7.1f}us"
+        )
+    lines.append(
+        f"p50 ratio (large / base): extension {ratios['extension']:.2f}x  "
+        f"rotation {ratios['rotation']:.2f}x"
+    )
+    record_table("epoch_rotation_scaling", "\n".join(lines))
+    record_json(
+        "epoch_rotation_scaling",
+        {"id_ratio": ROTATION_SCALING_ID_RATIO, "p50_ratios": ratios, "legs": legs},
+    )
+    if not SMOKE:
+        for key, ratio in ratios.items():
+            assert ratio <= SCALING_P50_BAR, (
+                f"{key} p50 grew {ratio:.2f}x from window {base['window']:,} "
+                f"to {large['window']:,}; a layout change must cost what "
+                f"changed (bar {SCALING_P50_BAR}x)"
+            )

@@ -120,16 +120,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import getitem, itemgetter
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.clock import Timestamp
 from repro.core.components import ClockComponents
@@ -239,17 +230,13 @@ class _Layout:
         public = self._public
         if public is None:
             slots, version = self.slots, self.version
-            live = [
-                slot for slot in range(self.width)
-                if slots.died.get(slot, version + 1) > version
-            ]
+            live = [s for s in range(self.width) if slots.died.get(s, version + 1) > version]
             threads = [slot for slot in live if slots.threads[slot]]
             order = threads + [slot for slot in live if not slots.threads[slot]]
             names = [slots.vertices[slot] for slot in order]
-            components = ClockComponents(names[:len(threads)], names[len(threads):])
-            identity = order == list(range(self.width))
             public = self._public = (
-                components, None if identity else _values_gather(order)
+                ClockComponents(names[:len(threads)], names[len(threads):]),
+                None if order == list(range(self.width)) else _values_gather(order),
             )
         return public
 
@@ -341,27 +328,24 @@ def _stamp_array(kernel: "ClockKernel", stamp: _LazyStamp):
 
     The array form's read of a stored stamp: its own array when it
     still holds one (zero-padded if slots joined since), else its
-    values converted.  Never mutates (or returns a view of a region
+    values, padded and converted.  Never mutates (or returns a view of a region
     that will be mutated of) the source array - callers treat working
     arrays as frozen.
     """
     raw = stamp._raw
-    if stamp._layout.slots is not kernel._slots:
-        raw = kernel._slot_values(stamp)
-    if type(raw) is tuple:
-        raw = _np.array(raw, dtype=_np.int64)
+    if type(raw) is tuple or stamp._layout.slots is not kernel._slots:
+        return _np.array(kernel._slot_values(stamp), dtype=_np.int64)
     missing = kernel._layout.width - len(raw)
-    if missing:
-        raw = _np.concatenate((raw, _np.zeros(missing, dtype=_np.int64)))
-    return raw
+    return _np.concatenate((raw, _np.zeros(missing, dtype=_np.int64))) if missing else raw
 
 
 def _stamp_tuple(kernel: "ClockKernel", stamp: _LazyStamp) -> tuple:
     """The list form's read of a stored stamp: its raw tuple, padded."""
     raw = stamp._raw
-    if stamp._layout is kernel._layout and type(raw) is tuple:
-        return raw
-    return kernel._slot_values(stamp)
+    if type(raw) is not tuple or stamp._layout.slots is not kernel._slots:
+        return kernel._slot_values(stamp)
+    missing = kernel._layout.width - len(raw)
+    return raw + (0,) * missing if missing else raw
 
 
 def _list_maximum(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -545,6 +529,11 @@ MIN_ARRAY_DIM_MINT = 48
 MIN_ARRAY_DIM_ADVANCE = 32
 
 
+#: Compaction runs once dead slots outnumber live ones this many times
+#: over, which keeps a stamp's width within twice the clock dimension.
+COMPACTION_RATIO = 1
+
+
 def _use_arrays(kernel: "ClockKernel", pairs, min_dim: int) -> bool:
     """Whether this batch runs on arrays; ``min_dim`` is the width gate.
 
@@ -626,17 +615,8 @@ class ClockKernel:
     """
 
     __slots__ = (
-        "_strict",
-        "_epoch",
-        "_retired_total",
-        "_arrays",
-        "_slots",
-        "_version",
-        "_layout",
-        "_thread_slot",
-        "_object_slot",
-        "_thread_stamps",
-        "_object_stamps",
+        "_strict", "_epoch", "_retired_total", "_arrays", "_slots", "_version",
+        "_layout", "_thread_slot", "_object_slot", "_thread_stamps", "_object_stamps",
     )
 
     def __init__(
@@ -902,13 +882,8 @@ class ClockKernel:
         references them.  :class:`~repro.core.timestamping.EpochClock`
         packages the replay and the re-timestamping invariant check.
         """
-        retired = sum(
-            1 for thread in self._thread_slot
-            if thread not in new_components.thread_components
-        ) + sum(
-            1 for obj in self._object_slot
-            if obj not in new_components.object_components
-        )
+        retired = len(self._thread_slot.keys() - new_components.thread_components)
+        retired += len(self._object_slot.keys() - new_components.object_components)
         self._retired_total += retired
         self._epoch += 1
         self._thread_stamps.clear()
@@ -930,10 +905,11 @@ class ClockKernel:
         clock dropped; so are the clocks of ``idle_threads`` /
         ``idle_objects`` that own no surviving component.  Every other
         clock stays as it is, so the rotation costs ``O(#retired +
-        #idle)`` - unless dead slots now outnumber live ones, when the
-        slot space is compacted (``O(k)`` once; stored stamps are
-        gathered across on their next read).  The epoch / retired-total
-        counters advance exactly as :meth:`rotate_epoch` would.
+        #idle)`` - unless dead slots now outnumber live ones
+        (:data:`COMPACTION_RATIO`), when the slot space is compacted
+        (``O(k)`` once; stored stamps are gathered across on their next
+        read).  The epoch / retired-total counters advance exactly as
+        :meth:`rotate_epoch` would.
 
         When retirement preserves causal verdicts, which clocks count as
         idle, and the fallback to :meth:`rotate_epoch` + replay are
@@ -942,32 +918,24 @@ class ClockKernel:
         its caller on them.
         """
         retired = list(retired)
-        unknown = [
-            c for c in retired
-            if c not in self._thread_slot and c not in self._object_slot
-        ]
-        if unknown:
-            raise ClockError(f"cannot retire non-components {unknown!r}")
         self._version += 1
         self._layout = None
-        died = self._slots.died
         for component in retired:
-            if component in self._thread_slot:
-                died[self._thread_slot.pop(component)] = self._version
-                self._thread_stamps.pop(component, None)
-            else:
-                died[self._object_slot.pop(component)] = self._version
-                self._object_stamps.pop(component, None)
+            own = self._thread_slot if component in self._thread_slot else self._object_slot
+            if component not in own:
+                raise ClockError(f"cannot retire {component!r}: not a clock component")
+            self._slots.died[own.pop(component)] = self._version
+        # A retired component's clock goes with its slot: it has no live event.
         for idle, slots, stamps in (
-            (idle_threads, self._thread_slot, self._thread_stamps),
-            (idle_objects, self._object_slot, self._object_stamps),
+            (chain(retired, idle_threads), self._thread_slot, self._thread_stamps),
+            (chain(retired, idle_objects), self._object_slot, self._object_stamps),
         ):
             for vertex in idle:
                 if vertex not in slots:
                     stamps.pop(vertex, None)
         self._retired_total += len(retired)
         self._epoch += 1
-        if len(died) > self.size:
+        if len(self._slots.died) > COMPACTION_RATIO * self.size:
             self._compact()
         return len(retired)
 

@@ -356,6 +356,17 @@ class TestCheckpointResume:
         assert resumed.fingerprint() == reference.fingerprint()
         assert resumed.partial == reference.partial
 
+    def test_timestamped_interrupt_then_resume_matches(self, tmp_path):
+        """A shard checkpoint holds the label kernels' slot spaces and
+        stamps; resuming from it folds the same stamp digests."""
+        reference = run_engine(dataclasses.replace(BASE_CONFIG, timestamps=True))
+        config = self._checkpointed(tmp_path, timestamps=True)
+        with pytest.raises(EngineInterrupted):
+            run_engine(dataclasses.replace(config, max_chunks_per_shard=1))
+        resumed = run_engine(config)
+        assert resumed.fingerprint() == reference.fingerprint()
+        assert resumed.partial == reference.partial
+
     def test_resume_on_parallel_backend_matches(self, tmp_path):
         reference = run_engine(BASE_CONFIG)
         config = self._checkpointed(tmp_path)
@@ -439,8 +450,11 @@ class TestCheckpointIntegrity:
     def test_other_format_named(self, interrupted):
         _, manager, shard, path = interrupted
         payload = path.read_bytes()[checkpoint_module._PAYLOAD_AT:]
-        path.write_bytes(self._framed(payload, version=0))
-        with pytest.raises(EngineError, match="checkpoint format 0, expected 1"):
+        current = checkpoint_module.CHECKPOINT_FORMAT
+        path.write_bytes(self._framed(payload, version=current - 1))
+        with pytest.raises(
+            EngineError, match=f"checkpoint format {current - 1}, expected {current}"
+        ):
             manager.load(shard)
         # A headerless pickle, as shard files were before the header.
         path.write_bytes(payload)

@@ -289,3 +289,62 @@ class TestLayoutChain:
         fresh = clock.observe("T1", "O1")
         assert clock.timestamp(old).value_of("T1") == 0
         assert clock.relation(old, fresh) == "concurrent"
+
+
+class TestLayoutChangeCost:
+    """A layout change costs what changed, structurally.
+
+    Timing tests cannot see an ``O(k)`` rebuild creep back at small
+    ``k``; counting can.  Across mixed extensions and pure retirements
+    on a wide clock, no :class:`ClockComponents` is built and no stored
+    stamp is created, replaced or read.
+    """
+
+    def test_extensions_and_retirements_touch_nothing(self, monkeypatch):
+        threads = [f"T{i}" for i in range(240)]
+        clocks = [
+            EpochClock(ClockComponents(threads)),
+            EpochClock(ClockComponents(threads), rotation="replay"),
+        ]
+        for clock in clocks:
+            for index, thread in enumerate(threads):
+                clock.observe(thread, f"O{index % 7}")
+            # T0..T149 keep no live event, so each may retire by delta.
+            for index, thread in enumerate(threads[:150]):
+                clock.expire(thread, f"O{index % 7}")
+        delta, replay = clocks
+        kernel = delta._kernel
+        stores = (kernel._thread_stamps, kernel._object_stamps, delta._live_stamps)
+        before = [dict(store) for store in stores]
+        slots = kernel._slots
+
+        built, made = [], []
+        init = ClockComponents.__init__
+        make = kernel_module._LazyStamp._make.__func__
+        monkeypatch.setattr(
+            ClockComponents, "__init__",
+            lambda self, *args: built.append(1) or init(self, *args),
+        )
+        monkeypatch.setattr(
+            kernel_module._LazyStamp, "_make",
+            classmethod(lambda cls, *args: made.append(1) or make(cls, *args)),
+        )
+        for step in range(100):
+            delta.extend(thread_components=(f"N{step}",))
+            delta.rotate(retired=(f"T{step}",))
+        assert built == [] and made == []
+        assert kernel._slots is slots, "no compaction at this dead share"
+        assert delta.size == 240 and delta.retired_total == 100
+        for store, old in zip(stores, before):
+            assert all(store[key] is stamp for key, stamp in old.items() if key in store)
+        monkeypatch.undo()
+
+        for step in range(100):
+            replay.extend(thread_components=(f"N{step}",))
+            replay.rotate(retired=(f"T{step}",))
+        assert delta.components == replay.components
+        live = delta.live_tokens()
+        assert live == replay.live_tokens()
+        assert [delta.relation(live[0], b) for b in live[1:]] == [
+            replay.relation(live[0], b) for b in live[1:]
+        ]

@@ -33,6 +33,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.kernel as kernel_module
+from repro.computation.poset import HappenedBefore
+from repro.computation.trace import Computation
 from repro.core.components import ClockComponents
 from repro.core.kernel import numpy_available
 from repro.core.timestamping import EpochClock
@@ -239,6 +241,125 @@ def test_numpy_batches_survive_extend_rotate_and_pickle(ops, window):
         obs_install(previous)
     if any(op == "batch" for op, _ in ops):
         assert dict(registry.counters()).get("kernel.batch.array_batches", 0) > 0
+
+
+def live_window_verdicts(live):
+    """Every pair's verdict on the live window, oldest pair first.
+
+    With a FIFO window every happened-before chain between two live
+    events runs through live events only, so the poset of the live
+    pairs alone is the oracle.
+    """
+    computation = Computation.from_pairs(live)
+    oracle = HappenedBefore(computation)
+    events = computation.events
+    return tuple(
+        "before" if oracle.happened_before(events[i], events[j]) else "concurrent"
+        for i in range(len(events))
+        for j in range(i + 1, len(events))
+    )
+
+
+@SETTINGS
+@given(churn_streams, windows, st.data())
+def test_compacting_driver_survives_resume(pairs, window, data):
+    """Join-order slots under churn: compaction at every retirement and a
+    pickle mid-stream, checked against replay and the live-window poset.
+
+    The small ID space makes retired components re-join often, each on a
+    fresh slot.
+    """
+    pickle_at = data.draw(
+        st.integers(min_value=1, max_value=len(pairs)), label="pickle_at"
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "COMPACTION_RATIO", 0)
+        delta = drive(pairs, window, "delta", pickle_at=pickle_at)
+    assert delta == drive(pairs, window, "replay")
+    assert delta[1] == [
+        live_window_verdicts(pairs[max(0, step + 1 - window):step + 1])
+        for step in range(len(pairs))
+    ]
+
+
+#: Rounds of slot-layout operations on an EpochClock fed in batches:
+#: an insert run, a pure retirement of dead components (the mask picks
+#: which), a re-join of a retired component and, maybe, a pickle
+#: round-trip.
+SLOT_THREADS = [f"T{i}" for i in range(8)]
+SLOT_OBJECTS = [f"O{i}" for i in range(8)]
+slot_rounds = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(SLOT_THREADS), st.sampled_from(SLOT_OBJECTS)),
+            min_size=1,
+            max_size=24,
+        ),
+        st.integers(min_value=1, max_value=255),
+        st.integers(min_value=0, max_value=63),
+        st.booleans(),
+    ),
+    min_size=2,
+    max_size=8,
+)
+
+
+def _check_live_verdicts(clock, replay, live):
+    alive = clock.live_tokens()
+    assert alive == replay.live_tokens()
+    pairs = [(a, b) for i, a in enumerate(alive) for b in alive[i + 1:]]
+    verdicts = tuple(clock.relation(a, b) for a, b in pairs)
+    assert verdicts == tuple(replay.relation(a, b) for a, b in pairs)
+    assert verdicts == live_window_verdicts(live)
+
+
+@pytest.mark.parametrize("loop", ["lists", "arrays"])
+@SETTINGS
+@given(rounds=slot_rounds, window=st.integers(min_value=2, max_value=10))
+def test_retire_rejoin_and_compaction_keep_verdicts(loop, rounds, window):
+    """Retire, re-join on a fresh slot, compact and pickle over batches.
+
+    Both batch loops run (the array one with its gates forced open);
+    compaction runs at every retirement.  Tokens and every live-pair
+    verdict equal a ``"replay"`` clock and the live-window poset after
+    each operation.
+    """
+    if loop == "arrays" and not numpy_available():
+        pytest.skip("numpy backend not installed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "COMPACTION_RATIO", 0)
+        if loop == "arrays":
+            patch.setattr(kernel_module, "MIN_ARRAY_BATCH", 1)
+            patch.setattr(kernel_module, "MIN_ARRAY_DIM_MINT", 0)
+        clock = EpochClock(backend="numpy" if loop == "arrays" else "python")
+        replay = EpochClock(backend="python", rotation="replay")
+        live, retired = [], []
+        for batch, mask, rejoin, resume in rounds:
+            covered = clock.components
+            missing = tuple(dict.fromkeys(
+                thread for thread, obj in batch if not covered.covers_pair(thread, obj)
+            ))
+            for each in (clock, replay):
+                each.extend(thread_components=missing)
+            assert clock.observe_batch(batch) == replay.observe_batch(batch)
+            live.extend(batch)
+            while len(live) > window:
+                pair = live.pop(0)
+                assert clock.expire(*pair) == replay.expire(*pair)
+            _check_live_verdicts(clock, replay, live)
+            endpoints = {vertex for pair in live for vertex in pair}
+            dead = [c for c in clock.components.ordered if c not in endpoints]
+            gone = [c for i, c in enumerate(dead) if mask >> (i % 8) & 1]
+            if gone:
+                assert clock.rotate(retired=gone) == replay.rotate(retired=gone)
+                retired.extend(gone)
+                _check_live_verdicts(clock, replay, live)
+            if retired and retired[rejoin % len(retired)] not in clock.components:
+                component = retired[rejoin % len(retired)]
+                for each in (clock, replay):
+                    each.extend(thread_components=(component,))
+            if resume:
+                clock = pickle.loads(pickle.dumps(clock))
 
 
 def test_delta_rotation_keeps_clock_of_dead_surviving_component():
