@@ -40,9 +40,7 @@ class ClockComponents:
     timestamps, never comparisons.
     """
 
-    # __weakref__: a clock kernel holds the layouts of its stored stamps
-    # weakly, so a layout dies with the last stamp minted over it.
-    __slots__ = ("_threads", "_objects", "_order", "_index", "__weakref__")
+    __slots__ = ("_threads", "_objects", "_order", "_index")
 
     def __init__(
         self,

@@ -112,14 +112,16 @@ oracle.
 
 Backend selection: an explicit ``backend`` name (to the kernel or to
 whatever builds one) wins; otherwise ``numpy`` when numpy imports, else
-``python``.  Requesting ``numpy`` without numpy installed, or any name
+``python``, decided at the kernel's first batch.  numpy is imported on
+first need, so a program that only observes event by event never loads
+it.  Requesting ``numpy`` without numpy installed, or any name
 but these two, raises a clean :class:`~repro.exceptions.ClockError`.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.clock import Timestamp
@@ -133,10 +135,11 @@ from repro.graph.bipartite import Vertex
 # the disabled cost never lands on a per-event path.
 from repro.obs.registry import active as _metrics_active
 
-try:  # The gate: numpy is an optional accelerator, never a requirement.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+#: The gate: numpy is an optional accelerator, never a requirement, and
+#: imported on first need (:func:`numpy_available`), so a program that
+#: runs no array batch - the lifecycle clock's per-event path - never
+#: pays for it.  None where it does not import.
+_np = _UNTRIED = object()
 
 #: Backend names.
 PYTHON_BACKEND = "python"
@@ -163,23 +166,6 @@ def fold_stamp_values(fold: int, thread_value: int, object_value: int) -> int:
         (fold ^ (thread_value * 2654435761 + object_value * 40503 + 1))
         * _FOLD_PRIME
     ) & _FOLD_MASK
-
-
-def _values_gather(indices: Sequence[int]):
-    """A C-level tuple gather: ``values -> tuple(values[i] for i in indices)``.
-
-    ``operator.itemgetter`` runs the whole gather inside the interpreter
-    core, which keeps building a public view a memcpy-class ``O(k)``
-    instead of a bytecode-per-slot one.  The zero- and one-index cases
-    are special-cased because ``itemgetter`` changes shape there (no
-    arguments is an error, one argument returns a bare value).
-    """
-    if not indices:
-        return lambda values: ()
-    if len(indices) == 1:
-        index = indices[0]
-        return lambda values: (values[index],)
-    return itemgetter(*indices)
 
 
 class _Slots:
@@ -220,13 +206,12 @@ class _Layout:
         self._public = public
 
     def __reduce__(self):
-        # The public view holds a gather closure; it is rebuilt on load.
+        # The public view is a cache, rebuilt on first read after a load.
         return (_Layout, (self.slots, self.version, self.width, self.full))
 
-    def public(self) -> Tuple[ClockComponents, Optional[Callable]]:
-        """``(components, gather)``: the live components threads first,
-        and the gather from raw slot order into theirs (None when the two
-        orders agree)."""
+    def public(self) -> Tuple[ClockComponents, Optional[List[int]]]:
+        """``(components, order)``: the live components threads first,
+        and the raw slot of each (None when the two orders agree)."""
         public = self._public
         if public is None:
             slots, version = self.slots, self.version
@@ -236,7 +221,7 @@ class _Layout:
             names = [slots.vertices[slot] for slot in order]
             public = self._public = (
                 ClockComponents(names[:len(threads)], names[len(threads):]),
-                None if order == list(range(self.width)) else _values_gather(order),
+                None if order == list(range(self.width)) else order,
             )
         return public
 
@@ -283,9 +268,9 @@ class _LazyStamp(Timestamp):
             return components
         if name != "_values":
             raise AttributeError(name)
-        gather = self._layout.public()[1]
+        order = self._layout.public()[1]
         raw = self._tuple()
-        values = self._values = raw if gather is None else gather(raw)
+        values = self._values = raw if order is None else tuple(map(raw.__getitem__, order))
         return values
 
     def __reduce__(self):
@@ -339,15 +324,6 @@ def _stamp_array(kernel: "ClockKernel", stamp: _LazyStamp):
     return _np.concatenate((raw, _np.zeros(missing, dtype=_np.int64))) if missing else raw
 
 
-def _stamp_tuple(kernel: "ClockKernel", stamp: _LazyStamp) -> tuple:
-    """The list form's read of a stored stamp: its raw tuple, padded."""
-    raw = stamp._raw
-    if type(raw) is not tuple or stamp._layout.slots is not kernel._slots:
-        return kernel._slot_values(stamp)
-    missing = kernel._layout.width - len(raw)
-    return raw + (0,) * missing if missing else raw
-
-
 def _list_maximum(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return [x if x >= y else y for x, y in zip(a, b)]
 
@@ -368,31 +344,6 @@ class _Form(NamedTuple):
     zeros: Callable
     read: Callable
     mint: Callable
-
-
-#: Sequences: a stored stamp is read as its raw tuple and a derived
-#: vector is a list.  Minting freezes the list into the stamp's tuple,
-#: which then replaces it as working state, so a mint batch holds no
-#: list beyond the event being derived.
-_LISTS = _Form(
-    _stamp_tuple,
-    list,
-    _list_maximum,
-    lambda size: [0] * size,
-    getitem,
-    lambda layout, values: _LazyStamp._make(layout, tuple(values)),
-)
-
-#: ``int64`` arrays: the maximum is one C call, and minted stamps are
-#: lazy stamps over the arrays, which the next array batch reads back.
-_ARRAYS = None if _np is None else _Form(
-    _stamp_array,
-    _np.ndarray.copy,
-    _np.maximum,
-    lambda size: _np.zeros(size, dtype=_np.int64),
-    _np.ndarray.item,
-    _LazyStamp._make,
-)
 
 
 def _run_batch(
@@ -541,7 +492,7 @@ def _use_arrays(kernel: "ClockKernel", pairs, min_dim: int) -> bool:
     event reads a stamp still holding its array, or when the batch and
     the clock both clear their gates.
     """
-    if not kernel._arrays:
+    if kernel.backend_name != NUMPY_BACKEND:
         return False
     if pairs:
         thread, obj = pairs[0]
@@ -555,19 +506,38 @@ def _use_arrays(kernel: "ClockKernel", pairs, min_dim: int) -> bool:
 
 
 def numpy_available() -> bool:
-    """``True`` when the optional numpy backend can actually be selected."""
+    """``True`` when the optional numpy backend can actually be selected.
+
+    The first call imports numpy and builds the array form of the batch
+    loop (:data:`_ARRAYS`).
+    """
+    global _np, _ARRAYS
+    if _np is _UNTRIED:
+        try:
+            import numpy as _np
+        except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+            _np = None
+            return False
+        _ARRAYS = _Form(
+            _stamp_array,
+            _np.ndarray.copy,
+            _np.maximum,
+            lambda size: _np.zeros(size, dtype=_np.int64),
+            _np.ndarray.item,
+            _LazyStamp._make,
+        )
     return _np is not None
 
 
 def available_backends() -> Tuple[str, ...]:
     """The backend names selectable in this process, python first."""
-    return (PYTHON_BACKEND,) if _np is None else (PYTHON_BACKEND, NUMPY_BACKEND)
+    return (PYTHON_BACKEND, NUMPY_BACKEND) if numpy_available() else (PYTHON_BACKEND,)
 
 
 def default_backend_name() -> str:
     """The backend a kernel gets without an explicit choice: ``numpy``
     when numpy imports, ``python`` otherwise."""
-    return PYTHON_BACKEND if _np is None else NUMPY_BACKEND
+    return NUMPY_BACKEND if numpy_available() else PYTHON_BACKEND
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
@@ -584,7 +554,7 @@ def resolve_backend(name: Optional[str] = None) -> str:
             f"unknown kernel backend {name!r} "
             f"(expected one of: {', '.join(available_backends())})"
         )
-    if name == NUMPY_BACKEND and _np is None:
+    if name == NUMPY_BACKEND and not numpy_available():
         raise ClockError(
             "kernel backend 'numpy' requested but numpy is not "
             "importable; install numpy or select the 'python' backend"
@@ -610,8 +580,8 @@ class ClockKernel:
         The name of the backend picking the form of the batch loop's
         working vectors: ``python`` always works on lists, ``numpy`` on
         arrays when a batch is wide enough; ``None`` picks ``numpy``
-        when it imports and ``python`` otherwise.  The backend never
-        changes results, only wall-clock.
+        when it imports and ``python`` otherwise, at the first batch.
+        The backend never changes results, only wall-clock.
     """
 
     __slots__ = (
@@ -701,7 +671,13 @@ class ClockKernel:
 
     @property
     def backend_name(self) -> str:
-        """Name of the backend picking the batch loop's form."""
+        """Name of the backend picking the batch loop's form.
+
+        A kernel built without a backend name resolves the default here,
+        on first use, so one that only observes never imports numpy.
+        """
+        if self._arrays is None:
+            self._arrays = default_backend_name() == NUMPY_BACKEND
         return NUMPY_BACKEND if self._arrays else PYTHON_BACKEND
 
     def set_backend(self, backend: Optional[str]) -> None:
@@ -711,9 +687,10 @@ class ClockKernel:
         ``EngineConfig.backend``: the pickled kernel carries the backend
         it ran with, and the resuming configuration wins.  Nothing needs
         converting: the stored stamps are the only clock state, and both
-        forms of the batch loop read them.
+        forms of the batch loop read them.  ``None`` defers the default
+        to the first batch (:attr:`backend_name`).
         """
-        self._arrays = resolve_backend(backend) == NUMPY_BACKEND
+        self._arrays = None if backend is None else resolve_backend(backend) == NUMPY_BACKEND
 
     def __setstate__(self, state) -> None:
         if isinstance(state, tuple):
@@ -723,7 +700,7 @@ class ClockKernel:
             setattr(self, slot, value)
         # A kernel pickled under numpy loads on a host without it on lists
         # (bit-identical by contract); a resuming run re-pins it anyway.
-        self._arrays = self._arrays and _np is not None
+        self._arrays = self._arrays and numpy_available()
 
     def lift(self, stamp: Timestamp) -> Timestamp:
         """``stamp`` (minted by this kernel) over the current component set."""
@@ -963,3 +940,22 @@ class ClockKernel:
         """Forget all clock state."""
         self._thread_stamps.clear()
         self._object_stamps.clear()
+
+
+#: Sequences: a stored stamp is read as its raw tuple and a derived
+#: vector is a list.  Minting freezes the list into the stamp's tuple,
+#: which then replaces it as working state, so a mint batch holds no
+#: list beyond the event being derived.
+_LISTS = _Form(
+    ClockKernel._slot_values,
+    list,
+    _list_maximum,
+    lambda size: [0] * size,
+    getitem,
+    lambda layout, values: _LazyStamp._make(layout, tuple(values)),
+)
+
+#: ``int64`` arrays: the maximum is one C call, and minted stamps are
+#: lazy stamps over the arrays, which the next array batch reads back.
+#: Built when numpy is first imported.
+_ARRAYS: Optional[_Form] = None

@@ -398,7 +398,7 @@ class EpochClock:
     :meth:`happened_before`, :meth:`concurrent`) are answered for any
     pair of **live** tokens, in the current epoch's basis.  A rotation
     re-stamps the live window over the new component set - by slot
-    *projection* when the rotation is a pure retirement, by full replay
+    *retirement* when the rotation is a pure retirement, by full replay
     otherwise (see :meth:`rotate`); with ``check_invariant=True`` every
     rotation replays and runs :func:`verify_retimestamping` before
     committing.

@@ -26,7 +26,7 @@ through the lifecycle protocol of :class:`~repro.online.base.OnlineMechanism`
   :func:`~repro.core.timestamping.verify_retimestamping` checks) - and
   what keeps every rotation this mechanism triggers a *pure retirement*,
   eligible for the :class:`~repro.core.timestamping.EpochClock`'s delta
-  (projection) rotation path.
+  (slot retirement) rotation path.
 
 * :class:`EpochRotatingHybridMechanism` - the adaptive sibling of
   :class:`~repro.online.hybrid.HybridMechanism`.  Between boundaries it
@@ -41,8 +41,8 @@ through the lifecycle protocol of :class:`~repro.online.base.OnlineMechanism`
 :class:`LifecycleClockDriver` is the timestamping tie-in: it couples any
 lifecycle mechanism with an :class:`~repro.core.timestamping.EpochClock`,
 extending the kernel when the mechanism appends a component and rotating
-the epoch whenever the mechanism retires or rebuilds: by delta
-projection (the default) when the rotation is a pure retirement, by
+the epoch whenever the mechanism retires or rebuilds: by delta slot
+retirement (the default) when the rotation is a pure retirement, by
 replay otherwise, and always by replay plus the re-timestamping proof
 with ``check_invariant=True``.  The property-test suite drives it to prove that
 adaptive mechanisms preserve happened-before / concurrent verdicts for
@@ -465,12 +465,14 @@ class LifecycleClockDriver:
     :class:`~repro.core.timestamping.EpochClock`:
 
     * a component *appended* by ``observe`` extends the kernel in place
-      (no epoch change - existing timestamps just gain a zero slot);
-    * any *retirement or rebuild* (from an expire tick or an epoch
-      boundary) rotates the kernel to the mechanism's new component set,
-      re-stamping the live window in the new epoch's basis - by slot
-      projection when the rotation is a pure retirement, by replay
-      otherwise (see :meth:`EpochClock.rotate
+      (no epoch change - existing timestamps just gain a zero slot); its
+      kind comes from the decision the mechanism just logged;
+    * a *retirement* on an expire tick rotates the clock by the retired
+      components alone, read from the mechanism's retirement log, and an
+      epoch boundary that changes the set rotates it to the mechanism's
+      new component set - re-stamping the live window in the new
+      epoch's basis by slot retirement when the rotation is a pure
+      retirement, by replay otherwise (see :meth:`EpochClock.rotate
       <repro.core.timestamping.EpochClock.rotate>`; ``rotation=``
       forces a strategy per driver).
 
