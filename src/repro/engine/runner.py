@@ -85,7 +85,7 @@ from repro.engine.sharding import HASH, STRATEGIES, StreamSharder, plan_shard_gr
 from repro.exceptions import ClockError, EngineError, ScenarioError
 from repro.obs.registry import active as _metrics_active
 from repro.obs.registry import span as _metrics_span
-from repro.online.base import THREAD
+from repro.online.base import OBJECT, THREAD
 from repro.online.simulator import StreamConsumer, seed_mechanism_factories
 from repro.seeds import derive_seed
 
@@ -593,10 +593,14 @@ class _ShardRun:
     def flush_stamps(self) -> None:
         """Advance every label's kernel over the accumulated inserts.
 
-        Sub-runs are cut exactly where the mechanism's decision log
-        says a component was added, each addition extending the
-        kernel *before* its triggering event is stamped, hence the same
-        digest as stamping one event at a time.
+        Each component addition extends the kernel *before* its
+        triggering event is stamped, hence the same digest as stamping
+        one event at a time.  A sub-run is cut at an addition only when
+        the new component is an endpoint (on its side) of an event since
+        the last cut: extending earlier would count that event in its
+        slot.  Otherwise the slot would stay zero until the triggering
+        event either way, so the kernel extends at once and the run goes
+        on - a new thread's first event, the common case, costs no cut.
         """
         kernel_pending = self.kernel_pending
         if not kernel_pending:
@@ -608,14 +612,20 @@ class _ShardRun:
         for label, mechanism in self.mechanisms.items():
             kernel = clocks[label]
             fold = stamp_folds[label]
-            cursor_offset = 0
+            cursor_offset = scanned = 0
+            seen = {THREAD: set(), OBJECT: set()}
             for decision in mechanism.decisions_since(decision_cursor[label]):
                 offset = decision.event_index - kernel_start
-                if offset > cursor_offset:
+                for thread, obj in kernel_pending[scanned:offset]:
+                    seen[THREAD].add(thread)
+                    seen[OBJECT].add(obj)
+                scanned = offset
+                if decision.component in seen[decision.choice]:
                     fold = kernel.advance_batch(
                         kernel_pending[cursor_offset:offset], fold
                     )
                     cursor_offset = offset
+                    seen = {THREAD: set(), OBJECT: set()}
                 _extend_clock(kernel, decision)
             decision_cursor[label] = mechanism.decision_count
             if cursor_offset:

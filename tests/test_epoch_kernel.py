@@ -4,8 +4,9 @@ Covers the three new kernel capabilities - append-only component growth
 (``extend_components``), epoch rotation with slot compaction
 (``rotate_epoch``), and the re-timestamping invariant check - plus the
 EpochClock ledger semantics (FIFO expiry per pair, stable tokens across
-rotations, causality queries on live events) and the layout chain
-behind them (layout changes leave stored stamps alone; reads lift them).
+rotations, causality queries on live events) and the join-order slots
+behind them (layout changes leave stored stamps alone and cost what
+changed; reads lift them).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Property tests for PR 10's incremental epoch-rotation paths.
+"""Property tests for the incremental epoch-rotation paths.
 
-Four families of randomized evidence back the delta-rotation and
+Five families of randomized evidence back the delta-rotation and
 cover-repair fast paths:
 
 * **delta == replay** - on arbitrary churn streams the ``"delta"``
@@ -8,8 +8,8 @@ cover-repair fast paths:
   query identically to the ``"replay"`` strategy (and to the
   ``check_invariant=True`` oracle, which replays *and* proves the
   re-timestamping invariant before committing).  Stamp values may
-  differ (stamps kept in their mint layout and lifted on read vs
-  replayed ones) - their *verdicts* may not.
+  differ (stamps kept as minted and lifted on read vs replayed ones) -
+  their *verdicts* may not.
 * **interrupt/resume** - pickling a delta-rotating driver mid-stream
   (while live stamps are still in the layouts they were minted in) and
   resuming from the pickle changes nothing: the resumed run issues the
@@ -18,6 +18,11 @@ cover-repair fast paths:
   tokens and live-pair verdicts equal to the invariant-checking python
   oracle through extensions, partial pure retirements and a pickle
   round-trip.
+* **join-order slots** - a component retires and re-joins on a fresh
+  slot, compaction is forced at every retirement and the clock or
+  driver is pickled mid-stream, on the list and the array batch loops;
+  every live-pair verdict equals the ``"replay"`` strategy's and the
+  happened-before poset of the live window.
 * **repaired covers == from-scratch covers** - under random interleaved
   add/remove churn (duplicate edges and multiplicity deletion included),
   the persistent :class:`DynamicMatching`'s incrementally repaired
