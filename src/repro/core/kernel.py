@@ -634,9 +634,8 @@ class ClockKernel:
         each; a stamp of the current slot space only pads.
         """
         raw = stamp._raw
-        if stamp._layout is self._layout and type(raw) is tuple:
-            return raw
-        raw = stamp._tuple()
+        if type(raw) is not tuple:
+            raw = stamp._tuple()
         slots = stamp._layout.slots
         while slots is not self._slots:
             if slots.moved is None:
@@ -644,7 +643,8 @@ class ClockKernel:
             raw += (0,) * (len(slots.vertices) - len(raw))
             slots, moved = slots.moved
             raw = tuple(map(raw.__getitem__, moved))
-        return raw + (0,) * (len(slots.vertices) - len(raw))
+        missing = len(slots.vertices) - len(raw)
+        return raw + (0,) * missing if missing else raw
 
     # ------------------------------------------------------------------
     # Queries
