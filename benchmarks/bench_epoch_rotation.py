@@ -41,8 +41,8 @@ Footprint: a live stamp of the delta arm holds its raw slot vector
 dimension) and a handle on the slot space it was minted in; no stamp
 keeps a component set of its own.  The delta arm alone, python
 backend, 2-vCPU box, Python 3.11: at half scale (16k IDs, 2k window,
-2.4k inserts) ~0.1 s and ~77 MB peak RSS; at full scale ~0.4 s and
-~176 MB, nearly all of it the live stamps' vectors (``O(window * k)``).
+2.4k inserts) ~0.1 s and ~65 MB peak RSS; at full scale ~0.4 s and
+~168 MB, nearly all of it the live stamps' vectors (``O(window * k)``).
 Under ``--smoke`` the perf bars are skipped (the scales are too small
 for stable tail percentiles - the precedent bench_engine_scaling set)
 and each leg instead asserts the structural facts: every rotation took
