@@ -648,6 +648,15 @@ class EpochClock:
             retired = [c for c in old.ordered if c not in new_components]
         retired = list(retired)
         registry = _metrics_active()
+        # Endpoints that lost their last live event since the last
+        # rotation: a delta rotation drops their clocks unless they own a
+        # surviving component, a replay rebuilds every clock anyway.
+        idle = (
+            [v for v in self._idle_threads if v not in self._live_threads],
+            [v for v in self._idle_objects if v not in self._live_objects],
+        )
+        self._idle_threads.clear()
+        self._idle_objects.clear()
         if (
             self._rotation == DELTA_ROTATION
             and not self._check_invariant
@@ -659,13 +668,7 @@ class EpochClock:
             # A surviving component keeps its clock even with no live
             # event: its slot keeps its pre-rotation magnitude in other
             # live clocks, so restarting it from zero would reissue values.
-            count = kernel.rotate_epoch_delta(
-                retired,
-                [v for v in self._idle_threads if v not in self._live_threads],
-                [v for v in self._idle_objects if v not in self._live_objects],
-            )
-            self._idle_threads.clear()
-            self._idle_objects.clear()
+            count = kernel.rotate_epoch_delta(retired, *idle)
             if registry is not None:
                 registry.add("clock.rotation.delta")
             return count
@@ -683,8 +686,6 @@ class EpochClock:
             else []
         )
         count = kernel.rotate_epoch(new_components)
-        self._idle_threads.clear()
-        self._idle_objects.clear()
         new_stamps: Dict[int, Timestamp] = {}
         for token, (thread, obj) in self._live_pairs.items():
             new_stamps[token] = kernel.observe(thread, obj)
