@@ -7,8 +7,8 @@ This subpackage contains everything combinatorial the paper relies on:
 * :func:`~repro.graph.matching.hopcroft_karp_matching` and friends -
   maximum bipartite matching (Section III-B, citing Hopcroft-Karp).
 * :class:`~repro.graph.incremental.DynamicMatching` - maximum matching
-  maintained across edge insertions *and* deletions (at most two anchored
-  augmenting-path searches per mutation), powering the per-event
+  maintained across edge insertions *and* deletions (augmenting paths are
+  read off two locally repaired alternating forests), powering the per-event
   offline-optimum trajectory of the online evaluation and the
   sliding-window monitoring regime
   (:func:`~repro.graph.incremental.sliding_window_optimum_trajectory`).

@@ -29,48 +29,66 @@ one witnessing ``o in Z_O``.  Conversely two such witnesses join into an
 augmenting path, because ``Z`` and ``Z_O`` are disjoint under a maximum
 matching (a shared vertex would splice a free thread to a free object
 through an augmenting path of the old graph), so the halves cannot
-collide.  :class:`DynamicMatching` keeps both sets, each clean or dirty,
-and asks them *before* searching:
+collide.
 
-* both endpoints unmatched - match them directly, ``O(1)``;
-* ``t`` unmatched - ``t in Z`` holds, so one thread-side search from
-  ``t`` runs only when ``o in Z_O``, and is then certain to succeed;
-* ``o`` unmatched - the mirror image: one object-side search from ``o``;
-* both matched - the path must enter ``t`` through its matched edge, so
-  when ``o in Z_O`` the engine first re-matches ``t``'s partner away from
-  ``t`` (object-side search, the test ``t in Z``) and, if that succeeds,
-  runs the then certain thread-side search from the freed ``t``.
+**Forests.**  Each set is kept as the alternating forest its closure
+walked: every reached vertex of the far side (objects for ``Z``, threads
+for ``Z_O``) records the vertex that reached it over a non-matched edge,
+and a reached vertex of the roots' side hangs off its matched partner,
+or is a root when it is free.  So the witness of ``t in Z`` is the
+parent chain from ``t`` up to its root ``s``, and an insert that grows
+the optimum flips ``s ~~> t -> o ~~> f`` read from the two forests, in
+``O(path length)`` and with no search.  Both endpoints free, the halves
+are empty; ``t`` free, only ``o in Z_O`` is asked; ``o`` free, only
+``t in Z``.  An insert that does not grow the optimum never moves the
+matching: both sets only gain an entry point and are closed
+monotonically.
 
-So an insert that does not grow the optimum never moves the matching:
-``Z`` and ``Z_O`` only gain an entry point and are closed monotonically.
+**Local repair.**  After a flip from free thread ``s`` to free object
+``f``, only ``s``'s ``Z`` tree and ``f``'s ``Z_O`` tree can lose
+members.  *Proof sketch:* the prefix of the flipped path lies in ``s``'s
+``Z`` tree and the suffix in ``f``'s ``Z_O`` tree, and the sets are
+disjoint; so the tree path of a ``Z`` vertex rooted elsewhere uses no
+flipped edge, and its root is still free - it still witnesses
+membership.  Nothing joins either: a thread free in some maximum
+matching of the new graph is free in one of the old one (take the new
+edge out of a matching that must use it, or keep one that avoids a
+deleted edge), and every object of ``Z`` neighbours a thread of ``Z``.
+So the engine drops those two trees and re-closes from the surviving
+members next to them: a dropped far-side vertex rejoins iff a surviving
+vertex reaches it over a non-matched edge, and the closure takes it
+from there.  The result is exact, not an approximation.
 
 Deletion is the mirror argument.  Removing a *non-matched* edge never
 invalidates maximality (the matching is untouched and the edge set only
-shrank).  Removing a *matched* edge ``(t, o)`` frees exactly ``t`` and
-``o``; any augmenting path of the shrunken graph must start at ``t`` or
-end at ``o`` (a path avoiding both would have been augmenting before the
-deletion).  A path from ``t`` to a free object other than ``o`` is an
-alternating path of the old graph, so it exists iff ``t`` was in
-``Z_O``.  With ``Z_O`` clean before the delete, ``t in Z_O`` therefore
-makes the thread-side search from ``t`` certain, and otherwise one
-object-side search from ``o`` is the whole repair: it also finds a path
-from ``o`` back to ``t`` (an alternating cycle through the deleted edge,
-which no reachability set sees), and if it fails the optimum has
-genuinely shrunk by one.  With ``Z_O`` dirty the engine does not rebuild
-it for a delete (a window that churns threads would rebuild it on
-nearly every expiry) and tries the thread side, then the object side.
+shrank), and each set is the least fixed point of rules that only lost
+one, so it can only shrink - and a forest that does not use the edge
+still witnesses every member.  A non-tree-edge delete therefore changes
+neither set; a tree-edge delete drops the subtree below the edge and
+re-closes.  Removing a *matched* edge ``(t, o)`` frees exactly ``t``
+and ``o``; any augmenting path of the shrunken graph must start at
+``t`` or end at ``o`` (a path avoiding both would have been augmenting
+before the deletion).  A path from ``t`` to a free object other than
+``o`` is an alternating path of the old graph, so it exists iff ``t``
+was in ``Z_O``, and the ``Z_O`` forest holds it.  Otherwise ``t`` is a
+new root of ``Z``, and ``Z`` grown from it reaches ``o`` iff a path
+ends at ``o`` (through ``o``'s old ``Z`` parent, or around an
+alternating cycle through the deleted edge back to ``t``); the engine
+flips the path the forest holds, or the optimum has shrunk by one and
+``o`` becomes a new root of ``Z_O``.  In each case the other set keeps
+every member, by the disjointness above.
 
-Every search phase is a single ``O(V + E)`` sweep, against
-``O(E * sqrt(V))`` for a from-scratch Hopcroft-Karp per event.  Because
-streamed reveals may repeat a live pair, the engine counts per-edge
-multiplicity: an edge leaves the graph only when *every* live event that
-revealed it has expired.  The minimum-vertex-cover *size* is maintained
-lazily for free (it always equals the matching size, by König-Egerváry /
-Theorem 3 of the paper); the cover's concrete vertex set is derived from
-*incrementally repaired* alternating-reachability sets (see
-:meth:`DynamicMatching.vertex_cover`) and cached until the next
-structural change, so an epoch boundary that queries the cover after a
-quiet interval pays ``O(V)`` assembly, not an ``O(V + E)`` sweep.
+A set may also be *dirty*: a checkpoint does not carry the forests, so a
+restored engine rebuilds each one with a single ``O(V + E)`` sweep when a
+mutation or cover query first needs it, and does not maintain a dirty
+one.  Because streamed reveals may repeat a live pair, the engine counts
+per-edge multiplicity: an edge leaves the graph only when *every* live
+event that revealed it has expired.  The minimum-vertex-cover *size* is
+maintained lazily for free (it always equals the matching size, by
+König-Egerváry / Theorem 3 of the paper); the cover's concrete vertex
+set is read off ``Z`` (see :meth:`DynamicMatching.vertex_cover`) and
+cached until the next structural change, so an epoch boundary pays
+``O(V)`` assembly, not an ``O(V + E)`` sweep.
 
 :func:`incremental_optimum_trajectory` packages the append-only regime
 and :func:`sliding_window_optimum_trajectory` the windowed one, for the
@@ -80,16 +98,15 @@ online simulator and the ratio sweeps.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph, Edge, Vertex
-from repro.graph.matching import Matching, augment_from_unmatched_thread
-from repro.graph.vertex_cover import alternating_reachable
+from repro.graph.matching import Matching
 
 # Telemetry write handle (write-only in result paths per C206): counts
-# how often the König cover could be assembled from repaired
-# reachability sets vs rebuilt by a full alternating-forest sweep.
+# how often the König cover could be assembled from the maintained Z
+# vs rebuilt by a full sweep.
 from repro.obs.registry import active as _metrics_active
 
 
@@ -97,11 +114,12 @@ class DynamicMatching:
     """A maximum matching maintained across edge insertions *and* deletions.
 
     The matching is maximum after every :meth:`add_edge` and
-    :meth:`remove_edge` call; the invariant is what lets each mutation get
-    away with at most two anchored augmenting-path searches (see the
-    module docstring).  Repeated inserts of a live edge are counted, so a
-    sliding window that expires events one by one only removes the edge
-    from the graph when its last live occurrence leaves.
+    :meth:`remove_edge` call; the invariant is what lets each mutation
+    read its augmenting path, if any, off the two alternating forests
+    instead of searching for it (see the module docstring).  Repeated
+    inserts of a live edge are counted, so a sliding window that expires
+    events one by one only removes the edge from the graph when its last
+    live occurrence leaves.
     """
 
     def __init__(
@@ -118,22 +136,13 @@ class DynamicMatching:
         # to the total number of events ever processed.
         self._trajectory: Optional[List[int]] = [] if record_trajectory else None
         self._cover_cache: Optional[FrozenSet[Vertex]] = None
-        # Alternating-reachability sets (König's Z: vertices reachable
-        # from free threads along alternating paths), maintained
-        # incrementally across mutations.  ``_reach_threads is None``
-        # means dirty - the next cover query rebuilds both sets with one
-        # full sweep.  Exact for the empty graph, so start clean.
-        self._reach_threads: Optional[Set[Vertex]] = set()
-        self._reach_objects: Set[Vertex] = set()
-        # The mirror set Z_O (vertices reachable from free objects), kept
-        # the same way; ``_zo_objects is None`` means dirty, and the next
-        # insert that needs it rebuilds it with one sweep.  The sweep's
-        # roots come from a superset of the free objects: an object only
-        # becomes free by arriving or by losing a matched edge to a
-        # delete, and the rebuild drops the ones matched since.
-        self._zo_objects: Optional[Set[Vertex]] = set()
-        self._zo_threads: Set[Vertex] = set()
-        self._free_candidates: Set[Vertex] = set()
+        # König's Z and its mirror Z_O as alternating forests; None means
+        # dirty (rebuilt by the first mutation or query that needs it).
+        # Exact for the empty graph, so start clean.
+        self._z: Optional[_Forest] = None
+        self._zo: Optional[_Forest] = None
+        self._thread_forest()
+        self._object_forest()
         for thread, obj in edges:
             self.add_edge(thread, obj)
 
@@ -164,9 +173,9 @@ class DynamicMatching:
         return len(self._thread_to_object)
 
     def __getstate__(self) -> dict:
-        # Z_O is derived state: leave it out of checkpoints.
+        # The forests are derived state: leave them out of checkpoints.
         state = self.__dict__.copy()
-        del state["_zo_objects"], state["_zo_threads"], state["_free_candidates"]
+        del state["_z"], state["_zo"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -174,9 +183,8 @@ class DynamicMatching:
         # engines of one checkpoint share them when pickled again.
         for name, value in state.items():
             setattr(self, name, value)
-        self._zo_objects = None
-        self._zo_threads = set()
-        self._free_candidates = set(self._graph.objects)
+        self._z = None
+        self._zo = None
 
     def matching(self) -> Matching:
         """The current maximum matching as an immutable :class:`Matching`."""
@@ -186,37 +194,29 @@ class DynamicMatching:
         """A minimum vertex cover of the live graph (König construction).
 
         Assembled on demand as ``(threads - Z_threads) | Z_objects`` from
-        König's Z, one of the two *incrementally repaired* reachability
-        sets the engine keeps (the other, Z_O, is reached from free
-        objects and only decides inserts and deletes, see the module
-        docstring), and cached until the next structural change (an edge
-        actually entering or leaving the graph).  Mutations that provably
-        leave the alternating forests intact - multiplicity bumps, inserts
-        that did not grow the optimum (they never move the matching; a
-        monotone closure adds any newly reachable suffix), matched
-        deletions that shrank it (the freed endpoints become roots),
-        non-matched deletions whose thread was unreachable, prunes of
-        isolated vertices - keep Z exact; anything that moves a matched
-        edge marks it dirty, and the next query rebuilds it with one
-        :func:`alternating_reachable` sweep.
+        König's Z, the alternating forest rooted at the free threads that
+        every mutation repairs locally (see the module docstring), and
+        cached until the next structural change (an edge actually
+        entering or leaving the graph).  By Dulmage-Mendelsohn the cover
+        does not depend on which maximum matching is held: Z's threads
+        are those left free by *some* maximum matching, and its objects
+        their neighbours.  Only a restored engine starts with Z dirty;
+        its first query rebuilds it with one ``O(V + E)`` sweep.
         The ``matching.cover.repairs`` / ``matching.cover.rebuilds``
         counters record which path served each (cache-missing) query; the
-        property tests assert the repaired cover equals the from-scratch
-        König cover under random interleaved churn.
+        property tests assert the maintained cover equals the
+        from-scratch König cover under random interleaved churn.
         """
         if self._cover_cache is None:
-            graph = self._graph
             registry = _metrics_active()
-            if self._reach_threads is None:
-                reachable = alternating_reachable(graph, self.matching())
-                self._reach_threads = set(graph.threads & reachable)
-                self._reach_objects = set(graph.objects & reachable)
-                if registry is not None:
-                    registry.add("matching.cover.rebuilds")
-            elif registry is not None:
-                registry.add("matching.cover.repairs")
+            if registry is not None:
+                registry.add(
+                    "matching.cover.rebuilds" if self._z is None
+                    else "matching.cover.repairs"
+                )
+            forest = self._thread_forest()
             self._cover_cache = frozenset(
-                (graph.threads - self._reach_threads) | self._reach_objects
+                self._graph.threads.difference(forest.near).union(forest.far)
             )
         return self._cover_cache
 
@@ -254,53 +254,32 @@ class DynamicMatching:
         if key in self._multiplicity:
             self._multiplicity[key] += 1
         else:
-            thread_known = self._graph.has_thread(thread)
-            object_known = self._graph.has_object(obj)
-            if not object_known:
-                self._free_candidates.add(obj)
-            self._graph.add_edge(thread, obj)
+            graph = self._graph
+            graph.add_edge(thread, obj)
             self._multiplicity[key] = 1
             self._cover_cache = None
-            thread_matched = thread in self._thread_to_object
-            object_matched = obj in self._object_to_thread
-            # An augmenting path runs from a free thread to a free object,
-            # so a search can only succeed while both sides have free
-            # vertices.  Checking first is what keeps the saturated regime
-            # (matching size pinned at min(n, m), common in dense reveals)
-            # at O(1) per insert, without even a Z_O rebuild.
+            # A free endpoint is a root of its side's forest, and a side
+            # without free vertices has an empty forest, so a matched
+            # endpoint's forest is only consulted while its side has a
+            # free vertex: that keeps the saturated regime (matching size
+            # pinned at min(n, m), common in dense reveals) at O(1) per
+            # insert, without even rebuilding a dirty forest.
             matched = len(self._thread_to_object)
-            free_threads = self._graph.num_threads - matched
-            free_objects = self._graph.num_objects - matched
-            if not thread_matched and not object_matched:
-                self._thread_to_object[thread] = obj
-                self._object_to_thread[obj] = thread
+            object_ok = obj not in self._object_to_thread
+            if not object_ok and graph.num_objects > matched:
+                object_ok = obj in self._object_forest().near
+            thread_ok = thread not in self._thread_to_object
+            if object_ok and not thread_ok and graph.num_threads > matched:
+                thread_ok = thread in self._thread_forest().near
+            if thread_ok and object_ok:
+                self._augment(thread, obj)
                 grew = True
-                # A pre-existing free thread was a root of Z; matching it
-                # away is non-monotone.  A brand-new thread never was a
-                # root, and a pre-existing free object cannot have been in
-                # Z (that would have been an augmenting path), so Z is
-                # untouched.  The same holds for Z_O with the roles swapped.
-                if thread_known:
-                    self._reach_threads = None
-                if object_known:
-                    self._zo_objects = None
             else:
-                if not thread_matched:
-                    # ``thread`` is a free root of Z, so growth is exactly
-                    # ``obj in Z_O``, and then the search cannot fail.
-                    if free_objects and obj in self._object_reach():
-                        grew = self._augment_from_thread(thread)
-                elif not object_matched:
-                    if free_threads:
-                        grew = self._augment_from_object(obj)
-                elif free_threads and free_objects and obj in self._object_reach():
-                    grew = self._augment_through_matched_edge(thread, obj)
-                if grew:
-                    self._reach_threads = None
-                    self._zo_objects = None
-                else:
-                    # A doomed insert moved no matched edge.
-                    self._absorb_reachable(thread, obj)
+                # A doomed insert moved no matched edge.
+                if self._z is not None:
+                    self._z.absorb(thread, obj)
+                if self._zo is not None:
+                    self._zo.absorb(obj, thread)
         if self._trajectory is not None:
             self._trajectory.append(len(self._thread_to_object))
         return grew
@@ -331,55 +310,33 @@ class DynamicMatching:
             self._multiplicity[key] = count - 1
         else:
             del self._multiplicity[key]
-            self._graph.remove_edge(thread, obj)
+            graph = self._graph
+            graph.remove_edge(thread, obj)
             self._cover_cache = None
             if self._thread_to_object.get(thread) == obj:
-                # The deleted edge carried the matching: free both
-                # endpoints, then try the only two path families that can
-                # exist (start at the freed thread / end at the freed
-                # object - see the module docstring).  The first exists
-                # iff ``thread`` was in Z_O, so a clean Z_O can skip that
-                # search; a dirty one is not rebuilt for it.
-                thread_side = self._zo_objects is None or thread in self._zo_threads
-                del self._thread_to_object[thread]
-                del self._object_to_thread[obj]
-                self._free_candidates.add(obj)
-                if not (thread_side and self._augment_from_thread(thread)):
-                    shrank = not self._augment_from_object(obj)
-                if shrank:
-                    # No repair: the only lost step (``obj`` to ``thread``
-                    # in Z, ``thread`` to ``obj`` in Z_O) never fired, or
-                    # the repair would have succeeded, and the freed
-                    # endpoints are new roots.  Both sets grow monotonically.
-                    self._absorb_reachable(thread, obj)
-                else:
-                    self._reach_threads = None
-                    self._zo_objects = None
+                shrank = self._remove_matched(thread, obj)
             else:
-                # The removed non-matched edge may have been the only
-                # alternating step into some reachable suffix; deletion
-                # is non-monotone, so recompute on the next query.  Z
-                # walks non-matched edges thread-to-object and Z_O
-                # object-to-thread, so a thread outside Z (an object
-                # outside Z_O) contributed nothing through this edge.
-                if self._reach_threads is not None and thread in self._reach_threads:
-                    self._reach_threads = None
-                if self._zo_objects is not None and obj in self._zo_objects:
-                    self._zo_objects = None
+                # Only a tree edge can have carried a member (Z walks
+                # non-matched edges thread-to-object, Z_O the reverse).
+                z, zo = self._z, self._zo
+                if z is not None and z.far.get(obj) == thread:
+                    z.cut(obj)
+                if zo is not None and zo.far.get(thread) == obj:
+                    zo.cut(thread)
             # Prune endpoints the removal isolated: a degree-0 vertex is
             # necessarily unmatched (a matched pair is always an edge) and
             # can never join an augmenting path, and on unbounded streams
             # with fresh vertex ids the dead vertices would otherwise
-            # accumulate without bound.
-            if self._graph.degree(thread) == 0:
-                self._graph.remove_isolated_vertex(thread)
-                if self._reach_threads is not None:
-                    self._reach_threads.discard(thread)
-            if self._graph.degree(obj) == 0:
-                self._graph.remove_isolated_vertex(obj)
-                self._free_candidates.discard(obj)
-                if self._zo_objects is not None:
-                    self._zo_objects.discard(obj)
+            # accumulate without bound.  In a forest it can only be a
+            # lone root.
+            if graph.degree(thread) == 0:
+                graph.remove_isolated_vertex(thread)
+                if self._z is not None:
+                    self._z.near.pop(thread, None)
+            if graph.degree(obj) == 0:
+                graph.remove_isolated_vertex(obj)
+                if self._zo is not None:
+                    self._zo.near.pop(obj, None)
         if self._trajectory is not None:
             self._trajectory.append(len(self._thread_to_object))
         return shrank
@@ -390,192 +347,237 @@ class DynamicMatching:
             self.remove_edge(thread, obj)
         return self
 
-    # ------------------------------------------------------------------
-    # Incremental alternating reachability (König's Z and its mirror Z_O)
-    # ------------------------------------------------------------------
-    def _absorb_reachable(self, thread: Vertex, obj: Vertex) -> None:
-        """Close Z and Z_O over a mutation that moved no matched edge.
+    def _remove_matched(self, thread: Vertex, obj: Vertex) -> bool:
+        """Repair after matched edge ``(thread, obj)`` left the graph; True iff it shrank.
 
-        Called after a structural insert of ``(thread, obj)`` that left
-        every matched edge in place, and after a matched delete that
-        found no repair.  Each set is the least fixed point of monotone
-        rules - free vertices of its side are roots, non-matched edges
-        walk away from that side, matched edges walk back - and both
-        possible additions (a new free root, a new non-matched step)
-        only *add* rules, so seeding the old set with the new entry
-        points and closing is exact, not approximate.  A dirty set is
-        left dirty.
+        A dirty Z_O is rebuilt while the pair is still matched, so it is
+        the old graph's (and empty when no object is free).  Freeing the
+        pair re-roots the subtrees below it: ``obj``'s in Z_O and
+        ``thread``'s in Z.
         """
-        graph = self._graph
-        if self._reach_threads is not None:
-            _absorb(
-                thread, obj, self._thread_to_object, self._object_to_thread,
-                self._reach_threads, self._reach_objects, graph.thread_neighbors,
-            )
-        if self._zo_objects is not None:
-            _absorb(
-                obj, thread, self._object_to_thread, self._thread_to_object,
-                self._zo_objects, self._zo_threads, graph.object_neighbors,
-            )
-
-    def _object_reach(self) -> Set[Vertex]:
-        """The objects of Z_O, rebuilt by one sweep from the free objects if dirty."""
-        if self._zo_objects is None:
-            object_to_thread = self._object_to_thread
-            free = {obj for obj in self._free_candidates if obj not in object_to_thread}
-            self._free_candidates = set(free)
-            self._zo_objects = free
-            self._zo_threads = set()
-            _close(
-                set(free), self._object_to_thread, self._thread_to_object,
-                self._zo_objects, self._zo_threads, self._graph.object_neighbors,
-            )
-        return self._zo_objects
+        zo = None
+        if self._graph.num_objects > len(self._thread_to_object):
+            zo = self._object_forest()
+        del self._thread_to_object[thread]
+        del self._object_to_thread[obj]
+        if zo is not None and thread in zo.far:
+            self._augment(thread, zo.far[thread])
+            return False
+        z = self._thread_forest()
+        if thread not in z.near:
+            # A new root; if it reaches ``obj``, the flip drops its tree.
+            z.near[thread] = []
+            z.grow(deque((thread,)), until=obj)
+        if obj in z.far:
+            self._augment(z.far[obj], obj)
+            return False
+        if self._zo is not None:
+            self._zo.absorb(obj, thread)
+        return True
 
     # ------------------------------------------------------------------
-    # Anchored augmenting-path searches (iterative)
+    # The two forests and the flip
     # ------------------------------------------------------------------
-    def _augment_from_thread(self, root: Vertex) -> bool:
-        """Hungarian-style search from an unmatched thread; flips on success."""
-        return augment_from_unmatched_thread(
-            self._graph, self._thread_to_object, self._object_to_thread, root
-        )
+    def _thread_forest(self) -> "_Forest":
+        """König's Z, rebuilt by one sweep from the free threads if dirty."""
+        # The forests read the graph's adjacency sets in place; the
+        # public neighbour accessors copy them on every call.
+        if self._z is None:
+            self._z = _Forest(
+                self._thread_to_object, self._object_to_thread,
+                self._graph._thread_adj, self._graph._object_adj,
+            )
+        return self._z
 
-    def _augment_from_object(
-        self,
-        root: Vertex,
-        banned_thread: Optional[Vertex] = None,
-        banned_object: Optional[Vertex] = None,
-    ) -> bool:
-        """Mirror-image search giving ``root`` (an object) a new partner.
+    def _object_forest(self) -> "_Forest":
+        """Z_O, rebuilt by one sweep from the free objects if dirty."""
+        if self._zo is None:
+            self._zo = _Forest(
+                self._object_to_thread, self._thread_to_object,
+                self._graph._object_adj, self._graph._thread_adj,
+            )
+        return self._zo
 
-        Walks unmatched edges from objects to threads and matched edges
-        from threads to their objects, looking for an unmatched thread.
-        ``root``'s own matched edge (if any) is never taken, so on success
-        the flip re-matches ``root`` away from its current partner (or
-        simply matches it, if ``root`` was free - the decremental repair
-        case).
+    def _augment(self, thread: Vertex, obj: Vertex) -> None:
+        """Match ``thread`` to ``obj`` and flip the forest paths above them.
 
-        The both-endpoints-matched insert case passes the new edge's
-        endpoints as ``banned_thread``/``banned_object``: the prefix of a
-        simple augmenting path cannot revisit them.
+        ``thread`` is free or in Z, ``obj`` free or in Z_O (each forest
+        is consulted only for a matched endpoint).  Then drops the Z tree
+        of the path's free thread and the Z_O tree of its free object and
+        re-closes both from their surviving members (module docstring).
         """
-        graph = self._graph
         thread_to_object = self._thread_to_object
         object_to_thread = self._object_to_thread
-        visited_threads: Set[Vertex] = set()
-        if banned_thread is not None:
-            visited_threads.add(banned_thread)
-        visited_objects: Set[Vertex] = {root}
-        if banned_object is not None:
-            visited_objects.add(banned_object)
-        # Frame: [object, neighbor-iterator, contested-thread].
-        stack = [[root, iter(graph.object_neighbors(root)), None]]
-        while stack:
-            frame = stack[-1]
-            obj = frame[0]
-            partner = object_to_thread.get(obj)
-            pushed = False
-            for thread in frame[1]:
-                if thread == partner or thread in visited_threads:
-                    continue
-                visited_threads.add(thread)
-                frame[2] = thread
-                current = thread_to_object.get(thread)
-                if current is None:
-                    for frame_obj, _, frame_thread in stack:
-                        thread_to_object[frame_thread] = frame_obj
-                        object_to_thread[frame_obj] = frame_thread
-                    return True
-                if current in visited_objects:
-                    continue
-                visited_objects.add(current)
-                stack.append(
-                    [current, iter(graph.object_neighbors(current)), None]
-                )
-                pushed = True
-                break
-            if not pushed:
-                stack.pop()
-        return False
+        z, zo = self._z, self._zo
+        source, prefix = _path_to_root(thread, thread_to_object, z)
+        sink, suffix = _path_to_root(obj, object_to_thread, zo)
+        # Trees are walked through the matching, so drop before flipping.
+        dropped_z = z.drop_tree(source) if z is not None else []
+        dropped_zo = zo.drop_tree(sink) if zo is not None else []
+        for near, far in prefix:
+            thread_to_object[near] = far
+            object_to_thread[far] = near
+        for near, far in suffix:
+            object_to_thread[near] = far
+            thread_to_object[far] = near
+        thread_to_object[thread] = obj
+        object_to_thread[obj] = thread
+        if z is not None:
+            z.regrow(dropped_z)
+        if zo is not None:
+            zo.regrow(dropped_zo)
 
-    def _augment_through_matched_edge(self, thread: Vertex, obj: Vertex) -> bool:
-        """Both endpoints matched: free ``thread``, then search from it.
 
-        Phase 1 re-matches ``thread``'s partner object away from it (the
-        ``s ~~> o_t`` prefix of the required path shape); ``obj`` is banned
-        because the prefix of a simple augmenting path cannot revisit it.
-        Phase 2 is then the plain unmatched-thread case.  The caller runs
-        this only when ``obj`` is in Z_O, so phase 1 succeeds exactly when
-        ``thread`` is in Z, and then phase 2 cannot fail: the phase-1 flip
-        stays inside Z, which is disjoint from the alternating path that
-        puts ``obj`` in Z_O.
+def _path_to_root(
+    start: Vertex, match: Dict[Vertex, Vertex], forest: Optional["_Forest"]
+) -> Tuple[Vertex, List[Edge]]:
+    """The root above ``start`` and the pairs a flip of that path matches.
+
+    ``start`` is on ``forest``'s roots' side; its parent is its matched
+    partner, whose parent is the vertex that reached it.  A free
+    ``start`` is its own root and needs no forest.
+    """
+    pairs: List[Edge] = []
+    vertex = start
+    mate = match.get(vertex)
+    while mate is not None:
+        vertex = forest.far[mate]
+        pairs.append((vertex, mate))
+        mate = match.get(vertex)
+    return vertex, pairs
+
+
+class _Forest:
+    """One alternating forest: König's Z, or with the sides swapped Z_O.
+
+    ``near`` maps each reached vertex of the roots' side (threads for Z)
+    to the far-side vertices it reached over non-matched edges, its
+    children; ``far`` maps each reached far-side vertex to that parent.
+    A near vertex's parent is its matched partner, or none when it is
+    free (a root), so the forest stays consistent with the matching
+    without storing it twice.  Built by one breadth-first sweep from
+    every free near vertex, which keeps the trees small.
+    """
+
+    __slots__ = ("near", "far", "near_match", "far_match", "near_adj", "far_adj")
+
+    def __init__(
+        self,
+        near_match: Dict[Vertex, Vertex],
+        far_match: Dict[Vertex, Vertex],
+        near_adj: Dict[Vertex, Set[Vertex]],
+        far_adj: Dict[Vertex, Set[Vertex]],
+    ) -> None:
+        self.near_match = near_match
+        self.far_match = far_match
+        self.near_adj = near_adj
+        self.far_adj = far_adj
+        self.near: Dict[Vertex, List[Vertex]] = {
+            vertex: [] for vertex in near_adj if vertex not in near_match
+        }
+        self.far: Dict[Vertex, Vertex] = {}
+        self.grow(deque(self.near))
+
+    def grow(self, frontier: Deque[Vertex], until: Optional[Vertex] = None) -> None:
+        """Close the forest over the near vertices queued in ``frontier``.
+
+        From a near vertex, step along every non-matched edge to the far
+        side, and from there along its matched edge back.  Stops as soon
+        as far vertex ``until`` is reached, leaving that tree part-grown
+        for a caller that flips the path to it and drops the tree; each
+        near vertex is checked for an edge to ``until`` as it is queued,
+        which on a dense graph ends the walk a whole level earlier.
         """
-        partner = self._thread_to_object[thread]
-        del self._thread_to_object[thread]
-        del self._object_to_thread[partner]
-        # Re-match the freed partner object without using ``thread``/``obj``.
-        if not self._augment_from_object(partner, banned_thread=thread, banned_object=obj):
-            # No alternating prefix exists: restore and report no growth.
-            self._thread_to_object[thread] = partner
-            self._object_to_thread[partner] = thread
-            return False
-        return self._augment_from_thread(thread)
+        near, far = self.near, self.far
+        near_match, far_match, near_adj = self.near_match, self.far_match, self.near_adj
+        while frontier:
+            current = frontier.popleft()
+            matched = near_match.get(current)
+            children = near[current]
+            for neighbor in near_adj[current]:
+                if neighbor == matched or neighbor in far:
+                    continue
+                far[neighbor] = current
+                children.append(neighbor)
+                if neighbor == until:
+                    return
+                partner = far_match.get(neighbor)
+                if partner is not None and partner not in near:
+                    near[partner] = []
+                    frontier.append(partner)
+                    if until is not None and until in near_adj[partner]:
+                        far[until] = partner
+                        near[partner].append(until)
+                        return
 
+    def absorb(self, root: Vertex, other: Vertex) -> None:
+        """Take in a free ``root`` or a new non-matched edge ``(root, other)``.
 
-def _absorb(
-    root: Vertex,
-    other: Vertex,
-    root_match: Dict[Vertex, Vertex],
-    other_match: Dict[Vertex, Vertex],
-    root_reach: Set[Vertex],
-    other_reach: Set[Vertex],
-    neighbors: Callable[[Vertex], Iterable[Vertex]],
-) -> None:
-    """Absorb a free ``root`` or a new non-matched edge ``(root, other)``.
+        Both only *add* a rule to the least fixed point, so closing from
+        the new entry point is exact.  A reached ``root`` was already
+        closed over its other edges, so only the new one can open
+        anything.
+        """
+        near = self.near
+        if root not in near:
+            if root in self.near_match:
+                return
+            near[root] = []
+            self.grow(deque((root,)))
+        elif other not in self.far:
+            self.far[other] = root
+            near[root].append(other)
+            partner = self.far_match.get(other)
+            if partner is not None and partner not in near:
+                near[partner] = []
+                self.grow(deque((partner,)))
 
-    Works on one clean reachability set, rooted at the free vertices of
-    ``root``'s side: Z with a thread as ``root``, Z_O with an object.
-    """
-    pending: Set[Vertex] = set()
-    if root not in root_match and root not in root_reach:
-        root_reach.add(root)
-        pending.add(root)
-    elif root in root_reach and other not in other_reach:
-        # Only the new edge can have opened anything: ``root`` was
-        # already closed over its other edges when it joined the set.
-        other_reach.add(other)
-        partner = other_match.get(other)
-        if partner is not None and partner not in root_reach:
-            root_reach.add(partner)
-            pending.add(partner)
-    _close(pending, root_match, other_match, root_reach, other_reach, neighbors)
+    def drop_tree(self, root: Vertex) -> List[Vertex]:
+        """Remove ``root``'s whole tree; returns its far-side vertices."""
+        if root not in self.near:
+            return []
+        return self._detach([root], [])
 
+    def cut(self, vertex: Vertex) -> None:
+        """Remove the subtree below far vertex ``vertex`` and re-close."""
+        self.near[self.far.pop(vertex)].remove(vertex)
+        partner = self.far_match.get(vertex)
+        self.regrow(self._detach([] if partner is None else [partner], [vertex]))
 
-def _close(
-    pending: Set[Vertex],
-    root_match: Dict[Vertex, Vertex],
-    other_match: Dict[Vertex, Vertex],
-    root_reach: Set[Vertex],
-    other_reach: Set[Vertex],
-    neighbors: Callable[[Vertex], Iterable[Vertex]],
-) -> None:
-    """Close a reachability set over the newly added ``pending`` vertices.
+    def _detach(self, stack: List[Vertex], dropped: List[Vertex]) -> List[Vertex]:
+        """Remove the near vertices on ``stack`` and all below them; the
+        far ones removed are appended to ``dropped``."""
+        near, far, far_match = self.near, self.far, self.far_match
+        while stack:
+            for child in near.pop(stack.pop()):
+                del far[child]
+                dropped.append(child)
+                partner = far_match.get(child)
+                if partner is not None:
+                    stack.append(partner)
+        return dropped
 
-    From a vertex of the root side, step along every non-matched edge to
-    the other side, and from there along its matched edge back.
-    """
-    while pending:
-        current = pending.pop()
-        matched = root_match.get(current)
-        for neighbor in neighbors(current):
-            if neighbor == matched or neighbor in other_reach:
-                continue
-            other_reach.add(neighbor)
-            partner = other_match.get(neighbor)
-            if partner is not None and partner not in root_reach:
-                root_reach.add(partner)
-                pending.add(partner)
+    def regrow(self, dropped: List[Vertex]) -> None:
+        """Re-close from the surviving near vertices next to ``dropped``.
+
+        A dropped far vertex rejoins iff a surviving near vertex reaches
+        it over a non-matched edge; the closure then re-reaches whatever
+        hangs below it, including dropped vertices checked before.
+        """
+        near, far = self.near, self.far
+        near_match, far_match, far_adj = self.near_match, self.far_match, self.far_adj
+        frontier: Deque[Vertex] = deque()
+        for vertex in dropped:
+            for neighbor in far_adj[vertex]:
+                if neighbor in near and near_match.get(neighbor) != vertex:
+                    far[vertex] = neighbor
+                    near[neighbor].append(vertex)
+                    partner = far_match.get(vertex)
+                    if partner is not None and partner not in near:
+                        near[partner] = []
+                        frontier.append(partner)
+                    break
+        self.grow(frontier)
 
 
 def incremental_optimum_trajectory(pairs: Iterable[Edge]) -> Tuple[int, ...]:

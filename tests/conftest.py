@@ -15,10 +15,17 @@ import random
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.computation import Computation, HappenedBefore, paper_example_trace
 from repro.graph import BipartiteGraph, paper_example_graph
 from repro.obs.registry import MetricsRegistry, install as obs_install
+
+# The mutation check (tests/mutants/run.py) only needs each mutant to
+# fail, not a minimal failing example, so its profile skips shrinking.
+settings.register_profile(
+    "mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,118 @@
+"""The mutants ``run.py`` applies: each must make its selected tests fail.
+
+An entry names a file under ``src/``, a text that must occur in it
+exactly once, the text that replaces it, and the pytest selectors (run
+from the repository root) that must catch the change.  A mutant whose
+tests still pass marks a gap in the suite: either a test is missing or
+the code it changes is dead.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Tuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    original: str
+    mutant: str
+    selectors: Tuple[str, ...]
+
+
+_KERNEL = "src/repro/core/kernel.py"
+_INCREMENTAL = "src/repro/graph/incremental.py"
+
+_COMPACTION_TESTS = (
+    "tests/test_epoch_rotation_properties.py::test_compacting_driver_survives_resume",
+    "tests/test_epoch_rotation_properties.py::test_retire_rejoin_and_compaction_keep_verdicts",
+)
+_FOREST_TESTS = (
+    "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_sliding_windows",
+    "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_interleaved_scripts",
+)
+
+MUTANTS = (
+    # Slot compaction (clock kernel): a stamp of an old slot space is
+    # gathered across every compaction since it was minted.
+    Mutant(
+        "kernel-no-compaction-remap",
+        _KERNEL,
+        "        old.moved = (self._slots, moved)\n",
+        "        old.moved = (self._slots, list(range(len(moved))))\n",
+        _COMPACTION_TESTS,
+    ),
+    Mutant(
+        "kernel-reversed-compaction-remap",
+        _KERNEL,
+        "        old.moved = (self._slots, moved)\n",
+        "        old.moved = (self._slots, moved[::-1])\n",
+        _COMPACTION_TESTS,
+    ),
+    Mutant(
+        "kernel-dead-slots-in-public-view",
+        _KERNEL,
+        "            live = [s for s in range(self.width) if slots.died.get(s, version + 1) > version]\n",
+        "            live = list(range(self.width))\n",
+        ("tests/test_epoch_kernel.py::TestLayoutChain",),
+    ),
+    Mutant(
+        "kernel-extension-reads-the-layout",
+        _KERNEL,
+        "        slots = self._slots\n        for names, own, other, is_thread in (\n",
+        "        slots = self._slots\n        self._current().public()\n"
+        "        for names, own, other, is_thread in (\n",
+        ("tests/test_epoch_kernel.py::TestLayoutChangeCost",),
+    ),
+    # DynamicMatching's alternating forests (module docstring of
+    # repro.graph.incremental): local repair after a flip or a cut.
+    Mutant(
+        "forest-keeps-the-source-tree",
+        _INCREMENTAL,
+        "        dropped_z = z.drop_tree(source) if z is not None else []\n",
+        "        dropped_z = []\n",
+        _FOREST_TESTS,
+    ),
+    Mutant(
+        "forest-skips-the-reclose",
+        _INCREMENTAL,
+        "        for vertex in dropped:\n",
+        "        for vertex in ():\n",
+        _FOREST_TESTS,
+    ),
+    Mutant(
+        "forest-ignores-mirror-tree-edge-deletes",
+        _INCREMENTAL,
+        "                if zo is not None and zo.far.get(thread) == obj:\n",
+        "                if False:\n",
+        _FOREST_TESTS,
+    ),
+    Mutant(
+        "forest-matched-delete-ignores-the-mirror-path",
+        _INCREMENTAL,
+        "        if zo is not None and thread in zo.far:\n",
+        "        if False:\n",
+        _FOREST_TESTS,
+    ),
+    Mutant(
+        "forest-shrink-leaves-the-freed-object-out",
+        _INCREMENTAL,
+        "        if self._zo is not None:\n            self._zo.absorb(obj, thread)\n        return True\n",
+        "        return True\n",
+        _FOREST_TESTS,
+    ),
+    Mutant(
+        "forest-keeps-a-pruned-root",
+        _INCREMENTAL,
+        "                if self._z is not None:\n                    self._z.near.pop(thread, None)\n",
+        "",
+        _FOREST_TESTS,
+    ),
+    Mutant(
+        "forest-restored-clean-after-unpickling",
+        _INCREMENTAL,
+        "        self._z = None\n        self._zo = None\n",
+        "        self._z = _Forest({}, {}, {}, {})\n        self._zo = _Forest({}, {}, {}, {})\n",
+        ("tests/test_dynamic_matching.py::test_pickle_round_trip_mid_stream_keeps_later_verdicts",),
+    ),
+)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pickle
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from repro.graph import (
     chain_bipartite,
     hopcroft_karp_matching,
     is_maximum_matching,
+    konig_vertex_cover,
     minimum_vertex_cover,
     sliding_window_optimum_trajectory,
     validate_matching,
@@ -106,10 +107,11 @@ def test_lazy_vertex_cover_is_a_valid_minimum_cover(script):
 
 
 # ---------------------------------------------------------------------------
-# Per-call verdicts and the two reachability sets
+# Per-call verdicts and the two alternating forests
 # ---------------------------------------------------------------------------
-# Rare interleavings (a phase-1 exchange, a free object matched away
-# while Z_O is clean) need more draws than the suites above.
+# Rare interleavings (a both-matched insert that grows, a matched delete
+# closed around an alternating cycle) need more draws than the suites
+# above.
 PER_CALL_SETTINGS = settings(max_examples=200, deadline=None)
 
 WIDE_THREADS = [f"T{i}" for i in range(7)]
@@ -155,6 +157,52 @@ def _mirror_reachable_sides(graph, pairs):
     return reached & graph.threads, reached & graph.objects
 
 
+def _assert_alternating_forest(forest, near_match, near_neighbors):
+    """Every stored parent chain is an alternating path to a free root.
+
+    ``forest.far`` maps a reached far-side vertex to the near vertex that
+    reached it over a non-matched live edge, and ``forest.near`` lists
+    each near vertex's children; a near vertex hangs off its matched
+    partner, or is a root when it is free.
+    """
+    for vertex, parent in forest.far.items():
+        assert vertex in forest.near[parent]
+    for vertex, children in forest.near.items():
+        assert len(set(children)) == len(children)
+        assert all(forest.far[child] == vertex for child in children)
+        seen = set()
+        near = vertex
+        while near in near_match:
+            assert near not in seen
+            seen.add(near)
+            mate = near_match[near]
+            parent = forest.far[mate]
+            assert mate in near_neighbors(parent)
+            assert near_match.get(parent) != mate
+            near = parent
+        assert near in forest.near
+
+
+def _assert_forests_exact(engine):
+    """Each clean forest is valid and spans the from-scratch sweep's set."""
+    pairs = list(engine.matching())
+    graph = engine.graph
+    if engine._z is not None:
+        _assert_alternating_forest(
+            engine._z, dict(pairs), graph.thread_neighbors
+        )
+        assert (set(engine._z.near), set(engine._z.far)) == _reachable_sides(
+            graph, pairs
+        )
+    if engine._zo is not None:
+        _assert_alternating_forest(
+            engine._zo, {obj: thread for thread, obj in pairs}, graph.object_neighbors
+        )
+        assert (set(engine._zo.far), set(engine._zo.near)) == _mirror_reachable_sides(
+            graph, pairs
+        )
+
+
 def _checked_call(engine, is_insert, thread, obj):
     """One mutation, checked against from-scratch Hopcroft-Karp."""
     before = engine.size  # equal to Hopcroft-Karp, checked by the last call
@@ -172,15 +220,7 @@ def _checked_call(engine, is_insert, thread, obj):
         assert shrank == (after == before - 1)
         assert before - after in (0, 1)
     assert engine.size == after
-    pairs = list(engine.matching())
-    if engine._reach_threads is not None:
-        assert (engine._reach_threads, engine._reach_objects) == _reachable_sides(
-            engine.graph, pairs
-        )
-    if engine._zo_objects is not None:
-        assert (engine._zo_threads, engine._zo_objects) == _mirror_reachable_sides(
-            engine.graph, pairs
-        )
+    _assert_forests_exact(engine)
 
 
 @PER_CALL_SETTINGS
@@ -199,8 +239,12 @@ def test_every_call_reports_the_from_scratch_change_on_interleaved_scripts(scrip
             if not live[edge]:
                 del live[edge]
         if step % 7 == 6:
-            # A cover query makes Z clean, so its repairs get checked too.
+            # A cover query rebuilds a Z left dirty by a checkpoint load.
             engine.vertex_cover()
+        if step % 11 == 10:
+            # A load leaves both forests dirty; the calls that follow
+            # rebuild each one where they first need it.
+            engine = pickle.loads(pickle.dumps(engine))
 
 
 @PER_CALL_SETTINGS
@@ -218,6 +262,102 @@ def test_every_call_reports_the_from_scratch_change_on_sliding_windows(stream):
             engine.vertex_cover()
 
 
+def test_certain_augments_flip_the_stored_paths_without_a_search(monkeypatch):
+    """A certain insert or a ``t in Z_O`` delete reads its path, no search.
+
+    Both anchored searches raise here; a sliding window still produces
+    every kind of growing insert and matched deletes whose freed thread
+    was in Z_O, each checked against Hopcroft-Karp.
+    """
+    import repro.graph.incremental as incremental
+    import repro.graph.matching as matching_module
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("an augmenting-path search ran")
+
+    monkeypatch.setattr(matching_module, "augment_from_unmatched_thread", no_search)
+    monkeypatch.setattr(
+        incremental, "augment_from_unmatched_thread", no_search, raising=False
+    )
+    monkeypatch.setattr(DynamicMatching, "_augment_from_object", no_search, raising=False)
+    rng = random.Random(5)
+    engine = DynamicMatching(record_trajectory=False)
+    live = deque()
+    kinds = Counter()
+    for _ in range(600):
+        if len(live) == 30:
+            thread, obj = live.popleft()
+            pairs = list(engine.matching())
+            if (
+                engine.multiplicity(thread, obj) == 1
+                and (thread, obj) in pairs
+                and thread in _mirror_reachable_sides(engine.graph, pairs)[0]
+            ):
+                kinds["matched delete, thread in Z_O"] += 1
+            engine.remove_edge(thread, obj)
+            assert engine.size == len(hopcroft_karp_matching(engine.graph))
+        thread, obj = f"T{rng.randrange(15)}", f"O{rng.randrange(15)}"
+        pairs = dict(engine.matching())
+        kind = (
+            "thread " + ("matched" if thread in pairs else "free"),
+            "object " + ("matched" if obj in pairs.values() else "free"),
+        )
+        live.append((thread, obj))
+        if engine.add_edge(thread, obj):
+            kinds[kind] += 1
+        assert engine.size == len(hopcroft_karp_matching(engine.graph))
+    _assert_forests_exact(engine)
+    assert set(kinds) == {
+        ("thread free", "object free"),
+        ("thread free", "object matched"),
+        ("thread matched", "object free"),
+        ("thread matched", "object matched"),
+        "matched delete, thread in Z_O",
+    }
+
+
+def test_cover_does_not_depend_on_the_matching_held():
+    """Dulmage-Mendelsohn: one live multiset, one König cover.
+
+    Several seeded reveal orders of the same live edge multiset, with
+    extra edges inserted and expired in between, leave the engine
+    holding different maximum matchings; the cover must not move.
+    """
+    rng = random.Random(2019)
+    threads = [f"T{i}" for i in range(9)]
+    objects = [f"O{i}" for i in range(9)]
+    kept = [(rng.choice(threads), rng.choice(objects)) for _ in range(40)]
+    noise = [(rng.choice(threads), rng.choice(objects)) for _ in range(25)]
+    reference = BipartiteGraph(edges=kept)
+    expected = konig_vertex_cover(reference, hopcroft_karp_matching(reference))
+    covers, matchings = set(), set()
+    for seed in range(8):
+        order = random.Random(seed)
+        inserts = kept + noise
+        order.shuffle(inserts)
+        steps = [(float(index), True, edge) for index, edge in enumerate(inserts)]
+        # Each noise occurrence expires at a random point after its reveal.
+        pending = Counter(noise)
+        for index, edge in enumerate(inserts):
+            if pending[edge]:
+                pending[edge] -= 1
+                steps.append((order.uniform(index + 0.5, len(inserts)), False, edge))
+        engine = DynamicMatching(record_trajectory=False)
+        for step, (_, is_insert, edge) in enumerate(sorted(steps)):
+            if is_insert:
+                engine.add_edge(*edge)
+            else:
+                engine.remove_edge(*edge)
+            if step % 9 == 8:
+                engine.vertex_cover()
+        assert engine.graph.num_edges == reference.num_edges
+        covers.add(engine.vertex_cover())
+        matchings.add(frozenset(engine.matching()))
+    assert covers == {expected}
+    # The orders did reach different maximum matchings.
+    assert len(matchings) > 1
+
+
 class TestDeleteRepairShortcuts:
     """A matched delete must try every repair that can exist."""
 
@@ -230,7 +370,7 @@ class TestDeleteRepairShortcuts:
         )
         assert dict(engine.matching()) == {"T0": "O0", "T1": "O1"}
         engine.vertex_cover()
-        assert engine._reach_threads == set() and engine._zo_objects == set()
+        assert not engine._z.near and not engine._zo.near
         assert engine.remove_edge("T0", "O0") is False
         assert engine.size == 2
         assert dict(engine.matching()) == {"T0": "O1", "T1": "O0"}
@@ -264,16 +404,21 @@ def test_pickle_round_trip_mid_stream_keeps_later_verdicts():
 
     for edge in events[:200]:
         step(engine, edge, live)
-    engine._object_reach()
     state = pickle.dumps(engine)
     restored = pickle.loads(state)
-    # Z_O is derived state: it is not written, and comes back dirty.
-    assert b"_zo_" not in state and b"_free_candidates" not in state
-    assert restored._zo_objects is None
+    # The forests are derived state: they are not written, and come back
+    # dirty; the first rebuild after the load equals the sweep.
+    assert b"_Forest" not in state
+    assert restored._z is None and restored._zo is None
+    rebuilt = pickle.loads(state)
+    rebuilt._object_forest()
+    rebuilt._thread_forest()
+    _assert_forests_exact(rebuilt)
     restored_live = deque(live)
     for edge in events[200:]:
         assert step(restored, edge, restored_live) == step(engine, edge, live)
     assert restored.vertex_cover() == engine.vertex_cover()
+    _assert_forests_exact(restored)
 
 
 # ---------------------------------------------------------------------------
