@@ -795,12 +795,14 @@ class ClockKernel:
     def fold_event(
         self, fold: int, stamp: Timestamp, thread: Vertex, obj: Vertex
     ) -> int:
-        """Fold one per-event stamp into the digest (per-event pipeline).
+        """Fold one :meth:`observe` stamp into the digest (the tests' oracle).
 
-        The counterpart of :meth:`advance_batch`'s internal fold: both
-        absorb the post-increment thread/object slot values, so the
-        per-event and batched pipelines produce the same digest for the
-        same stream.
+        The per-event reference for :meth:`advance_batch`'s internal
+        fold: both absorb the post-increment thread/object slot values,
+        so folding :meth:`observe`'s stamps one by one gives the digest
+        :meth:`advance_batch` computes for the same stream.  The engine
+        never calls it; its per-event pipeline runs :meth:`advance_batch`
+        on one-insert runs.
         """
         thread_slot = self._thread_slot.get(thread)
         object_slot = self._object_slot.get(obj)

@@ -22,7 +22,6 @@ interrupt/resume cycles.
 from repro.engine.checkpoint import EngineCheckpointManager, ShardCheckpoint
 from repro.engine.executor import WorkerPool
 from repro.engine.results import (
-    OFFLINE_LABEL,
     EngineResult,
     PartialResult,
     SeriesFragment,
@@ -44,6 +43,7 @@ from repro.engine.sharding import (
     plan_shard_groups,
     stable_vertex_hash,
 )
+from repro.online.simulator import OFFLINE_LABEL
 
 __all__ = [
     "EngineCheckpointManager",

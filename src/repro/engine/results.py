@@ -41,9 +41,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.analysis.metrics import MergeableStats, QuantileSketch
 from repro.exceptions import EngineError
 
-#: Key under which the dynamic offline optimum's fragments are stored.
-OFFLINE_LABEL = "offline"
-
 SeriesKey = Tuple[int, str]
 
 

@@ -75,7 +75,6 @@ from repro.core.kernel import ClockKernel, resolve_backend
 from repro.engine.checkpoint import EngineCheckpointManager, ShardCheckpoint
 from repro.engine.executor import WorkerPool
 from repro.engine.results import (
-    OFFLINE_LABEL,
     EngineResult,
     PartialResult,
     SeriesFragment,
@@ -86,7 +85,11 @@ from repro.exceptions import ClockError, EngineError, ScenarioError
 from repro.obs.registry import active as _metrics_active
 from repro.obs.registry import span as _metrics_span
 from repro.online.base import OBJECT, THREAD
-from repro.online.simulator import StreamConsumer, seed_mechanism_factories
+from repro.online.simulator import (
+    OFFLINE_LABEL,
+    StreamConsumer,
+    seed_mechanism_factories,
+)
 from repro.seeds import derive_seed
 
 #: Execution pipelines: the longest insert run the consumers take at

@@ -5,7 +5,7 @@ two rule families: generic determinism rules (``D1xx`` - hash-order
 iteration, builtin ``hash()``, global RNG state, wall-clock reads,
 unsorted directory listings, completion-order result collection, set
 element picks, sets rendered into text) and repo-specific contract
-rules (``C2xx`` - the hoisted ``observe_batch`` guard, ``EngineConfig``
+rules (``C2xx`` - the ``observe_batch`` fallback guard, ``EngineConfig``
 signature membership, scenario seed threading, no telemetry reads on
 result paths).
 

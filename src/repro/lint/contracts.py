@@ -6,7 +6,7 @@ static form of a contract that already has a dynamic enforcement story
 (property tests, fingerprint checks) and a history of being easy to
 violate silently:
 
-* ``C201`` - the hoisted ``observe_batch`` fast path must keep the
+* ``C201`` - an ``observe_batch`` override in a mechanism must keep a
   ``super()`` fallback guard, or subclass hook overrides are silently
   skipped in batched runs (bit-identity between pipelines breaks);
 * ``C203`` - every ``EngineConfig`` field needs an explicit decision
@@ -56,17 +56,19 @@ def _methods(classdef: ast.ClassDef) -> dict:
 
 
 class MechanismBatchGuardRule(Rule):
-    """A hoisted ``observe_batch`` must keep its ``super()`` fallback guard.
+    """An ``observe_batch`` override must keep a ``super()`` fallback guard.
 
     ``OnlineMechanism.observe_batch`` promises bit-identity with the
-    per-event ``observe`` loop.  Mechanisms that hoist the loop for speed
-    (popularity, naive, hybrid) keep that promise for *subclasses* with a
-    runtime guard: if the concrete class overrides ``observe``,
-    ``_choose`` or ``_on_observe``, the hoisted body would skip those
-    hooks, so the guard routes back to ``super().observe_batch(pairs)``
-    (the faithful loop).  Dropping the guard is invisible in tests of the
-    class itself and only breaks when someone later subclasses it - the
-    worst kind of contract violation.
+    per-event ``observe`` loop.  The base class keeps that promise for
+    every mechanism with one loop that inlines ``observe`` and still
+    calls the ``_on_observe`` / ``_choose`` hooks; no mechanism
+    overrides it.  A future override that hoists its own loop for a
+    fixed policy would skip a subclass's ``observe``, ``_choose`` or
+    ``_on_observe`` override unless a runtime guard routes such
+    subclasses back to ``super().observe_batch(pairs)`` (the faithful
+    loop).  Dropping the guard is invisible in tests of the class itself
+    and only breaks when someone later subclasses it - the worst kind of
+    contract violation.
 
     The rule requires every ``observe_batch`` override in an
     ``*Mechanism`` subclass to call ``super().observe_batch(...)``

@@ -175,7 +175,15 @@ class OnlineMechanism(abc.ABC):
 
         if thread in self._thread_components or obj in self._object_components:
             return None
+        return self._adopt(event_index, thread, obj)
 
+    def _adopt(self, event_index: int, thread: Vertex, obj: Vertex) -> Vertex:
+        """Add the endpoint :meth:`_choose` picks for an uncovered event.
+
+        The one decision path of :meth:`observe` and :meth:`observe_batch`:
+        adds the component, updates the peak and logs the
+        :class:`Decision`; returns the component added.
+        """
         choice = self._choose(thread, obj)
         if choice == THREAD:
             component = thread
@@ -188,18 +196,11 @@ class OnlineMechanism(abc.ABC):
                 f"{type(self).__name__}._choose returned {choice!r}, "
                 f"expected {THREAD!r} or {OBJECT!r}"
             )
-        self._component_order.append((choice, component))
-        if len(self._component_order) > self._peak_size:
-            self._peak_size = len(self._component_order)
-        self._decisions.append(
-            Decision(
-                event_index=event_index,
-                thread=thread,
-                obj=obj,
-                choice=choice,
-                component=component,
-            )
-        )
+        order = self._component_order
+        order.append((choice, component))
+        if len(order) > self._peak_size:
+            self._peak_size = len(order)
+        self._decisions.append(Decision(event_index, thread, obj, choice, component))
         return component
 
     def expire(self, thread: Vertex, obj: Vertex) -> None:
@@ -280,18 +281,37 @@ class OnlineMechanism(abc.ABC):
         to calling :meth:`observe` once per pair, in order - same
         decisions, same component order, same revealed graph, same
         counters (the property-test suite asserts this for every
-        registered mechanism, including the stochastic ones).  The base
-        implementation simply loops; mechanisms with a pure per-event
-        policy (naive / popularity / hybrid) override it with a hoisted
-        inner loop that skips the per-event method dispatch.
+        registered mechanism, including the stochastic ones).
+
+        Every mechanism runs this one loop: :meth:`observe` inlined, with
+        :meth:`_on_observe` called only when the class overrides it and
+        :meth:`_adopt` only for uncovered events.
+        ``_events_seen`` is written back before either hook runs, because
+        hooks read it (the hybrid switch point, the cost policy's tick).
+        A subclass that overrides :meth:`observe` itself gets a plain
+        loop over it instead.
         """
-        observe = self.observe
+        cls = type(self)
         order = self._component_order
         sizes: List[int] = []
-        append = sizes.append
+        if cls.observe is not OnlineMechanism.observe:
+            for thread, obj in pairs:
+                self.observe(thread, obj)
+                sizes.append(len(order))
+            return sizes
+        hooked = cls._on_observe is not OnlineMechanism._on_observe
+        add_edge = self._graph.add_edge
+        thread_components = self._thread_components
+        object_components = self._object_components
         for thread, obj in pairs:
-            observe(thread, obj)
-            append(len(order))
+            add_edge(thread, obj)
+            event_index = self._events_seen
+            self._events_seen = event_index + 1
+            if hooked:
+                self._on_observe(thread, obj)
+            if thread not in thread_components and obj not in object_components:
+                self._adopt(event_index, thread, obj)
+            sizes.append(len(order))
         return sizes
 
     def observe_all(self, pairs) -> "OnlineMechanism":

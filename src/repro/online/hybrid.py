@@ -12,17 +12,11 @@ threshold values themselves are studied by the ablation benchmark
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.exceptions import OnlineMechanismError
 from repro.graph.bipartite import Vertex
-from repro.online.base import (
-    OBJECT,
-    THREAD,
-    Decision,
-    OnlineMechanism,
-    popularity_choice,
-)
+from repro.online.base import OBJECT, THREAD, OnlineMechanism, popularity_choice
 
 
 class HybridMechanism(OnlineMechanism):
@@ -112,55 +106,3 @@ class HybridMechanism(OnlineMechanism):
         if self._switched_at is not None:
             return self._naive_side
         return popularity_choice(self.revealed_graph, thread, obj, THREAD)
-
-    def observe_batch(self, pairs) -> List[int]:
-        """The hoisted batch loop (see the base class for the contract).
-
-        Covered events skip all dispatch; uncovered events call
-        :meth:`_choose` through ``self`` so the switch bookkeeping (and
-        any subclassed threshold logic it reads) runs unmodified -
-        ``_events_seen`` is written back first because ``_choose``
-        records the switch point from it.
-        """
-        cls = type(self)
-        if (
-            cls._on_observe is not OnlineMechanism._on_observe
-            or cls.observe is not OnlineMechanism.observe
-        ):
-            return super().observe_batch(pairs)
-        add_edge = self._graph.add_edge
-        thread_components = self._thread_components
-        object_components = self._object_components
-        order = self._component_order
-        decisions = self._decisions
-        choose = self._choose
-        events_seen = self._events_seen
-        sizes: List[int] = []
-        append = sizes.append
-        for thread, obj in pairs:
-            add_edge(thread, obj)
-            event_index = events_seen
-            events_seen += 1
-            if thread not in thread_components and obj not in object_components:
-                self._events_seen = events_seen
-                choice = choose(thread, obj)
-                if choice == THREAD:
-                    component = thread
-                    thread_components.add(thread)
-                elif choice == OBJECT:
-                    component = obj
-                    object_components.add(obj)
-                else:
-                    raise OnlineMechanismError(
-                        f"{type(self).__name__}._choose returned {choice!r}, "
-                        f"expected {THREAD!r} or {OBJECT!r}"
-                    )
-                order.append((choice, component))
-                decisions.append(
-                    Decision(event_index, thread, obj, choice, component)
-                )
-            append(len(order))
-        self._events_seen = events_seen
-        if len(order) > self._peak_size:
-            self._peak_size = len(order)
-        return sizes

@@ -9,11 +9,9 @@ every other mechanism is compared against.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.exceptions import OnlineMechanismError
 from repro.graph.bipartite import Vertex
-from repro.online.base import OBJECT, THREAD, Decision, OnlineMechanism
+from repro.online.base import OBJECT, THREAD, OnlineMechanism
 
 
 class NaiveMechanism(OnlineMechanism):
@@ -43,50 +41,3 @@ class NaiveMechanism(OnlineMechanism):
 
     def _choose(self, thread: Vertex, obj: Vertex) -> str:
         return self._side
-
-    def observe_batch(self, pairs) -> List[int]:
-        """The hoisted batch loop (see the base class for the contract).
-
-        The fixed-side policy needs no per-event state beyond the cover
-        check, so the whole of :meth:`~repro.online.base.OnlineMechanism.observe`
-        inlines into one loop over plain locals.  Subclasses that change
-        the policy or hook into the lifecycle fall back to the
-        loop-over-``observe`` base implementation, which is always
-        correct.
-        """
-        cls = type(self)
-        if (
-            cls._choose is not NaiveMechanism._choose
-            or cls._on_observe is not OnlineMechanism._on_observe
-            or cls.observe is not OnlineMechanism.observe
-        ):
-            return super().observe_batch(pairs)
-        add_edge = self._graph.add_edge
-        thread_components = self._thread_components
-        object_components = self._object_components
-        order = self._component_order
-        decisions = self._decisions
-        side = self._side
-        pick_thread = side == THREAD
-        chosen = thread_components if pick_thread else object_components
-        events_seen = self._events_seen
-        sizes: List[int] = []
-        append = sizes.append
-        for thread, obj in pairs:
-            add_edge(thread, obj)
-            event_index = events_seen
-            events_seen += 1
-            if thread not in thread_components and obj not in object_components:
-                component = thread if pick_thread else obj
-                chosen.add(component)
-                order.append((side, component))
-                decisions.append(
-                    Decision(event_index, thread, obj, side, component)
-                )
-            append(len(order))
-        self._events_seen = events_seen
-        # Additions are monotone within a batch (observe never retires),
-        # so the end-of-batch size is the batch's peak.
-        if len(order) > self._peak_size:
-            self._peak_size = len(order)
-        return sizes

@@ -15,17 +15,9 @@ reused more than the thread).
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.exceptions import OnlineMechanismError
 from repro.graph.bipartite import Vertex
-from repro.online.base import (
-    OBJECT,
-    THREAD,
-    Decision,
-    OnlineMechanism,
-    popularity_choice,
-)
+from repro.online.base import OBJECT, THREAD, OnlineMechanism, popularity_choice
 
 
 class PopularityMechanism(OnlineMechanism):
@@ -55,53 +47,3 @@ class PopularityMechanism(OnlineMechanism):
     def _choose(self, thread: Vertex, obj: Vertex) -> str:
         # observe() already added the edge, so both vertices exist and |E| > 0.
         return popularity_choice(self.revealed_graph, thread, obj, self._tie_break)
-
-    def observe_batch(self, pairs) -> List[int]:
-        """The hoisted batch loop (see the base class for the contract).
-
-        The popularity decision is inherently sequential (each choice
-        reads the degrees the previous events produced), so the batch
-        win is structural: covered events - the overwhelming majority
-        once the cover has warmed up - cost one graph update and one
-        membership check, with no method dispatch.  Uncovered events
-        still route through :func:`popularity_choice` so the policy
-        (including its tie-breaking) stays byte-for-byte the paper's.
-        """
-        cls = type(self)
-        if (
-            cls._choose is not PopularityMechanism._choose
-            or cls._on_observe is not OnlineMechanism._on_observe
-            or cls.observe is not OnlineMechanism.observe
-        ):
-            return super().observe_batch(pairs)
-        graph = self._graph
-        add_edge = graph.add_edge
-        thread_components = self._thread_components
-        object_components = self._object_components
-        order = self._component_order
-        decisions = self._decisions
-        tie_break = self._tie_break
-        events_seen = self._events_seen
-        sizes: List[int] = []
-        append = sizes.append
-        for thread, obj in pairs:
-            add_edge(thread, obj)
-            event_index = events_seen
-            events_seen += 1
-            if thread not in thread_components and obj not in object_components:
-                choice = popularity_choice(graph, thread, obj, tie_break)
-                if choice == THREAD:
-                    component = thread
-                    thread_components.add(thread)
-                else:
-                    component = obj
-                    object_components.add(obj)
-                order.append((choice, component))
-                decisions.append(
-                    Decision(event_index, thread, obj, choice, component)
-                )
-            append(len(order))
-        self._events_seen = events_seen
-        if len(order) > self._peak_size:
-            self._peak_size = len(order)
-        return sizes

@@ -22,11 +22,13 @@ class Mutant(NamedTuple):
 
 _KERNEL = "src/repro/core/kernel.py"
 _INCREMENTAL = "src/repro/graph/incremental.py"
+_MECHANISM = "src/repro/online/base.py"
 
 _COMPACTION_TESTS = (
     "tests/test_epoch_rotation_properties.py::test_compacting_driver_survives_resume",
     "tests/test_epoch_rotation_properties.py::test_retire_rejoin_and_compaction_keep_verdicts",
 )
+_BATCH_TESTS = ("tests/test_batched_pipeline.py::TestObserveBatchBitIdentity",)
 _FOREST_TESTS = (
     "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_sliding_windows",
     "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_interleaved_scripts",
@@ -114,5 +116,29 @@ MUTANTS = (
         "        self._z = None\n        self._zo = None\n",
         "        self._z = _Forest({}, {}, {}, {})\n        self._zo = _Forest({}, {}, {}, {})\n",
         ("tests/test_dynamic_matching.py::test_pickle_round_trip_mid_stream_keeps_later_verdicts",),
+    ),
+    # The one mechanism batch loop (OnlineMechanism.observe_batch) must
+    # equal observe() per pair, hooks and counter write-back included.
+    Mutant(
+        "batch-loop-skips-on-observe",
+        _MECHANISM,
+        "            if hooked:\n                self._on_observe(thread, obj)\n",
+        "",
+        _BATCH_TESTS,
+    ),
+    Mutant(
+        "batch-loop-writes-events-seen-after-the-hooks",
+        _MECHANISM,
+        "            self._events_seen = event_index + 1\n"
+        "            if hooked:\n"
+        "                self._on_observe(thread, obj)\n"
+        "            if thread not in thread_components and obj not in object_components:\n"
+        "                self._adopt(event_index, thread, obj)\n",
+        "            if hooked:\n"
+        "                self._on_observe(thread, obj)\n"
+        "            if thread not in thread_components and obj not in object_components:\n"
+        "                self._adopt(event_index, thread, obj)\n"
+        "            self._events_seen = event_index + 1\n",
+        _BATCH_TESTS,
     ),
 )
