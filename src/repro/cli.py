@@ -289,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     engine_clean = engine_sub.add_parser(
         "clean",
         help="prune checkpoint files the manifest does not reference "
-        "(out-of-range shard ids, orphaned temp files)",
+        "(out-of-range shard ids, superseded shard-<id>.<chunks>.pickle "
+        "generations, unnumbered shard-<id>.pickle files of the older "
+        "layout, orphaned temp files)",
     )
     engine_clean.add_argument(
         "checkpoint_dir", help="directory written by 'engine run --checkpoint-dir'"

@@ -155,12 +155,15 @@ def fold_stamp_values(fold: int, thread_value: int, object_value: int) -> int:
 
     The digest is an order-sensitive projection of the timestamp stream:
     for every stamped event it absorbs the post-increment values of the
-    event's thread and object slots (0 for an absent side).  Any
-    divergence in the clock state propagates into some later event's
-    incremented slots, so pipelines, backends and worker layouts that
-    disagree on any stamp disagree on the digest.  Pure ints, cheap, and
-    picklable - the property that lets the sharded engine carry it
-    through checkpoints.
+    event's thread and object slots (0 for an absent side).  No clock
+    knows more of a component's events than the component's own clock,
+    so an incremented slot reads that component's event count whatever
+    the merge did.  The digest therefore pins which components each
+    event incremented, in order, but not the merged vectors: a merge
+    that drops other slots leaves it unchanged.  The merge is checked by
+    comparing final clock state (the kernel's batch property tests).
+    Pure ints, cheap, and picklable - the property that lets the sharded
+    engine carry it through checkpoints.
     """
     return (
         (fold ^ (thread_value * 2654435761 + object_value * 40503 + 1))

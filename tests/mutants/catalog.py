@@ -23,12 +23,14 @@ class Mutant(NamedTuple):
 _KERNEL = "src/repro/core/kernel.py"
 _INCREMENTAL = "src/repro/graph/incremental.py"
 _MECHANISM = "src/repro/online/base.py"
+_CHECKPOINT = "src/repro/engine/checkpoint.py"
 
 _COMPACTION_TESTS = (
     "tests/test_epoch_rotation_properties.py::test_compacting_driver_survives_resume",
     "tests/test_epoch_rotation_properties.py::test_retire_rejoin_and_compaction_keep_verdicts",
 )
 _BATCH_TESTS = ("tests/test_batched_pipeline.py::TestObserveBatchBitIdentity",)
+_GENERATION_TESTS = ("tests/test_engine.py::TestCheckpointGenerations",)
 _FOREST_TESTS = (
     "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_sliding_windows",
     "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_interleaved_scripts",
@@ -57,6 +59,21 @@ MUTANTS = (
         "            live = [s for s in range(self.width) if slots.died.get(s, version + 1) > version]\n",
         "            live = list(range(self.width))\n",
         ("tests/test_epoch_kernel.py::TestLayoutChain",),
+    ),
+    # The stamp digest folds only each event's incremented slots, which
+    # equal per-component event counts whatever the merge did: only a
+    # comparison of the final clock state catches advance_batch merging
+    # nothing but the object's slot.
+    Mutant(
+        "kernel-advance-merges-only-the-object-slot",
+        _KERNEL,
+        "                values = maximum(thread_values, object_values)\n",
+        "                values = maximum(thread_values, object_values)\n"
+        "                if append_stamp is None:\n"
+        "                    values = copy(thread_values)\n"
+        "                    if object_slot is not None:\n"
+        "                        values[object_slot] = object_values[object_slot]\n",
+        ("tests/test_batched_pipeline.py::TestKernelBatchBitIdentity::test_advance_batch_matches_fold_event",),
     ),
     Mutant(
         "kernel-extension-reads-the-layout",
@@ -116,6 +133,28 @@ MUTANTS = (
         "        self._z = None\n        self._zo = None\n",
         "        self._z = _Forest({}, {}, {}, {})\n        self._zo = _Forest({}, {}, {}, {})\n",
         ("tests/test_dynamic_matching.py::test_pickle_round_trip_mid_stream_keeps_later_verdicts",),
+    ),
+    # Shard checkpoint generations (module docstring of
+    # repro.engine.checkpoint): load reads the newest, and a save never
+    # leaves a shard without a complete checkpoint.
+    Mutant(
+        "checkpoint-load-reads-the-oldest-generation",
+        _CHECKPOINT,
+        "            shard_id: paths[-1] for shard_id, paths in self._generations().items()\n",
+        "            shard_id: paths[0] for shard_id, paths in self._generations().items()\n",
+        _GENERATION_TESTS,
+    ),
+    Mutant(
+        "checkpoint-unlinks-before-the-rename",
+        _CHECKPOINT,
+        "        self._atomic_write(\n"
+        "            path,\n",
+        "        for older in self._generations().get(checkpoint.shard_id, []):\n"
+        "            if older != path:\n"
+        "                _unlink_quietly(older)\n"
+        "        self._atomic_write(\n"
+        "            path,\n",
+        _GENERATION_TESTS,
     ),
     # The one mechanism batch loop (OnlineMechanism.observe_batch) must
     # equal observe() per pair, hooks and counter write-back included.

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -473,6 +474,90 @@ class TestCheckpointIntegrity:
         path.write_bytes(self._framed(pickle.dumps(42)))
         with pytest.raises(EngineError, match="holds a int, not a ShardCheckpoint"):
             manager.load(shard)
+
+
+class TestCheckpointGenerations:
+    """Each save is a new generation; a kill anywhere leaves one to resume."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        return dataclasses.replace(BASE_CONFIG, checkpoint_dir=str(tmp_path / "ckpt"))
+
+    @staticmethod
+    def _interrupted(config):
+        with pytest.raises(EngineInterrupted):
+            run_engine(dataclasses.replace(config, max_chunks_per_shard=1))
+        return EngineCheckpointManager(config.checkpoint_dir, config.signature())
+
+    def test_failed_rename_keeps_the_previous_generation(self, config, monkeypatch):
+        manager = self._interrupted(config)
+        (shard, path), = manager.shard_files().items()
+        replace = checkpoint_module.os.replace
+
+        def full_disk(source, target):
+            # The resumed run's next save of the checkpointed shard fails
+            # at its rename; the other shards save as usual.
+            if Path(target).name.startswith(f"shard-{shard}."):
+                raise OSError(28, "No space left on device")
+            replace(source, target)
+
+        monkeypatch.setattr(checkpoint_module.os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            run_engine(config)
+        monkeypatch.undo()
+        assert manager.shard_files()[shard] == path
+        assert manager.load(shard).chunks_done == 1
+        assert not sorted(manager.directory.glob("*.pickle.*"))
+        resumed = run_engine(config)
+        assert resumed.fingerprint() == run_engine(BASE_CONFIG).fingerprint()
+
+    def test_newest_of_two_generations_loads_and_clean_prunes_the_older(
+        self, config, capsys
+    ):
+        manager = self._interrupted(config)
+        first = {
+            shard: (path, path.read_bytes())
+            for shard, path in manager.shard_files().items()
+        }
+        completed = run_engine(config)
+        newest = manager.shard_files()
+        # A kill between a save's rename and its unlink leaves the
+        # superseded generation next to the new one.
+        for path, data in first.values():
+            assert not path.exists()
+            path.write_bytes(data)
+        assert manager.shard_files() == newest
+        for shard, (path, _) in first.items():
+            assert newest[shard] != path
+            assert manager.load(shard).chunks_done > 1
+        assert main(["engine", "clean", config.checkpoint_dir]) == 0
+        assert f"pruned {len(first)} unreferenced" in capsys.readouterr().out
+        assert not any(path.exists() for path, _ in first.values())
+        assert manager.shard_files() == newest
+        assert run_engine(config).fingerprint() == completed.fingerprint()
+
+    def test_legacy_file_and_stale_temp_file_are_pruned(self, config):
+        completed = run_engine(config)
+        manager = EngineCheckpointManager(config.checkpoint_dir, config.signature())
+        files = manager.shard_files()
+        shard, path = min(files.items())
+        # An intact checkpoint under the unnumbered name of the layout
+        # before generations, a half-written temp file, and a file this
+        # manager never names.
+        legacy = path.with_name(f"shard-{shard}.pickle")
+        legacy.write_bytes(path.read_bytes())
+        stale = path.with_name(path.name + ".k3x9q2ab")
+        stale.write_bytes(path.read_bytes()[:100])
+        foreign = path.with_name("shard-notes.pickle")
+        foreign.write_bytes(b"notes")
+        assert manager.shard_files() == files
+        path.unlink()
+        assert manager.load(shard) is None
+        assert manager.prune() == sorted([legacy, stale])
+        assert foreign.exists()
+        # The shard without a generation is recomputed from the stream.
+        assert run_engine(config).fingerprint() == completed.fingerprint()
+        assert set(manager.shard_files()) == set(files)
 
 
 # ---------------------------------------------------------------------------

@@ -296,8 +296,9 @@ class TestEngineCli:
                 "--chunk-size", "200", "--checkpoint-dir", str(directory),
             ]
         ) == 0
-        stale_shard = directory / "shard-7.pickle"
-        orphan_tmp = directory / "shard-0.pickle.tmpabc"
+        (generation,) = sorted(directory.glob("shard-0.*.pickle"))
+        stale_shard = directory / "shard-7.1.pickle"
+        orphan_tmp = directory / (generation.name + ".tmpabc")
         stale_shard.write_bytes(b"stale")
         orphan_tmp.write_bytes(b"orphan")
         capsys.readouterr()
@@ -306,7 +307,7 @@ class TestEngineCli:
         assert "pruned 2" in captured.out
         assert not stale_shard.exists()
         assert not orphan_tmp.exists()
-        assert (directory / "shard-0.pickle").exists()
+        assert generation.exists()
         assert (directory / "manifest.json").exists()
 
     def test_inspect_rejects_non_checkpoint_directory(self, tmp_path, capsys):
