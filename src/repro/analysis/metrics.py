@@ -182,16 +182,19 @@ class QuantileSketch:
     capacity shrinking towards the distribution's tails (the t-digest
     scale function ``k(q) = compression * (asin(2q - 1) / pi + 1/2)``),
     so extreme percentiles stay sharp while the bulk is summarised
-    coarsely.  ``update`` is amortised O(1) (values buffer until the next
-    compression), ``merge`` is O(centroids); both are deterministic pure
-    functions of the inserted multiset *and the merge/chunk structure* -
-    a fixed merge tree (the engine's chunks-then-shards order) therefore
-    yields bit-identical sketches across worker counts, which is what
-    lets the engine fingerprint include sketch-derived percentiles.
-    Different chunkings agree only approximately, like any t-digest;
-    ``count`` / ``minimum`` / ``maximum`` are exact under every
-    bracketing, and quantile estimates stay within the digest's rank
-    accuracy (the associativity property test pins both).
+    coarsely.  ``update`` (one value) and ``update_many`` (a run, one call)
+    buffer values and pay one ``O(centroids)`` rescan per ``compression``
+    of them.  Both flush whenever the buffer fills, with ``count`` already
+    including the value that filled it: the engine fingerprint includes
+    sketch percentiles, so the flush points are fixed.  ``merge`` is
+    O(centroids); all are deterministic pure functions of the inserted
+    sequence *and the merge/chunk structure* - a fixed merge tree (the
+    engine's chunks-then-shards order) therefore yields bit-identical
+    sketches across worker counts.  Different chunkings agree only
+    approximately, like any t-digest; ``count`` / ``minimum`` /
+    ``maximum`` are exact under every bracketing, and quantile estimates
+    stay within the digest's rank accuracy (the associativity property
+    test pins both).
 
     Treat instances frozen into a
     :class:`~repro.engine.results.SeriesFragment` as immutable: ``merge``
@@ -215,8 +218,7 @@ class QuantileSketch:
         cls, values: Iterable[float], compression: int = 64
     ) -> "QuantileSketch":
         sketch = cls(compression)
-        for value in values:
-            sketch.update(value)
+        sketch.update_many(values)
         return sketch
 
     # -- building -----------------------------------------------------------
@@ -231,6 +233,24 @@ class QuantileSketch:
         self._buffer.append(value)
         if len(self._buffer) >= self.compression:
             self._flush()
+
+    def update_many(self, values: Iterable[float]) -> None:
+        """Insert a run: the same state, flush points included, as ``update`` each."""
+        buffer, compression = self._buffer, self.compression
+        count, low, high = self.count, self.minimum, self.maximum
+        for value in values:
+            value = float(value)
+            count += 1
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+            buffer.append(value)
+            if len(buffer) >= compression:
+                self.count = count
+                self._flush()
+                buffer = self._buffer
+        self.count, self.minimum, self.maximum = count, low, high
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Combine two sketches into a new one (both operands untouched)."""
@@ -258,11 +278,6 @@ class QuantileSketch:
         self._buffer = []
         self._centroids = self._compress(self._centroids + pending, self.count)
 
-    def _scale(self, q: float) -> float:
-        """The t-digest scale function ``k(q)`` (monotone, tail-steep)."""
-        q = min(1.0, max(0.0, q))
-        return self.compression * (math.asin(2.0 * q - 1.0) / math.pi + 0.5)
-
     def _compress(
         self, centroids: List[Tuple[float, int]], total: int
     ) -> List[Tuple[float, int]]:
@@ -270,17 +285,20 @@ class QuantileSketch:
 
         Deterministic: centroids are sorted by ``(mean, weight)`` and
         scanned once; a neighbour is absorbed iff the combined cluster
-        still spans less than one unit of ``k(q)``.
+        still spans less than one unit of ``k(q)``, inlined and unclamped:
+        no prefix of the integer weights exceeds ``total``, so ``q <= 1``.
         """
         if not centroids:
             return []
         ordered = sorted(centroids)
+        asin, pi, compression = math.asin, math.pi, self.compression
         compressed: List[Tuple[float, int]] = []
         mean, weight = ordered[0]
-        seen = 0.0  # weight strictly before the current cluster
-        limit = self._scale(0.0) + 1.0
+        seen = 0  # weight strictly before the current cluster
+        limit = 1.0  # k(0) + 1, and k(0) is exactly 0
         for next_mean, next_weight in ordered[1:]:
-            if self._scale((seen + weight + next_weight) / total) <= limit:
+            q = (seen + weight + next_weight) / total
+            if compression * (asin(2.0 * q - 1.0) / pi + 0.5) <= limit:
                 # Weighted mean; weights are ints so only the mean rounds.
                 combined = weight + next_weight
                 mean += (next_mean - mean) * (next_weight / combined)
@@ -288,7 +306,7 @@ class QuantileSketch:
             else:
                 compressed.append((mean, weight))
                 seen += weight
-                limit = self._scale(seen / total) + 1.0
+                limit = compression * (asin(2.0 * (seen / total) - 1.0) / pi + 0.5) + 1.0
                 mean, weight = next_mean, next_weight
         compressed.append((mean, weight))
         return compressed
@@ -383,6 +401,22 @@ class RunningStats:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
+
+    def update_many(self, values: Iterable[float]) -> None:
+        """``update`` per value, in order: Welford's float rounding is kept."""
+        count, mean, m2 = self.count, self.mean, self.m2
+        low, high = self.minimum, self.maximum
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self.count, self.mean, self.m2 = count, mean, m2
+        self.minimum, self.maximum = low, high
 
     def freeze(self) -> MergeableStats:
         return MergeableStats(

@@ -63,6 +63,7 @@ seeds), and every float accumulation follows one fixed merge tree
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import truediv
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -644,8 +645,9 @@ class _ShardRun:
     def flush_inserts(self, run: List[Tuple[object, object]]) -> None:
         """One whole insert run through the stream consumer and the stamps.
 
-        Samples every ``stride``-th insert, folds every insert's ratio to
-        the optimum, and completes the chunk when the run fills it.
+        Samples every ``stride``-th insert, folds each label's ratios to
+        the optimum into its stats and sketch once per run, and completes
+        the chunk when the run fills it.
         """
         sizes, offline_sizes = self.stream.insert_run(run)
         chunk = self.chunk
@@ -660,12 +662,9 @@ class _ShardRun:
             for offset in sample_offsets:
                 samples.append(label_sizes[offset])
             if offline_sizes is not None:
-                update_stats = chunk.ratios[label].update
-                update_sketch = chunk.sketches[label].update
-                for size, offline_size in zip(label_sizes, offline_sizes):
-                    ratio = size / offline_size
-                    update_stats(ratio)
-                    update_sketch(ratio)
+                ratios = [*map(truediv, label_sizes, offline_sizes)]
+                chunk.ratios[label].update_many(ratios)
+                chunk.sketches[label].update_many(ratios)
         if offline_sizes is not None:
             chunk.offline_final = offline_sizes[-1]
             offline_samples = chunk.samples[OFFLINE_LABEL]

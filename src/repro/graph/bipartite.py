@@ -107,12 +107,18 @@ class BipartiteGraph:
             The online mechanisms use this to detect whether a revealed
             event changes the bipartite graph at all.
         """
-        self.add_thread(thread)
-        self.add_object(obj)
-        if obj in self._thread_adj[thread]:
+        objects = self._thread_adj.get(thread)
+        if objects is None:
+            self.add_thread(thread)
+            objects = self._thread_adj[thread]
+        elif obj in objects:
             return False
-        self._thread_adj[thread].add(obj)
-        self._object_adj[obj].add(thread)
+        threads = self._object_adj.get(obj)
+        if threads is None:
+            self.add_object(obj)
+            threads = self._object_adj[obj]
+        objects.add(obj)
+        threads.add(thread)
         self._edge_count += 1
         return True
 

@@ -24,6 +24,8 @@ _KERNEL = "src/repro/core/kernel.py"
 _INCREMENTAL = "src/repro/graph/incremental.py"
 _MECHANISM = "src/repro/online/base.py"
 _CHECKPOINT = "src/repro/engine/checkpoint.py"
+_METRICS = "src/repro/analysis/metrics.py"
+_BIPARTITE = "src/repro/graph/bipartite.py"
 
 _COMPACTION_TESTS = (
     "tests/test_epoch_rotation_properties.py::test_compacting_driver_survives_resume",
@@ -179,5 +181,24 @@ MUTANTS = (
         "                self._adopt(event_index, thread, obj)\n"
         "            self._events_seen = event_index + 1\n",
         _BATCH_TESTS,
+    ),
+    # The ratio sketch (QuantileSketch): a run fed through update_many
+    # must flush at the same values as update per value, or the
+    # sketch-derived percentiles in the engine fingerprint move.
+    Mutant(
+        "sketch-flush-point-off-by-one",
+        _METRICS,
+        "            if len(buffer) >= compression:\n",
+        "            if len(buffer) > compression:\n",
+        ("tests/test_quantile_sketch.py::TestUpdateMany",),
+    ),
+    # BipartiteGraph.add_edge looks each endpoint up once; a new endpoint
+    # still goes through add_thread / add_object and their cross-side check.
+    Mutant(
+        "add-edge-skips-the-cross-side-check",
+        _BIPARTITE,
+        "            self.add_thread(thread)\n            objects = self._thread_adj[thread]\n",
+        "            objects = self._thread_adj[thread] = set()\n",
+        ("tests/test_bipartite_graph.py::TestConstruction",),
     ),
 )

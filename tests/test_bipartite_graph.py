@@ -8,6 +8,15 @@ from repro.exceptions import DuplicateVertexError, GraphError, UnknownVertexErro
 from repro.graph import BipartiteGraph, paper_example_graph
 
 
+def _snapshot(graph):
+    """Both adjacency maps and the edge count, as plain values."""
+    return (
+        {thread: set(graph.neighbors(thread)) for thread in graph.threads},
+        {obj: set(graph.neighbors(obj)) for obj in graph.objects},
+        graph.num_edges,
+    )
+
+
 class TestConstruction:
     def test_empty_graph(self):
         graph = BipartiteGraph()
@@ -54,6 +63,28 @@ class TestConstruction:
         graph.add_object("Y")
         with pytest.raises(DuplicateVertexError):
             graph.add_thread("Y")
+
+    def test_add_edge_rejects_a_thread_endpoint_that_is_an_object(self):
+        graph = BipartiteGraph(edges=[("T1", "X")])
+        before = _snapshot(graph)
+        with pytest.raises(DuplicateVertexError):
+            graph.add_edge("X", "O2")
+        assert _snapshot(graph) == before
+
+    def test_add_edge_rejects_an_object_endpoint_that_is_a_thread(self):
+        graph = BipartiteGraph(edges=[("T1", "O1"), ("X", "O1")])
+        before = _snapshot(graph)
+        with pytest.raises(DuplicateVertexError):
+            graph.add_edge("T1", "X")
+        assert _snapshot(graph) == before
+
+    def test_repeated_edge_changes_nothing(self):
+        graph = BipartiteGraph(edges=[("T1", "O1"), ("T1", "O2"), ("T2", "O1")])
+        before = _snapshot(graph)
+        assert graph.add_edge("T1", "O1") is False
+        assert graph.add_edge("T2", "O1") is False
+        assert _snapshot(graph) == before
+        assert graph.num_edges == 3
 
     def test_remove_edge(self):
         graph = BipartiteGraph(edges=[("T1", "O1"), ("T1", "O2")])

@@ -10,13 +10,14 @@ tests pin the estimates against exact order statistics.
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.metrics import QuantileSketch
+from repro.analysis.metrics import QuantileSketch, RunningStats
 
 
 def exact_percentile(values, p):
@@ -26,6 +27,140 @@ def exact_percentile(values, p):
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
     return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+
+def raw_state(sketch):
+    """The fields ``update`` writes, read without the flush ``==`` does.
+
+    ``repr`` tells ``1`` from ``1.0`` and ``0.0`` from ``-0.0``, so equal
+    states are equal bit for bit and in type.
+    """
+    return repr(
+        (sketch._centroids, sketch._buffer, sketch.count, sketch.minimum, sketch.maximum)
+    )
+
+
+def split_runs(values, cuts):
+    """``values`` cut at the (unsorted, possibly repeated) ``cuts``."""
+    bounds = [0] + sorted(min(cut, len(values)) for cut in cuts) + [len(values)]
+    return [values[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def scale_calling_compress(compression, centroids, total):
+    """``_compress`` as it was before ``k(q)`` was inlined: the oracle."""
+
+    def scale(q):
+        q = min(1.0, max(0.0, q))
+        return compression * (math.asin(2.0 * q - 1.0) / math.pi + 0.5)
+
+    if not centroids:
+        return []
+    ordered = sorted(centroids)
+    compressed = []
+    mean, weight = ordered[0]
+    seen = 0.0
+    limit = scale(0.0) + 1.0
+    for next_mean, next_weight in ordered[1:]:
+        if scale((seen + weight + next_weight) / total) <= limit:
+            combined = weight + next_weight
+            mean += (next_mean - mean) * (next_weight / combined)
+            weight = combined
+        else:
+            compressed.append((mean, weight))
+            seen += weight
+            limit = scale(seen / total) + 1.0
+            mean, weight = next_mean, next_weight
+    compressed.append((mean, weight))
+    return compressed
+
+
+def fed_per_value(sketch, values):
+    for value in values:
+        sketch.update(value)
+    return sketch
+
+
+def fed_in_runs(sketch, values, cuts):
+    for run in split_runs(values, cuts):
+        sketch.update_many(run)
+    return sketch
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+finite_or_int_lists = st.one_of(
+    st.lists(finite, max_size=400), st.lists(st.integers(-1000, 1000), max_size=400)
+)
+cut_points = st.lists(st.integers(0, 400), max_size=12)
+
+
+class TestUpdateMany:
+    """``update_many`` over any split into runs is ``update`` per value.
+
+    Small compressions make a few hundred values cross many flushes, so a
+    flush point moved by one value shows in the centroids.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=finite_or_int_lists, cuts=cut_points, compression=st.integers(4, 24))
+    def test_any_run_split_equals_per_value(self, values, cuts, compression):
+        one = fed_per_value(QuantileSketch(compression), values)
+        runs = fed_in_runs(QuantileSketch(compression), values, cuts)
+        assert all(type(value) is float for value in runs._buffer)
+        assert raw_state(runs) == raw_state(one)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        first=st.lists(finite, max_size=150),
+        second=st.lists(finite, max_size=150),
+        after=st.lists(finite, max_size=150),
+        cuts=cut_points,
+        compression=st.integers(4, 24),
+    )
+    def test_equal_after_merges(self, first, second, after, cuts, compression):
+        one = fed_per_value(QuantileSketch(compression), first).merge(
+            fed_per_value(QuantileSketch(compression), second)
+        )
+        runs = fed_in_runs(QuantileSketch(compression), first, cuts).merge(
+            fed_in_runs(QuantileSketch(compression), second, cuts)
+        )
+        assert raw_state(runs) == raw_state(one)
+        assert raw_state(fed_in_runs(runs, after, cuts)) == raw_state(
+            fed_per_value(one, after)
+        )
+
+    def test_from_values_takes_any_iterable(self):
+        values = [random.Random(5).random() for _ in range(300)]
+        assert raw_state(QuantileSketch.from_values(iter(values))) == raw_state(
+            QuantileSketch.from_values(values)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(finite, max_size=300), cuts=cut_points)
+    def test_running_stats_update_many_is_bit_identical(self, values, cuts):
+        one = RunningStats()
+        for value in values:
+            one.update(value)
+        runs = RunningStats()
+        for run in split_runs(values, cuts):
+            runs.update_many(run)
+        fields = ("count", "mean", "m2", "minimum", "maximum")
+        assert repr([getattr(runs, f) for f in fields]) == repr(
+            [getattr(one, f) for f in fields]
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        centroids=st.lists(st.tuples(finite, st.integers(1, 60)), max_size=200),
+        slack=st.integers(0, 100),
+        compression=st.integers(4, 128),
+    )
+    def test_compress_equals_the_scale_calling_loop(self, centroids, slack, compression):
+        # ``total`` never falls below the weight sum: flush and merge
+        # both pass the exact count, the slack only widens the range.
+        total = sum(weight for _, weight in centroids) + slack
+        assert repr(QuantileSketch(compression)._compress(centroids, total)) == repr(
+            scale_calling_compress(compression, centroids, total)
+        )
 
 
 class TestAccuracy:
