@@ -256,7 +256,7 @@ def _run_cover_leg(mode):
     """
     rng = random.Random(STREAM_SEED)
     live = []
-    persistent = DynamicMatching(record_trajectory=False)
+    persistent = DynamicMatching()
     registry = MetricsRegistry(origin=f"bench-cover-{mode}")
     previous = obs_install(registry)
     samples = []
@@ -282,7 +282,7 @@ def _run_cover_leg(mode):
                 if mode == "repair":
                     cover = persistent.vertex_cover()
                 else:
-                    fresh = DynamicMatching(record_trajectory=False)
+                    fresh = DynamicMatching()
                     fresh.add_edges(live)
                     cover = fresh.vertex_cover()
                 samples.append(time.perf_counter() - start)

@@ -111,11 +111,12 @@ identity on random computations, with ``observe`` as the independent
 oracle.
 
 Backend selection: an explicit ``backend`` name (to the kernel or to
-whatever builds one) wins; otherwise ``numpy`` when numpy imports, else
-``python``, decided at the kernel's first batch.  numpy is imported on
-first need, so a program that only observes event by event never loads
-it.  Requesting ``numpy`` without numpy installed, or any name
-but these two, raises a clean :class:`~repro.exceptions.ClockError`.
+``EngineConfig``; no clock or protocol takes one) wins; otherwise
+``numpy`` when numpy imports, else ``python``, decided at the kernel's
+first batch.  numpy is imported on first need, so a program that only
+observes event by event never loads it.  Requesting ``numpy`` without
+numpy installed, or any name but these two, raises a clean
+:class:`~repro.exceptions.ClockError`.
 """
 
 from __future__ import annotations
@@ -532,11 +533,6 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def available_backends() -> Tuple[str, ...]:
-    """The backend names selectable in this process, python first."""
-    return (PYTHON_BACKEND, NUMPY_BACKEND) if numpy_available() else (PYTHON_BACKEND,)
-
-
 def default_backend_name() -> str:
     """The backend a kernel gets without an explicit choice: ``numpy``
     when numpy imports, ``python`` otherwise."""
@@ -554,8 +550,7 @@ def resolve_backend(name: Optional[str] = None) -> str:
         return default_backend_name()
     if not isinstance(name, str) or name not in (PYTHON_BACKEND, NUMPY_BACKEND):
         raise ClockError(
-            f"unknown kernel backend {name!r} "
-            f"(expected one of: {', '.join(available_backends())})"
+            f"unknown kernel backend {name!r} (expected 'python' or 'numpy')"
         )
     if name == NUMPY_BACKEND and not numpy_available():
         raise ClockError(

@@ -73,22 +73,11 @@ class VectorClockProtocol:
         merge and no increment).  This is only useful for demonstrating in
         tests and examples *why* coverage is required; production callers
         should leave it on.
-    backend:
-        Kernel batch backend name (``python`` or ``numpy``) for the
-        chunked entry points; ``None`` picks ``numpy`` when it imports
-        and ``python`` otherwise.  Never changes the timestamps, only the
-        wall-clock of the batch paths.
     """
 
-    def __init__(
-        self,
-        components: ClockComponents,
-        strict: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, components: ClockComponents, strict: bool = True) -> None:
         self._components = components
-        self._strict = strict
-        self._kernel = ClockKernel(components, strict=strict, backend=backend)
+        self._kernel = ClockKernel(components, strict=strict)
         self._events_observed = 0
 
     # ------------------------------------------------------------------
@@ -404,23 +393,19 @@ class EpochClock:
     committing.
 
     ``rotation`` selects the strategy per clock (``"delta"``, the
-    default, or ``"replay"``).  ``backend`` is the kernel batch backend,
-    as for :class:`VectorClockProtocol` (``None``: ``numpy`` when it
-    imports, ``python`` otherwise).
+    default, or ``"replay"``).  Every observed event must be covered by
+    a component: the clock is always strict.
     """
 
     def __init__(
         self,
         components: Optional[ClockComponents] = None,
-        strict: bool = True,
+        *,
         check_invariant: bool = False,
-        backend: Optional[str] = None,
         rotation: str = DELTA_ROTATION,
     ) -> None:
         self._kernel = ClockKernel(
-            components if components is not None else ClockComponents(),
-            strict=strict,
-            backend=backend,
+            components if components is not None else ClockComponents()
         )
         self._check_invariant = check_invariant
         if rotation not in ROTATION_STRATEGIES:

@@ -122,19 +122,11 @@ class DynamicMatching:
     live occurrence leaves.
     """
 
-    def __init__(
-        self, edges: Iterable[Edge] = (), record_trajectory: bool = True
-    ) -> None:
+    def __init__(self, edges: Iterable[Edge] = ()) -> None:
         self._graph = BipartiteGraph()
         self._thread_to_object: Dict[Vertex, Vertex] = {}
         self._object_to_thread: Dict[Vertex, Vertex] = {}
         self._multiplicity: Dict[Edge, int] = {}
-        # The per-mutation size history is opt-out: drivers that stream
-        # unbounded workloads and keep their own per-insert samples (the
-        # online simulator, the windowed trajectory helper) disable it so
-        # the engine's memory stays proportional to the *live* graph, not
-        # to the total number of events ever processed.
-        self._trajectory: Optional[List[int]] = [] if record_trajectory else None
         self._cover_cache: Optional[FrozenSet[Vertex]] = None
         # König's Z and its mirror Z_O as alternating forests; None means
         # dirty (rebuilt by the first mutation or query that needs it).
@@ -224,22 +216,6 @@ class DynamicMatching:
         """How many live events currently reveal the edge ``(thread, obj)``."""
         return self._multiplicity.get((thread, obj), 0)
 
-    def optimal_size_trajectory(self) -> Tuple[int, ...]:
-        """Maximum matching size after each mutating call so far.
-
-        One entry per :meth:`add_edge` / :meth:`remove_edge` call (repeat
-        edges included), so feeding a reveal order through the engine
-        yields the per-event offline-optimum trajectory the
-        competitive-ratio plots need.  Raises :class:`GraphError` if the
-        engine was built with ``record_trajectory=False``.
-        """
-        if self._trajectory is None:
-            raise GraphError(
-                "this engine was built with record_trajectory=False; "
-                "sample .size per event instead"
-            )
-        return tuple(self._trajectory)
-
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
@@ -280,8 +256,6 @@ class DynamicMatching:
                     self._z.absorb(thread, obj)
                 if self._zo is not None:
                     self._zo.absorb(obj, thread)
-        if self._trajectory is not None:
-            self._trajectory.append(len(self._thread_to_object))
         return grew
 
     def add_edges(self, pairs: Iterable[Edge]) -> "DynamicMatching":
@@ -337,8 +311,6 @@ class DynamicMatching:
                 graph.remove_isolated_vertex(obj)
                 if self._zo is not None:
                     self._zo.near.pop(obj, None)
-        if self._trajectory is not None:
-            self._trajectory.append(len(self._thread_to_object))
         return shrank
 
     def remove_edges(self, pairs: Iterable[Edge]) -> "DynamicMatching":
@@ -583,11 +555,17 @@ class _Forest:
 def incremental_optimum_trajectory(pairs: Iterable[Edge]) -> Tuple[int, ...]:
     """Maximum-matching size after each pair of ``pairs`` is revealed.
 
-    Convenience wrapper over :class:`DynamicMatching` for callers that
-    only want the append-only trajectory (the online simulator and the
-    competitive-ratio analysis); with no deletions it is monotone.
+    ``result[i]`` is the optimal mixed clock size (minimum vertex cover =
+    maximum matching, Theorem 3) of the graph formed by ``pairs[:i + 1]``,
+    computed in one pass of :class:`DynamicMatching` instead of one
+    from-scratch matching per prefix; with no deletions it is monotone.
     """
-    return DynamicMatching(pairs).optimal_size_trajectory()
+    engine = DynamicMatching()
+    sizes: List[int] = []
+    for thread, obj in pairs:
+        engine.add_edge(thread, obj)
+        sizes.append(engine.size)
+    return tuple(sizes)
 
 
 def sliding_window_optimum_trajectory(
@@ -609,7 +587,7 @@ def sliding_window_optimum_trajectory(
     """
     if window < 1:
         raise GraphError(f"window must be >= 1, got {window}")
-    engine = DynamicMatching(record_trajectory=False)
+    engine = DynamicMatching()
     live: Deque[Edge] = deque()
     sizes: List[int] = []
     for thread, obj in events:

@@ -2,7 +2,6 @@
 
 from repro.offline.algorithm import (
     OfflineResult,
-    offline_optimum_trajectory,
     optimal_clock_size,
     optimal_components_for_computation,
     optimal_components_for_graph,
@@ -11,7 +10,6 @@ from repro.offline.algorithm import (
 
 __all__ = [
     "OfflineResult",
-    "offline_optimum_trajectory",
     "optimal_clock_size",
     "optimal_components_for_computation",
     "optimal_components_for_graph",

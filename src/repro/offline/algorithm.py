@@ -20,13 +20,12 @@ entry point the benchmarks use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet
 
 from repro.computation.trace import Computation
 from repro.core.components import ClockComponents
 from repro.core.timestamping import TimestampedComputation, VectorClockProtocol
-from repro.graph.bipartite import BipartiteGraph, Edge, Vertex
-from repro.graph.incremental import incremental_optimum_trajectory
+from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.matching import Matching, maximum_matching
 from repro.graph.vertex_cover import konig_vertex_cover, validate_vertex_cover
 
@@ -133,16 +132,3 @@ def optimal_clock_size(graph: BipartiteGraph, algorithm: str = "hopcroft-karp") 
     matching alone is enough, so this skips the cover construction.
     """
     return len(maximum_matching(graph, algorithm=algorithm))
-
-
-def offline_optimum_trajectory(pairs: Iterable[Edge]) -> Tuple[int, ...]:
-    """Per-event offline-optimum clock sizes along a reveal order.
-
-    ``result[i]`` is the optimal mixed clock size (minimum vertex cover =
-    maximum matching, Theorem 3) of the graph formed by ``pairs[:i + 1]``.
-    Computed with :class:`~repro.graph.incremental.DynamicMatching`
-    in one pass, instead of one from-scratch Hopcroft-Karp per prefix;
-    this is what lets the online evaluation plot a *true* optimum
-    trajectory rather than a constant final-value line.
-    """
-    return incremental_optimum_trajectory(pairs)

@@ -13,12 +13,12 @@ through the lifecycle protocol of :class:`~repro.online.base.OnlineMechanism`
   for the per-event choice, plus *retirement*: it counts, per component,
   the live events the component's vertex participates in, and gives the
   slot back once the count hits zero.  *When* a dead slot is reclaimed
-  is a policy (``retirement=``): ``"eager"`` retires on the expire tick
-  that kills the last live event, ``"epoch"`` defers to the next epoch
-  sweep, and ``"cost"`` holds a dead slot while its expected re-add cost
-  (a decayed per-vertex re-add counter) still beats the rent the slot
-  has accrued since death - cutting rotation *frequency* under thrashing
-  vertices, not just rotation cost.  All three retire only endpoint-dead
+  is one of two policies (``retirement=``): ``"eager"`` retires on the
+  expire tick that kills the last live event, and ``"cost"`` holds a
+  dead slot, reclaiming it at an epoch sweep only once the rent the slot
+  has accrued since death beats its expected re-add cost (a decayed
+  per-vertex re-add counter) - cutting rotation *frequency* under
+  thrashing vertices, not just rotation cost.  Both retire only endpoint-dead
   components, which is what keeps re-timestamping sound: a live event
   blocks the retirement of both its endpoints, so every live event keeps
   a live incrementing component and all live-pair causal verdicts
@@ -70,14 +70,12 @@ from repro.online.base import (
 # -- retirement policies ------------------------------------------------------
 #: Retire a dead component on the expire tick that killed its last event.
 EAGER_RETIREMENT = "eager"
-#: Let dead components linger until the next ``end_epoch`` sweep.
-EPOCH_RETIREMENT = "epoch"
 #: Epoch-sweep retirement gated by the re-add cost model (see
 #: :class:`WindowedPopularityMechanism`).
 COST_RETIREMENT = "cost"
 
 #: Policies :class:`WindowedPopularityMechanism` accepts.
-RETIREMENT_POLICIES = (EAGER_RETIREMENT, EPOCH_RETIREMENT, COST_RETIREMENT)
+RETIREMENT_POLICIES = (EAGER_RETIREMENT, COST_RETIREMENT)
 
 #: Per-tick decay of the re-add score (half-life of ~138 lifecycle ticks).
 _COST_DECAY = 0.995
@@ -122,10 +120,10 @@ class WindowedPopularityMechanism(OnlineMechanism):
         policy is identical on purpose, so comparing this mechanism with
         plain Popularity isolates the effect of retirement).
     retirement:
-        Retirement policy.  ``"eager"`` (the default) retires a
-        component on the expire tick that kills its last live event;
-        ``"epoch"`` lets dead components linger until the next
-        ``end_epoch`` sweep.  Under ``"cost"`` a
+        Retirement policy, one of two.  ``"eager"`` (the default) retires
+        a component on the expire tick that kills its last live event, so
+        every component always has a live event and an epoch boundary
+        has nothing left to reclaim.  Under ``"cost"`` a
         dead component is only reclaimed at an epoch sweep once the rent
         it has accrued (lifecycle ticks since its last live event died)
         exceeds the grace its *re-add score* buys: a per-vertex counter
@@ -134,7 +132,7 @@ class WindowedPopularityMechanism(OnlineMechanism):
         bouncing back earns score, so its slot survives quiet spells and
         the retire-rotate / re-add-extend churn it would otherwise cause
         disappears; a vertex that never returns has score zero and is
-        reclaimed at the first sweep after death, like ``"epoch"``.  The
+        reclaimed at the first sweep after death.  The
         policy is deterministic (pure integer tick arithmetic plus
         fixed-sequence float multiplication) and keyed into
         :meth:`summary` as ``"retirement"``.  Registered as
@@ -197,7 +195,7 @@ class WindowedPopularityMechanism(OnlineMechanism):
 
     @property
     def retirement(self) -> str:
-        """The retirement policy in force (``eager`` / ``epoch`` / ``cost``)."""
+        """The retirement policy in force (``eager`` or ``cost``)."""
         return self._retirement
 
     def _tick(self) -> int:
@@ -275,7 +273,7 @@ class WindowedPopularityMechanism(OnlineMechanism):
                 self._retire_component(thread)
             if obj not in self._live_by_object and obj in self._object_components:
                 self._retire_component(obj)
-        elif self._retirement == COST_RETIREMENT:
+        else:
             # Start the rent meter; retirement itself waits for a sweep.
             tick = self._tick()
             if thread not in self._live_by_thread and thread in self._thread_components:
@@ -304,50 +302,37 @@ class WindowedPopularityMechanism(OnlineMechanism):
         return due
 
     def _on_end_epoch(self) -> Tuple[Vertex, ...]:
-        # With eager retirement this sweep is a no-op; with the epoch
-        # policy it reclaims every dead component; with the cost policy
-        # it reclaims the dead components whose rent has run out and
+        # Eager retirement leaves no dead component to sweep; the cost
+        # policy reclaims the dead components whose rent has run out and
         # remembers them in the re-add score table.
-        if self._retirement == COST_RETIREMENT:
-            tick = self._tick()
-            dead = self._cost_due(tick)
-            dead.sort(key=vertex_sort_key)
-            for component in dead:
-                self._retire_component(component)
-                self._dead_thread_since.pop(component, None)
-                self._dead_object_since.pop(component, None)
-                entry = self._readd_score.get(component)
-                if entry is None:
-                    # Open a ledger line so a future re-adoption of this
-                    # vertex is recognised and scored in _choose.
-                    self._readd_score[component] = (0.0, tick)
-            # Forget ledger lines that have sat untouched past the TTL
-            # with their score decayed to noise and no dead slot waiting,
-            # so the table tracks recent thrashers instead of every
-            # vertex ever retired.
-            stale = [
-                vertex
-                for vertex, (score, touched) in self._readd_score.items()
-                if tick - touched >= _COST_TTL_TICKS
-                and score * _decay_factor(tick - touched) < _COST_SCORE_FLOOR
-                and vertex not in self._dead_thread_since
-                and vertex not in self._dead_object_since
-            ]
-            for vertex in stale:
-                del self._readd_score[vertex]
-            return tuple(dead)
-        dead = [
-            component
-            for kind, component in self._component_order
-            if (
-                component not in self._live_by_thread
-                if kind == THREAD
-                else component not in self._live_by_object
-            )
-        ]
+        if self._eager:
+            return ()
+        tick = self._tick()
+        dead = self._cost_due(tick)
         dead.sort(key=vertex_sort_key)
         for component in dead:
             self._retire_component(component)
+            self._dead_thread_since.pop(component, None)
+            self._dead_object_since.pop(component, None)
+            entry = self._readd_score.get(component)
+            if entry is None:
+                # Open a ledger line so a future re-adoption of this
+                # vertex is recognised and scored in _choose.
+                self._readd_score[component] = (0.0, tick)
+        # Forget ledger lines that have sat untouched past the TTL
+        # with their score decayed to noise and no dead slot waiting,
+        # so the table tracks recent thrashers instead of every
+        # vertex ever retired.
+        stale = [
+            vertex
+            for vertex, (score, touched) in self._readd_score.items()
+            if tick - touched >= _COST_TTL_TICKS
+            and score * _decay_factor(tick - touched) < _COST_SCORE_FLOOR
+            and vertex not in self._dead_thread_since
+            and vertex not in self._dead_object_since
+        ]
+        for vertex in stale:
+            del self._readd_score[vertex]
         return tuple(dead)
 
     def summary(self) -> Dict[str, object]:
@@ -394,7 +379,7 @@ class EpochRotatingHybridMechanism(OnlineMechanism):
         self._switched_at: Optional[int] = None
         # The live window's graph and its maximum matching / König cover,
         # maintained across inserts and expiries.
-        self._live = DynamicMatching(record_trajectory=False)
+        self._live = DynamicMatching()
 
     # -- introspection ------------------------------------------------------
     @property

@@ -206,10 +206,7 @@ class StreamConsumer:
         if epoch is not None and epoch < 1:
             raise ComputationError(f"epoch must be >= 1, got {epoch}")
         self.mechanisms = mechanisms
-        # No mutation history: the footprint tracks the live graph.
-        self.optimum = (
-            DynamicMatching(record_trajectory=False) if include_offline else None
-        )
+        self.optimum = DynamicMatching() if include_offline else None
         self.window = window
         self.live_window: Optional[Deque[Pair]] = deque() if window is not None else None
         self.epoch = epoch

@@ -26,6 +26,8 @@ _MECHANISM = "src/repro/online/base.py"
 _CHECKPOINT = "src/repro/engine/checkpoint.py"
 _METRICS = "src/repro/analysis/metrics.py"
 _BIPARTITE = "src/repro/graph/bipartite.py"
+_ADAPTIVE = "src/repro/online/adaptive.py"
+_TIMESTAMPING = "src/repro/core/timestamping.py"
 
 _COMPACTION_TESTS = (
     "tests/test_epoch_rotation_properties.py::test_compacting_driver_survives_resume",
@@ -200,5 +202,29 @@ MUTANTS = (
         "            self.add_thread(thread)\n            objects = self._thread_adj[thread]\n",
         "            objects = self._thread_adj[thread] = set()\n",
         ("tests/test_bipartite_graph.py::TestConstruction",),
+    ),
+    # Eager retirement reclaims a component on the expire that kills its
+    # last live event; no epoch sweep is left to clean up after it.
+    Mutant(
+        "eager-expire-skips-object-retirement",
+        _ADAPTIVE,
+        "            if obj not in self._live_by_object and obj in self._object_components:\n"
+        "                self._retire_component(obj)\n",
+        "",
+        ("tests/test_adaptive_mechanisms.py::TestWindowedPopularity::test_eager_components_always_have_a_live_event",),
+    ),
+    # EpochClock.rotate takes the delta path only when no retired
+    # component is an endpoint of a live event.
+    Mutant(
+        "epoch-clock-delta-ignores-live-endpoints",
+        _TIMESTAMPING,
+        "            and not any(\n"
+        "                c in self._live_threads or c in self._live_objects for c in retired\n"
+        "            )\n",
+        "",
+        (
+            "tests/test_epoch_kernel.py::TestEpochClock::test_retiring_a_live_endpoint_replays",
+            "tests/test_adaptive_mechanisms.py::TestVerdictPreservation",
+        ),
     ),
 )

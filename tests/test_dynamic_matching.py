@@ -251,7 +251,7 @@ def test_every_call_reports_the_from_scratch_change_on_interleaved_scripts(scrip
 @given(wide_streams)
 def test_every_call_reports_the_from_scratch_change_on_sliding_windows(stream):
     events, window = stream
-    engine = DynamicMatching(record_trajectory=False)
+    engine = DynamicMatching()
     live = deque()
     for step, edge in enumerate(events):
         if len(live) == window:
@@ -281,7 +281,7 @@ def test_certain_augments_flip_the_stored_paths_without_a_search(monkeypatch):
     )
     monkeypatch.setattr(DynamicMatching, "_augment_from_object", no_search, raising=False)
     rng = random.Random(5)
-    engine = DynamicMatching(record_trajectory=False)
+    engine = DynamicMatching()
     live = deque()
     kinds = Counter()
     for _ in range(600):
@@ -342,7 +342,7 @@ def test_cover_does_not_depend_on_the_matching_held():
             if pending[edge]:
                 pending[edge] -= 1
                 steps.append((order.uniform(index + 0.5, len(inserts)), False, edge))
-        engine = DynamicMatching(record_trajectory=False)
+        engine = DynamicMatching()
         for step, (_, is_insert, edge) in enumerate(sorted(steps)):
             if is_insert:
                 engine.add_edge(*edge)
@@ -391,7 +391,7 @@ def test_pickle_round_trip_mid_stream_keeps_later_verdicts():
         (f"T{rng.randrange(12)}", f"O{rng.randrange(12)}") for _ in range(400)
     ]
     window = 25
-    engine = DynamicMatching(record_trajectory=False)
+    engine = DynamicMatching()
     live = deque()
 
     def step(engine, edge, live):
@@ -475,17 +475,15 @@ class TestRemoveEdge:
 
     def test_trajectory_records_removals(self):
         engine = DynamicMatching()
-        engine.add_edge("T0", "O0")
-        engine.add_edge("T1", "O1")
-        engine.remove_edge("T0", "O0")
-        assert engine.optimal_size_trajectory() == (1, 2, 1)
-
-    def test_trajectory_recording_can_be_disabled(self):
-        engine = DynamicMatching(record_trajectory=False)
-        engine.add_edge("T0", "O0")
-        with pytest.raises(GraphError):
-            engine.optimal_size_trajectory()
-        assert engine.size == 1
+        sizes = []
+        for call, edge in (
+            (engine.add_edge, ("T0", "O0")),
+            (engine.add_edge, ("T1", "O1")),
+            (engine.remove_edge, ("T0", "O0")),
+        ):
+            call(*edge)
+            sizes.append(engine.size)
+        assert sizes == [1, 2, 1]
 
     def test_isolated_endpoints_are_pruned_on_removal(self):
         # Memory on unbounded streams must track the live graph, not the
@@ -500,7 +498,7 @@ class TestRemoveEdge:
     def test_memory_stays_bounded_on_fresh_vertex_stream(self):
         # A window of 2 over a stream of always-fresh vertex ids: at most
         # 2 edges (4 vertices) may ever be live at once.
-        engine = DynamicMatching(record_trajectory=False)
+        engine = DynamicMatching()
         live = deque()
         for i in range(500):
             if len(live) == 2:

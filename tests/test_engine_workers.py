@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.computation.registry import REGISTRY, STREAM
 from repro.computation.streams import EXPIRE, StreamEvent, epoch_marker
-from repro.core.kernel import available_backends
+from repro.core.kernel import numpy_available
 from repro.engine import (
     EngineConfig,
     EngineInterrupted,
@@ -50,7 +50,7 @@ from repro.exceptions import EngineError
 from repro.obs.registry import MetricsRegistry, disable, enable
 
 SCENARIOS = REGISTRY.names(STREAM)
-BACKENDS = available_backends()
+BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
 
 
 # ---------------------------------------------------------------------------

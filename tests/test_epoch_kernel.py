@@ -182,6 +182,26 @@ class TestEpochClock:
         with pytest.raises(ComponentError):
             clock.rotate(ClockComponents(thread_components=["T9"]))
 
+    def test_retiring_a_live_endpoint_replays(self):
+        """A delta rotation may not retire a component with a live event.
+
+        Retirement drops the retired thread's clock, but T0's live events
+        must still order its later ones, so the default (delta) clock
+        falls back to replay.
+        """
+        registry = MetricsRegistry(origin="test-live-endpoint")
+        previous = obs_install(registry)
+        try:
+            clock = EpochClock(ClockComponents(["T0"], ["O1", "O2"]))
+            clock.observe("T0", "O1")
+            second = clock.observe("T0", "O2")
+            clock.rotate(retired=["T0"])
+            third = clock.observe("T0", "O1")
+        finally:
+            obs_install(previous)
+        assert registry.counter_value("clock.rotation.replay") == 1
+        assert clock.relation(second, third) == "before"
+
     def test_extension_preserves_live_verdicts(self):
         clock = EpochClock(ClockComponents(thread_components=["T1", "T2"]))
         a = clock.observe("T1", "O1")
@@ -195,7 +215,9 @@ class TestEpochClock:
 
 
 def _backend_clock_setup(backend, monkeypatch):
-    """Skip without numpy; force the numpy backend onto its array loop."""
+    """Make ``backend`` the default; skip without numpy; force the numpy
+    backend onto its array loop."""
+    monkeypatch.setattr(kernel_module, "default_backend_name", lambda: backend)
     if backend == "numpy":
         if not numpy_available():
             pytest.skip("numpy backend not installed")
@@ -245,10 +267,8 @@ class TestLayoutChain:
         previous = obs_install(registry)
         try:
             clocks = [
-                EpochClock(ClockComponents(["T0", "T1"]), backend=backend),
-                EpochClock(
-                    ClockComponents(["T0", "T1"]), backend=backend, rotation="replay"
-                ),
+                EpochClock(ClockComponents(["T0", "T1"])),
+                EpochClock(ClockComponents(["T0", "T1"]), rotation="replay"),
             ]
             for clock in clocks:
                 clock.observe_batch([("T1", "O0"), ("T0", "O0")])

@@ -71,6 +71,13 @@ churn_streams = st.lists(
 windows = st.integers(min_value=2, max_value=8)
 
 
+def clock_on(backend, **options):
+    """An ``EpochClock`` whose kernel runs ``backend``'s batch loop."""
+    clock = EpochClock(**options)
+    clock._kernel.set_backend(backend)
+    return clock
+
+
 def drive(pairs, window, rotation, backend=None, pickle_at=None):
     """Run one lifecycle driver over a sliding-window churn stream.
 
@@ -206,8 +213,8 @@ def test_numpy_batches_survive_extend_rotate_and_pickle(ops, window):
         with pytest.MonkeyPatch.context() as patch:
             # Small clocks would otherwise keep every batch on the list form.
             patch.setattr(kernel_module, "MIN_ARRAY_DIM_MINT", 0)
-            fast = EpochClock(backend="numpy")
-            oracle = EpochClock(check_invariant=True, backend="python")
+            fast = clock_on("numpy")
+            oracle = clock_on("python", check_invariant=True)
             live = []
             for op, arg in ops:
                 if op == "batch":
@@ -336,8 +343,8 @@ def test_retire_rejoin_and_compaction_keep_verdicts(loop, rounds, window):
         if loop == "arrays":
             patch.setattr(kernel_module, "MIN_ARRAY_BATCH", 1)
             patch.setattr(kernel_module, "MIN_ARRAY_DIM_MINT", 0)
-        clock = EpochClock(backend="numpy" if loop == "arrays" else "python")
-        replay = EpochClock(backend="python", rotation="replay")
+        clock = clock_on("numpy" if loop == "arrays" else "python")
+        replay = clock_on("python", rotation="replay")
         live, retired = [], []
         for batch, mask, rejoin, resume in rounds:
             covered = clock.components
@@ -405,7 +412,7 @@ def test_repaired_cover_equals_from_scratch_cover(ops):
     comparison is exact set equality, not just size equality; a second
     oracle (a fresh Hopcroft-Karp matching) pins minimality.
     """
-    live = DynamicMatching(record_trajectory=False)
+    live = DynamicMatching()
     for op, thread, obj in ops:
         if op == "add":
             live.add_edge(thread, obj)
@@ -431,7 +438,7 @@ def test_cover_repair_is_incremental_after_churn():
     """
     from repro.obs.registry import MetricsRegistry, install as obs_install
 
-    live = DynamicMatching(record_trajectory=False)
+    live = DynamicMatching()
     for index in range(6):
         live.add_edge(f"T{index}", f"O{index}")
     live.vertex_cover()

@@ -31,7 +31,6 @@ from repro.graph import (
     validate_matching,
 )
 from repro.offline import (
-    offline_optimum_trajectory,
     optimal_clock_size,
     optimal_components_for_computation,
 )
@@ -65,14 +64,15 @@ pair_sequences = st.lists(
 def test_incremental_size_matches_from_scratch_at_every_prefix(edges):
     engine = DynamicMatching()
     prefix = BipartiteGraph()
+    sizes = []
     for thread, obj in edges:
         engine.add_edge(thread, obj)
         prefix.add_edge(thread, obj)
         assert engine.size == len(hopcroft_karp_matching(prefix))
-    trajectory = engine.optimal_size_trajectory()
-    assert len(trajectory) == len(edges)
+        sizes.append(engine.size)
+    assert incremental_optimum_trajectory(edges) == tuple(sizes)
     if edges:
-        assert trajectory[-1] == optimal_clock_size(prefix)
+        assert sizes[-1] == optimal_clock_size(prefix)
 
 
 @SETTINGS
@@ -114,12 +114,6 @@ def test_incremental_handles_long_chains_iteratively():
     engine = DynamicMatching(edges)
     assert engine.size == 2_000
     assert engine.size == optimal_clock_size(graph)
-
-
-def test_offline_trajectory_helper_matches_engine():
-    graph = uniform_bipartite(10, 10, 0.3, seed=3)
-    edges = sorted(graph.edges(), key=str)
-    assert offline_optimum_trajectory(edges) == incremental_optimum_trajectory(edges)
 
 
 # ---------------------------------------------------------------------------
