@@ -9,7 +9,7 @@ records.  Nothing here depends on plotting libraries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.experiments import SweepResult
 from repro.analysis.metrics import crossover_point

@@ -27,7 +27,7 @@ opened reads zero there once widened to the current chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.computation.event import Event
 from repro.computation.trace import Computation

@@ -19,8 +19,8 @@ the rest of the library needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from dataclasses import dataclass
+from typing import Hashable
 
 ThreadId = Hashable
 ObjectId = Hashable

@@ -23,7 +23,7 @@ only tests and the analysis tooling do.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.computation.event import Event
 from repro.computation.trace import Computation

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, TextIO, Union
+from typing import Any, Dict, TextIO, Union
 
 from repro.computation.trace import Computation, ComputationBuilder
 from repro.exceptions import ComputationError

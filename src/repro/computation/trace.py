@@ -17,7 +17,7 @@ input of the offline algorithm.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.computation.event import Event, ObjectId, Operation, ThreadId
 from repro.exceptions import ComputationError

@@ -31,9 +31,8 @@ the sliding-window monitoring regime) live in
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
-from repro.computation.event import Operation
 from repro.computation.registry import TRACE, register_scenario
 from repro.computation.trace import Computation, ComputationBuilder
 from repro.exceptions import ComputationError

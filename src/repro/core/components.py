@@ -19,7 +19,7 @@ the property that makes the resulting clock valid (Theorem 2).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 from repro.exceptions import ComponentError
 from repro.graph.bipartite import BipartiteGraph, Vertex

@@ -24,7 +24,7 @@ discussion, and what the corresponding tests check.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.core.clock import Timestamp
 from repro.core.components import ClockComponents

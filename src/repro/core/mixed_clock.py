@@ -15,7 +15,6 @@ from typing import Iterable, Optional
 from repro.computation.trace import Computation
 from repro.core.components import ClockComponents
 from repro.core.timestamping import TimestampedComputation, VectorClockProtocol
-from repro.exceptions import ComponentError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 
 
@@ -27,7 +26,7 @@ def mixed_clock_components(
     With ``validate=True`` (default) the cover property is checked: every
     edge of ``graph`` must have an endpoint among the components, otherwise
     the resulting clock would not be able to order events on the uncovered
-    edge and :class:`ComponentError` is raised.
+    edge and :class:`~repro.exceptions.ComponentError` is raised.
     """
     components = ClockComponents.from_cover(graph, cover)
     if validate:

@@ -39,9 +39,9 @@ One consumer loop and one schedule:
   shard's stream consumer, then ``advance_batch`` on the timestamping
   kernels; expires and epoch markers go to the consumer directly.  A
   run's length is capped by ``_ShardRun.run_cap``: chunk boundaries,
-  the consumer's own cap (epoch boundaries, the room left in an imposed
-  window, one insert at a time once it is full), and one insert under
-  ``pipeline="per-event"``, which also stamps one insert at a time.
+  the consumer's own cap (epoch boundaries; an imposed window expires
+  inside a run), and one insert under ``pipeline="per-event"``, which
+  also stamps one insert at a time.
   Per-event execution is a run length, not a second loop;
 * **one schedule** - :func:`plan_shard_groups` deals the shards into
   ``workers`` contiguous groups, and :func:`run_engine` maps
@@ -584,8 +584,8 @@ class _ShardRun:
         """Largest insert run :meth:`flush_inserts` may take next.
 
         A run never overshoots a chunk boundary, nor whatever the stream
-        consumer's own cap says (epoch boundaries, the imposed window).
-        The per-event pipeline caps every run at one insert.
+        consumer's own cap says (epoch boundaries).  The per-event
+        pipeline caps every run at one insert.
         """
         config = self.config
         if config.pipeline == PER_EVENT:
@@ -749,8 +749,8 @@ def run_shard_group(
         stream = _timed_stream(stream, reg)
     sharder = StreamSharder(config.num_shards, config.strategy)
     # Runs of consecutive inserts, cut at lifecycle ticks and at each
-    # shard's run_cap() (chunk / epoch boundaries, the imposed window, the
-    # per-event pipeline), arrive whole and already routed to their
+    # shard's run_cap() (chunk / epoch boundaries, the per-event
+    # pipeline), arrive whole and already routed to their
     # owning shard from split_runs_group.  Boundary checks run after
     # *every* flushed run, but only a cap-sized run can land on a
     # chunk/epoch boundary: the sharder re-evaluates run_cap() at each

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Type
 from repro.exceptions import LintError
 from repro.lint.baseline import apply_baseline, load_baseline, render_baseline
 from repro.lint.contracts import CONTRACT_RULES
-from repro.lint.engine import Finding, Rule, run_lint
+from repro.lint.engine import Rule, run_lint
 from repro.lint.rules import DETERMINISM_RULES
 
 #: Every registered rule class, in rule-id order.

@@ -115,6 +115,13 @@ class OnlineMechanism(abc.ABC):
     :meth:`_on_observe` / :meth:`_on_expire` / :meth:`_on_end_epoch`
     hooks (no-ops here, so append-only mechanisms run unchanged through
     lifecycle-delivering drivers).
+
+    **Commutation contract.**  In a class that overrides neither
+    :meth:`expire` nor :meth:`_on_expire`, ``expire`` only counts, and
+    :meth:`_choose` / :meth:`_on_observe` must not read
+    :attr:`expires_seen`.  Its expiries then commute with its observes,
+    so a driver may deliver a run's expiries before the whole run
+    (:meth:`~repro.online.simulator.StreamConsumer.insert_run` does).
     """
 
     #: Human-readable mechanism name, overridden by subclasses.

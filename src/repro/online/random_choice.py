@@ -8,8 +8,6 @@ reproducible and independent trials can use independent seeds.
 
 from __future__ import annotations
 
-import random
-
 from repro.graph.bipartite import Vertex
 from repro.graph.generators import SeedLike, _rng
 from repro.online.base import OBJECT, THREAD, OnlineMechanism

@@ -16,7 +16,7 @@ available to library users who want to stress their own access patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.analysis.metrics import SummaryStats, summarize
 from repro.exceptions import ExperimentError

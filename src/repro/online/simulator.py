@@ -182,6 +182,15 @@ def run_mechanism_on_computation(
     return run_mechanism(mechanism, computation.to_pairs())
 
 
+def _expire_hooked(mechanism: OnlineMechanism) -> bool:
+    """Whether ``mechanism``'s expiry does more than count (see the base class)."""
+    cls = type(mechanism)
+    return (
+        cls.expire is not OnlineMechanism.expire
+        or cls._on_expire is not OnlineMechanism._on_expire
+    )
+
+
 class StreamConsumer:
     """The lifecycle half of one stream pass: mechanisms, optimum, window.
 
@@ -217,13 +226,11 @@ class StreamConsumer:
     def run_cap(self, limit: int) -> int:
         """Largest insert run :meth:`insert_run` may take next, at most ``limit``.
 
-        A run never overshoots an epoch boundary; an imposed window caps
-        it at the room left, or at one insert once the window is full.
+        A run never overshoots an epoch boundary.  An imposed window does
+        not cut runs: :meth:`insert_run` delivers the run's expiries.
         """
         if self.epoch is not None:
             limit = min(limit, self.epoch - self.inserts % self.epoch)
-        if self.live_window is not None:
-            limit = min(limit, max(1, self.window - len(self.live_window)))
         return limit
 
     def insert_run(
@@ -232,28 +239,49 @@ class StreamConsumer:
         """One :meth:`run_cap`-bounded insert run through every consumer.
 
         Returns each mechanism's clock size and the optimum's size
-        (``None`` without one) after every insert.  An insert meeting a
-        full window first expires the oldest pair; an epoch the run
-        completes is delivered after it.
+        (``None`` without one) after every insert, as one insert at a
+        time would.  Under an imposed window with ``room`` pairs free,
+        insert ``i`` first expires the oldest live pair iff
+        ``i >= room``.  A mechanism without an expire hook takes its
+        (counted-only) expiries, then the whole run; a hooked one takes
+        them between the inserts.  An epoch the run completes is
+        delivered after it.
         """
+        expired: List[Pair] = []
         live_window = self.live_window
         if live_window is not None:
-            if len(live_window) == self.window:
-                self._retract(*live_window.popleft())
             live_window.extend(run)
+            popleft = live_window.popleft
+            expired = [popleft() for _ in range(len(live_window) - self.window)]
+        room = len(run) - len(expired)
+        head = run[:room] if expired else run
         offline_sizes: Optional[List[int]] = None
         optimum = self.optimum
         if optimum is not None:
             offline_sizes = []
             add_edge = optimum.add_edge
+            remove_edge = optimum.remove_edge
             append = offline_sizes.append
-            for thread, obj in run:
+            for thread, obj in head:
                 add_edge(thread, obj)
                 append(optimum.size)
-        sizes = {
-            label: mechanism.observe_batch(run)
-            for label, mechanism in self.mechanisms.items()
-        }
+            for (gone_thread, gone_obj), (thread, obj) in zip(expired, run[room:]):
+                remove_edge(gone_thread, gone_obj)
+                add_edge(thread, obj)
+                append(optimum.size)
+        sizes: Dict[str, List[int]] = {}
+        for label, mechanism in self.mechanisms.items():
+            if expired and _expire_hooked(mechanism):
+                label_sizes = mechanism.observe_batch(head)
+                for gone, pair in zip(expired, run[room:]):
+                    mechanism.expire(*gone)
+                    label_sizes += mechanism.observe_batch((pair,))
+            else:
+                for gone in expired:
+                    mechanism.expire(*gone)
+                label_sizes = mechanism.observe_batch(run)
+            sizes[label] = label_sizes
+        self.expires += len(expired)
         self.inserts += len(run)
         if self.epoch is not None and self.inserts % self.epoch == 0:
             self.end_epoch()

@@ -16,7 +16,7 @@ DESIGN.md, substitutions table).
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.computation.trace import Computation, ComputationBuilder
 from repro.exceptions import RuntimeSystemError

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.computation.event import Event
 from repro.computation.trace import Computation
-from repro.exceptions import RuntimeSystemError
 from repro.graph.bipartite import BipartiteGraph
 from repro.offline.algorithm import OfflineResult, optimal_components_for_graph
 

@@ -28,7 +28,7 @@ against the exact happened-before oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
 from repro.computation.event import Event, ThreadId
 from repro.computation.trace import Computation

@@ -17,7 +17,7 @@ for users who want to trace actual thread interleavings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.computation.trace import Computation, ComputationBuilder

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import random
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import pytest
 from hypothesis import Phase, settings

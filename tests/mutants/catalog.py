@@ -28,6 +28,7 @@ _METRICS = "src/repro/analysis/metrics.py"
 _BIPARTITE = "src/repro/graph/bipartite.py"
 _ADAPTIVE = "src/repro/online/adaptive.py"
 _TIMESTAMPING = "src/repro/core/timestamping.py"
+_SIMULATOR = "src/repro/online/simulator.py"
 
 _COMPACTION_TESTS = (
     "tests/test_epoch_rotation_properties.py::test_compacting_driver_survives_resume",
@@ -35,6 +36,11 @@ _COMPACTION_TESTS = (
 )
 _BATCH_TESTS = ("tests/test_batched_pipeline.py::TestObserveBatchBitIdentity",)
 _GENERATION_TESTS = ("tests/test_engine.py::TestCheckpointGenerations",)
+_WINDOW_TESTS = (
+    "tests/test_simulator_oracle.py::test_windowed_runs_match_per_event_loop",
+    "tests/test_simulator_oracle.py::test_consume_matches_single_insert_runs",
+    "tests/test_batched_pipeline.py::TestEnginePipelines::test_batched_with_window_and_epochs_matches_per_event",
+)
 _FOREST_TESTS = (
     "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_sliding_windows",
     "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_interleaved_scripts",
@@ -226,5 +232,32 @@ MUTANTS = (
             "tests/test_epoch_kernel.py::TestEpochClock::test_retiring_a_live_endpoint_replays",
             "tests/test_adaptive_mechanisms.py::TestVerdictPreservation",
         ),
+    ),
+    # An imposed window expires inside insert runs
+    # (StreamConsumer.insert_run): only a mechanism whose expiry just
+    # counts may take a run's expiries ahead of its inserts.
+    Mutant(
+        "window-batch-ignores-expire-hook",
+        _SIMULATOR,
+        "            if expired and _expire_hooked(mechanism):\n",
+        "            if False:\n",
+        _WINDOW_TESTS,
+    ),
+    # The optimum's size after an expiring insert is that of the live
+    # window: the expired pair goes first.  (Swapping the two calls
+    # alone is equivalent, since the optimum counts edge multiplicity
+    # and is sampled after both; this mutant samples in between.  Only
+    # the independent per-event oracle sees it: one-insert runs share
+    # the mutated loop.)
+    Mutant(
+        "window-optimum-adds-before-expiring",
+        _SIMULATOR,
+        "                remove_edge(gone_thread, gone_obj)\n"
+        "                add_edge(thread, obj)\n"
+        "                append(optimum.size)\n",
+        "                add_edge(thread, obj)\n"
+        "                append(optimum.size)\n"
+        "                remove_edge(gone_thread, gone_obj)\n",
+        _WINDOW_TESTS[:1],
     ),
 )

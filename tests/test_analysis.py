@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis import (
     PAPER_MECHANISMS,
-    SummaryStats,
     crossover_point,
     density_sweep,
     format_comparison_table,

@@ -15,7 +15,7 @@ Three layers of the chunked execution path are pinned down here:
 * **engine** - the pipelines (runs capped at one insert, or batched)
   x {python, numpy} produce one fingerprint, including the stamp
   digests, through interrupt/resume mid-run and checkpointed restarts -
-  also when an imposed window's run caps interleave with chunk and
+  also when an imposed window's expiries interleave with chunk and
   epoch boundaries and a run resumes under the other pipeline.
 """
 
@@ -180,6 +180,27 @@ class TestObserveBatchBitIdentity:
             )
             assert ref_sizes == batch_sizes, label
             assert mechanism_state(reference) == mechanism_state(batched), label
+
+    def test_hooks_read_the_written_back_event_count(self):
+        """A threshold crossed inside one batch lands on the per-event index.
+
+        Hybrid's ``_choose`` reads ``events_seen``; the random ops above
+        only sometimes cross its thresholds, so this dense run always
+        does, mid-batch.
+        """
+        pairs = [(f"T{i % 5}", f"O{i % 6}") for i in range(36)]
+        pairs += [(f"U{i}", f"P{i}") for i in range(10)]
+        for label in ("hybrid", "epoch-hybrid", "adaptive-popularity-cost"):
+            reference = EXTENDED_MECHANISMS[label](3)
+            batched = EXTENDED_MECHANISMS[label](3)
+            ref_sizes = []
+            for pair in pairs:
+                reference.observe(*pair)
+                ref_sizes.append(reference.clock_size)
+            assert batched.observe_batch(pairs) == ref_sizes, label
+            assert mechanism_state(reference) == mechanism_state(batched), label
+            if label == "hybrid":
+                assert 0 < batched.switched_at < len(pairs) - 1
 
     def test_base_fallback_when_hooks_overridden(self):
         """The batch loop calls a subclass's lifecycle hook once per pair."""
@@ -737,8 +758,8 @@ class TestEnginePipelines:
     def test_window_run_resumes_across_pipelines(
         self, scenario, window, chunk_size, epoch_every, seed
     ):
-        # An imposed window caps insert runs at the room left in it, so
-        # window, chunk and epoch boundaries interleave arbitrarily.  A
+        # An imposed window expires inside insert runs, so window fills,
+        # chunk and epoch boundaries interleave arbitrarily.  A
         # run interrupted mid-window under one pipeline and resumed under
         # the other must land on the uninterrupted fingerprint.  (400
         # inserts over 2 shards: some shard always completes a chunk.)

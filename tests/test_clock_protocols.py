@@ -9,20 +9,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.computation import Computation, HappenedBefore, paper_example_trace
+from repro.computation import Computation, HappenedBefore
 from repro.core import (
     ClockComponents,
     VectorClockProtocol,
     mixed_clock_components,
-    mixed_clock_protocol,
-    thread_clock_components,
     timestamp_with_components,
     timestamp_with_mixed_clock,
     timestamp_with_object_clock,
     timestamp_with_thread_clock,
 )
 from repro.exceptions import ClockError, ComponentError
-from repro.graph import paper_example_graph
 from tests.conftest import assert_valid_vector_clock
 
 

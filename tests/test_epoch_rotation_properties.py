@@ -43,7 +43,6 @@ from repro.computation.trace import Computation
 from repro.core.components import ClockComponents
 from repro.core.kernel import numpy_available
 from repro.core.timestamping import EpochClock
-from repro.graph.bipartite import BipartiteGraph
 from repro.graph.incremental import DynamicMatching
 from repro.graph.matching import maximum_matching
 from repro.graph.vertex_cover import konig_vertex_cover, validate_vertex_cover

@@ -28,7 +28,6 @@ from repro.lint import (
     check_file,
     load_baseline,
     render_baseline,
-    run_lint,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.computation import paper_example_trace, random_trace, trace_from_graph
 from repro.graph import (
     complete_bipartite,

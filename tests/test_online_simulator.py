@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.computation import random_trace
 from repro.graph import uniform_bipartite
 from repro.offline import optimal_clock_size
@@ -13,7 +11,6 @@ from repro.online import (
     RandomMechanism,
     compare_mechanisms,
     reveal_order,
-    run_mechanism,
     run_mechanism_on_computation,
     run_mechanism_on_graph,
 )

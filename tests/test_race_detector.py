@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.computation import Computation, ComputationBuilder
+from repro.computation import ComputationBuilder
 from repro.runtime import ConcurrentSystem, RaceDetector, acquire, detect_races, increment, release
-from repro.runtime.system import Step
 
 
 def build_trace(steps):
