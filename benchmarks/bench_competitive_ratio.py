@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import competitive_ratio_over_time, format_series
 from repro.computation import GRAPH, REGISTRY
 
-from _common import FIG4_NODES, FIG5_DENSITY, write_result
+from _common import FIG4_NODES, FIG5_DENSITY
 
 
 @pytest.mark.benchmark(group="competitive-ratio")

@@ -20,7 +20,6 @@ from repro.offline import optimal_clock_size
 from repro.online import HybridMechanism, NaiveMechanism, PopularityMechanism
 from repro.online.simulator import reveal_order, run_mechanism
 
-from _common import write_result
 
 DENSITIES = [0.02, 0.05, 0.10, 0.20, 0.40]
 THRESHOLDS = [0.0, 0.05, 0.15, 0.30, 1.0]

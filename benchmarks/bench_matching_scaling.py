@@ -34,7 +34,7 @@ from repro.graph import (
 )
 from repro.offline import optimal_components_for_graph
 
-from _common import CHAIN_VERTICES, MATCHING_SIZES, write_result
+from _common import CHAIN_VERTICES, MATCHING_SIZES
 
 SIZES = MATCHING_SIZES
 #: Average degree kept constant across sizes so the graphs stay in the

@@ -18,7 +18,6 @@ from repro.graph import nonuniform_bipartite, uniform_bipartite
 from repro.online import NaiveMechanism, PopularityMechanism, RandomMechanism
 from repro.online.sensitivity import compare_order_sensitivity
 
-from _common import write_result
 
 NODES = 50
 DENSITY = 0.05

@@ -29,7 +29,6 @@ from repro.core.components import ClockComponents
 from repro.core.kernel import ClockKernel, numpy_available
 from repro.offline import optimal_components_for_computation, timestamp_offline
 
-from _common import write_result
 
 TRACES = {
     "producer-consumer": producer_consumer_trace(

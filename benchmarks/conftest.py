@@ -15,7 +15,6 @@ Shared constants (sweep ranges, trial counts) live in ``_common.py``.
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 

@@ -10,7 +10,10 @@ and old events stop mattering.  This module provides that second shape:
   ``insert`` (the pair was just observed), ``expire`` (a previously
   observed occurrence of the pair fell out of relevance) or ``epoch``
   (a boundary marker carrying no pair at all: lifecycle-aware consumers
-  deliver ``end_epoch`` to their mechanisms, everything else skips it);
+  deliver ``end_epoch`` to their mechanisms, everything else skips it).
+  It is a named tuple: consumers unpack ``thread, obj, kind`` once per
+  event and gather consecutive inserts, or consecutive expires, into
+  runs (a departing thread's expiries arrive back to back);
 * :func:`sliding_window` - an adapter that turns any insert-only stream
   into a windowed one by emitting an expire event for each insert that
   leaves the window of the most recent ``window`` events (epoch markers
@@ -39,8 +42,7 @@ enforces.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.computation.registry import STREAM, register_scenario
 from repro.exceptions import ComputationError
@@ -53,8 +55,7 @@ EXPIRE = "expire"
 EPOCH = "epoch"
 
 
-@dataclass(frozen=True)
-class StreamEvent:
+class StreamEvent(NamedTuple):
     """One event of a streaming workload.
 
     ``insert`` events reveal one occurrence of the edge
@@ -65,6 +66,9 @@ class StreamEvent:
     only consume inserts (their clocks never shrink); the dynamic offline
     optimum consumes inserts and expires; lifecycle-aware drivers deliver
     all three.
+
+    A named tuple, so immutable and cheap to build and unpack: stream
+    cores read ``thread, obj, kind = event`` once per event.
     """
 
     thread: Optional[Vertex]
@@ -224,33 +228,39 @@ def thread_churn_stream(
     if num_events < 0:
         raise ComputationError("num_events must be non-negative")
     rng = _rng(seed)
+    random, randrange, choice = rng.random, rng.randrange, rng.choice
     threads = thread_names(num_threads)
     objects = object_names(num_objects)
     active = list(threads[: max(1, num_threads // 2)])
     inactive = list(threads[len(active):])
     reachable: Dict[str, Tuple[str, ...]] = {}
     live: Dict[str, Dict[str, int]] = {}
+    arrival = churn_probability / 2
     emitted = 0
     while emitted < num_events:
         # The roll ranges are disjoint so the two rates stay independent:
         # an arrival roll with an empty inactive pool is a no-op rather
         # than falling through to (and doubling) the departure branch.
-        roll = rng.random()
-        if roll < churn_probability / 2:
+        roll = random()
+        if roll < arrival:
             if inactive:
-                active.append(inactive.pop(rng.randrange(len(inactive))))
+                active.append(inactive.pop(randrange(len(inactive))))
         elif roll < churn_probability and len(active) > 1:
-            departing = active.pop(rng.randrange(len(active)))
+            departing = active.pop(randrange(len(active)))
             for obj, count in sorted(live.pop(departing, {}).items()):
+                expire = StreamEvent(departing, obj, EXPIRE)
                 for _ in range(count):
-                    yield StreamEvent(departing, obj, EXPIRE)
+                    yield expire
             inactive.append(departing)
-        thread = rng.choice(active)
-        if thread not in reachable:
-            reachable[thread] = _candidate_objects(rng, objects, density)
-        obj = rng.choice(reachable[thread])
-        live.setdefault(thread, {})
-        live[thread][obj] = live[thread].get(obj, 0) + 1
+        thread = choice(active)
+        candidates = reachable.get(thread)
+        if candidates is None:
+            candidates = reachable[thread] = _candidate_objects(rng, objects, density)
+        obj = choice(candidates)
+        counts = live.get(thread)
+        if counts is None:
+            counts = live[thread] = {}
+        counts[obj] = counts.get(obj, 0) + 1
         emitted += 1
         yield StreamEvent(thread, obj)
 
@@ -288,17 +298,21 @@ def hot_object_drift_stream(
     hot_count = max(1, min(num_objects, int(round(hot_fraction * num_objects))))
     step = drift_every if drift_every > 0 else max(1, num_events // 8)
     reachable: Dict[str, Tuple[str, ...]] = {}
+    random, randrange, choice = rng.random, rng.randrange, rng.choice
     offset = 0
     for index in range(num_events):
         if index and index % step == 0:
             offset = (offset + hot_count) % num_objects
-        thread = rng.choice(threads)
-        if rng.random() < hot_probability:
-            obj = objects[(offset + rng.randrange(hot_count)) % num_objects]
+        thread = choice(threads)
+        if random() < hot_probability:
+            obj = objects[(offset + randrange(hot_count)) % num_objects]
         else:
-            if thread not in reachable:
-                reachable[thread] = _candidate_objects(rng, objects, density)
-            obj = rng.choice(reachable[thread])
+            candidates = reachable.get(thread)
+            if candidates is None:
+                candidates = reachable[thread] = _candidate_objects(
+                    rng, objects, density
+                )
+            obj = choice(candidates)
         yield StreamEvent(thread, obj)
 
 
@@ -339,14 +353,18 @@ def phase_change_stream(
     shared = tuple(objects[: max(1, min(num_objects, int(round(density * num_objects))))])
     phase_length = max(1, num_events // phases)
     reachable: Dict[str, Tuple[str, ...]] = {}
+    choice = rng.choice
     for index in range(num_events):
         if index and index % phase_length == 0:
-            yield epoch_marker()
-        thread = rng.choice(threads)
+            yield _EPOCH_MARKER
+        thread = choice(threads)
         if (index // phase_length) % 2 == 0:
-            if thread not in reachable:
-                reachable[thread] = _candidate_objects(rng, objects, density)
-            obj = rng.choice(reachable[thread])
+            candidates = reachable.get(thread)
+            if candidates is None:
+                candidates = reachable[thread] = _candidate_objects(
+                    rng, objects, density
+                )
+            obj = choice(candidates)
         else:
-            obj = rng.choice(shared)
+            obj = choice(shared)
         yield StreamEvent(thread, obj)

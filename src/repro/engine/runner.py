@@ -37,11 +37,12 @@ One consumer loop and one schedule:
   (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`).
   Every insert run goes through ``_ShardRun.flush_inserts`` - the
   shard's stream consumer, then ``advance_batch`` on the timestamping
-  kernels; expires and epoch markers go to the consumer directly.  A
-  run's length is capped by ``_ShardRun.run_cap``: chunk boundaries,
-  the consumer's own cap (epoch boundaries; an imposed window expires
-  inside a run), and one insert under ``pipeline="per-event"``, which
-  also stamps one insert at a time.
+  kernels; expire runs (``StreamConsumer.expire_run``) and epoch
+  markers go to the consumer directly.  An insert run's length is
+  capped by ``_ShardRun.run_cap``: chunk boundaries, the consumer's own
+  cap (epoch boundaries; an imposed window expires inside a run), and
+  one insert under ``pipeline="per-event"``, which also stamps one
+  insert at a time and caps expire runs at one pair.
   Per-event execution is a run length, not a second loop;
 * **one schedule** - :func:`plan_shard_groups` deals the shards into
   ``workers`` contiguous groups, and :func:`run_engine` maps
@@ -70,7 +71,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.analysis.metrics import QuantileSketch, RunningStats
 from repro.computation.registry import REGISTRY, STREAM
-from repro.computation.streams import EPOCH, MAX_BATCH_EVENTS
+from repro.computation.streams import MAX_BATCH_EVENTS
 from repro.core.components import ClockComponents
 from repro.core.kernel import ClockKernel, resolve_backend
 from repro.engine.checkpoint import EngineCheckpointManager, ShardCheckpoint
@@ -81,7 +82,13 @@ from repro.engine.results import (
     SeriesFragment,
     merge_partials,
 )
-from repro.engine.sharding import HASH, STRATEGIES, StreamSharder, plan_shard_groups
+from repro.engine.sharding import (
+    HASH,
+    STRATEGIES,
+    ExpireRun,
+    StreamSharder,
+    plan_shard_groups,
+)
 from repro.exceptions import ClockError, EngineError, ScenarioError
 from repro.obs.registry import active as _metrics_active
 from repro.obs.registry import span as _metrics_span
@@ -750,16 +757,18 @@ def run_shard_group(
     sharder = StreamSharder(config.num_shards, config.strategy)
     # Runs of consecutive inserts, cut at lifecycle ticks and at each
     # shard's run_cap() (chunk / epoch boundaries, the per-event
-    # pipeline), arrive whole and already routed to their
-    # owning shard from split_runs_group.  Boundary checks run after
-    # *every* flushed run, but only a cap-sized run can land on a
-    # chunk/epoch boundary: the sharder re-evaluates run_cap() at each
-    # run's first insert, so a run cut short by a lifecycle event (or end
-    # of stream) always stops strictly before one.
+    # pipeline), and runs of consecutive expires arrive whole and
+    # already routed to their owning shard from split_runs_group.
+    # Boundary checks run after *every* flushed insert run, but only a
+    # cap-sized run can land on a chunk/epoch boundary: the sharder
+    # re-evaluates run_cap() at each run's first insert, so a run cut
+    # short by a lifecycle event (or end of stream) always stops
+    # strictly before one.
     caps = {shard_id: runs[shard_id].run_cap for shard_id in owned}
     skips = {shard_id: runs[shard_id].raw_consumed for shard_id in owned}
+    expire_cap = 1 if config.pipeline == PER_EVENT else MAX_BATCH_EVENTS
     for shard, consumed, item in sharder.split_runs_group(
-        stream, owned, caps, skips
+        stream, owned, caps, skips, expire_cap
     ):
         shard_run = runs[shard]
         shard_run.raw_consumed = consumed
@@ -767,10 +776,10 @@ def run_shard_group(
             continue
         if type(item) is list:
             shard_run.flush_inserts(item)
-        elif item.kind == EPOCH:
-            shard_run.stream.end_epoch()
+        elif type(item) is ExpireRun:
+            shard_run.stream.expire_run(item)
         else:
-            shard_run.stream.expire(item.thread, item.obj)
+            shard_run.stream.end_epoch()
 
     partials = {shard_id: runs[shard_id].finish() for shard_id in owned}
     if reg is not None:

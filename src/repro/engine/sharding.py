@@ -56,7 +56,14 @@ from typing import (
     Union,
 )
 
-from repro.computation.streams import INSERT, EventLike, StreamEvent, as_stream_event
+from repro.computation.streams import (
+    EPOCH,
+    INSERT,
+    MAX_BATCH_EVENTS,
+    EventLike,
+    StreamEvent,
+    as_stream_event,
+)
 from repro.exceptions import EngineError
 from repro.graph.bipartite import Vertex
 from repro.obs.registry import active as _metrics_active
@@ -67,6 +74,19 @@ HASH = "hash"
 ROUND_ROBIN = "round-robin"
 
 STRATEGIES = (HASH, ROUND_ROBIN)
+
+Pair = Tuple[Vertex, Vertex]
+
+
+class ExpireRun(list):
+    """A run of one shard's consecutive expire pairs.
+
+    What :meth:`StreamSharder.split_runs_group` yields for expiries: a
+    list of its own type, so a consumer tells it from an insert run by
+    ``type``.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -204,9 +224,8 @@ class StreamSharder:
         shard_ids: Sequence[int],
         caps: Mapping[int, Callable[[], int]],
         skips: Optional[Mapping[int, int]] = None,
-    ) -> Iterator[
-        Tuple[int, int, Union[List[Tuple[Vertex, Vertex]], StreamEvent, None]]
-    ]:
+        expire_cap: int = MAX_BATCH_EVENTS,
+    ) -> Iterator[Tuple[int, int, Union[List[Pair], ExpireRun, StreamEvent, None]]]:
         """Several owned shards' sub-streams, routed in ONE pass.
 
         The engine's one routing pass: a worker that owns ``shard_ids``
@@ -219,21 +238,25 @@ class StreamSharder:
         item)`` triples where ``item`` is one of:
 
         * a non-empty ``list`` of ``(thread, object)`` pairs - a run of
-          that shard's consecutive inserts, cut at lifecycle events, at
-          ``caps[shard_id]()`` (re-evaluated at each run's first insert,
-          so the driver's chunk/epoch arithmetic is always current), and
-          at end of stream;
-        * a :class:`StreamEvent` - an epoch marker or expire owned by the
-          shard, preceded by the flush of its open run;
+          that shard's consecutive inserts, cut at the shard's expires
+          and at epoch markers, at ``caps[shard_id]()`` (re-evaluated at
+          each run's first insert, so the driver's chunk/epoch
+          arithmetic is always current), and at end of stream;
+        * a non-empty :class:`ExpireRun` of pairs - a run of that shard's
+          consecutive expires, cut at the shard's next insert, at epoch
+          markers, at ``expire_cap`` pairs and at end of stream;
+        * an epoch marker, preceded by the flush of the shard's open run;
         * ``None`` - the shard's end-of-stream tick, so the driver's
           final ``consumed`` covers the whole stream.
 
         ``consumed`` counts *tagged* events exactly as a :meth:`split`
         loop would (epoch markers are broadcast, one count per shard),
-        whatever run lengths the consumer chose.  A run flushed because
-        its cap was reached reports the count through its own last
-        insert; a run flushed by a boundary event reports the count
-        *before* that event, whose own yield then accounts for it.
+        whatever run lengths the consumer chose.  An insert run flushed
+        because its cap was reached reports the count through its own
+        last insert; one flushed by a boundary event reports the count
+        *before* that event, whose own yield then accounts for it.  An
+        expire run reports the count through its own last expire, as
+        one yield per expire would.
 
         Per-shard semantics do not depend on which other shards share
         the pass - same run boundaries, same ``consumed`` values, same
@@ -283,12 +306,19 @@ class StreamSharder:
         }
         num_shards = self.num_shards
         shard_of = self.shard_of
+        # Either strategy memoises its assignments in one dict; a hit
+        # skips the method call.
+        known = (self._hash_cache if self.strategy == HASH else self._round_robin).get
         own_set = frozenset(owned)
         consumed = 0
-        runs: Dict[int, List[Tuple[Vertex, Vertex]]] = {
-            shard_id: [] for shard_id in owned
-        }
+        runs: Dict[int, List[Pair]] = {shard_id: [] for shard_id in owned}
         rooms: Dict[int, int] = {shard_id: 0 for shard_id in owned}
+        # At most one of a shard's two runs is open: an insert flushes
+        # its expire run and an expire its insert run.
+        expiring: Dict[int, ExpireRun] = {
+            shard_id: ExpireRun() for shard_id in owned
+        }
+        expired_at: Dict[int, int] = {shard_id: 0 for shard_id in owned}
         # Per-shard load telemetry: events each shard actually owns
         # (fast-forwarded ones excluded - their loads were counted by the
         # original pass).  One key per shard id, so snapshots merged
@@ -298,8 +328,10 @@ class StreamSharder:
         own_events: Dict[int, int] = {shard_id: 0 for shard_id in owned}
         try:
             for item in events:
-                event = as_stream_event(item)
-                if event.is_epoch:
+                if type(item) is not StreamEvent:
+                    item = as_stream_event(item)
+                thread, obj, kind = item
+                if kind == EPOCH:
                     before = consumed
                     consumed += num_shards
                     for shard_id in owned:
@@ -310,15 +342,18 @@ class StreamSharder:
                             continue
                         if registry is not None:
                             own_events[shard_id] += 1
-                        run = runs[shard_id]
-                        if run:
-                            yield shard_id, before, run
+                        if runs[shard_id]:
+                            yield shard_id, before, runs[shard_id]
                             runs[shard_id] = []
-                        yield shard_id, consumed, event
+                        elif expiring[shard_id]:
+                            yield shard_id, expired_at[shard_id], expiring[shard_id]
+                            expiring[shard_id] = ExpireRun()
+                        yield shard_id, consumed, item
                     continue
                 consumed += 1
-                thread = event.thread
-                shard = shard_of(thread)
+                shard = known(thread)
+                if shard is None:
+                    shard = shard_of(thread)
                 if shard not in own_set:
                     continue
                 if consumed <= skip_of[shard]:
@@ -327,20 +362,27 @@ class StreamSharder:
                     continue
                 if registry is not None:
                     own_events[shard] += 1
-                if event.kind == INSERT:
+                if kind == INSERT:
                     run = runs[shard]
                     if not run:
+                        if expiring[shard]:
+                            yield shard, expired_at[shard], expiring[shard]
+                            expiring[shard] = ExpireRun()
                         rooms[shard] = caps[shard]()
-                    run.append((thread, event.obj))
+                    run.append((thread, obj))
                     if len(run) >= rooms[shard]:
                         yield shard, consumed, run
                         runs[shard] = []
                     continue
-                run = runs[shard]
-                if run:
-                    yield shard, consumed - 1, run
+                if runs[shard]:
+                    yield shard, consumed - 1, runs[shard]
                     runs[shard] = []
-                yield shard, consumed, event
+                gone = expiring[shard]
+                gone.append((thread, obj))
+                expired_at[shard] = consumed
+                if len(gone) >= expire_cap:
+                    yield shard, consumed, gone
+                    expiring[shard] = ExpireRun()
             for shard_id in owned:
                 if consumed < skip_of[shard_id]:
                     raise EngineError(
@@ -349,9 +391,10 @@ class StreamSharder:
                         f"checkpoint does not match this stream"
                     )
             for shard_id in owned:
-                run = runs[shard_id]
-                if run:
-                    yield shard_id, consumed, run
+                if runs[shard_id]:
+                    yield shard_id, consumed, runs[shard_id]
+                elif expiring[shard_id]:
+                    yield shard_id, expired_at[shard_id], expiring[shard_id]
                 yield shard_id, consumed, None
         finally:
             if registry is not None:

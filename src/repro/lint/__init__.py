@@ -1,16 +1,17 @@
 """Static enforcement of the repo's determinism & protocol contracts.
 
 ``python -m repro lint`` runs an ``ast``-based pass over the tree with
-two rule families: generic determinism rules (``D1xx`` - hash-order
+three rule families: generic determinism rules (``D1xx`` - hash-order
 iteration, builtin ``hash()``, global RNG state, wall-clock reads,
 unsorted directory listings, completion-order result collection, set
-element picks, sets rendered into text) and repo-specific contract
+element picks, sets rendered into text), repo-specific contract
 rules (``C2xx`` - the ``observe_batch`` fallback guard, ``EngineConfig``
 signature membership, scenario seed threading, no telemetry reads on
-result paths).
+result paths) and hygiene rules (``H3xx`` - unused imports).
 
 See :mod:`repro.lint.engine` for the machinery, :mod:`repro.lint.rules`
-/ :mod:`repro.lint.contracts` for the rules themselves, and
+/ :mod:`repro.lint.contracts` / :mod:`repro.lint.hygiene` for the rules
+themselves, and
 :mod:`repro.lint.baseline` for the burn-down workflow.
 """
 
@@ -23,6 +24,7 @@ from repro.lint.baseline import (
 from repro.lint.cli import ALL_RULES, DEFAULT_BASELINE, DEFAULT_PATHS, cmd_lint
 from repro.lint.contracts import CONTRACT_RULES
 from repro.lint.engine import FileContext, Finding, Rule, check_file, run_lint
+from repro.lint.hygiene import HYGIENE_RULES
 from repro.lint.rules import DETERMINISM_RULES
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "DETERMINISM_RULES",
     "FileContext",
     "Finding",
+    "HYGIENE_RULES",
     "Rule",
     "apply_baseline",
     "check_file",

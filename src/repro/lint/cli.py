@@ -27,11 +27,15 @@ from repro.exceptions import LintError
 from repro.lint.baseline import apply_baseline, load_baseline, render_baseline
 from repro.lint.contracts import CONTRACT_RULES
 from repro.lint.engine import Rule, run_lint
+from repro.lint.hygiene import HYGIENE_RULES
 from repro.lint.rules import DETERMINISM_RULES
 
 #: Every registered rule class, in rule-id order.
 ALL_RULES: Sequence[Type[Rule]] = tuple(
-    sorted(DETERMINISM_RULES + CONTRACT_RULES, key=lambda rule: rule.id)
+    sorted(
+        DETERMINISM_RULES + CONTRACT_RULES + HYGIENE_RULES,
+        key=lambda rule: rule.id,
+    )
 )
 
 #: Paths linted when none are given: the whole enforced surface.

@@ -121,7 +121,8 @@ class OnlineMechanism(abc.ABC):
     :meth:`_choose` / :meth:`_on_observe` must not read
     :attr:`expires_seen`.  Its expiries then commute with its observes,
     so a driver may deliver a run's expiries before the whole run
-    (:meth:`~repro.online.simulator.StreamConsumer.insert_run` does).
+    (:meth:`~repro.online.simulator.StreamConsumer.insert_run` does), and
+    may take a run of them as one :meth:`count_expires`.
     """
 
     #: Human-readable mechanism name, overridden by subclasses.
@@ -221,6 +222,14 @@ class OnlineMechanism(abc.ABC):
         """
         self._expires_seen += 1
         self._on_expire(thread, obj)
+
+    def count_expires(self, count: int) -> None:
+        """Take ``count`` expire ticks at once.
+
+        Only for a class under the commutation contract (no expire
+        hook), where it equals ``count`` calls of :meth:`expire`.
+        """
+        self._expires_seen += count
 
     def end_epoch(self) -> Tuple[Vertex, ...]:
         """Close the current epoch; returns the components retired at it.

@@ -16,12 +16,14 @@ in one pass.
   mechanism as one run through
   :meth:`~repro.online.base.OnlineMechanism.observe_batch` (which
   records exactly the samples one call per event would) and the
-  :class:`~repro.graph.incremental.DynamicMatching` optimum; expire
-  events reach :meth:`~repro.online.base.OnlineMechanism.expire` (a
-  no-op shim for the paper's append-only mechanisms, a retirement
-  opportunity for the adaptive ones) and retract the edge from the
-  optimum; epoch boundaries - explicit markers in the stream, or
-  counter-based ticks - reach
+  :class:`~repro.graph.incremental.DynamicMatching` optimum; runs of
+  consecutive expire events reach
+  :meth:`~repro.online.base.OnlineMechanism.expire` pair by pair where
+  a mechanism hooks it (a retirement opportunity for the adaptive
+  ones), one :meth:`~repro.online.base.OnlineMechanism.count_expires`
+  where it only counts (the paper's append-only mechanisms), and
+  retract each edge from the optimum; epoch boundaries - explicit
+  markers in the stream, or counter-based ticks - reach
   :meth:`~repro.online.base.OnlineMechanism.end_epoch`.  It also
   imposes a sliding window on an insert-only stream.
 * :func:`reveal_order` turns a bipartite graph into a random edge-reveal
@@ -51,13 +53,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.computation.streams import (
     EPOCH,
     INSERT,
     MAX_BATCH_EVENTS,
     EventLike,
+    StreamEvent,
     as_stream_event,
 )
 from repro.exceptions import ComputationError
@@ -201,6 +204,11 @@ class StreamConsumer:
     insert-only stream, delivered as
     :func:`~repro.computation.streams.sliding_window` would; ``epoch``
     adds an epoch boundary right after every ``epoch``-th insert.
+
+    Input arrives as runs: :meth:`insert_run` for consecutive inserts,
+    :meth:`expire_run` for consecutive expires (a departing thread's
+    live edges), :meth:`end_epoch` for a marker.  A run's length never
+    changes a result; only the per-mechanism order of calls does.
     """
 
     def __init__(
@@ -277,8 +285,7 @@ class StreamConsumer:
                     mechanism.expire(*gone)
                     label_sizes += mechanism.observe_batch((pair,))
             else:
-                for gone in expired:
-                    mechanism.expire(*gone)
+                mechanism.count_expires(len(expired))
                 label_sizes = mechanism.observe_batch(run)
             sizes[label] = label_sizes
         self.expires += len(expired)
@@ -287,21 +294,33 @@ class StreamConsumer:
             self.end_epoch()
         return sizes, offline_sizes
 
-    def expire(self, thread: Vertex, obj: Vertex) -> None:
-        """One expire event of the stream (none may arrive under a window)."""
+    def expire_run(self, run: Sequence[Pair]) -> None:
+        """A run of the stream's consecutive expire events, in order.
+
+        A mechanism with an expire hook gets :meth:`expire` once per
+        pair, in order; any other takes the run as one count (the
+        commutation contract of
+        :class:`~repro.online.base.OnlineMechanism`).  The optimum
+        removes each pair in order.  None may arrive under an imposed
+        window.
+        """
         if self.live_window is not None:
             raise ComputationError(
                 "an imposed window expects an insert-only stream; streams "
                 "with explicit expiry manage their own window"
             )
-        self._retract(thread, obj)
-
-    def _retract(self, thread: Vertex, obj: Vertex) -> None:
-        self.expires += 1
         for mechanism in self.mechanisms.values():
-            mechanism.expire(thread, obj)
+            if _expire_hooked(mechanism):
+                expire = mechanism.expire
+                for thread, obj in run:
+                    expire(thread, obj)
+            else:
+                mechanism.count_expires(len(run))
         if self.optimum is not None:
-            self.optimum.remove_edge(thread, obj)
+            remove_edge = self.optimum.remove_edge
+            for thread, obj in run:
+                remove_edge(thread, obj)
+        self.expires += len(run)
 
     def end_epoch(self) -> None:
         """One epoch boundary: every mechanism may restructure its clock."""
@@ -324,15 +343,23 @@ class StreamConsumer:
 
         Insert runs are cut at lifecycle events and at
         ``run_cap(MAX_BATCH_EVENTS)``; ``record`` gets each run's result.
+        Expire runs are cut at inserts, epoch markers and
+        ``MAX_BATCH_EVENTS``.
         """
         run: List[Pair] = []
+        gone: List[Pair] = []
         room = 0
         for item in events:
-            event = as_stream_event(item)
-            if event.kind == INSERT:
+            if type(item) is not StreamEvent:
+                item = as_stream_event(item)
+            thread, obj, kind = item
+            if kind == INSERT:
                 if not run:
+                    if gone:
+                        self.expire_run(gone)
+                        gone = []
                     room = self.run_cap(MAX_BATCH_EVENTS)
-                run.append((event.thread, event.obj))
+                run.append((thread, obj))
                 if len(run) == room:
                     record(*self.insert_run(run))
                     run = []
@@ -340,12 +367,20 @@ class StreamConsumer:
             if run:
                 record(*self.insert_run(run))
                 run = []
-            if event.kind == EPOCH:
+            if kind == EPOCH:
+                if gone:
+                    self.expire_run(gone)
+                    gone = []
                 self.end_epoch()
-            else:
-                self.expire(event.thread, event.obj)
+                continue
+            gone.append((thread, obj))
+            if len(gone) == MAX_BATCH_EVENTS:
+                self.expire_run(gone)
+                gone = []
         if run:
             record(*self.insert_run(run))
+        elif gone:
+            self.expire_run(gone)
 
 
 def compare_mechanisms_on_stream(

@@ -29,6 +29,7 @@ _BIPARTITE = "src/repro/graph/bipartite.py"
 _ADAPTIVE = "src/repro/online/adaptive.py"
 _TIMESTAMPING = "src/repro/core/timestamping.py"
 _SIMULATOR = "src/repro/online/simulator.py"
+_SHARDING = "src/repro/engine/sharding.py"
 
 _COMPACTION_TESTS = (
     "tests/test_epoch_rotation_properties.py::test_compacting_driver_survives_resume",
@@ -36,10 +37,18 @@ _COMPACTION_TESTS = (
 )
 _BATCH_TESTS = ("tests/test_batched_pipeline.py::TestObserveBatchBitIdentity",)
 _GENERATION_TESTS = ("tests/test_engine.py::TestCheckpointGenerations",)
-_WINDOW_TESTS = (
+_WINDOW_ORACLES = (
     "tests/test_simulator_oracle.py::test_windowed_runs_match_per_event_loop",
+    "tests/test_simulator_oracle.py::test_engine_window_matches_per_event_loop",
+)
+_WINDOW_TESTS = _WINDOW_ORACLES + (
     "tests/test_simulator_oracle.py::test_consume_matches_single_insert_runs",
     "tests/test_batched_pipeline.py::TestEnginePipelines::test_batched_with_window_and_epochs_matches_per_event",
+)
+_EXPIRE_RUN_TESTS = (
+    "tests/test_simulator_oracle.py::test_expire_runs_match_per_event_loop",
+    "tests/test_simulator_oracle.py::test_engine_expire_runs_match_per_event_loop",
+    "tests/test_engine_workers.py::TestSplitRunsGroup",
 )
 _FOREST_TESTS = (
     "tests/test_dynamic_matching.py::test_every_call_reports_the_from_scratch_change_on_sliding_windows",
@@ -258,6 +267,50 @@ MUTANTS = (
         "                add_edge(thread, obj)\n"
         "                append(optimum.size)\n"
         "                remove_edge(gone_thread, gone_obj)\n",
-        _WINDOW_TESTS[:1],
+        _WINDOW_ORACLES,
+    ),
+    # A stream's own expiries travel as runs (split_runs_group,
+    # StreamConsumer.expire_run): a run reaches its shard before the
+    # shard's next epoch marker, it reports the count through its own
+    # last expire, and only a mechanism whose expiry just counts may
+    # take a run as one count.
+    Mutant(
+        "expire-run-not-flushed-before-epoch-marker",
+        _SHARDING,
+        "                        elif expiring[shard_id]:\n"
+        "                            yield shard_id, expired_at[shard_id], expiring[shard_id]\n"
+        "                            expiring[shard_id] = ExpireRun()\n",
+        "",
+        _EXPIRE_RUN_TESTS,
+    ),
+    Mutant(
+        "consume-flushes-expire-run-after-the-marker",
+        _SIMULATOR,
+        "            if kind == EPOCH:\n"
+        "                if gone:\n"
+        "                    self.expire_run(gone)\n"
+        "                    gone = []\n"
+        "                self.end_epoch()\n",
+        "            if kind == EPOCH:\n"
+        "                self.end_epoch()\n",
+        _EXPIRE_RUN_TESTS,
+    ),
+    Mutant(
+        "expire-run-reports-the-count-at-its-flush",
+        _SHARDING,
+        "                        if expiring[shard]:\n"
+        "                            yield shard, expired_at[shard], expiring[shard]\n",
+        "                        if expiring[shard]:\n"
+        "                            yield shard, consumed - 1, expiring[shard]\n",
+        _EXPIRE_RUN_TESTS,
+    ),
+    Mutant(
+        "expire-run-counts-hooked-mechanisms-in-bulk",
+        _SIMULATOR,
+        "            if _expire_hooked(mechanism):\n"
+        "                expire = mechanism.expire\n",
+        "            if False:\n"
+        "                expire = mechanism.expire\n",
+        _EXPIRE_RUN_TESTS,
     ),
 )

@@ -46,8 +46,10 @@ from repro.engine import (
     run_shard_group,
 )
 from repro.engine.results import merge_partials
+from repro.engine.sharding import ExpireRun
 from repro.exceptions import EngineError
 from repro.obs.registry import MetricsRegistry, disable, enable
+from repro.seeds import stable_hash
 
 SCENARIOS = REGISTRY.names(STREAM)
 BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
@@ -198,6 +200,98 @@ class TestSplitRunsGroup:
                 StreamSharder(num_shards), events, shard_id, cap, skips[shard_id]
             )
             assert grouped[shard_id] == solo
+
+    @given(
+        ops=_ops,
+        num_shards=st.integers(1, 4),
+        cap=st.integers(1, 7),
+        expire_cap=st.integers(1, 4),
+        strategy=st.sampled_from(["hash", "round-robin"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_each_shard_gets_its_sub_stream_in_order(
+        self, ops, num_shards, cap, expire_cap, strategy
+    ):
+        # Against a router written here: flattening a shard's runs must
+        # give its sub-stream (its threads' events, every marker) in
+        # order.  Insert runs are lists of at most ``cap`` pairs, expire
+        # runs ExpireRuns of at most ``expire_cap``; an expire run
+        # reports the tagged position of its last expire, a marker the
+        # position after its broadcast.
+        events = _stream_events(ops)
+        assignment = {}
+        expected = {shard_id: [] for shard_id in range(num_shards)}
+        position = 0
+        for event in events:
+            if event.kind == "epoch":
+                position += num_shards
+                for shard_id in expected:
+                    expected[shard_id].append((event.kind, None, position))
+                continue
+            position += 1
+            if strategy == "hash":
+                shard = stable_hash(event.thread) % num_shards
+            else:
+                shard = assignment.setdefault(event.thread, len(assignment) % num_shards)
+            expected[shard].append((event.kind, event.pair, position))
+        owned = tuple(range(num_shards))
+        delivered = {shard_id: [] for shard_id in owned}
+        ends = {}
+        for shard_id, consumed, item in StreamSharder(num_shards, strategy).split_runs_group(
+            events, owned, {shard_id: (lambda: cap) for shard_id in owned},
+            expire_cap=expire_cap,
+        ):
+            assert shard_id not in ends, "an item after the end tick"
+            if item is None:
+                ends[shard_id] = consumed
+            elif type(item) is list:
+                assert 0 < len(item) <= cap
+                delivered[shard_id].extend(("insert", pair, None) for pair in item)
+            elif type(item) is ExpireRun:
+                assert 0 < len(item) <= expire_cap
+                delivered[shard_id].extend(("expire", pair, None) for pair in item)
+                last = len(delivered[shard_id]) - 1
+                assert consumed == expected[shard_id][last][2]
+            else:
+                assert item == epoch_marker()
+                delivered[shard_id].append(("epoch", None, consumed))
+        assert ends == {shard_id: position for shard_id in owned}
+        for shard_id in owned:
+            assert [(kind, pair) for kind, pair, _ in delivered[shard_id]] == [
+                (kind, pair) for kind, pair, _ in expected[shard_id]
+            ]
+            assert [at for kind, _, at in delivered[shard_id] if kind == "epoch"] == [
+                at for kind, _, at in expected[shard_id] if kind == "epoch"
+            ]
+
+    def test_expire_run_reports_its_last_expire(self):
+        # Shard 0's expire run is cut by its next insert, two tagged
+        # events after its last expire: it still reports that expire's
+        # position, as one yield per expire would.
+        sharder = StreamSharder(2)
+        threads = [f"T{index}" for index in range(20)]
+        mine = next(thread for thread in threads if sharder.shard_of(thread) == 0)
+        other = next(thread for thread in threads if sharder.shard_of(thread) == 1)
+        events = [
+            StreamEvent(mine, "O0"),
+            StreamEvent(mine, "O0", EXPIRE),
+            StreamEvent(other, "O1"),
+            StreamEvent(other, "O1"),
+            StreamEvent(mine, "O2"),
+        ]
+        delivered = [
+            (consumed, item)
+            for shard_id, consumed, item in sharder.split_runs_group(
+                events, (0,), {0: (lambda: 1)}
+            )
+        ]
+        assert delivered == [
+            (1, [(mine, "O0")]),
+            (2, [(mine, "O0")]),
+            (5, [(mine, "O2")]),
+            (5, None),
+        ]
+        assert type(delivered[1][1]) is ExpireRun
 
     def test_mid_epoch_skip_uses_per_shard_copy_positions(self):
         # The regression the ISSUE suspected: a resume whose skip lands

@@ -545,6 +545,96 @@ class TestScenarioSeed:
         assert findings == []
 
 
+# ---------------------------------------------------------------------------
+# H301 - unused imports
+# ---------------------------------------------------------------------------
+class TestUnusedImport:
+    def test_unused_names_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import os.path
+            import json as js
+            from typing import Dict, List
+
+            def load(text) -> List[str]:
+                return text.split()
+            """,
+            select={"H301"},
+        )
+        assert rule_ids(findings) == ["H301"] * 3
+        assert [finding.line for finding in findings] == [2, 3, 4]
+        assert ["'os'", "'js'", "'Dict'"] == [
+            finding.message.split()[0] for finding in findings
+        ]
+
+    def test_referenced_names_not_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            from __future__ import annotations
+
+            import os.path
+            from collections import deque as queue
+            from typing import TYPE_CHECKING, List, Optional
+            from repro.graph import BipartiteGraph
+            from repro.online import OnlineMechanism
+            from repro.online.base import Decision
+            from repro.seeds import stable_hash
+
+            __all__ = ["stable_hash"]
+
+            if TYPE_CHECKING:
+                pass
+
+            def build(name: "Optional[BipartiteGraph]") -> "OnlineMechanism":
+                decisions: List["Decision"] = []
+                return queue([os.path.join(name, "x")] + decisions)
+            """,
+            select={"H301"},
+        )
+        assert findings == []
+
+    def test_function_level_imports_checked(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            def probe():
+                from repro.engine import run_engine
+                from repro.seeds import derive_seed
+                return derive_seed(1, "x")
+            """,
+            select={"H301"},
+        )
+        assert rule_ids(findings) == ["H301"]
+        assert "'run_engine'" in findings[0].message
+
+    def test_noqa_keeps_a_side_effect_import(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import repro.analysis.experiments  # repro: noqa[H301] registers mechanisms
+            from repro.online import adaptive  # noqa: F401  (defines the classes)
+            import json  # noqa: E501
+            """,
+            select={"H301"},
+        )
+        assert rule_ids(findings) == ["H301"]
+        assert "'json'" in findings[0].message
+
+    def test_init_modules_exempt(self, tmp_path, monkeypatch):
+        findings = lint_at(
+            tmp_path,
+            monkeypatch,
+            "src/repro/newpkg/__init__.py",
+            """
+            from repro.seeds import derive_seed, stable_hash
+            """,
+            select={"H301"},
+        )
+        assert findings == []
+
+
 def lint_at(tmp_path, monkeypatch, relpath, source, select=None):
     """Lint one snippet *at a given repo-relative path* (for path-scoped
     rules: C206's result-path prefixes, the D104 obs carve-out)."""
@@ -642,6 +732,7 @@ class TestTelemetryReadInResultPath:
                 for snapshot in snapshots:
                     registry.merge_snapshot(snapshot)
             """,
+            select={"C206"},
         )
         assert findings == []
 
@@ -658,6 +749,7 @@ class TestTelemetryReadInResultPath:
                 print(exporters.format_summary(registry))
                 return registry.counter_value("engine.chunks")
             """,
+            select={"C206"},
         )
         assert findings == []
 
@@ -919,5 +1011,5 @@ class TestSelfApplication:
 
     def test_readme_rule_table_matches_registered_rules(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        documented = set(re.findall(r"^\| ([CD]\d{3}) \|", readme, re.MULTILINE))
+        documented = set(re.findall(r"^\| ([CDH]\d{3}) \|", readme, re.MULTILINE))
         assert documented == {rule.id for rule in ALL_RULES}

@@ -12,6 +12,8 @@ and a counter epoch follows every ``epoch``-th insert.
 
 from __future__ import annotations
 
+import contextlib
+from dataclasses import replace
 from typing import Dict, List, Optional
 from unittest import mock
 
@@ -22,17 +24,23 @@ from hypothesis import strategies as st
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.computation.registry import REGISTRY, STREAM
 from repro.computation.streams import (
+    EPOCH,
     EXPIRE,
     INSERT,
+    MAX_BATCH_EVENTS,
     StreamEvent,
     as_stream_event,
     sliding_window,
+    epoch_marker,
+    thread_churn_stream,
 )
+from repro.engine import EngineConfig, run_engine
 from repro.exceptions import ComputationError
 from repro.graph.incremental import DynamicMatching
 from repro.online import OFFLINE_LABEL, OnlineRunResult, compare_mechanisms_on_stream
 from repro.online import seed_mechanism_factories
 from repro.online.simulator import StreamConsumer
+from repro.seeds import derive_seed, stable_hash
 
 MECHANISM_SETS = (
     ("naive", "popularity", "hybrid"),
@@ -41,12 +49,19 @@ MECHANISM_SETS = (
 )
 
 
-def _per_event_reference(events, factories, window: Optional[int], epoch: Optional[int]):
+def _per_event_reference(
+    events, factories, window: Optional[int], epoch: Optional[int],
+    optimum: Optional[DynamicMatching] = None,
+):
+    """Results as one call per event would give them; ``optimum`` is
+    the matching to drive (a fresh one by default), left as the whole
+    stream leaves it."""
     if window is not None:
         events = sliding_window(events, window)
     mechanisms = {label: factory() for label, factory in factories.items()}
     trajectories: Dict[str, List[int]] = {label: [] for label in mechanisms}
-    optimum = DynamicMatching()
+    if optimum is None:
+        optimum = DynamicMatching()
     offline: List[int] = []
     inserts = expires = epochs = 0
 
@@ -277,3 +292,195 @@ def test_expire_event_under_imposed_window_rejected():
     stream = [StreamEvent("T0", "O0"), StreamEvent("T0", "O0", EXPIRE)]
     with pytest.raises(ComputationError, match="insert-only"):
         compare_mechanisms_on_stream(stream, NAIVE, window=2)
+
+
+# ---------------------------------------------------------------------------
+# Expire runs: a departing thread's expiries delivered as one run
+# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def _recording_consumers(module: str):
+    """Patch ``module``'s ``StreamConsumer`` to keep every instance made."""
+    made: List[StreamConsumer] = []
+
+    class Recording(StreamConsumer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with mock.patch(f"{module}.StreamConsumer", Recording):
+        yield made
+
+
+def _churn(case):
+    """A thread-churn scenario factory at ``case``'s churn rate.
+
+    With ``case["markers"]`` set, an epoch marker follows every that
+    many events: counting events rather than inserts (as
+    ``with_epochs`` does) lets a marker land inside a departure's
+    expiries.
+    """
+
+    def build(*args, **kwargs):
+        events = thread_churn_stream(*args, churn_probability=case["churn"], **kwargs)
+        for index, event in enumerate(events, 1):
+            yield event
+            if case["markers"] is not None and index % case["markers"] == 0:
+                yield epoch_marker()
+
+    return build
+
+
+@st.composite
+def churn_runs(draw):
+    """A thread-churn stream, a run length and optional epochs of both kinds."""
+    return dict(
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        num_events=draw(st.integers(min_value=0, max_value=200)),
+        size=draw(st.integers(min_value=2, max_value=10)),
+        density=draw(st.floats(min_value=0.1, max_value=0.8)),
+        churn=draw(st.floats(min_value=0.05, max_value=0.6)),
+        chunk=draw(st.integers(min_value=1, max_value=8)),
+        epoch=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=40))),
+        markers=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=40))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=churn_runs())
+def test_expire_runs_match_per_event_loop(case):
+    # Departures expire several pairs back to back; runs of them are cut
+    # at ``chunk`` pairs, at inserts and at epoch markers.  Hooked
+    # mechanisms must see every expire in order, the others the count.
+    def stream():
+        return _churn(case)(
+            case["size"], case["size"], case["density"], case["num_events"],
+            seed=case["seed"],
+        )
+
+    for labels in MECHANISM_SETS:
+        expected_factories, expected_made = _capturing(labels, case["seed"])
+        optimum = DynamicMatching()
+        expected = _per_event_reference(
+            stream(), expected_factories, None, case["epoch"], optimum
+        )
+        actual_factories, actual_made = _capturing(labels, case["seed"])
+        with mock.patch("repro.online.simulator.MAX_BATCH_EVENTS", case["chunk"]), \
+                _recording_consumers("repro.online.simulator") as consumers:
+            actual = compare_mechanisms_on_stream(
+                stream(), actual_factories, epoch=case["epoch"]
+            )
+        assert actual == expected
+        (consumer,) = consumers
+        assert consumer.optimum.size == optimum.size
+        for label in labels:
+            assert actual_made[label].expires_seen == expected_made[label].expires_seen
+            assert actual_made[label].decisions == expected_made[label].decisions
+            assert (
+                actual_made[label]._component_order
+                == expected_made[label]._component_order
+            )
+
+
+def _shard_streams(events, num_shards: int):
+    """Each hash shard's sub-stream: its threads' events, every marker."""
+    shards: List[list] = [[] for _ in range(num_shards)]
+    for item in events:
+        event = as_stream_event(item)
+        if event.kind == EPOCH:
+            for shard in shards:
+                shard.append(event)
+        else:
+            shards[stable_hash(event.thread) % num_shards].append(event)
+    return shards
+
+
+def _assert_engine_matches_per_event_loop(config: EngineConfig, chunk: int) -> None:
+    """``run_engine(config)`` against the per-event loop on every shard.
+
+    Every insert is sampled (``trajectory_stride=1``), so each shard's
+    per-label samples are whole size trajectories.  ``chunk`` replaces
+    ``MAX_BATCH_EVENTS`` in the engine.
+    """
+    with mock.patch("repro.engine.runner.MAX_BATCH_EVENTS", chunk), \
+            _recording_consumers("repro.engine.runner") as consumers:
+        result = run_engine(config)
+    assert len(consumers) == config.num_shards
+    events = REGISTRY.get(config.scenario, kind=STREAM).build(
+        config.num_threads, config.num_objects, config.density, config.num_events,
+        seed=derive_seed(config.seed, config.scenario, "stream"),
+    )
+    for shard_id, sub_stream in enumerate(_shard_streams(events, config.num_shards)):
+        factories, made = _capturing(
+            config.mechanisms, derive_seed(config.seed, config.scenario, "shard", shard_id)
+        )
+        optimum = DynamicMatching()
+        expected = _per_event_reference(
+            sub_stream, factories, config.window, config.epoch_every, optimum
+        )
+        for label in config.mechanisms + (OFFLINE_LABEL,):
+            fragment = result.partial.series.get((shard_id, label))
+            samples = fragment.samples if fragment is not None else ()
+            assert samples == expected[label].size_trajectory, (shard_id, label)
+            if fragment is not None:
+                assert fragment.final_size == expected[label].final_size
+        consumer = consumers[shard_id]
+        for label in config.mechanisms:
+            mechanism = consumer.mechanisms[label]
+            assert mechanism.expires_seen == expected[label].expires_seen
+            assert mechanism.retired_total == expected[label].retired_components
+            assert mechanism.decisions == made[label].decisions
+        offline = expected[OFFLINE_LABEL]
+        assert (consumer.inserts, consumer.expires, consumer.epochs) == (
+            offline.events_revealed, offline.expires_seen, offline.epochs,
+        )
+        assert consumer.optimum.size == optimum.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=churn_runs(),
+    num_shards=st.integers(min_value=1, max_value=3),
+    chunk_size=st.integers(min_value=1, max_value=60),
+    pipeline=st.sampled_from(["batched", "per-event"]),
+)
+def test_engine_expire_runs_match_per_event_loop(case, num_shards, chunk_size, pipeline):
+    # The engine routes each shard's expiries as runs; with epoch markers
+    # in the stream a run must reach its shard before the marker does.
+    churn = REGISTRY.get("thread-churn", kind=STREAM)
+    scenario = replace(churn, factory=_churn(case), epochs=case["markers"] is not None)
+    for labels in MECHANISM_SETS:
+        config = EngineConfig(
+            scenario="thread-churn", num_threads=case["size"], num_objects=case["size"],
+            density=case["density"], num_events=case["num_events"], seed=case["seed"],
+            num_shards=num_shards, chunk_size=chunk_size, epoch_every=case["epoch"],
+            mechanisms=labels, trajectory_stride=1, pipeline=pipeline,
+        )
+        with mock.patch.dict(REGISTRY._scenarios, {"thread-churn": scenario}):
+            _assert_engine_matches_per_event_loop(config, case["chunk"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=st.sampled_from(WINDOWED_SCENARIOS),
+    seed=st.integers(min_value=0, max_value=2**32),
+    num_events=st.integers(min_value=0, max_value=200),
+    size=st.integers(min_value=2, max_value=12),
+    density=st.floats(min_value=0.05, max_value=0.6),
+    num_shards=st.integers(min_value=1, max_value=3),
+    window=st.integers(min_value=1, max_value=30),
+    epoch=st.one_of(st.none(), st.integers(min_value=1, max_value=50)),
+)
+def test_engine_window_matches_per_event_loop(
+    scenario, seed, num_events, size, density, num_shards, window, epoch
+):
+    # Long insert runs (one chunk per shard) fill each shard's window
+    # inside a run; the per-event loop windows each sub-stream with
+    # sliding_window and expires before every displacing insert.
+    for labels in MECHANISM_SETS:
+        config = EngineConfig(
+            scenario=scenario, num_threads=size, num_objects=size, density=density,
+            num_events=num_events, seed=seed, num_shards=num_shards,
+            chunk_size=max(1, num_events), window=window, epoch_every=epoch,
+            mechanisms=labels, trajectory_stride=1,
+        )
+        _assert_engine_matches_per_event_loop(config, MAX_BATCH_EVENTS)
