@@ -12,13 +12,16 @@ The lifecycle clock's boundary cost, measured head-to-head.  Three legs:
   ``driver.rotation_s`` p50/p95/p99 and stream events/sec are recorded
   per strategy; the full run asserts delta p99 at least
   :data:`ROTATION_P99_BAR` times lower and throughput no worse.
-* **cover boundary pause** - the persistent :class:`DynamicMatching`'s
-  incrementally repaired König cover vs the pre-PR-10 behaviour (a
-  fresh matching rebuilt from every live edge at every epoch boundary),
-  on one interleaved add/expire churn stream; the full run asserts the
-  repaired boundary *median* at least :data:`COVER_P50_BAR` times
-  lower (the tail percentiles are recorded as data - a few hundred
-  boundary samples make the p99 a noisy near-max).
+* **cover boundary pause** - a persistent :class:`DynamicMatching`'s
+  incrementally repaired König cover vs a fresh matching rebuilt from
+  every live edge at every boundary, on one interleaved add/expire
+  churn stream.  The leg measures :class:`DynamicMatching` alone: no
+  mechanism keeps one (``epoch-hybrid`` runs one Hopcroft-Karp on its
+  live graph at each boundary, the from-scratch side of this trade).
+  The full run asserts the repaired boundary *median* at least
+  :data:`COVER_P50_BAR` times lower (the tail percentiles are recorded
+  as data - a few hundred boundary samples make the p99 a noisy
+  near-max).
 * **layout-change scaling** - the delta arm alone at the
   lifecycle-rotation workload's window (300) and at ten times it, IDs
   scaled with the window.  The clock extension (``EpochClock.extend``)
@@ -247,12 +250,12 @@ def test_rotation_latency_delta_vs_replay(benchmark, record_table, record_json):
 def _run_cover_leg(mode):
     """One pass of the edge-churn stream; boundary cover pauses in seconds.
 
-    ``"repair"`` queries the persistent matching (the landed behaviour:
-    per-event add/remove upkeep, incremental König reachability repair at
-    the boundary); ``"scratch"`` re-creates the pre-PR-10 boundary (a
-    fresh :class:`DynamicMatching` rebuilt from every live edge, then the
-    cover).  Cover sizes must agree - both are minimum covers of the same
-    live graph - and every cover is validated outside the timed region.
+    ``"repair"`` queries the persistent matching (per-event add/remove
+    upkeep, incremental König reachability repair at the boundary);
+    ``"scratch"`` rebuilds a fresh :class:`DynamicMatching` from every
+    live edge, then takes the cover.  Cover sizes must agree - both are
+    minimum covers of the same live graph - and every cover is validated
+    outside the timed region.
     """
     rng = random.Random(STREAM_SEED)
     live = []

@@ -49,7 +49,8 @@ Mechanics:
 
 The pickled payload is the shard's full consumer state - the online
 mechanisms (including their :mod:`random` state), the dynamic matching
-engine, the sliding-window deque and the accumulated
+engine's live graph (its matching is recomputed on load), the
+sliding-window deque and the accumulated
 :class:`~repro.engine.results.PartialResult` - so a resumed run replays
 *nothing*: it fast-forwards the regenerated stream past the consumed
 prefix (generation is cheap; matching is not) and continues exactly where
@@ -78,7 +79,7 @@ MAGIC = b"repro-shard-checkpoint\n"
 #: Version of the pickled shard state.  Bump it whenever that state
 #: changes shape, so a checkpoint written by other code is refused by
 #: name instead of unpickling into the wrong classes.
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 _VERSION_BYTES = 2
 _DIGEST_AT = len(MAGIC) + _VERSION_BYTES

@@ -487,8 +487,11 @@ class _ShardRun:
     statistics, the timestamping accumulation, and the chunk-boundary
     checkpoint/telemetry plumbing.  Every shard is driven through these
     same methods in the same per-shard event order whichever group owns
-    it, so a shard's partial - and its checkpoint bytes - cannot depend
-    on the worker count.
+    it, so a shard's partial cannot depend on the worker count, and the
+    bytes of a checkpoint taken after a given chunk depend on neither
+    the worker count nor the hash seed.  Which chunks an interrupted run
+    reaches does depend on the grouping: :meth:`interrupt_if_due` ends
+    the whole group's pass once any shard it owns is at its limit.
     """
 
     def __init__(self, config: EngineConfig, shard_id: int,

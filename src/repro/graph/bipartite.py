@@ -289,6 +289,25 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
+    def __getstate__(self) -> tuple:
+        # Each edge once, in canonical order: a pickled set lists its
+        # members in hash order, which varies with PYTHONHASHSEED.  The
+        # object side's sets are rebuilt from the thread side on load.
+        key = {o: vertex_sort_key(o) for o in self._object_adj}.__getitem__
+        return (
+            {t: sorted(adj, key=key) for t, adj in self._thread_adj.items()},
+            list(self._object_adj),
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        thread_adj, objects = state
+        self._thread_adj = {t: set(adj) for t, adj in thread_adj.items()}
+        self._object_adj = object_adj = {o: set() for o in objects}
+        for thread, adj in thread_adj.items():
+            for obj in adj:
+                object_adj[obj].add(thread)
+        self._edge_count = sum(map(len, thread_adj.values()))
+
     def __contains__(self, vertex: Vertex) -> bool:
         return self.has_vertex(vertex)
 

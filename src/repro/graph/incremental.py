@@ -78,17 +78,16 @@ flips the path the forest holds, or the optimum has shrunk by one and
 ``o`` becomes a new root of ``Z_O``.  In each case the other set keeps
 every member, by the disjointness above.
 
-A set may also be *dirty*: a checkpoint does not carry the forests, so a
-restored engine rebuilds each one with a single ``O(V + E)`` sweep when a
-mutation or cover query first needs it, and does not maintain a dirty
-one.  Because streamed reveals may repeat a live pair, the engine counts
-per-edge multiplicity: an edge leaves the graph only when *every* live
-event that revealed it has expired.  The minimum-vertex-cover *size* is
-maintained lazily for free (it always equals the matching size, by
-König-Egerváry / Theorem 3 of the paper); the cover's concrete vertex
-set is read off ``Z`` (see :meth:`DynamicMatching.vertex_cover`) and
-cached until the next structural change, so an epoch boundary pays
-``O(V)`` assembly, not an ``O(V + E)`` sweep.
+A set may also be *dirty*: a checkpoint carries neither the forests nor
+the matching, so a restored engine runs Hopcroft-Karp once and rebuilds
+each forest with one ``O(V + E)`` sweep when a mutation or cover query
+first needs it; a dirty one is not maintained.  Streamed reveals may
+repeat a live pair, so the engine counts per-edge multiplicity: an edge
+leaves the graph only when *every* live event that revealed it has
+expired.  The minimum vertex cover's size is the matching size
+(König-Egerváry / Theorem 3 of the paper); its vertex set is read off
+``Z`` (see :meth:`DynamicMatching.vertex_cover`) and cached until the
+next structural change, so a query pays ``O(V)``, not ``O(V + E)``.
 
 :func:`incremental_optimum_trajectory` packages the append-only regime
 and :func:`sliding_window_optimum_trajectory` the windowed one, for the
@@ -102,7 +101,7 @@ from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph, Edge, Vertex
-from repro.graph.matching import Matching
+from repro.graph.matching import Matching, maximum_matching
 
 # Telemetry write handle (write-only in result paths per C206): counts
 # how often the König cover could be assembled from the maintained Z
@@ -151,30 +150,21 @@ class DynamicMatching:
         """Current maximum matching size = optimal clock size (Theorem 3)."""
         return len(self._thread_to_object)
 
-    @property
-    def cover_size(self) -> int:
-        """Current minimum vertex cover size.
-
-        Lazily maintained in the strongest possible sense: by
-        König-Egerváry it always equals the matching size, so no cover is
-        ever constructed to answer this query.
-        """
-        return len(self._thread_to_object)
-
     def __len__(self) -> int:
         return len(self._thread_to_object)
 
-    def __getstate__(self) -> dict:
-        # The forests are derived state: leave them out of checkpoints.
-        state = self.__dict__.copy()
-        del state["_z"], state["_zo"]
-        return state
+    def __getstate__(self) -> tuple:
+        # Only the graph and the multiplicities: the rest is derived, and
+        # which maximum matching is held follows set iteration order, so
+        # it would tie a checkpoint's bytes to PYTHONHASHSEED.
+        return self._graph, self._multiplicity
 
-    def __setstate__(self, state: dict) -> None:
-        # setattr interns the names, as the default restore does, so the
-        # engines of one checkpoint share them when pickled again.
-        for name, value in state.items():
-            setattr(self, name, value)
+    def __setstate__(self, state: tuple) -> None:
+        self._graph, self._multiplicity = state
+        matching = maximum_matching(self._graph)
+        self._thread_to_object = dict(matching)
+        self._object_to_thread = {obj: thread for thread, obj in matching}
+        self._cover_cache = None
         self._z = None
         self._zo = None
 

@@ -33,10 +33,10 @@ through the lifecycle protocol of :class:`~repro.online.base.OnlineMechanism`
   runs the hybrid policy on the *live* graph (Popularity while the live
   graph is small and sparse, a fixed side once thresholds are crossed);
   at each ``end_epoch`` it rebuilds its component set wholesale from the
-  live window's König cover (maintained incrementally by
-  :class:`~repro.graph.incremental.DynamicMatching`), so right after a
-  boundary its clock is *optimal for the live window* and the hybrid
-  switch restarts from the Popularity phase.
+  live window's König cover (one Hopcroft-Karp on the live graph; by
+  Dulmage-Mendelsohn the cover does not depend on which maximum matching
+  is found), so right after a boundary its clock is *optimal for the
+  live window* and the hybrid switch restarts from the Popularity phase.
 
 :class:`LifecycleClockDriver` is the timestamping tie-in: it couples any
 lifecycle mechanism with an :class:`~repro.core.timestamping.EpochClock`,
@@ -56,8 +56,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.timestamping import DELTA_ROTATION, EpochClock
 from repro.exceptions import OnlineMechanismError
-from repro.graph.bipartite import BipartiteGraph, Vertex, vertex_sort_key
-from repro.graph.incremental import DynamicMatching
+from repro.graph.bipartite import BipartiteGraph, Edge, Vertex, vertex_sort_key
+from repro.graph.vertex_cover import konig_vertex_cover
 from repro.obs.registry import active as _metrics_active
 from repro.online.base import (
     OBJECT,
@@ -377,20 +377,16 @@ class EpochRotatingHybridMechanism(OnlineMechanism):
         self._naive_side = naive_side
         self._warmup_edges = warmup_edges
         self._switched_at: Optional[int] = None
-        # The live window's graph and its maximum matching / König cover,
-        # maintained across inserts and expiries.
-        self._live = DynamicMatching()
+        # The live window's graph, and each live edge's occurrence count:
+        # an edge leaves the graph when its last live occurrence expires.
+        self._live = BipartiteGraph()
+        self._live_count: Dict[Edge, int] = {}
 
     # -- introspection ------------------------------------------------------
     @property
     def live_graph(self) -> BipartiteGraph:
         """The live (non-expired) thread-object graph."""
-        return self._live.graph
-
-    @property
-    def live_optimum(self) -> int:
-        """Minimum vertex cover size of the live graph (the rebuild target)."""
-        return self._live.cover_size
+        return self._live
 
     @property
     def switched_at(self) -> Optional[int]:
@@ -399,7 +395,7 @@ class EpochRotatingHybridMechanism(OnlineMechanism):
 
     # -- policy -------------------------------------------------------------
     def _exceeds_thresholds(self) -> bool:
-        graph = self._live.graph
+        graph = self._live
         density_exceeded = (
             graph.num_edges >= self._warmup_edges
             and graph.density() > self._density_threshold
@@ -411,20 +407,34 @@ class EpochRotatingHybridMechanism(OnlineMechanism):
             self._switched_at = self.events_seen - 1
         if self._switched_at is not None:
             return self._naive_side
-        return popularity_choice(self._live.graph, thread, obj, THREAD)
+        return popularity_choice(self._live, thread, obj, THREAD)
 
     # -- lifecycle hooks ----------------------------------------------------
     def _on_observe(self, thread: Vertex, obj: Vertex) -> None:
-        self._live.add_edge(thread, obj)
+        count = self._live_count.get((thread, obj), 0)
+        if not count:
+            self._live.add_edge(thread, obj)
+        self._live_count[thread, obj] = count + 1
 
     def _on_expire(self, thread: Vertex, obj: Vertex) -> None:
-        self._live.remove_edge(thread, obj)
+        count = self._live_count.get((thread, obj), 0)
+        if count > 1:
+            self._live_count[thread, obj] = count - 1
+            return
+        live = self._live
+        live.remove_edge(thread, obj)  # GraphError if the edge is not live
+        del self._live_count[thread, obj]
+        # Drop the endpoints the removal isolated: the node threshold
+        # counts live vertices only.
+        if live.degree(thread) == 0:
+            live.remove_isolated_vertex(thread)
+        if live.degree(obj) == 0:
+            live.remove_isolated_vertex(obj)
 
     def _on_end_epoch(self) -> Tuple[Vertex, ...]:
-        cover = self._live.vertex_cover()
-        live_graph = self._live.graph
-        want_threads = {v for v in cover if live_graph.has_thread(v)}
-        want_objects = {v for v in cover if live_graph.has_object(v)}
+        cover = konig_vertex_cover(self._live)
+        want_threads = cover & self._live.threads
+        want_objects = cover - want_threads
         retired = [
             component
             for kind, component in self._component_order

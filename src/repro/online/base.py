@@ -145,6 +145,22 @@ class OnlineMechanism(abc.ABC):
         self._epoch = 0
         self._peak_size = 0
 
+    def __getstate__(self) -> dict:
+        # The component sets follow from the component order; a pickled
+        # set lists its members in hash order, which varies with
+        # PYTHONHASHSEED.
+        state = self.__dict__.copy()
+        del state["_thread_components"], state["_object_components"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # setattr interns the names, as the default restore does.
+        for name, value in state.items():
+            setattr(self, name, value)
+        order = self._component_order
+        self._thread_components = {c for kind, c in order if kind == THREAD}
+        self._object_components = {c for kind, c in order if kind == OBJECT}
+
     # ------------------------------------------------------------------
     # Policy hooks
     # ------------------------------------------------------------------

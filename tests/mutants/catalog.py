@@ -218,6 +218,15 @@ MUTANTS = (
         "            objects = self._thread_adj[thread] = set()\n",
         ("tests/test_bipartite_graph.py::TestConstruction",),
     ),
+    # A pickled graph lists each neighbour set in canonical order: set
+    # order follows PYTHONHASHSEED, and checkpoint bytes must not.
+    Mutant(
+        "graph-pickles-sets-in-hash-order",
+        _BIPARTITE,
+        "            {t: sorted(adj, key=key) for t, adj in self._thread_adj.items()},\n",
+        "            {t: list(adj) for t, adj in self._thread_adj.items()},\n",
+        ("tests/test_engine.py::TestCheckpointBytes",),
+    ),
     # Eager retirement reclaims a component on the expire that kills its
     # last live event; no epoch sweep is left to clean up after it.
     Mutant(
@@ -227,6 +236,18 @@ MUTANTS = (
         "                self._retire_component(obj)\n",
         "",
         ("tests/test_adaptive_mechanisms.py::TestWindowedPopularity::test_eager_components_always_have_a_live_event",),
+    ),
+    # Epoch-hybrid's live graph drops the endpoints an expiry isolates,
+    # as DynamicMatching's does: the node threshold counts live vertices.
+    Mutant(
+        "epoch-hybrid-keeps-isolated-vertices",
+        _ADAPTIVE,
+        "        if live.degree(thread) == 0:\n"
+        "            live.remove_isolated_vertex(thread)\n"
+        "        if live.degree(obj) == 0:\n"
+        "            live.remove_isolated_vertex(obj)\n",
+        "",
+        ("tests/test_adaptive_mechanisms.py::TestEpochRotatingHybrid::test_live_graph_and_rebuild_match_dynamic_matching",),
     ),
     # EpochClock.rotate takes the delta path only when no retired
     # component is an endpoint of a live event.

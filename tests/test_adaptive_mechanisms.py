@@ -39,6 +39,8 @@ from repro.computation.streams import (
 from repro.core import ClockComponents, VectorClockProtocol
 from repro.core.clock import ordering
 from repro.exceptions import OnlineMechanismError
+from repro.graph.incremental import DynamicMatching
+from repro.graph.vertex_cover import konig_vertex_cover
 from repro.online import (
     EpochRotatingHybridMechanism,
     HybridMechanism,
@@ -198,7 +200,7 @@ class TestEpochRotatingHybrid:
         mechanism.end_epoch()
         # The live graph is the O1 star: its minimum cover is {O1}.
         assert mechanism.clock_size == 1
-        assert mechanism.clock_size == mechanism.live_optimum
+        assert mechanism.clock_size == len(konig_vertex_cover(mechanism.live_graph))
         assert mechanism.object_components == frozenset({"O1"})
         assert mechanism.retired_total >= before - 1
         assert mechanism.epoch == 1
@@ -211,6 +213,42 @@ class TestEpochRotatingHybrid:
         mechanism.end_epoch()
         for thread, obj in events:
             assert mechanism.covers(thread, obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ticks=st.lists(
+            st.tuples(
+                st.sampled_from(("insert", "insert", "expire", "epoch")),
+                st.integers(0, 4),
+                st.integers(0, 4),
+            ),
+            max_size=60,
+        )
+    )
+    def test_live_graph_and_rebuild_match_dynamic_matching(self, ticks):
+        """The live graph holds what a DynamicMatching fed the same ticks
+        holds, isolated vertices pruned, and each rebuild adopts that
+        engine's maintained König cover."""
+        mechanism = EpochRotatingHybridMechanism(node_threshold=6)
+        reference = DynamicMatching()
+        live = []
+        for tick, a, b in ticks:
+            if tick == "insert":
+                pair = (f"T{a}", f"O{b}")
+                mechanism.observe(*pair)
+                reference.add_edge(*pair)
+                live.append(pair)
+            elif tick == "expire" and live:
+                pair = live.pop((a * 5 + b) % len(live))
+                mechanism.expire(*pair)
+                reference.remove_edge(*pair)
+            elif tick == "epoch":
+                mechanism.end_epoch()
+                cover = reference.vertex_cover()
+                assert mechanism.thread_components == cover & reference.graph.threads
+                assert mechanism.object_components == cover & reference.graph.objects
+            assert mechanism.live_graph == reference.graph
+            assert mechanism.live_graph.num_edges == reference.graph.num_edges
 
     def test_switch_resets_at_epoch_boundary(self):
         mechanism = EpochRotatingHybridMechanism(node_threshold=3, warmup_edges=999)

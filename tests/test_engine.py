@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -397,6 +401,73 @@ class TestCheckpointResume:
         assert set(manager.shard_files()) == set(range(config.num_shards))
         manager.clear()
         assert manager.shard_files() == {}
+
+
+#: Prints the SHA-256 of every file an interrupted run leaves behind.
+_CHECKPOINT_DIGESTS = """
+import hashlib, json, os, sys
+from repro.engine import EngineConfig, EngineInterrupted, run_engine
+config = EngineConfig(**{fields!r})
+try:
+    run_engine(config)
+except EngineInterrupted:
+    pass
+else:
+    sys.exit("the run was not interrupted")
+root = config.checkpoint_dir
+print(json.dumps({{
+    name: hashlib.sha256(open(os.path.join(root, name), "rb").read()).hexdigest()
+    for name in sorted(os.listdir(root))
+}}))
+"""
+
+
+class TestCheckpointBytes:
+    @pytest.mark.parametrize(
+        "timestamps, mechanisms",
+        [
+            (False, ("naive", "random", "popularity", "hybrid",
+                     "adaptive-popularity", "adaptive-popularity-windowed",
+                     "adaptive-popularity-cost", "epoch-hybrid")),
+            (True, ("naive", "random", "popularity", "hybrid")),
+        ],
+    )
+    def test_interrupted_run_writes_the_same_bytes_under_every_hash_seed(
+        self, tmp_path, timestamps, mechanisms
+    ):
+        """Set iteration order follows PYTHONHASHSEED; no pickled shard
+        state may, so three interpreters leave identical files."""
+        config = dataclasses.replace(
+            BASE_CONFIG, num_events=2400, num_shards=4, epoch_every=120,
+            include_offline=True, mechanisms=mechanisms, timestamps=timestamps,
+            workers=1,
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        fields = {
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+        }
+        children = []
+        for hash_seed in ("0", "1", "2"):
+            interrupted = dict(
+                fields, checkpoint_dir=str(tmp_path / hash_seed), max_chunks_per_shard=2
+            )
+            children.append(subprocess.Popen(
+                [sys.executable, "-c", _CHECKPOINT_DIGESTS.format(fields=interrupted)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            ))
+        digests = []
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            digests.append(json.loads(out))
+        assert sum(name.startswith("shard-") for name in digests[0]) >= 2
+        assert digests[0] == digests[1] == digests[2]
+        resumed = run_engine(
+            dataclasses.replace(config, checkpoint_dir=str(tmp_path / "0"))
+        )
+        assert resumed.fingerprint() == run_engine(config).fingerprint()
 
 
 class TestCheckpointIntegrity:

@@ -41,7 +41,7 @@ class TestAdaptiveEngineDeterminism:
         assert serial.partial == parallel.partial
 
     def test_interrupt_resume_with_lifecycle_state(self, tmp_path):
-        """Adaptive mechanism state (live counts, DynamicMatching) pickles
+        """Adaptive mechanism state (live counts, live graphs) pickles
         through checkpoints and resumes to the uninterrupted fingerprint."""
         baseline = run_engine(ADAPTIVE_CONFIG)
         checkpointed = dataclasses.replace(
