@@ -12,9 +12,11 @@ three ways over the same stream:
   through ``observe_batch`` / ``advance_batch``; the kernel's one batch
   loop works on lists, with slot-delta derivation;
 * ``batched`` + ``numpy`` backend (skipped when numpy is absent) - the
-  same pipeline and the same loop, its working vectors ``int64`` arrays
-  once the clocks are wide enough; each stored stamp keeps its array,
-  which the next batch reads back.
+  same pipeline and the same loop, its working vectors integer arrays
+  once the clocks are wide enough, each batch in the narrowest of
+  ``int16``/``int32``/``int64`` that holds the kernel's event count (no
+  slot exceeds it); each stored stamp keeps its array, which the next
+  batch reads back, widened if the batch is wider.
 
 Assertions, in CI via ``--smoke``:
 

@@ -321,7 +321,7 @@ def test_cover_repair_vs_from_scratch(benchmark, record_table, record_json):
     # Both are minimum covers of the same live graph at every boundary.
     assert repair["cover_sizes"] == scratch["cover_sizes"]
     # Every boundary query went through the incremental structure (one
-    # counter tick per uncached cover query).  The repairs/rebuilds split
+    # counter tick per cover query).  The repairs/rebuilds split
     # is recorded as data, not asserted: at this churn intensity nearly
     # every inter-boundary gap moves a matched edge, which (by the
     # documented invariant) dirties the reachability sets, so the

@@ -287,6 +287,10 @@ class QuantileSketch:
         scanned once; a neighbour is absorbed iff the combined cluster
         still spans less than one unit of ``k(q)``, inlined and unclamped:
         no prefix of the integer weights exceeds ``total``, so ``q <= 1``.
+        A cluster that starts at item ``j`` needs ``k`` at the prefix
+        before ``j``, which the test at item ``j - 1`` computed from the
+        same integer prefix, so one ``asin`` per item suffices (plus one
+        for the first item's prefix).
         """
         if not centroids:
             return []
@@ -296,9 +300,11 @@ class QuantileSketch:
         mean, weight = ordered[0]
         seen = 0  # weight strictly before the current cluster
         limit = 1.0  # k(0) + 1, and k(0) is exactly 0
+        previous = compression * (asin(2.0 * (weight / total) - 1.0) / pi + 0.5)
         for next_mean, next_weight in ordered[1:]:
             q = (seen + weight + next_weight) / total
-            if compression * (asin(2.0 * q - 1.0) / pi + 0.5) <= limit:
+            k = compression * (asin(2.0 * q - 1.0) / pi + 0.5)
+            if k <= limit:
                 # Weighted mean; weights are ints so only the mean rounds.
                 combined = weight + next_weight
                 mean += (next_mean - mean) * (next_weight / combined)
@@ -306,8 +312,9 @@ class QuantileSketch:
             else:
                 compressed.append((mean, weight))
                 seen += weight
-                limit = compression * (asin(2.0 * (seen / total) - 1.0) / pi + 0.5) + 1.0
+                limit = previous + 1.0
                 mean, weight = next_mean, next_weight
+            previous = k
         compressed.append((mean, weight))
         return compressed
 

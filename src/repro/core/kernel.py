@@ -78,8 +78,14 @@ clocks and fold a digest, minting nothing).  Both run one loop,
 * *lists* (:data:`_LISTS`) - a stored stamp is read as its raw tuple
   and a derived vector is a list; a mint batch keeps the minted tuples
   as its working state;
-* *arrays* (:data:`_ARRAYS`) - ``int64`` arrays, so the merge is a
-  single C call (``np.maximum``).  Minted stamps are lazy stamps
+* *arrays* (:data:`_ARRAYS`) - integer arrays, so the merge is a
+  single C call (``np.maximum``), each batch in the narrowest of
+  ``int16``, ``int32`` and ``int64`` (:data:`STAMP_WIDTHS`) that holds
+  the kernel's event count after it.  That count bounds every slot: a
+  slot counts only its own component's events, each event increments a
+  slot at most once, and a merge takes a maximum.  A stored array
+  narrower than its batch is widened on read, never narrowed, before
+  anything increments it.  Minted stamps are lazy stamps
   (:class:`_LazyStamp`) that keep their array and materialise an exact
   Python-int tuple only on first read (two of them in one layout
   compare on their arrays).  A stored lazy stamp is therefore
@@ -121,6 +127,7 @@ numpy installed, or any name but these two, raises a clean
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from operator import getitem
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -234,8 +241,10 @@ class _LazyStamp(Timestamp):
     """A kernel-minted :class:`Timestamp`: raw slot values, public view on read.
 
     ``_raw`` holds the event's values in the slot order of ``_layout``:
-    a tuple, or the ``int64`` array an array batch minted the stamp
-    over, which the next array batch reads back.  The public
+    a tuple, or the array an array batch minted the stamp over, which
+    the next array batch reads back.  The array is as narrow as the
+    kernel's event count then allowed (no slot exceeds it), and a later
+    batch widens it on read.  The public
     ``_components`` and ``_values`` (threads first, live slots only)
     are derived on first read; the first read of an array-minted stamp
     also converts its array to exact Python ints and releases it.
@@ -312,20 +321,23 @@ class _LazyStamp(Timestamp):
 # ---------------------------------------------------------------------------
 # The batch loop
 # ---------------------------------------------------------------------------
-def _stamp_array(kernel: "ClockKernel", stamp: _LazyStamp):
-    """An ``int64`` array of ``stamp``'s values in ``kernel``'s slot space.
+def _stamp_array(kernel: "ClockKernel", stamp: _LazyStamp, dtype):
+    """``stamp``'s values in ``kernel``'s slot space, an array at least ``dtype`` wide.
 
     The array form's read of a stored stamp: its own array when it
-    still holds one (zero-padded if slots joined since), else its
-    values, padded and converted.  Never mutates (or returns a view of a region
-    that will be mutated of) the source array - callers treat working
-    arrays as frozen.
+    still holds one (widened to ``dtype`` if narrower, never narrowed;
+    zero-padded if slots joined since), else its values, padded and
+    converted.  Never mutates (or returns a view of a region that will
+    be mutated of) the source array - callers treat working arrays as
+    frozen.
     """
     raw = stamp._raw
     if type(raw) is tuple or stamp._layout.slots is not kernel._slots:
-        return _np.array(kernel._slot_values(stamp), dtype=_np.int64)
+        return _np.array(kernel._slot_values(stamp), dtype=dtype)
+    if raw.dtype.itemsize < dtype.itemsize:
+        raw = raw.astype(dtype)
     missing = kernel._layout.width - len(raw)
-    return _np.concatenate((raw, _np.zeros(missing, dtype=_np.int64))) if missing else raw
+    return _np.concatenate((raw, _np.zeros(missing, dtype=dtype))) if missing else raw
 
 
 def _list_maximum(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -339,7 +351,7 @@ class _Form(NamedTuple):
     slot space; ``copy``, ``maximum`` and ``zeros(size)`` each return a
     *fresh* vector, the only kind the loop increments; ``read(vector,
     slot)`` returns one slot as a Python int, so the fold never sees
-    ``np.int64``; ``mint(layout, vector)`` wraps a vector in a stamp.
+    a numpy integer; ``mint(layout, vector)`` wraps a vector in a stamp.
     """
 
     convert: Callable
@@ -372,11 +384,12 @@ def _run_batch(
     """
     layout = kernel._current()
     size = layout.width
+    kernel._events += len(pairs)
     thread_slots = kernel._thread_slot
     object_slots = kernel._object_slot
     thread_stamps = kernel._thread_stamps
     object_stamps = kernel._object_stamps
-    convert, copy, maximum, zeros, read, mint = _ARRAYS if arrays else _LISTS
+    convert, copy, maximum, zeros, read, mint = _array_form(kernel._events) if arrays else _LISTS
     registry = _metrics_active()
     if registry is not None:
         form = "array" if arrays else "python"
@@ -488,6 +501,16 @@ MIN_ARRAY_DIM_ADVANCE = 32
 #: over, which keeps a stamp's width within twice the clock dimension.
 COMPACTION_RATIO = 1
 
+#: The array form's integer widths, narrowest first, each with the
+#: largest kernel event count it holds; past the last limit a batch runs
+#: on ``int64``.  No slot value exceeds that count (see "Backends").
+STAMP_WIDTHS = (("int16", 2**15 - 1), ("int32", 2**31 - 1))
+
+
+def _array_form(events: int) -> "_Form":
+    """The array form of the narrowest width that holds ``events``."""
+    return _ARRAYS[next((name for name, limit in STAMP_WIDTHS if events <= limit), "int64")]
+
 
 def _use_arrays(kernel: "ClockKernel", pairs, min_dim: int) -> bool:
     """Whether this batch runs on arrays; ``min_dim`` is the width gate.
@@ -522,14 +545,17 @@ def numpy_available() -> bool:
         except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
             _np = None
             return False
-        _ARRAYS = _Form(
-            _stamp_array,
-            _np.ndarray.copy,
-            _np.maximum,
-            lambda size: _np.zeros(size, dtype=_np.int64),
-            _np.ndarray.item,
-            _LazyStamp._make,
-        )
+        _ARRAYS = {
+            name: _Form(
+                partial(_stamp_array, dtype=_np.dtype(name)),
+                _np.ndarray.copy,
+                _np.maximum,
+                partial(_np.zeros, dtype=name),
+                _np.ndarray.item,
+                _LazyStamp._make,
+            )
+            for name in ("int16", "int32", "int64")
+        }
     return _np is not None
 
 
@@ -583,8 +609,8 @@ class ClockKernel:
     """
 
     __slots__ = (
-        "_strict", "_epoch", "_retired_total", "_arrays", "_slots", "_version",
-        "_layout", "_thread_slot", "_object_slot", "_thread_stamps", "_object_stamps",
+        "_strict", "_epoch", "_retired_total", "_arrays", "_slots", "_version", "_layout",
+        "_thread_slot", "_object_slot", "_thread_stamps", "_object_stamps", "_events",
     )
 
     def __init__(
@@ -602,7 +628,8 @@ class ClockKernel:
         self._bind(components)
 
     def _bind(self, components: ClockComponents) -> None:
-        """Start a fresh slot space over ``components``, in their order."""
+        """Start a fresh slot space and event count over ``components``, in their order."""
+        self._events = 0
         order = components.ordered
         threads = len(components.thread_components)
         self._slots = _Slots(
@@ -756,6 +783,7 @@ class ClockKernel:
         stamp = _LazyStamp._make(layout, tuple(values))
         self._thread_stamps[thread] = stamp
         self._object_stamps[obj] = stamp
+        self._events += 1
         return stamp
 
     def timestamp_batch(
@@ -955,7 +983,8 @@ _LISTS = _Form(
     lambda layout, values: _LazyStamp._make(layout, tuple(values)),
 )
 
-#: ``int64`` arrays: the maximum is one C call, and minted stamps are
-#: lazy stamps over the arrays, which the next array batch reads back.
-#: Built when numpy is first imported.
-_ARRAYS: Optional[_Form] = None
+#: Arrays, one form per width of :data:`STAMP_WIDTHS` plus ``int64``:
+#: the maximum is one C call, and minted stamps are lazy stamps over the
+#: arrays, which the next array batch reads back.  Built when numpy is
+#: first imported.
+_ARRAYS: Dict[str, _Form] = {}

@@ -79,7 +79,7 @@ MAGIC = b"repro-shard-checkpoint\n"
 #: Version of the pickled shard state.  Bump it whenever that state
 #: changes shape, so a checkpoint written by other code is refused by
 #: name instead of unpickling into the wrong classes.
-CHECKPOINT_FORMAT = 5
+CHECKPOINT_FORMAT = 6
 
 _VERSION_BYTES = 2
 _DIGEST_AT = len(MAGIC) + _VERSION_BYTES

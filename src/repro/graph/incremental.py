@@ -86,8 +86,8 @@ repeat a live pair, so the engine counts per-edge multiplicity: an edge
 leaves the graph only when *every* live event that revealed it has
 expired.  The minimum vertex cover's size is the matching size
 (König-Egerváry / Theorem 3 of the paper); its vertex set is read off
-``Z`` (see :meth:`DynamicMatching.vertex_cover`) and cached until the
-next structural change, so a query pays ``O(V)``, not ``O(V + E)``.
+``Z`` (see :meth:`DynamicMatching.vertex_cover`), so a query pays
+``O(V)``, not ``O(V + E)``.
 
 :func:`incremental_optimum_trajectory` packages the append-only regime
 and :func:`sliding_window_optimum_trajectory` the windowed one, for the
@@ -126,7 +126,6 @@ class DynamicMatching:
         self._thread_to_object: Dict[Vertex, Vertex] = {}
         self._object_to_thread: Dict[Vertex, Vertex] = {}
         self._multiplicity: Dict[Edge, int] = {}
-        self._cover_cache: Optional[FrozenSet[Vertex]] = None
         # König's Z and its mirror Z_O as alternating forests; None means
         # dirty (rebuilt by the first mutation or query that needs it).
         # Exact for the empty graph, so start clean.
@@ -164,7 +163,6 @@ class DynamicMatching:
         matching = maximum_matching(self._graph)
         self._thread_to_object = dict(matching)
         self._object_to_thread = {obj: thread for thread, obj in matching}
-        self._cover_cache = None
         self._z = None
         self._zo = None
 
@@ -175,32 +173,25 @@ class DynamicMatching:
     def vertex_cover(self) -> FrozenSet[Vertex]:
         """A minimum vertex cover of the live graph (König construction).
 
-        Assembled on demand as ``(threads - Z_threads) | Z_objects`` from
-        König's Z, the alternating forest rooted at the free threads that
-        every mutation repairs locally (see the module docstring), and
-        cached until the next structural change (an edge actually
-        entering or leaving the graph).  By Dulmage-Mendelsohn the cover
-        does not depend on which maximum matching is held: Z's threads
-        are those left free by *some* maximum matching, and its objects
-        their neighbours.  Only a restored engine starts with Z dirty;
+        Assembled on each call as ``(threads - Z_threads) | Z_objects``
+        from König's Z, the alternating forest rooted at the free threads
+        that every mutation repairs locally (see the module docstring).
+        By Dulmage-Mendelsohn the cover does not depend on which maximum
+        matching is held: Z's threads are those left free by *some*
+        maximum matching, and its objects their neighbours.  Only a restored engine starts with Z dirty;
         its first query rebuilds it with one ``O(V + E)`` sweep.
         The ``matching.cover.repairs`` / ``matching.cover.rebuilds``
-        counters record which path served each (cache-missing) query; the
-        property tests assert the maintained cover equals the
-        from-scratch König cover under random interleaved churn.
+        counters record which path served each query; the property tests
+        assert the maintained cover equals the from-scratch König cover
+        under random interleaved churn.
         """
-        if self._cover_cache is None:
-            registry = _metrics_active()
-            if registry is not None:
-                registry.add(
-                    "matching.cover.rebuilds" if self._z is None
-                    else "matching.cover.repairs"
-                )
-            forest = self._thread_forest()
-            self._cover_cache = frozenset(
-                self._graph.threads.difference(forest.near).union(forest.far)
+        registry = _metrics_active()
+        if registry is not None:
+            registry.add(
+                "matching.cover.rebuilds" if self._z is None else "matching.cover.repairs"
             )
-        return self._cover_cache
+        forest = self._thread_forest()
+        return frozenset(self._graph.threads.difference(forest.near).union(forest.far))
 
     def multiplicity(self, thread: Vertex, obj: Vertex) -> int:
         """How many live events currently reveal the edge ``(thread, obj)``."""
@@ -223,7 +214,6 @@ class DynamicMatching:
             graph = self._graph
             graph.add_edge(thread, obj)
             self._multiplicity[key] = 1
-            self._cover_cache = None
             # A free endpoint is a root of its side's forest, and a side
             # without free vertices has an empty forest, so a matched
             # endpoint's forest is only consulted while its side has a
@@ -276,7 +266,6 @@ class DynamicMatching:
             del self._multiplicity[key]
             graph = self._graph
             graph.remove_edge(thread, obj)
-            self._cover_cache = None
             if self._thread_to_object.get(thread) == obj:
                 shrank = self._remove_matched(thread, obj)
             else:

@@ -94,6 +94,16 @@ MUTANTS = (
         "                        values[object_slot] = object_values[object_slot]\n",
         ("tests/test_batched_pipeline.py::TestKernelBatchBitIdentity::test_advance_batch_matches_fold_event",),
     ),
+    # A stored array narrower than its batch's width is widened before
+    # anything increments it (STAMP_WIDTHS): a slot stored as int16
+    # keeps counting past 32,767, and each batch mints at its width.
+    Mutant(
+        "kernel-reads-a-narrow-stamp-without-widening",
+        _KERNEL,
+        "    if raw.dtype.itemsize < dtype.itemsize:\n        raw = raw.astype(dtype)\n",
+        "",
+        ("tests/test_kernel_cache.py::TestWidthTiers",),
+    ),
     Mutant(
         "kernel-extension-reads-the-layout",
         _KERNEL,
@@ -208,6 +218,15 @@ MUTANTS = (
         "            if len(buffer) >= compression:\n",
         "            if len(buffer) > compression:\n",
         ("tests/test_quantile_sketch.py::TestUpdateMany",),
+    ),
+    # A cluster break reuses k at the prefix before the new cluster,
+    # which the previous item's test computed.
+    Mutant(
+        "sketch-limit-from-the-wrong-prefix",
+        _METRICS,
+        "                limit = previous + 1.0\n",
+        "                limit = k + 1.0\n",
+        ("tests/test_quantile_sketch.py::TestUpdateMany::test_compress_equals_the_asin_per_break_loop",),
     ),
     # BipartiteGraph.add_edge looks each endpoint up once; a new endpoint
     # still goes through add_thread / add_object and their cross-side check.

@@ -102,8 +102,8 @@ def test_lazy_vertex_cover_is_a_valid_minimum_cover(script):
         cover = engine.vertex_cover()
         validate_vertex_cover(engine.graph, cover)
         assert len(cover) == engine.size
-        # The cache must serve repeat queries identically.
-        assert engine.vertex_cover() is cover
+        # A repeat query assembles the same cover.
+        assert engine.vertex_cover() == cover
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """The array form across lifecycle edges: where stale vectors would hide.
 
-Array batches mint lazy stamps that keep their ``int64`` array, and the
-next array batch reads each endpoint's array straight back from its
-stored stamp - the stored stamp is the one home of every clock.  That
+Array batches mint lazy stamps that keep their array, and the next
+array batch reads each endpoint's array straight back from its stored
+stamp - the stored stamp is the one home of every clock.  Each batch
+works in the narrowest of ``int16``/``int32``/``int64`` that holds the
+kernel's event count after it, since no slot can exceed that count (a
+slot counts only its own component's events, and a merge takes a
+maximum); a stored array narrower than its batch is widened on read.  That
 stays bit-identical in the steady state by construction; the risk sits
 at lifecycle edges, where an array of the wrong layout or epoch could
 be read back.  Each test here drives one such edge with
@@ -20,7 +24,10 @@ the python loop (or with per-event ``observe``) value-for-value:
   an array-holding stamp stays on arrays at any length, with the
   default gates, not forced open;
 * verdicts between array-holding stamps: compared on their arrays,
-  they equal the python stamps' verdicts and materialise nothing.
+  they equal the python stamps' verdicts and materialise nothing;
+* width tiers (limits patched small): int16 stamps read by int32 and
+  int64 batches, across a compaction and a pickle, and an int16 slot
+  that keeps counting past 32,767.
 
 These complement ``tests/test_batched_pipeline.py``'s broader backend
 bit-identity suite; here every clock is wide enough (50 slots) to clear
@@ -372,3 +379,82 @@ class TestLazyStampVerdicts:
         # Against a stamp without an array, comparison still materialises.
         assert ordering(lazy[1], plain[1]) == "equal"
         assert not holds_array(lazy[1])
+
+
+@requires_numpy
+class TestWidthTiers:
+    """Array batches store stamps as narrow as the kernel's event count
+    allows, and widen a narrower stored array before incrementing it."""
+
+    def test_tiers_cross_mid_stream(self, monkeypatch):
+        """int16 -> int32 -> int64 in one run, with narrow stored arrays
+        read by wider batches, a compaction and a pickle round trip:
+        stamps, verdicts and final state equal the lists form and
+        per-event ``observe``."""
+        monkeypatch.setattr(kernel_module, "STAMP_WIDTHS", (("int16", 100), ("int32", 150)))
+        monkeypatch.setattr(kernel_module, "COMPACTION_RATIO", 0)
+        arrays = ClockKernel(fresh_components(), backend="numpy")
+        lists = ClockKernel(fresh_components(), backend="python")
+        observed = ClockKernel(fresh_components(), backend="python")
+
+        def step(pairs, width):
+            # Raw slot vectors: reading ``values`` would release the arrays.
+            stamps = arrays.timestamp_batch(pairs)
+            assert {s._raw.dtype.name for s in stamps} == {width}
+            expected = [observed.observe(t, o)._raw for t, o in pairs]
+            assert [s._raw for s in lists.timestamp_batch(pairs)] == expected
+            assert [tuple(s._raw.tolist()) for s in stamps] == expected
+
+        rng = random.Random(2019)
+        with count_array_batches() as ran:
+            step([random_pair(rng) for _ in range(64)], "int16")
+            for kernel in (arrays, lists, observed):
+                kernel.extend_components(thread_components=("T90",))
+                kernel.rotate_epoch_delta(["T29"])
+            arrays, lists, observed = (
+                pickle.loads(pickle.dumps(k)) for k in (arrays, lists, observed)
+            )
+            # Subset A (T0-T9 x O0-O9) is stored as int16 arrays ...
+            step([(f"T{i % 10}", f"O{i * 3 % 10}") for i in range(30)], "int16")
+            # ... half of it is read by an int32 batch ...
+            step([(f"T{i % 5}", f"O{i * 2 % 5}") for i in range(30)], "int32")
+            # ... and a little by an int64 batch, with tuple stamps besides.
+            step(
+                [(f"T{i % 3}", f"O{i % 3}") for i in range(10)]
+                + [(f"T{10 + i % 10}", f"O{10 + i % 6}") for i in range(30)],
+                "int64",
+            )
+        assert ran() == 4
+        narrow = [t for t, s in arrays._thread_stamps.items() if holds_array(s)]
+        widths = {arrays._thread_stamps[t]._raw.dtype.name for t in narrow}
+        assert widths == {"int16", "int32", "int64"}
+        # Array stamps of different widths first (compared on their
+        # arrays), then every thread pair.
+        threads = narrow + [f"T{i}" for i in range(20)]
+        for left in threads:
+            for right in threads:
+                verdict = ordering(arrays.thread_stamp(left), arrays.thread_stamp(right))
+                assert verdict == ordering(
+                    observed.thread_stamp(left), observed.thread_stamp(right)
+                ), (left, right)
+        assert_same_state(arrays, lists)
+        assert_same_state(arrays, observed)
+
+    def test_int16_stamp_read_past_its_limit(self, monkeypatch):
+        """A slot stored as int16 keeps counting past 32,767."""
+        monkeypatch.setattr(kernel_module, "MIN_ARRAY_BATCH", 0)
+        monkeypatch.setattr(kernel_module, "MIN_ARRAY_DIM_ADVANCE", 0)
+        components = ClockComponents(["T0"], ["O0"])
+        arrays = ClockKernel(components, backend="numpy")
+        lists = ClockKernel(components, backend="python")
+        folds = [0, 0]
+        with count_array_batches() as ran:
+            for length in (32_000, 1_000):
+                pairs = [("T0", "O0")] * length
+                folds = [arrays.advance_batch(pairs, folds[0]), lists.advance_batch(pairs, folds[1])]
+                if length == 32_000:
+                    assert arrays._thread_stamps["T0"]._raw.dtype.name == "int16"
+        assert ran() == 2
+        assert folds[0] == folds[1]
+        assert arrays.thread_stamp("T0").values == (33_000, 33_000)
+        assert arrays.object_stamp("O0") == lists.object_stamp("O0")

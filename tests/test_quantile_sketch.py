@@ -74,6 +74,33 @@ def scale_calling_compress(compression, centroids, total):
     return compressed
 
 
+def asin_per_break_compress(compression, centroids, total):
+    """``_compress`` with a second ``asin`` at every cluster break: the oracle
+    for the loop that reuses the previous item's ``k``."""
+    if not centroids:
+        return []
+    ordered = sorted(centroids)
+    asin, pi = math.asin, math.pi
+    compressed = []
+    mean, weight = ordered[0]
+    seen = 0  # weight strictly before the current cluster
+    limit = 1.0  # k(0) + 1, and k(0) is exactly 0
+    for next_mean, next_weight in ordered[1:]:
+        q = (seen + weight + next_weight) / total
+        if compression * (asin(2.0 * q - 1.0) / pi + 0.5) <= limit:
+            # Weighted mean; weights are ints so only the mean rounds.
+            combined = weight + next_weight
+            mean += (next_mean - mean) * (next_weight / combined)
+            weight = combined
+        else:
+            compressed.append((mean, weight))
+            seen += weight
+            limit = compression * (asin(2.0 * (seen / total) - 1.0) / pi + 0.5) + 1.0
+            mean, weight = next_mean, next_weight
+    compressed.append((mean, weight))
+    return compressed
+
+
 def fed_per_value(sketch, values):
     for value in values:
         sketch.update(value)
@@ -160,6 +187,33 @@ class TestUpdateMany:
         total = sum(weight for _, weight in centroids) + slack
         assert repr(QuantileSketch(compression)._compress(centroids, total)) == repr(
             scale_calling_compress(compression, centroids, total)
+        )
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_compress_equals_the_asin_per_break_loop(self, seed):
+        rng = random.Random(seed)
+        compression = rng.choice((4, 7, 16, 64, 128))
+        # Few distinct means, so equal means tie-break on weight.
+        means = [rng.uniform(-50.0, 50.0) for _ in range(rng.randint(1, 40))]
+        centroids = [
+            (rng.choice(means), rng.choice((1, 1, 2, rng.randint(3, 500))))
+            for _ in range(rng.randint(0, 300))
+        ]
+        total = sum(weight for _, weight in centroids) + rng.choice((0, 0, 1, 97))
+        assert repr(QuantileSketch(compression)._compress(centroids, total)) == repr(
+            asin_per_break_compress(compression, centroids, total)
+        )
+        # A merge's total and its operands' clustered (weight > 1) centroids.
+        values = [rng.choice(means) + rng.random() for _ in range(rng.randint(1, 2000))]
+        cut = rng.randint(0, len(values))
+        first = QuantileSketch.from_values(values[:cut], compression)
+        second = QuantileSketch.from_values(values[cut:], compression)
+        first._flush()
+        second._flush()
+        pooled = first._centroids + second._centroids
+        assert repr(first.merge(second)._centroids) == repr(
+            asin_per_break_compress(compression, pooled, len(values))
         )
 
 
