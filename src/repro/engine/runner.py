@@ -5,9 +5,10 @@ thousands of events to millions.  It runs the same
 :class:`~repro.online.simulator.StreamConsumer` as the one-pass
 :func:`~repro.online.simulator.compare_mechanisms_on_stream` - the
 mechanisms, the dynamic optimum, the imposed window and the counter
-epochs - one per shard, and adds around it only what is its own:
-chunks, stride sampling, ratio statistics and sketches, stamp folding
-and checkpoints.  The design splits the single pass along two axes:
+epochs - one per shard, fed by the same router, and adds around it
+only what is its own: chunks, stride sampling, ratio statistics and
+sketches, stamp folding and checkpoints.  The design splits the single
+pass along two axes:
 
 * **shards** - the *logical* partition.  A
   :class:`~repro.engine.sharding.StreamSharder` routes every event by
@@ -34,7 +35,8 @@ One consumer loop and one schedule:
 
 * **one loop** - :func:`run_shard_group` consumes each owned shard's
   sub-stream as whole insert runs plus boundary events
-  (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`).
+  (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`, which
+  the simulator drives over one shard with the same dispatch).
   Every insert run goes through ``_ShardRun.flush_inserts`` - the
   shard's stream consumer, then ``advance_batch`` on the timestamping
   kernels; expire runs (``StreamConsumer.expire_run``) and epoch
@@ -235,7 +237,9 @@ class EngineConfig:
             )
         if not self.mechanisms:
             raise EngineError("at least one mechanism label is required")
-        for label in self.mechanisms:
+        for index, label in enumerate(self.mechanisms):
+            if label in self.mechanisms[:index]:
+                raise EngineError(f"mechanism {label!r} is listed twice")
             if label == OFFLINE_LABEL:
                 raise EngineError(
                     f"{OFFLINE_LABEL!r} is reserved for the optimum series"

@@ -199,16 +199,11 @@ class StreamSharder:
         return shard
 
     def split(self, events: Iterable[EventLike]) -> Iterator[Tuple[int, StreamEvent]]:
-        """Lazily tag every event of ``events`` with its shard id.
+        """Tag every event with its shard id, one copy per shard for a marker.
 
-        The stream is consumed exactly once; relative order is preserved
-        (and hence preserved within every shard).  Bare ``(thread,
-        object)`` pairs are coerced to insert events, as everywhere else.
-        Epoch markers carry no thread, so they are *broadcast*: one
-        tagged copy per shard, in shard-id order - an epoch boundary is a
-        global tick, and every per-shard monitoring agent must observe
-        it.  (The broadcast is part of the deterministic replay: resumed
-        runs fast-forward by counting tagged events, markers included.)
+        Nothing in the program calls it; ``benchmarks/perf/tracer.py``
+        names it in its layer table, so it goes with that table's next
+        change.  :meth:`split_runs_group` is the router.
         """
         for item in events:
             event = as_stream_event(item)
@@ -228,14 +223,16 @@ class StreamSharder:
     ) -> Iterator[Tuple[int, int, Union[List[Pair], ExpireRun, StreamEvent, None]]]:
         """Several owned shards' sub-streams, routed in ONE pass.
 
-        The engine's one routing pass: a worker that owns ``shard_ids``
-        consumes the base stream once, and every event is routed to (at
-        most) one owned shard's accumulation - so stream generation and
-        routing are paid once per *worker*, not once per shard.  The
-        routing, filtering and run accumulation all happen inside this
-        generator's single loop, so a consumer resumes once per *run*
-        instead of once per tagged event.  Yields ``(shard_id, consumed,
-        item)`` triples where ``item`` is one of:
+        The one code that cuts a stream into runs, for the engine's
+        workers and (over one shard) for
+        :func:`~repro.online.simulator.compare_mechanisms_on_stream`.  A
+        worker that owns ``shard_ids`` consumes the base stream once, and
+        every event is routed to (at most) one owned shard's accumulation
+        - so stream generation and routing are paid once per *worker*,
+        not once per shard.  The routing, filtering and run accumulation
+        all happen inside this generator's single loop, so a consumer
+        resumes once per *run* instead of once per tagged event.  Yields
+        ``(shard_id, consumed, item)`` triples where ``item`` is one of:
 
         * a non-empty ``list`` of ``(thread, object)`` pairs - a run of
           that shard's consecutive inserts, cut at the shard's expires
@@ -249,11 +246,11 @@ class StreamSharder:
         * ``None`` - the shard's end-of-stream tick, so the driver's
           final ``consumed`` covers the whole stream.
 
-        ``consumed`` counts *tagged* events exactly as a :meth:`split`
-        loop would (epoch markers are broadcast, one count per shard),
-        whatever run lengths the consumer chose.  An insert run flushed
-        because its cap was reached reports the count through its own
-        last insert; one flushed by a boundary event reports the count
+        ``consumed`` counts *tagged* events: one per insert or expire,
+        and one per shard of the sharder for each (broadcast) epoch
+        marker, whatever run lengths the consumer chose.  An insert run
+        flushed because its cap was reached reports the count through its
+        own last insert; one flushed by a boundary event reports the count
         *before* that event, whose own yield then accounts for it.  An
         expire run reports the count through its own last expire, as
         one yield per expire would.
@@ -404,21 +401,3 @@ class StreamSharder:
                             f"sharder.shard[{shard_id}].events",
                             own_events[shard_id],
                         )
-
-    def select(
-        self, events: Iterable[EventLike], shard_id: int
-    ) -> Iterator[StreamEvent]:
-        """The sub-stream of one shard.
-
-        Scans the whole input (the round-robin assignment table must see
-        every thread's first appearance), yielding only events owned by
-        ``shard_id``.  This is how a worker re-derives its shard from a
-        regenerated stream without any cross-process communication.
-        """
-        if not (0 <= shard_id < self.num_shards):
-            raise EngineError(
-                f"shard_id {shard_id} out of range for {self.num_shards} shards"
-            )
-        for shard, event in self.split(events):
-            if shard == shard_id:
-                yield event

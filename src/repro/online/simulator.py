@@ -34,11 +34,11 @@ in one pass.
   ``"1"``) still reveal deterministically for a given seed;
 * :func:`run_mechanism` feeds a pair sequence to a mechanism and records
   the clock-size trajectory;
-* :func:`compare_mechanisms_on_stream` drives one
-  :class:`StreamConsumer` over a whole stream and records one clock-size
-  sample per *insert*, so all trajectories stay aligned.  The offline
-  optimum consumes inserts and expires, so with a window its trajectory
-  can dip back down - and so can a window-aware mechanism's.
+* :func:`compare_mechanisms_on_stream` routes a whole stream to one
+  :class:`StreamConsumer` through the engine's router and records one
+  clock-size sample per *insert*, so all trajectories stay aligned.  The
+  offline optimum consumes inserts and expires, so with a window its
+  trajectory can dip back down - and so can a window-aware mechanism's.
 * :func:`compare_mechanisms` keeps the classic graph-input surface of
   Figs. 4-7 and simply routes a reveal order through the stream core.
   The ``"offline"`` entry is a true per-event optimum trajectory: the
@@ -55,14 +55,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.computation.streams import (
-    EPOCH,
-    INSERT,
-    MAX_BATCH_EVENTS,
-    EventLike,
-    StreamEvent,
-    as_stream_event,
-)
+from repro.computation.streams import MAX_BATCH_EVENTS, EventLike
 from repro.exceptions import ComputationError
 from repro.computation.trace import Computation
 from repro.graph.bipartite import BipartiteGraph, Vertex, vertex_sort_key
@@ -197,15 +190,16 @@ def _expire_hooked(mechanism: OnlineMechanism) -> bool:
 class StreamConsumer:
     """The lifecycle half of one stream pass: mechanisms, optimum, window.
 
-    :func:`compare_mechanisms_on_stream` drives one whole stream through
-    :meth:`consume`; the sharded engine routes each shard's runs to its
-    own consumer and pickles it whole at chunk boundaries.  ``window``
-    imposes a sliding window of the most recent inserts on an
+    ``window`` imposes a sliding window of the most recent inserts on an
     insert-only stream, delivered as
     :func:`~repro.computation.streams.sliding_window` would; ``epoch``
     adds an epoch boundary right after every ``epoch``-th insert.
 
-    Input arrives as runs: :meth:`insert_run` for consecutive inserts,
+    Input arrives as runs cut by
+    :meth:`~repro.engine.sharding.StreamSharder.split_runs_group` (over
+    one shard for :func:`compare_mechanisms_on_stream`, over each for the
+    engine, which pickles the consumer whole at chunk boundaries):
+    :meth:`insert_run` for consecutive inserts,
     :meth:`expire_run` for consecutive expires (a departing thread's
     live edges), :meth:`end_epoch` for a marker.  A run's length never
     changes a result; only the per-mechanism order of calls does.
@@ -334,54 +328,6 @@ class StreamConsumer:
                 mechanism.end_epoch()
                 registry.observe("engine.epoch_rotation_s", perf_counter() - began)
 
-    def consume(
-        self,
-        events: Iterable[EventLike],
-        record: Callable[[Dict[str, List[int]], Optional[List[int]]], None],
-    ) -> None:
-        """Drive one whole stream through this consumer in one pass.
-
-        Insert runs are cut at lifecycle events and at
-        ``run_cap(MAX_BATCH_EVENTS)``; ``record`` gets each run's result.
-        Expire runs are cut at inserts, epoch markers and
-        ``MAX_BATCH_EVENTS``.
-        """
-        run: List[Pair] = []
-        gone: List[Pair] = []
-        room = 0
-        for item in events:
-            if type(item) is not StreamEvent:
-                item = as_stream_event(item)
-            thread, obj, kind = item
-            if kind == INSERT:
-                if not run:
-                    if gone:
-                        self.expire_run(gone)
-                        gone = []
-                    room = self.run_cap(MAX_BATCH_EVENTS)
-                run.append((thread, obj))
-                if len(run) == room:
-                    record(*self.insert_run(run))
-                    run = []
-                continue
-            if run:
-                record(*self.insert_run(run))
-                run = []
-            if kind == EPOCH:
-                if gone:
-                    self.expire_run(gone)
-                    gone = []
-                self.end_epoch()
-                continue
-            gone.append((thread, obj))
-            if len(gone) == MAX_BATCH_EVENTS:
-                self.expire_run(gone)
-                gone = []
-        if run:
-            record(*self.insert_run(run))
-        elif gone:
-            self.expire_run(gone)
-
 
 def compare_mechanisms_on_stream(
     events: Iterable[EventLike],
@@ -393,8 +339,10 @@ def compare_mechanisms_on_stream(
     """Run several mechanisms and the dynamic optimum over one event stream.
 
     The stream is consumed exactly once by a :class:`StreamConsumer`
-    (see it for ``window`` and ``epoch``); bare ``(thread, object)``
-    pairs are inserts.  Streams that emit their own expire events must
+    (see it for ``window`` and ``epoch``), in the runs a one-shard
+    :meth:`~repro.engine.sharding.StreamSharder.split_runs_group` cuts
+    at ``MAX_BATCH_EVENTS``; bare ``(thread, object)`` pairs are
+    inserts.  Streams that emit their own expire events must
     pass ``window=None``.
 
     Returns one :class:`OnlineRunResult` per factory label, plus an
@@ -402,20 +350,29 @@ def compare_mechanisms_on_stream(
     is the per-insert minimum-vertex-cover size of the *live* (windowed /
     non-expired) graph.
     """
+    # Deferred import: the engine's runner imports this module.
+    from repro.engine.sharding import ExpireRun, StreamSharder
+
     consumer = StreamConsumer(
         {label: factory() for label, factory in factories.items()},
         include_offline, window, epoch,
     )
     trajectories: Dict[str, List[int]] = {label: [] for label in factories}
     offline_sizes: List[int] = []
-
-    def record(sizes: Dict[str, List[int]], offline: Optional[List[int]]) -> None:
-        for label, run_sizes in sizes.items():
-            trajectories[label].extend(run_sizes)
-        if offline is not None:
-            offline_sizes.extend(offline)
-
-    consumer.consume(events, record)
+    cap = MAX_BATCH_EVENTS  # read per call, for both run kinds
+    for _, _, item in StreamSharder(1).split_runs_group(
+        events, (0,), {0: lambda: consumer.run_cap(cap)}, expire_cap=cap
+    ):
+        if type(item) is list:
+            sizes, offline = consumer.insert_run(item)
+            for label, run_sizes in sizes.items():
+                trajectories[label].extend(run_sizes)
+            if offline is not None:
+                offline_sizes.extend(offline)
+        elif type(item) is ExpireRun:
+            consumer.expire_run(item)
+        elif item is not None:
+            consumer.end_epoch()
     results: Dict[str, OnlineRunResult] = {}
     for label, mechanism in consumer.mechanisms.items():
         results[label] = OnlineRunResult(

@@ -42,7 +42,7 @@ _WINDOW_ORACLES = (
     "tests/test_simulator_oracle.py::test_engine_window_matches_per_event_loop",
 )
 _WINDOW_TESTS = _WINDOW_ORACLES + (
-    "tests/test_simulator_oracle.py::test_consume_matches_single_insert_runs",
+    "tests/test_simulator_oracle.py::test_router_runs_match_single_insert_runs",
     "tests/test_batched_pipeline.py::TestEnginePipelines::test_batched_with_window_and_epochs_matches_per_event",
 )
 _EXPIRE_RUN_TESTS = (
@@ -309,6 +309,20 @@ MUTANTS = (
         "                remove_edge(gone_thread, gone_obj)\n",
         _WINDOW_ORACLES,
     ),
+    # The router (split_runs_group) is the simulator's too: an insert
+    # run cut past its cap overshoots a counter epoch, so the per-event
+    # oracles see it on the simulator alone.
+    Mutant(
+        "router-insert-run-overshoots-its-cap",
+        _SHARDING,
+        "                    if len(run) >= rooms[shard]:\n",
+        "                    if len(run) > rooms[shard]:\n",
+        (
+            "tests/test_simulator_oracle.py::test_simulator_matches_per_event_loop",
+            "tests/test_simulator_oracle.py::test_windowed_runs_match_per_event_loop",
+            "tests/test_simulator_oracle.py::test_expire_runs_match_per_event_loop",
+        ),
+    ),
     # A stream's own expiries travel as runs (split_runs_group,
     # StreamConsumer.expire_run): a run reaches its shard before the
     # shard's next epoch marker, it reports the count through its own
@@ -321,18 +335,6 @@ MUTANTS = (
         "                            yield shard_id, expired_at[shard_id], expiring[shard_id]\n"
         "                            expiring[shard_id] = ExpireRun()\n",
         "",
-        _EXPIRE_RUN_TESTS,
-    ),
-    Mutant(
-        "consume-flushes-expire-run-after-the-marker",
-        _SIMULATOR,
-        "            if kind == EPOCH:\n"
-        "                if gone:\n"
-        "                    self.expire_run(gone)\n"
-        "                    gone = []\n"
-        "                self.end_epoch()\n",
-        "            if kind == EPOCH:\n"
-        "                self.end_epoch()\n",
         _EXPIRE_RUN_TESTS,
     ),
     Mutant(

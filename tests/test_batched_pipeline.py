@@ -36,7 +36,7 @@ import repro.core.kernel as kernel_module
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.cli import main
 from repro.computation import trace_from_graph
-from repro.computation.streams import epoch_marker, StreamEvent
+from repro.computation.streams import MAX_BATCH_EVENTS, epoch_marker, StreamEvent
 from repro.core.components import ClockComponents
 from repro.core.kernel import (
     ClockKernel,
@@ -51,6 +51,7 @@ from repro.core.timestamping import (
 )
 from repro.engine import EngineCheckpointManager, EngineConfig, run_engine
 from repro.engine.runner import BATCHED, PER_EVENT, EngineInterrupted
+from repro.engine.sharding import ExpireRun, StreamSharder
 from repro.exceptions import ClockError, ComputationError, EngineError
 from repro.graph import nonuniform_bipartite, uniform_bipartite
 from repro.offline import timestamp_offline
@@ -832,16 +833,26 @@ class TestEnginePipelines:
 # Stream batching helpers and simulator parity
 # ---------------------------------------------------------------------------
 class TestStreamConsumerRuns:
-    """How :meth:`StreamConsumer.consume` cuts a stream into insert runs."""
+    """How the router cuts a stream into a :class:`StreamConsumer`'s runs."""
 
     @staticmethod
-    def _run_lengths(events, **options):
+    def _run_lengths(events, cap=MAX_BATCH_EVENTS, **options):
+        """Insert and expire run lengths, routed as the simulator routes."""
         consumer = StreamConsumer(
             {"naive": EXTENDED_MECHANISMS["naive"](0)}, **options
         )
-        lengths = []
-        consumer.consume(events, lambda sizes, _: lengths.append(len(sizes["naive"])))
-        return lengths, consumer
+        lengths, expire_lengths = [], []
+        for _, _, item in StreamSharder(1).split_runs_group(
+            events, (0,), {0: lambda: consumer.run_cap(cap)}, expire_cap=cap
+        ):
+            if type(item) is list:
+                lengths.append(len(consumer.insert_run(item)[0]["naive"]))
+            elif type(item) is ExpireRun:
+                expire_lengths.append(len(item))
+                consumer.expire_run(item)
+            elif item is not None:
+                consumer.end_epoch()
+        return lengths, expire_lengths, consumer
 
     def test_runs_cut_at_lifecycle_events(self):
         events = [
@@ -851,14 +862,30 @@ class TestStreamConsumerRuns:
             epoch_marker(),
             StreamEvent("T1", "O0"),
         ]
-        lengths, consumer = self._run_lengths(events)
-        assert lengths == [2, 1]
+        lengths, expire_lengths, consumer = self._run_lengths(events)
+        assert (lengths, expire_lengths) == ([2, 1], [1])
         assert (consumer.inserts, consumer.expires, consumer.epochs) == (3, 1, 1)
+
+    def test_caps_cut_runs(self):
+        events = [StreamEvent(f"T{i}", "O0") for i in range(5)]
+        events += [StreamEvent(f"T{i}", "O0", "expire") for i in range(5)]
+        assert self._run_lengths(events, cap=2)[:2] == ([2, 2, 1], [2, 2, 1])
 
     def test_max_batch_cuts_runs(self, monkeypatch):
         monkeypatch.setattr(simulator_module, "MAX_BATCH_EVENTS", 2)
+        lengths = []
+        insert_run = StreamConsumer.insert_run
+
+        def spy(consumer, run):
+            lengths.append(len(run))
+            return insert_run(consumer, run)
+
+        monkeypatch.setattr(StreamConsumer, "insert_run", spy)
         events = [StreamEvent(f"T{i}", "O0") for i in range(5)]
-        assert self._run_lengths(events)[0] == [2, 2, 1]
+        simulator_module.compare_mechanisms_on_stream(
+            events, {"naive": lambda: EXTENDED_MECHANISMS["naive"](0)}
+        )
+        assert lengths == [2, 2, 1]
 
     @pytest.mark.parametrize("option", ["window", "epoch"])
     def test_rejects_non_positive_window_and_epoch(self, option):

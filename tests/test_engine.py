@@ -19,13 +19,19 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.metrics import MergeableStats, RunningStats, summarize
 from repro.cli import main
-from repro.computation.streams import StreamEvent, thread_churn_stream
+from repro.computation.streams import (
+    EXPIRE,
+    MAX_BATCH_EVENTS,
+    StreamEvent,
+    thread_churn_stream,
+)
 from repro.engine import (
     EngineConfig,
     EngineInterrupted,
@@ -43,6 +49,7 @@ from repro.engine import (
 )
 import repro.engine.checkpoint as checkpoint_module
 from repro.engine.checkpoint import EngineCheckpointManager
+from repro.engine.sharding import ExpireRun
 from repro.exceptions import EngineError
 from repro.seeds import derive_seed, spawn_seeds, splitmix64
 
@@ -99,38 +106,31 @@ class TestStreamSharder:
         sharder = StreamSharder(3, ROUND_ROBIN)
         events = [StreamEvent("TC", "O0"), StreamEvent("TA", "O0"),
                   StreamEvent("TC", "O1"), StreamEvent("TB", "O0")]
-        tagged = list(sharder.split(events))
-        assert [shard for shard, _ in tagged] == [0, 1, 0, 2]
+        assert _routed(sharder, events) == {
+            0: [events[0], events[2]], 1: [events[1]], 2: [events[3]],
+        }
+        assert [sharder.shard_of(e.thread) for e in events] == [0, 1, 0, 2]
 
     def test_expires_follow_their_thread(self):
-        sharder = StreamSharder(5, HASH)
-        for shard, event in sharder.split(_churn()):
-            assert shard == StreamSharder(5, HASH).shard_of(event.thread)
-
-    def test_select_is_the_filter_of_split(self):
-        events = list(_churn())
-        reference = {
-            shard_id: [e for s, e in StreamSharder(3, HASH).split(events)
-                       if s == shard_id]
-            for shard_id in range(3)
-        }
-        for shard_id in range(3):
-            selected = list(StreamSharder(3, HASH).select(events, shard_id))
-            assert selected == reference[shard_id]
+        routed = _routed(StreamSharder(5, HASH), _churn())
+        assert any(e.is_expire for sub in routed.values() for e in sub)
+        for shard, sub_stream in routed.items():
+            for event in sub_stream:
+                assert shard == StreamSharder(5, HASH).shard_of(event.thread)
 
     def test_shards_partition_the_stream(self):
         events = list(_churn())
-        pieces = [list(StreamSharder(4, ROUND_ROBIN).select(events, s))
-                  for s in range(4)]
+        pieces = _routed(StreamSharder(4, ROUND_ROBIN), events).values()
         assert sum(len(p) for p in pieces) == len(events)
+        assert Counter(e for p in pieces for e in p) == Counter(events)
 
     def test_sub_streams_stay_multiset_consistent(self):
         # Per shard, no edge is ever expired more often than inserted so
         # far - the DynamicMatching contract sharding must preserve.
         events = list(_churn(events=500))
-        for shard_id in range(4):
+        for sub_stream in _routed(StreamSharder(4, HASH), events).values():
             live = {}
-            for event in StreamSharder(4, HASH).select(events, shard_id):
+            for event in sub_stream:
                 if event.is_insert:
                     live[event.pair] = live.get(event.pair, 0) + 1
                 else:
@@ -142,8 +142,24 @@ class TestStreamSharder:
             StreamSharder(0)
         with pytest.raises(EngineError):
             StreamSharder(2, "modulo")
-        with pytest.raises(EngineError):
-            list(StreamSharder(2).select([], 2))
+        with pytest.raises(EngineError, match="out of range"):
+            _routed(StreamSharder(2), [], shard_ids=(2,))
+
+
+def _routed(sharder, events, shard_ids=None):
+    """Each shard's sub-stream, rebuilt from ``split_runs_group``'s runs."""
+    if shard_ids is None:
+        shard_ids = tuple(range(sharder.num_shards))
+    caps = {shard_id: (lambda: MAX_BATCH_EVENTS) for shard_id in shard_ids}
+    routed = {shard_id: [] for shard_id in shard_ids}
+    for shard, _, item in sharder.split_runs_group(events, shard_ids, caps):
+        if type(item) is list:
+            routed[shard] += [StreamEvent(t, o) for t, o in item]
+        elif type(item) is ExpireRun:
+            routed[shard] += [StreamEvent(t, o, EXPIRE) for t, o in item]
+        elif item is not None:
+            routed[shard].append(item)
+    return routed
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +350,13 @@ class TestEngineValidation:
             run_engine(
                 dataclasses.replace(BASE_CONFIG, mechanisms=("naive", "oracle"))
             )
+
+    def test_repeated_mechanism_label(self):
+        config = dataclasses.replace(
+            BASE_CONFIG, mechanisms=("naive", "popularity", "naive")
+        )
+        with pytest.raises(EngineError, match="'naive' is listed twice"):
+            config.validate()
 
     def test_offline_label_reserved(self):
         with pytest.raises(EngineError):
@@ -658,6 +681,10 @@ class TestEngineCli:
         assert main(["engine", "run", "--scenario", "thread-churn",
                      "--window", "5"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_engine_rejects_repeated_mechanism(self, capsys):
+        assert main(self.ARGS + ["--mechanisms", "naive,naive"]) == 2
+        assert "'naive' is listed twice" in capsys.readouterr().err
 
     def test_sweep_ratio_jobs_flag(self, capsys):
         base = ["sweep", "ratio", "--scenario", "phase-change", "--nodes", "8",

@@ -212,8 +212,10 @@ class TestCrossShardPercentiles:
                 config.num_events,
                 seed=derive_seed(config.seed, config.scenario, "stream"),
             )
-            sub_stream = StreamSharder(config.num_shards, config.strategy).select(
-                stream, shard_id
+            sharder = StreamSharder(config.num_shards, config.strategy)
+            sub_stream = (
+                e for e in stream
+                if e.is_epoch or sharder.shard_of(e.thread) == shard_id
             )
             factories = seed_mechanism_factories(
                 {label: EXTENDED_MECHANISMS[label] for label in config.mechanisms},

@@ -183,7 +183,7 @@ class TestSplitRunsGroup:
         owned = tuple(range(num_shards))
         # Tagged length bounds the valid skips; oversize must raise on
         # both paths identically.
-        tagged = len(list(StreamSharder(num_shards).split(events)))
+        tagged = sum(num_shards if e.is_epoch else 1 for e in events)
         skips = {shard_id: min(skip, tagged) for shard_id in owned}
         grouped = {shard_id: [] for shard_id in owned}
         for shard_id, consumed, item in StreamSharder(

@@ -15,7 +15,9 @@ import pickle
 
 import pytest
 
+from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.cli import main
+from repro.computation.streams import epoch_marker, thread_churn_stream
 from repro.core.kernel import numpy_available
 from repro.engine import EngineConfig, run_engine
 from repro.obs import (
@@ -36,6 +38,7 @@ from repro.obs.exporters import (
     write_spans_jsonl,
 )
 from repro.obs.registry import NULL_SPAN
+from repro.online import compare_mechanisms_on_stream, seed_mechanism_factories
 
 
 @pytest.fixture(autouse=True)
@@ -352,6 +355,30 @@ class TestFingerprintIdentity:
         assert instrumented.partial == baseline.partial
         # The run must actually have been observed, not silently skipped.
         assert registry.counter_value("engine.chunks") > 0
+
+    def test_simulator_results_ignore_telemetry(self):
+        events = list(thread_churn_stream(10, 12, 0.3, 400, seed=3))
+        events[150:150] = [epoch_marker()]
+
+        def simulate():
+            factories = seed_mechanism_factories(
+                {
+                    label: EXTENDED_MECHANISMS[label]
+                    for label in ("naive", "adaptive-popularity")
+                },
+                11,
+            )
+            return compare_mechanisms_on_stream(events, factories, epoch=50)
+
+        baseline = simulate()
+        registry = enable(MetricsRegistry(origin="simulator"))
+        try:
+            instrumented = simulate()
+        finally:
+            disable()
+        assert instrumented == baseline
+        assert any(event.is_expire for event in events)
+        assert registry.counter_value("sharder.shard[0].events") == len(events)
 
     def test_telemetry_is_jobs_independent(self):
         # Counters describe the logical run, not the physical schedule:

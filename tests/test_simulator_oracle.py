@@ -1,9 +1,11 @@
 """The one-pass simulator against a per-event loop that shares none of it.
 
 The sharded engine and :func:`~repro.online.simulator.compare_mechanisms_on_stream`
-drive the same :class:`~repro.online.simulator.StreamConsumer`, so their
-agreement cannot catch a bug in it.  :func:`_per_event_reference` is a
-test-local oracle built from the primitives alone: the stream is windowed
+drive the same :class:`~repro.online.simulator.StreamConsumer` through the
+same router (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`),
+so their agreement cannot catch a bug in either.
+:func:`_per_event_reference` is a test-local oracle built from the
+primitives alone: the stream is windowed
 by :func:`~repro.computation.streams.sliding_window`, then every event
 reaches every mechanism's ``observe`` / ``expire`` / ``end_epoch`` one at
 a time, the optimum is a plain :class:`~repro.graph.incremental.DynamicMatching`,
@@ -34,7 +36,7 @@ from repro.computation.streams import (
     epoch_marker,
     thread_churn_stream,
 )
-from repro.engine import EngineConfig, run_engine
+from repro.engine import EngineConfig, StreamSharder, run_engine
 from repro.exceptions import ComputationError
 from repro.graph.incremental import DynamicMatching
 from repro.online import OFFLINE_LABEL, OnlineRunResult, compare_mechanisms_on_stream
@@ -233,11 +235,11 @@ def test_windowed_runs_match_per_event_loop(case):
 
 @settings(max_examples=150, deadline=None)
 @given(case=windowed_runs())
-def test_consume_matches_single_insert_runs(case):
-    # One consumer takes whole runs through consume(); the other takes
-    # each insert as its own insert_run([pair]).  After every run of the
-    # first, both hold the same live window and the same optimum, and
-    # both reported the same sizes after every insert.
+def test_router_runs_match_single_insert_runs(case):
+    # One consumer takes whole runs from the router, cut at ``chunk``;
+    # the other takes each insert as its own insert_run([pair]).  After
+    # every run of the first, both hold the same live window and the
+    # same optimum, and both reported the same sizes after every insert.
     labels = MECHANISM_SETS[1]
 
     def consumer():
@@ -259,8 +261,15 @@ def test_consume_matches_single_insert_runs(case):
 
     batched = consumer()
     after_run, batched_sizes = {}, {}
-    with mock.patch("repro.online.simulator.MAX_BATCH_EVENTS", case["chunk"]):
-        batched.consume(_build_stream(case), recorder(batched, after_run, batched_sizes))
+    record = recorder(batched, after_run, batched_sizes)
+    for _, _, item in StreamSharder(1).split_runs_group(
+        _build_stream(case), (0,), {0: lambda: batched.run_cap(case["chunk"])},
+        expire_cap=case["chunk"],
+    ):
+        if type(item) is list:
+            record(*batched.insert_run(item))
+        elif item is not None:
+            batched.end_epoch()
     single = consumer()
     after_insert, single_sizes = {}, {}
     record = recorder(single, after_insert, single_sizes)

@@ -107,8 +107,10 @@ def _serial_reference(config: EngineConfig, shard_id: int):
         config.num_events,
         seed=derive_seed(config.seed, config.scenario, "stream"),
     )
-    sub_stream = StreamSharder(config.num_shards, config.strategy).select(
-        events, shard_id
+    sharder = StreamSharder(config.num_shards, config.strategy)
+    sub_stream = (
+        e for e in events
+        if e.is_epoch or sharder.shard_of(e.thread) == shard_id
     )
     shard_root = derive_seed(config.seed, config.scenario, "shard", shard_id)
     factories = seed_mechanism_factories(
