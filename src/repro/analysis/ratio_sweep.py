@@ -33,13 +33,16 @@ mechanism (and for the offline optimum) - the number that stays bounded
 for window-aware mechanisms and grows monotonically for append-only
 ones.
 
-Parallelism and seeding: each (scenario, density, size, trial) stream is
-an independent task, mapped over the execution engine's
-:class:`~repro.engine.executor.WorkerPool` of ``jobs`` workers.
-Every task derives its stream seed and its per-mechanism seeds from the
-sweep's one ``base_seed`` via :func:`repro.seeds.derive_seed` paths, and
-samples are pooled in fixed grid order, so the sweep's output is
-bit-identical for every ``jobs`` value.
+Parallelism and seeding: mechanisms are chosen by registered label.
+Each (scenario, density, size, trial) stream is an independent task,
+mapped over the execution engine's
+:class:`~repro.engine.executor.WorkerPool` of ``jobs`` workers (with
+``jobs=1`` the pool runs the tasks in-process), and whichever process
+runs a task resolves its labels by name.  Every task derives its stream
+seed and its per-mechanism seeds from the sweep's one ``base_seed`` via
+:func:`repro.seeds.derive_seed` paths, and samples are pooled in fixed
+grid order, so the sweep's output is bit-identical for every ``jobs``
+value.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     EXTENDED_MECHANISMS,
-    MechanismFactory,
     PAPER_MECHANISMS,
 )
 from repro.analysis.metrics import (
@@ -131,21 +133,13 @@ class _TrialTask:
 _TrialSamples = Dict[str, Tuple[List[float], List[float], List[float]]]
 
 
-def _trial_samples(
-    task: _TrialTask,
-    mechanisms: Optional[Mapping[str, MechanismFactory]] = None,
-) -> _TrialSamples:
+def _trial_samples(task: _TrialTask) -> _TrialSamples:
     """Run one cell-trial; per label the (burn-in, steady, size) samples.
 
-    ``mechanisms`` is only passed on the in-process path (custom factories
-    are not picklable by name); workers resolve ``task.labels`` against
-    :data:`~repro.analysis.experiments.EXTENDED_MECHANISMS` instead.
+    The pool's entry point: ``task.labels`` are resolved against
+    :data:`~repro.analysis.experiments.EXTENDED_MECHANISMS` in whichever
+    process runs the task.
     """
-    chosen: Mapping[str, MechanismFactory] = (
-        mechanisms
-        if mechanisms is not None
-        else {label: EXTENDED_MECHANISMS[label] for label in task.labels}
-    )
     scenario = REGISTRY.get(task.scenario, kind=STREAM)
     trial_root = derive_seed(
         task.base_seed, task.scenario, task.density, task.size, task.trial
@@ -158,7 +152,8 @@ def _trial_samples(
         seed=derive_seed(trial_root, "stream"),
     )
     factories = seed_mechanism_factories(
-        dict(chosen), derive_seed(trial_root, "mechanisms")
+        {label: EXTENDED_MECHANISMS[label] for label in task.labels},
+        derive_seed(trial_root, "mechanisms"),
     )
     results = compare_mechanisms_on_stream(
         events,
@@ -185,16 +180,10 @@ def _trial_samples(
     return samples
 
 
-def _run_trial_task(task: _TrialTask) -> _TrialSamples:
-    """Module-level pool entry point (labels resolved worker-side)."""
-    return _trial_samples(task)
-
-
 def ratio_sweep(
     scenarios: Optional[Sequence[str]] = None,
     densities: Sequence[float] = (0.05, 0.2),
     sizes: Sequence[int] = (20, 40),
-    mechanisms: Optional[Mapping[str, MechanismFactory]] = None,
     trials: int = 3,
     window: int = 200,
     burn_in: int = 50,
@@ -215,18 +204,12 @@ def ratio_sweep(
     densities, sizes:
         The grid axes: each stream runs with ``size`` threads, ``size``
         objects and the given density knob.
-    mechanisms:
-        Seeded mechanism factories as in the classic sweeps; defaults to
-        the paper's three (:data:`~repro.analysis.experiments.PAPER_MECHANISMS`).
-        Custom factories run in-process only: with ``jobs > 1`` the
-        mechanism set must stay registered-by-name (worker processes
-        resolve labels, not closures) - select registered mechanisms with
-        ``labels`` instead.
     labels:
-        Mutually exclusive with ``mechanisms``: names from
+        Distinct names from
         :data:`~repro.analysis.experiments.EXTENDED_MECHANISMS` (e.g.
-        ``["popularity", "adaptive-popularity"]``).  Label sets work with
-        any ``jobs`` value because workers resolve them by name.
+        ``["popularity", "adaptive-popularity"]``); defaults to the
+        paper's three (:data:`~repro.analysis.experiments.PAPER_MECHANISMS`).
+        Each task resolves them by name, so any ``jobs`` value works.
     trials:
         Independent streams per cell; ratio samples are pooled across
         trials before summarisation.
@@ -246,20 +229,16 @@ def ratio_sweep(
         (on top of any markers the stream emits).  ``None`` leaves only
         the stream's own markers.
     """
-    if mechanisms is not None and labels is not None:
-        raise ExperimentError("pass either mechanisms or labels, not both")
-    if labels is not None:
-        unknown = [label for label in labels if label not in EXTENDED_MECHANISMS]
-        if unknown:
-            raise ExperimentError(
-                f"unknown mechanism labels: {', '.join(map(repr, unknown))} "
-                f"(expected from: {', '.join(sorted(EXTENDED_MECHANISMS))})"
-            )
-        chosen_mechanisms = {
-            label: EXTENDED_MECHANISMS[label] for label in labels
-        }
-    else:
-        chosen_mechanisms = dict(mechanisms or PAPER_MECHANISMS)
+    chosen_labels = tuple(PAPER_MECHANISMS) if labels is None else tuple(labels)
+    unknown = [label for label in chosen_labels if label not in EXTENDED_MECHANISMS]
+    if unknown:
+        raise ExperimentError(
+            f"unknown mechanism labels: {', '.join(map(repr, unknown))} "
+            f"(expected from: {', '.join(sorted(EXTENDED_MECHANISMS))})"
+        )
+    for index, label in enumerate(chosen_labels):
+        if label in chosen_labels[:index]:
+            raise ExperimentError(f"mechanism {label!r} is listed twice")
     if trials < 1:
         raise ExperimentError("trials must be >= 1")
     if window < 1:
@@ -272,12 +251,6 @@ def ratio_sweep(
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if not densities or not sizes:
         raise ExperimentError("densities and sizes must not be empty")
-    if jobs > 1 and mechanisms is not None:
-        raise ExperimentError(
-            "custom mechanism factories cannot cross process boundaries; "
-            "run with jobs=1, use the default mechanism set, or select "
-            "registered mechanisms with labels=..."
-        )
     events_per_trial = (
         num_events if num_events is not None else max(burn_in + tail, 4 * window)
     )
@@ -296,7 +269,6 @@ def ratio_sweep(
     if not chosen_scenarios:
         raise ExperimentError("no stream scenarios selected")
 
-    chosen_labels = tuple(chosen_mechanisms)
     grid: List[Tuple[Scenario, float, int]] = [
         (scenario, density, int(size))
         for scenario in chosen_scenarios
@@ -320,18 +292,15 @@ def ratio_sweep(
         for scenario, density, size in grid
         for trial in range(trials)
     ]
+    # Deferred import: analysis is a lower layer than the engine; only
+    # this execution path reaches up to its worker pool.
+    from repro.engine.executor import WorkerPool
+
     # The trial leg dominates the sweep's wall clock; the span (a no-op
     # when no registry is installed) gives `sweep ratio --metrics` its
     # cost breakdown without touching a single sweep number.
     with _metrics_span("sweep.trials", tasks=len(tasks), jobs=jobs):
-        if mechanisms is not None:
-            outcomes = [_trial_samples(task, chosen_mechanisms) for task in tasks]
-        else:
-            # Deferred import: analysis is a lower layer than the engine;
-            # only this execution path reaches up to its worker pool.
-            from repro.engine.executor import WorkerPool
-
-            outcomes = WorkerPool(jobs).map(_run_trial_task, tasks)
+        outcomes = WorkerPool(jobs).map(_trial_samples, tasks)
 
     cells: List[RatioCell] = []
     clock_labels = chosen_labels + (OFFLINE_LABEL,)

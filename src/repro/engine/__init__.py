@@ -41,7 +41,6 @@ from repro.engine.sharding import (
     ShardGroup,
     StreamSharder,
     plan_shard_groups,
-    stable_vertex_hash,
 )
 from repro.online.simulator import OFFLINE_LABEL
 
@@ -65,5 +64,4 @@ __all__ = [
     "run_engine",
     "run_shard_group",
     "run_shard_group_task",
-    "stable_vertex_hash",
 ]

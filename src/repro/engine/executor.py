@@ -158,9 +158,6 @@ class WorkerPool:
         pool_started = perf_counter()
         if registry is not None:
             registry.gauge("pool.workers", worker_count)
-            # Kept under the historical key too, so existing dashboards
-            # reading the spawn-per-task era's gauge keep working.
-            registry.gauge("executor.workers", worker_count)
         processes = []
         spawn_started: Dict[int, float] = {}
         for worker_id in range(worker_count):

@@ -144,19 +144,6 @@ def plan_shard_groups(num_shards: int, workers: int) -> Tuple[ShardGroup, ...]:
     return tuple(groups)
 
 
-def stable_vertex_hash(vertex: Vertex) -> int:
-    """A 64-bit hash of a vertex that is stable across processes and runs.
-
-    Delegates to :func:`repro.seeds.stable_hash` - the one FNV-1a fold
-    over the ``(type name, repr)`` canonical form that both seed
-    derivation and shard placement share, so the two can never drift
-    apart.  The determinism caveat is the simulator's: vertices whose
-    types define a discriminating ``__repr__`` hash reproducibly
-    everywhere.
-    """
-    return stable_hash(vertex)
-
-
 class StreamSharder:
     """Route stream events to shards by thread affinity.
 
@@ -189,7 +176,7 @@ class StreamSharder:
         if self.strategy == HASH:
             shard = self._hash_cache.get(thread)
             if shard is None:
-                shard = stable_vertex_hash(thread) % self.num_shards
+                shard = stable_hash(thread) % self.num_shards
                 self._hash_cache[thread] = shard
             return shard
         shard = self._round_robin.get(thread)

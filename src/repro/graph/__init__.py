@@ -54,7 +54,6 @@ from repro.graph.matching import (
     brute_force_matching,
     hopcroft_karp_matching,
     is_maximum_matching,
-    maximum_matching,
     validate_matching,
 )
 from repro.graph.vertex_cover import (
@@ -90,7 +89,6 @@ __all__ = [
     "konig_vertex_cover",
     "load_edge_list",
     "load_graph",
-    "maximum_matching",
     "minimum_vertex_cover",
     "nonuniform_bipartite",
     "object_names",

@@ -101,7 +101,7 @@ from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph, Edge, Vertex
-from repro.graph.matching import Matching, maximum_matching
+from repro.graph.matching import Matching, hopcroft_karp_matching
 
 # Telemetry write handle (write-only in result paths per C206): counts
 # how often the König cover could be assembled from the maintained Z
@@ -160,7 +160,7 @@ class DynamicMatching:
 
     def __setstate__(self, state: tuple) -> None:
         self._graph, self._multiplicity = state
-        matching = maximum_matching(self._graph)
+        matching = hopcroft_karp_matching(self._graph)
         self._thread_to_object = dict(matching)
         self._object_to_thread = {obj: thread for thread, obj in matching}
         self._z = None

@@ -7,7 +7,7 @@ algorithm, which this module implements from scratch, along with two
 simpler matchers used as independent cross-checks:
 
 * :func:`hopcroft_karp_matching` - phase-based shortest augmenting paths,
-  ``O(E * sqrt(V))``; the production matcher.
+  ``O(E * sqrt(V))``; the only matcher the program calls.
 * :func:`augmenting_path_matching` - classic Hungarian-style single
   augmenting-path search, ``O(V * E)``; simple enough to trust by
   inspection, used to validate Hopcroft-Karp in tests and as a baseline in
@@ -16,14 +16,17 @@ simpler matchers used as independent cross-checks:
   graphs; the ground-truth oracle in property tests.
 
 All three return a :class:`Matching` object mapping threads to objects.
+The last two are reference matchers: tests and benchmarks compare
+Hopcroft-Karp against them.
 
-Both production matchers walk their augmenting paths with *explicit
-stacks* rather than recursion: an augmenting path visits one stack frame
-per hop, so the recursive formulation blows Python's recursion limit on
-chain-like graphs of around a thousand threads (paths of length ``O(V)``
-are routine there).  The iterative forms handle 10k+-vertex chains in the
-matching-scaling benchmark; see :mod:`repro.graph.incremental` for the
-edge-by-edge incremental variant used by the online evaluation.
+Hopcroft-Karp and the augmenting-path matcher walk their augmenting paths
+with *explicit stacks* rather than recursion: an augmenting path visits
+one stack frame per hop, so the recursive formulation blows Python's
+recursion limit on chain-like graphs of around a thousand threads (paths
+of length ``O(V)`` are routine there).  The iterative forms handle
+10k+-vertex chains in the matching-scaling benchmark; see
+:mod:`repro.graph.incremental` for the edge-by-edge incremental variant
+used by the online evaluation.
 """
 
 from __future__ import annotations
@@ -161,9 +164,7 @@ def augment_from_unmatched_thread(
     paths are ``O(V)`` long on chain-like graphs, which used to blow
     Python's recursion limit at around a thousand threads.
 
-    Shared by :func:`augmenting_path_matching` and the incremental engine
-    (:class:`~repro.graph.incremental.DynamicMatching`), which anchor
-    the same search differently.
+    The per-thread search of :func:`augmenting_path_matching`.
     """
     visited: Set[Vertex] = set()
     # Each frame is [thread, neighbor-iterator, contested-object]: the
@@ -362,20 +363,3 @@ def brute_force_matching(graph: BipartiteGraph, max_edges: int = 20) -> Matching
                 return Matching(subset)
     return Matching()
 
-
-def maximum_matching(graph: BipartiteGraph, algorithm: str = "hopcroft-karp") -> Matching:
-    """Dispatch to a maximum matching algorithm by name.
-
-    Parameters
-    ----------
-    algorithm:
-        One of ``"hopcroft-karp"`` (default), ``"augmenting-path"`` or
-        ``"brute-force"``.
-    """
-    if algorithm == "hopcroft-karp":
-        return hopcroft_karp_matching(graph)
-    if algorithm == "augmenting-path":
-        return augmenting_path_matching(graph)
-    if algorithm == "brute-force":
-        return brute_force_matching(graph)
-    raise ValueError(f"unknown matching algorithm: {algorithm!r}")

@@ -23,7 +23,7 @@ from typing import FrozenSet, Iterable, Optional, Set
 
 from repro.exceptions import VertexCoverError
 from repro.graph.bipartite import BipartiteGraph, Vertex, vertex_sort_key
-from repro.graph.matching import Matching, maximum_matching, validate_matching
+from repro.graph.matching import Matching, hopcroft_karp_matching, validate_matching
 
 
 def alternating_reachable(graph: BipartiteGraph, matching: Matching) -> FrozenSet[Vertex]:
@@ -74,7 +74,7 @@ def konig_vertex_cover(
         doubt.
     """
     if matching is None:
-        matching = maximum_matching(graph)
+        matching = hopcroft_karp_matching(graph)
     else:
         validate_matching(graph, matching)
     reachable = alternating_reachable(graph, matching)
@@ -82,16 +82,14 @@ def konig_vertex_cover(
     return frozenset(cover)
 
 
-def minimum_vertex_cover(
-    graph: BipartiteGraph, algorithm: str = "hopcroft-karp"
-) -> FrozenSet[Vertex]:
+def minimum_vertex_cover(graph: BipartiteGraph) -> FrozenSet[Vertex]:
     """Compute a minimum vertex cover of ``graph``.
 
-    Convenience wrapper: computes a maximum matching with the requested
-    algorithm, applies the König construction, and sanity-checks the result
+    Convenience wrapper: computes a maximum matching with Hopcroft-Karp,
+    applies the König construction, and sanity-checks the result
     (the cover must cover every edge and have size equal to the matching).
     """
-    matching = maximum_matching(graph, algorithm=algorithm)
+    matching = hopcroft_karp_matching(graph)
     cover = konig_vertex_cover(graph, matching)
     validate_vertex_cover(graph, cover)
     if len(cover) != len(matching):

@@ -26,7 +26,7 @@ from repro.computation.trace import Computation
 from repro.core.components import ClockComponents
 from repro.core.timestamping import TimestampedComputation, VectorClockProtocol
 from repro.graph.bipartite import BipartiteGraph, Vertex
-from repro.graph.matching import Matching, maximum_matching
+from repro.graph.matching import Matching, hopcroft_karp_matching
 from repro.graph.vertex_cover import konig_vertex_cover, validate_vertex_cover
 
 
@@ -91,15 +91,13 @@ class OfflineResult:
         }
 
 
-def optimal_components_for_graph(
-    graph: BipartiteGraph, algorithm: str = "hopcroft-karp"
-) -> OfflineResult:
+def optimal_components_for_graph(graph: BipartiteGraph) -> OfflineResult:
     """Run the offline algorithm on an already-built bipartite graph.
 
     This is the entry point the evaluation uses (the paper's experiments
     operate directly on random bipartite graphs).
     """
-    matching = maximum_matching(graph, algorithm=algorithm)
+    matching = hopcroft_karp_matching(graph)
     cover = konig_vertex_cover(graph, matching)
     validate_vertex_cover(graph, cover)
     components = ClockComponents.from_cover(graph, cover)
@@ -108,27 +106,21 @@ def optimal_components_for_graph(
     )
 
 
-def optimal_components_for_computation(
-    computation: Computation, algorithm: str = "hopcroft-karp"
-) -> OfflineResult:
+def optimal_components_for_computation(computation: Computation) -> OfflineResult:
     """Run the offline algorithm on a computation (builds its graph first)."""
-    return optimal_components_for_graph(
-        computation.bipartite_graph(), algorithm=algorithm
-    )
+    return optimal_components_for_graph(computation.bipartite_graph())
 
 
-def timestamp_offline(
-    computation: Computation, algorithm: str = "hopcroft-karp"
-) -> TimestampedComputation:
+def timestamp_offline(computation: Computation) -> TimestampedComputation:
     """End-to-end offline pipeline: optimal components, then timestamping."""
-    result = optimal_components_for_computation(computation, algorithm=algorithm)
+    result = optimal_components_for_computation(computation)
     return result.protocol().timestamp_computation(computation)
 
 
-def optimal_clock_size(graph: BipartiteGraph, algorithm: str = "hopcroft-karp") -> int:
+def optimal_clock_size(graph: BipartiteGraph) -> int:
     """The optimal mixed clock size for ``graph``.
 
     Equal to the maximum matching size (König-Egerváry); computing the
     matching alone is enough, so this skips the cover construction.
     """
-    return len(maximum_matching(graph, algorithm=algorithm))
+    return len(hopcroft_karp_matching(graph))

@@ -52,19 +52,16 @@ every live-window event pair across retirements and rotations.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.timestamping import DELTA_ROTATION, EpochClock
 from repro.exceptions import OnlineMechanismError
 from repro.graph.bipartite import BipartiteGraph, Edge, Vertex, vertex_sort_key
 from repro.graph.vertex_cover import konig_vertex_cover
 from repro.obs.registry import active as _metrics_active
-from repro.online.base import (
-    OBJECT,
-    THREAD,
-    OnlineMechanism,
-    popularity_choice,
-)
+from repro.online.base import OBJECT, THREAD, OnlineMechanism, popularity_choice
+from repro.online.hybrid import HybridMechanism
+from repro.online.popularity import PopularityMechanism
 
 
 # -- retirement policies ------------------------------------------------------
@@ -109,7 +106,7 @@ def _decay_factor(ticks: int) -> float:
     return result
 
 
-class WindowedPopularityMechanism(OnlineMechanism):
+class WindowedPopularityMechanism(PopularityMechanism):
     """Popularity's choice policy plus retirement of window-dead components.
 
     Parameters
@@ -159,17 +156,12 @@ class WindowedPopularityMechanism(OnlineMechanism):
         windowed_degrees: bool = False,
         retirement: str = EAGER_RETIREMENT,
     ) -> None:
-        super().__init__()
-        if tie_break not in (THREAD, OBJECT):
-            raise OnlineMechanismError(
-                f"tie_break must be {THREAD!r} or {OBJECT!r}, got {tie_break!r}"
-            )
+        super().__init__(tie_break)
         if retirement not in RETIREMENT_POLICIES:
             raise OnlineMechanismError(
                 f"retirement must be one of {RETIREMENT_POLICIES}, "
                 f"got {retirement!r}"
             )
-        self._tie_break = tie_break
         self._retirement = retirement
         self._eager = retirement == EAGER_RETIREMENT
         self._windowed_degrees = windowed_degrees
@@ -341,14 +333,15 @@ class WindowedPopularityMechanism(OnlineMechanism):
         return data
 
 
-class EpochRotatingHybridMechanism(OnlineMechanism):
+class EpochRotatingHybridMechanism(HybridMechanism):
     """Hybrid policy on the live graph, König-cover rebuild at epochs.
 
-    Parameters mirror :class:`~repro.online.hybrid.HybridMechanism`
-    (thresholds evaluated against the *live* graph) - except that the
-    switch to the Naive side resets at every epoch boundary, because the
-    rebuild restores an optimal-for-the-window component set and the
-    Popularity phase is the right regime for a small live cover.
+    Parameters are :class:`~repro.online.hybrid.HybridMechanism`'s, with
+    the thresholds evaluated against the *live* graph - and the switch to
+    the Naive side resets at every epoch boundary, because the rebuild
+    restores an optimal-for-the-window component set and the Popularity
+    phase is the right regime for a small live cover.  ``switched_at`` is
+    the current epoch's switch, if any.
     """
 
     name = "epoch-hybrid"
@@ -361,22 +354,7 @@ class EpochRotatingHybridMechanism(OnlineMechanism):
         naive_side: str = THREAD,
         warmup_edges: int = 30,
     ) -> None:
-        super().__init__()
-        if density_threshold < 0.0:
-            raise OnlineMechanismError("density_threshold must be non-negative")
-        if node_threshold < 0:
-            raise OnlineMechanismError("node_threshold must be non-negative")
-        if warmup_edges < 0:
-            raise OnlineMechanismError("warmup_edges must be non-negative")
-        if naive_side not in (THREAD, OBJECT):
-            raise OnlineMechanismError(
-                f"naive_side must be {THREAD!r} or {OBJECT!r}, got {naive_side!r}"
-            )
-        self._density_threshold = density_threshold
-        self._node_threshold = node_threshold
-        self._naive_side = naive_side
-        self._warmup_edges = warmup_edges
-        self._switched_at: Optional[int] = None
+        super().__init__(density_threshold, node_threshold, naive_side, warmup_edges)
         # The live window's graph, and each live edge's occurrence count:
         # an edge leaves the graph when its last live occurrence expires.
         self._live = BipartiteGraph()
@@ -388,26 +366,8 @@ class EpochRotatingHybridMechanism(OnlineMechanism):
         """The live (non-expired) thread-object graph."""
         return self._live
 
-    @property
-    def switched_at(self) -> Optional[int]:
-        """Event index of the current epoch's switch to Naive, if any."""
-        return self._switched_at
-
-    # -- policy -------------------------------------------------------------
-    def _exceeds_thresholds(self) -> bool:
-        graph = self._live
-        density_exceeded = (
-            graph.num_edges >= self._warmup_edges
-            and graph.density() > self._density_threshold
-        )
-        return density_exceeded or graph.num_vertices > self._node_threshold
-
-    def _choose(self, thread: Vertex, obj: Vertex) -> str:
-        if self._switched_at is None and self._exceeds_thresholds():
-            self._switched_at = self.events_seen - 1
-        if self._switched_at is not None:
-            return self._naive_side
-        return popularity_choice(self._live, thread, obj, THREAD)
+    def _policy_graph(self) -> BipartiteGraph:
+        return self._live
 
     # -- lifecycle hooks ----------------------------------------------------
     def _on_observe(self, thread: Vertex, obj: Vertex) -> None:

@@ -129,8 +129,11 @@ class OnlineMechanism(abc.ABC):
     name: str = "abstract"
 
     #: ``True`` for mechanisms that react to expire / epoch ticks by
-    #: retiring components.  Purely informational (drivers deliver the
-    #: full lifecycle to every mechanism; the shims ignore it).
+    #: retiring components.  Drivers deliver the full lifecycle to every
+    #: mechanism either way (the shims ignore it); the flag only gates
+    #: configuration: ``EngineConfig.validate`` rejects ``timestamps=True``
+    #: for a window-aware mechanism, whose rotations need a
+    #: :class:`~repro.online.adaptive.LifecycleClockDriver`.
     window_aware: bool = False
 
     def __init__(self) -> None:

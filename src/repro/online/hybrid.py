@@ -7,7 +7,10 @@ graph; at the beginning adopt the Popularity mechanism and as more events
 come in adopt the Naive approach if the graph parameters exceed the
 thresholds".  :class:`HybridMechanism` implements exactly that switch; the
 threshold values themselves are studied by the ablation benchmark
-``benchmarks/bench_hybrid_ablation.py``.
+``benchmarks/bench_hybrid_ablation.py``.  The policy reads one graph,
+named by :meth:`HybridMechanism._policy_graph`: the revealed graph here,
+the live window's graph in the epoch-rotating subclass
+(:class:`~repro.online.adaptive.EpochRotatingHybridMechanism`).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.exceptions import OnlineMechanismError
-from repro.graph.bipartite import Vertex
+from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.online.base import OBJECT, THREAD, OnlineMechanism, popularity_choice
 
 
@@ -92,8 +95,12 @@ class HybridMechanism(OnlineMechanism):
     def in_naive_phase(self) -> bool:
         return self._switched_at is not None
 
+    def _policy_graph(self) -> BipartiteGraph:
+        """The graph the thresholds and the Popularity phase read."""
+        return self.revealed_graph
+
     def _exceeds_thresholds(self) -> bool:
-        graph = self.revealed_graph
+        graph = self._policy_graph()
         density_exceeded = (
             graph.num_edges >= self._warmup_edges
             and graph.density() > self._density_threshold
@@ -105,4 +112,4 @@ class HybridMechanism(OnlineMechanism):
             self._switched_at = self.events_seen - 1
         if self._switched_at is not None:
             return self._naive_side
-        return popularity_choice(self.revealed_graph, thread, obj, THREAD)
+        return popularity_choice(self._policy_graph(), thread, obj, THREAD)

@@ -268,6 +268,17 @@ MUTANTS = (
         "",
         ("tests/test_adaptive_mechanisms.py::TestEpochRotatingHybrid::test_live_graph_and_rebuild_match_dynamic_matching",),
     ),
+    # Epoch-hybrid runs HybridMechanism's policy on the live graph: the
+    # _policy_graph hook is the whole difference between the two.
+    Mutant(
+        "epoch-hybrid-policy-reads-revealed-graph",
+        _ADAPTIVE,
+        "    def _policy_graph(self) -> BipartiteGraph:\n"
+        "        return self._live\n",
+        "    def _policy_graph(self) -> BipartiteGraph:\n"
+        "        return self.revealed_graph\n",
+        ("tests/test_adaptive_mechanisms.py::TestEpochRotatingHybrid::test_thresholds_read_the_live_graph",),
+    ),
     # EpochClock.rotate takes the delta path only when no retired
     # component is an endpoint of a live event.
     Mutant(

@@ -259,6 +259,16 @@ class TestEpochRotatingHybrid:
         mechanism.end_epoch()
         assert mechanism.switched_at is None
 
+    def test_thresholds_read_the_live_graph(self):
+        mechanism = EpochRotatingHybridMechanism(node_threshold=3, warmup_edges=999)
+        mechanism.observe("T1", "O1")
+        mechanism.expire("T1", "O1")
+        # Revealed: 4 vertices > 3; live: 2 - the policy reads the live one.
+        mechanism.observe("T2", "O2")
+        assert mechanism.revealed_graph.num_vertices == 4
+        assert mechanism.live_graph.num_vertices == 2
+        assert mechanism.switched_at is None
+
 
 # ---------------------------------------------------------------------------
 # Verdict preservation under the lifecycle (the tentpole property)

@@ -145,6 +145,14 @@ class TestSweep:
                      "--trials", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_ratio_sweep_rejects_repeated_mechanism(self, capsys):
+        assert main(["sweep", "ratio", "--scenario", "phase-change",
+                     "--nodes", "8", "--density", "0.2", "--trials", "1",
+                     "--window", "10", "--burn-in", "4", "--tail", "4",
+                     "--events", "40", "--mechanisms", "naive,naive"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'naive' is listed twice" in err
+
     def test_ratio_sweep_prints_burn_in_vs_steady_tables(self, capsys):
         assert main(["sweep", "ratio", "--trials", "1", "--window", "20",
                      "--burn-in", "5", "--tail", "5", "--events", "60"]) == 0

@@ -45,13 +45,12 @@ from repro.engine import (
     merge_partials,
     run_engine,
     run_shard_group,
-    stable_vertex_hash,
 )
 import repro.engine.checkpoint as checkpoint_module
 from repro.engine.checkpoint import EngineCheckpointManager
 from repro.engine.sharding import ExpireRun
 from repro.exceptions import EngineError
-from repro.seeds import derive_seed, spawn_seeds, splitmix64
+from repro.seeds import derive_seed, spawn_seeds, splitmix64, stable_hash
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +97,9 @@ class TestStreamSharder:
     def test_stable_hash_ignores_process_randomisation(self):
         # The stable hash is pure arithmetic over the repr; a fixed pin
         # proves no hash() leakage (hash() varies per process for str).
-        assert stable_vertex_hash("T0") == stable_vertex_hash("T0")
-        assert stable_vertex_hash("T0") != stable_vertex_hash("T1")
-        assert stable_vertex_hash(1) != stable_vertex_hash("1")
+        assert stable_hash("T0") == stable_hash("T0")
+        assert stable_hash("T0") != stable_hash("T1")
+        assert stable_hash(1) != stable_hash("1")
 
     def test_round_robin_assigns_by_first_appearance(self):
         sharder = StreamSharder(3, ROUND_ROBIN)

@@ -44,7 +44,7 @@ from repro.core.components import ClockComponents
 from repro.core.kernel import numpy_available
 from repro.core.timestamping import EpochClock
 from repro.graph.incremental import DynamicMatching
-from repro.graph.matching import maximum_matching
+from repro.graph.matching import hopcroft_karp_matching
 from repro.graph.vertex_cover import konig_vertex_cover, validate_vertex_cover
 from repro.obs.registry import MetricsRegistry, install as obs_install
 from repro.online.adaptive import LifecycleClockDriver, WindowedPopularityMechanism
@@ -423,7 +423,7 @@ def test_repaired_cover_equals_from_scratch_cover(ops):
         graph = live.graph
         assert cover == konig_vertex_cover(graph, live.matching())
         validate_vertex_cover(graph, cover)
-        assert len(cover) == len(maximum_matching(graph))
+        assert len(cover) == len(hopcroft_karp_matching(graph))
 
 
 def test_cover_repair_is_incremental_after_churn():

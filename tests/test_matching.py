@@ -14,14 +14,17 @@ from repro.graph import (
     complete_bipartite,
     hopcroft_karp_matching,
     is_maximum_matching,
-    maximum_matching,
     paper_example_graph,
     star_bipartite,
     uniform_bipartite,
     validate_matching,
 )
 
-ALGORITHMS = ["hopcroft-karp", "augmenting-path"]
+MATCHERS = pytest.mark.parametrize(
+    "matcher",
+    [hopcroft_karp_matching, augmenting_path_matching],
+    ids=["hopcroft-karp", "augmenting-path"],
+)
 
 
 class TestMatchingContainer:
@@ -71,62 +74,62 @@ class TestMatchingContainer:
             validate_matching(graph, Matching([("T1", "O2")]))
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@MATCHERS
 class TestMaximumMatchingAlgorithms:
-    def test_empty_graph(self, algorithm):
-        assert len(maximum_matching(BipartiteGraph(), algorithm=algorithm)) == 0
+    def test_empty_graph(self, matcher):
+        assert len(matcher(BipartiteGraph())) == 0
 
-    def test_single_edge(self, algorithm):
+    def test_single_edge(self, matcher):
         graph = BipartiteGraph(edges=[("T1", "O1")])
-        matching = maximum_matching(graph, algorithm=algorithm)
+        matching = matcher(graph)
         assert len(matching) == 1
         assert ("T1", "O1") in matching
 
-    def test_star_graph(self, algorithm):
+    def test_star_graph(self, matcher):
         # A star can match only its centre once.
         graph = star_bipartite(1, 8)
-        assert len(maximum_matching(graph, algorithm=algorithm)) == 1
+        assert len(matcher(graph)) == 1
         graph = star_bipartite(8, 1, center_is_thread=False)
-        assert len(maximum_matching(graph, algorithm=algorithm)) == 1
+        assert len(matcher(graph)) == 1
 
-    def test_complete_graph(self, algorithm):
+    def test_complete_graph(self, matcher):
         graph = complete_bipartite(4, 7)
-        matching = maximum_matching(graph, algorithm=algorithm)
+        matching = matcher(graph)
         assert len(matching) == 4
         validate_matching(graph, matching)
 
-    def test_perfect_matching_on_disjoint_edges(self, algorithm):
+    def test_perfect_matching_on_disjoint_edges(self, matcher):
         edges = [(f"T{i}", f"O{i}") for i in range(10)]
         graph = BipartiteGraph(edges=edges)
-        matching = maximum_matching(graph, algorithm=algorithm)
+        matching = matcher(graph)
         assert len(matching) == 10
         assert matching.edges == set(edges)
 
-    def test_requires_augmenting_path_flip(self, algorithm):
+    def test_requires_augmenting_path_flip(self, matcher):
         # Greedy matching that takes (T1,O1) first must be augmented:
         # T1-O1, T1-O2, T2-O1 has a maximum matching of size 2.
         graph = BipartiteGraph(edges=[("T1", "O1"), ("T1", "O2"), ("T2", "O1")])
-        matching = maximum_matching(graph, algorithm=algorithm)
+        matching = matcher(graph)
         assert len(matching) == 2
         assert is_maximum_matching(graph, matching)
 
-    def test_paper_example_matching_size(self, algorithm):
-        matching = maximum_matching(paper_example_graph(), algorithm=algorithm)
+    def test_paper_example_matching_size(self, matcher):
+        matching = matcher(paper_example_graph())
         assert len(matching) == 3  # equals the minimum vertex cover size
         assert is_maximum_matching(paper_example_graph(), matching)
 
-    def test_matching_is_valid_and_maximum_on_random_graphs(self, algorithm):
+    def test_matching_is_valid_and_maximum_on_random_graphs(self, matcher):
         for seed in range(8):
             graph = uniform_bipartite(12, 15, 0.2, seed=seed)
-            matching = maximum_matching(graph, algorithm=algorithm)
+            matching = matcher(graph)
             validate_matching(graph, matching)
             assert is_maximum_matching(graph, matching)
 
-    def test_isolated_vertices_ignored(self, algorithm):
+    def test_isolated_vertices_ignored(self, matcher):
         graph = BipartiteGraph(
             threads=["T1", "T2"], objects=["O1", "O2"], edges=[("T1", "O1")]
         )
-        assert len(maximum_matching(graph, algorithm=algorithm)) == 1
+        assert len(matcher(graph)) == 1
 
 
 class TestCrossValidation:
@@ -157,7 +160,7 @@ class TestCrossValidation:
             nx_graph.add_nodes_from(graph.objects, bipartite=1)
             nx_graph.add_edges_from(graph.edges())
             expected = len(
-                networkx.bipartite.maximum_matching(nx_graph, top_nodes=graph.threads)
+                networkx.bipartite.hopcroft_karp_matching(nx_graph, top_nodes=graph.threads)
             ) // 2
             assert len(hopcroft_karp_matching(graph)) == expected
 
@@ -170,10 +173,6 @@ class TestBruteForce:
 
     def test_brute_force_empty(self):
         assert len(brute_force_matching(BipartiteGraph())) == 0
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            maximum_matching(BipartiteGraph(), algorithm="quantum")
 
 
 class TestDeepAugmentingPaths:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from repro.computation import paper_example_trace, random_trace, trace_from_graph
 from repro.graph import (
+    augmenting_path_matching,
     complete_bipartite,
+    konig_vertex_cover,
     paper_example_graph,
     star_bipartite,
     uniform_bipartite,
@@ -65,9 +67,10 @@ class TestOfflineOnGraphs:
     def test_both_matcher_backends_agree(self):
         for seed in range(5):
             graph = uniform_bipartite(18, 18, 0.12, seed=seed)
-            assert optimal_clock_size(graph, algorithm="hopcroft-karp") == optimal_clock_size(
-                graph, algorithm="augmenting-path"
-            )
+            reference = augmenting_path_matching(graph)
+            result = optimal_components_for_graph(graph)
+            assert optimal_clock_size(graph) == len(reference) == result.clock_size
+            assert result.cover == konig_vertex_cover(graph, reference)
 
 
 class TestOfflineOnComputations:

@@ -279,6 +279,11 @@ class TestRatioSweep:
         with pytest.raises(ExperimentError):
             self._small(window=0)
 
+    def test_repeated_label_rejected(self):
+        # A repeated label would otherwise fold into one series.
+        with pytest.raises(ExperimentError, match="'naive' is listed twice"):
+            self._small(labels=("naive", "popularity", "naive"))
+
     def test_format_renders_one_table_per_scenario(self):
         result = self._small()
         text = format_ratio_sweep(result)

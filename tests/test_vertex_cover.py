@@ -9,12 +9,12 @@ from repro.graph import (
     BipartiteGraph,
     Matching,
     alternating_reachable,
+    augmenting_path_matching,
     brute_force_vertex_cover,
     complete_bipartite,
     hopcroft_karp_matching,
     is_vertex_cover,
     konig_vertex_cover,
-    maximum_matching,
     minimum_vertex_cover,
     paper_example_graph,
     star_bipartite,
@@ -84,7 +84,7 @@ class TestKonigConstruction:
         graph = BipartiteGraph(
             edges=[("T1", "O1"), ("T2", "O1"), ("T3", "O2")]
         )
-        matching = maximum_matching(graph)
+        matching = hopcroft_karp_matching(graph)
         reachable = alternating_reachable(graph, matching)
         for thread in matching.unmatched_threads(graph):
             assert thread in reachable
@@ -105,9 +105,10 @@ class TestKonigConstruction:
     def test_cover_with_both_matcher_backends_agrees(self):
         for seed in range(6):
             graph = uniform_bipartite(12, 12, 0.25, seed=seed)
-            a = minimum_vertex_cover(graph, algorithm="hopcroft-karp")
-            b = minimum_vertex_cover(graph, algorithm="augmenting-path")
-            assert len(a) == len(b)
+            cover = minimum_vertex_cover(graph)
+            matching = augmenting_path_matching(graph)
+            assert cover == konig_vertex_cover(graph, matching)
+            assert len(cover) == len(matching)
 
 
 class TestAgainstBruteForce:
